@@ -79,19 +79,15 @@ def make_uniform_profile(radius: float, grid_spacing: float) -> SmearingProfile:
     if radius <= 0.0 or grid_spacing <= 0.0:
         raise ValueError("radius and grid_spacing must be positive")
     m = int(math.floor(radius / grid_spacing + 1e-12))
-    points = []
-    for i in range(-m, m + 1):
-        for j in range(-m, m + 1):
-            for l in range(-m, m + 1):
-                q = np.array([i, j, l], dtype=float) * grid_spacing
-                if np.linalg.norm(q) <= radius + 1e-12:
-                    points.append(q)
-    if not points:
+    axis = np.arange(-m, m + 1, dtype=float)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid *= grid_spacing
+    offsets = grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
+    if not len(offsets):
         raise EmptySupportError(
             f"no grid point with spacing {grid_spacing} inside radius {radius}"
         )
-    offsets = np.array(points)
-    weights = np.full(len(points), 1.0 / math.sqrt(len(points)), dtype=complex)
+    weights = np.full(len(offsets), 1.0 / math.sqrt(len(offsets)), dtype=complex)
     return SmearingProfile(offsets, weights)
 
 
@@ -110,8 +106,22 @@ class BilinearKernel:
 
 
 def pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
-    """Expand a 2x2 matrix in the sigma^mu basis: c_mu = tr(sigma_mu M) / 2."""
-    return np.einsum("mij,ji->m", PAULI, matrix) / 2.0
+    """Expand 2x2 matrices ``[..., 2, 2]`` in the sigma^mu basis: c_mu = tr(sigma_mu M) / 2."""
+    return np.einsum("mij,...ji->...m", PAULI, matrix) / 2.0
+
+
+def _kernel_tables(profile: SmearingProfile, k, sign, t: int, mus) -> np.ndarray:
+    """Sigma-basis coefficients of (A(k/2-q)^t)^dag sigma^mu (A(k/2+q)^t) f(q).
+
+    Shape (N, len(mus), 4): grid point, inserted channel mu, coefficient
+    c_nu = tr(sigma_nu M) / 2.  Both step powers are evaluated over the whole
+    grid at once.
+    """
+    k_half = np.asarray(k, dtype=float) / 2.0
+    a_minus = step_power(k_half - profile.offsets, sign, t)
+    a_plus = step_power(k_half + profile.offsets, sign, t)
+    products = np.conj(a_minus.swapaxes(-1, -2))[:, None] @ PAULI[list(mus)] @ a_plus[:, None]
+    return pauli_coefficients(products) * profile.weights[:, None, None]
 
 
 def evolve_kernel(mu: int, profile: SmearingProfile, k, sign, t: int) -> BilinearKernel:
@@ -123,14 +133,8 @@ def evolve_kernel(mu: int, profile: SmearingProfile, k, sign, t: int) -> Bilinea
     """
     if mu not in (0, 1, 2, 3):
         raise ValueError(f"mu must be 0..3, got {mu}")
-    k = np.asarray(k, dtype=float)
-    k_half = k / 2.0
-    table = np.zeros((len(profile.weights), 4), dtype=complex)
-    for iq, (q, w) in enumerate(zip(profile.offsets, profile.weights)):
-        a_minus = step_power(k_half - q, sign, t)
-        a_plus = step_power(k_half + q, sign, t)
-        table[iq] = pauli_coefficients(a_minus.conj().T @ PAULI[mu] @ a_plus) * w
-    return BilinearKernel(k=k, t=int(t), mu=mu, table=table)
+    table = _kernel_tables(profile, k, sign, t, [mu])[:, 0]
+    return BilinearKernel(k=np.asarray(k, dtype=float), t=int(t), mu=mu, table=table)
 
 
 def vector_tables(profile: SmearingProfile, k, sign, t: int) -> np.ndarray:
@@ -139,14 +143,7 @@ def vector_tables(profile: SmearingProfile, k, sign, t: int) -> np.ndarray:
     Axis 1 indexes which sigma^a (a = x, y, z) was inserted; axis 2 the
     sigma-basis coefficient of the evolved kernel.
     """
-    k_half = np.asarray(k, dtype=float) / 2.0
-    out = np.zeros((len(profile.weights), 3, 4), dtype=complex)
-    for iq, (q, w) in enumerate(zip(profile.offsets, profile.weights)):
-        a_minus_dag = step_power(k_half - q, sign, t).conj().T
-        a_plus = step_power(k_half + q, sign, t)
-        for a in range(3):
-            out[iq, a] = pauli_coefficients(a_minus_dag @ PAULI[a + 1] @ a_plus) * w
-    return out
+    return _kernel_tables(profile, k, sign, t, [1, 2, 3])
 
 
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
@@ -293,6 +290,29 @@ def _weighted_rms(dev: np.ndarray) -> float:
     return float(math.sqrt(np.sum(np.abs(dev) ** 2)))
 
 
+def _axis_angle(n, k):
+    """Angle in [0, pi] between the rotation axes ``n[..., 3]`` and wavevectors ``k[..., 3]``."""
+    cosang = np.sum(n * k, axis=-1) / (np.linalg.norm(n, axis=-1) * np.linalg.norm(k, axis=-1))
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
+def tilt_angle(k, sign):
+    """Exact polarization tilt at wavevectors ``k[..., 3]``, in [0, pi/2].
+
+    The tilt is the angle between the rotation axis n(k/2) and k, folded
+    into [0, pi/2]: the angle between the polarization plane (normal to the
+    axis) and the plane orthogonal to k.  Raises DegeneratePointError when
+    |n(k/2)| is below tolerance at any wavevector (no axis, as in
+    polarization_frame).
+    """
+    k = np.asarray(k, dtype=float)
+    n = bloch_data(k / 2.0, sign).n
+    if np.any(np.linalg.norm(n, axis=-1) < _FRAME_TOL):
+        raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} in the batch")
+    angle = _axis_angle(n, k)
+    return np.minimum(angle, math.pi - angle)
+
+
 def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> MaxwellReport:
     """Quantify how exactly the evolved transverse kernel is a pure rotation.
 
@@ -316,21 +336,13 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
     dev_trans, _ = transverse_tables(back - ref, frame)
     residual = _weighted_rms(dev_trans)
 
-    k_norm = float(np.linalg.norm(k))
-    if k_norm < _FRAME_TOL:
-        axis_angle = 0.0
-    else:
-        cosang = float(np.dot(frame.e, k / k_norm))
-        axis_angle = math.acos(min(1.0, max(-1.0, cosang)))
-    tilt = min(axis_angle, math.pi - axis_angle)
-
     return MaxwellReport(
         k=k,
         t=int(t),
         qbar=profile.support_radius,
         residual_transverse=residual,
-        tilt_angle=tilt,
-        axis_angle_to_k=axis_angle,
+        tilt_angle=float(tilt_angle(k, sign)),
+        axis_angle_to_k=float(_axis_angle(b.n, k)),
         predicted_rotation=rot,
     )
 

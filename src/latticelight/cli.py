@@ -19,11 +19,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bilinear import make_uniform_profile, maxwell_emergence_report, single_point_profile
+from .bilinear import (
+    make_uniform_profile,
+    maxwell_emergence_report,
+    single_point_profile,
+    tilt_angle,
+)
 from .dispersion import (
     DIAGONAL,
     FlightScenario,
-    group_velocity,
+    group_velocity_analytic,
     omega,
     tilt_angle_estimate,
     time_of_flight_delta,
@@ -38,7 +43,7 @@ from .fock import (
     polarization_boson_check,
     schwartz_exhaustive,
 )
-from .output import resolve_threads, thread_map, write_json, write_table
+from .output import write_json, write_table
 from .walk import MINUS, PLUS, DegeneratePointError
 
 EXIT_OK = 0
@@ -88,6 +93,22 @@ def _sign_value(cfg) -> int:
     return SIGNS[name]
 
 
+def _finite(key: str, value, ndim: int = 0) -> np.ndarray:
+    """The config value as a float array of ``ndim`` dimensions (0: one number, 1: a list).
+
+    Non-numbers, the wrong nesting, NaN and infinity are rejected by key.
+    """
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be numeric, got {value!r}") from exc
+    if array.ndim != ndim:
+        raise ConfigError(f"{key} must be {('a number', 'a list of numbers')[ndim]}, got {value!r}")
+    if not np.all(np.isfinite(array)):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return array
+
+
 def _base_header(command: str, cfg: dict, seed: int) -> dict:
     return {
         "artifact_version": __version__,
@@ -97,28 +118,20 @@ def _base_header(command: str, cfg: dict, seed: int) -> dict:
     }
 
 
-def cmd_dispersion(cfg: dict, out: str, seed: int, threads: int) -> int:
-    kmax = float(cfg["kmax"])
+def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
+    kmax = float(_finite("kmax", cfg["kmax"]))
     points = int(cfg["points"])
     if points < 1 or kmax <= 0:
         raise ConfigError("dispersion needs points >= 1 and kmax > 0")
     if cfg["diagonal"]:
-        mags = np.linspace(0.0, kmax, points)
-        kvecs = [m * DIAGONAL for m in mags]
+        grid = np.linspace(0.0, kmax, points)[:, None] * DIAGONAL
     else:
         axis = np.linspace(-kmax, kmax, points)
-        kvecs = [np.array([x, y, z]) for x in axis for y in axis for z in axis]
-
-    def row(kvec):
-        values = [kvec[0], kvec[1], kvec[2], omega(kvec, PLUS), omega(kvec, MINUS)]
-        for sign in (PLUS, MINUS):
-            try:
-                values.append(float(np.linalg.norm(group_velocity(kvec, sign))))
-            except DegeneratePointError:
-                values.append(float("nan"))
-        return values
-
-    rows = thread_map(row, kvecs, threads)
+        # x outer, z inner: the row order of the artifact
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    # |v_g| is NaN where the gradient is undefined: sin lam(k/2) < 1e-12
+    speeds = [np.linalg.norm(group_velocity_analytic(grid, s), axis=-1) for s in (PLUS, MINUS)]
+    rows = np.column_stack([grid, omega(grid, PLUS), omega(grid, MINUS), *speeds])
     write_table(
         out,
         _base_header("dispersion", cfg, seed),
@@ -128,27 +141,20 @@ def cmd_dispersion(cfg: dict, out: str, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_maxwell_convergence(cfg: dict, out: str, seed: int, threads: int) -> int:
-    k = np.asarray(cfg["k"], dtype=float)
+def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
+    k = _finite("k", cfg["k"], ndim=1)
     if k.shape != (3,):
         raise ConfigError("k must be a 3-vector")
     t = int(cfg["t"])
     levels = int(cfg["levels"])
-    base = float(cfg["base_radius"])
-    factor = float(cfg["spacing_factor"])
+    base = float(_finite("base_radius", cfg["base_radius"]))
+    factor = float(_finite("spacing_factor", cfg["spacing_factor"]))
     if levels < 2 or base <= 0 or not 0 < factor <= 1:
         raise ConfigError("need levels >= 2, base_radius > 0, 0 < spacing_factor <= 1")
     sign = _sign_value(cfg)
     radii = [base * 0.5**i for i in range(levels)]
-
-    def report_for(radius):
-        if radius == 0.0:
-            profile = single_point_profile()
-        else:
-            profile = make_uniform_profile(radius, radius * factor)
-        return maxwell_emergence_report(profile, k, sign, t)
-
-    reports = thread_map(report_for, [0.0] + radii, threads)
+    profiles = [single_point_profile()] + [make_uniform_profile(r, r * factor) for r in radii]
+    reports = [maxwell_emergence_report(profile, k, sign, t) for profile in profiles]
     slope = float(
         np.polyfit(
             np.log([r.qbar for r in reports[1:]]),
@@ -170,7 +176,7 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int, threads: int) -> int
     return EXIT_OK
 
 
-def cmd_fock_suite(cfg: dict, out: str, seed: int, threads: int) -> int:
+def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
     n = int(cfg["momenta"])
     if not 1 <= n <= 3:
         raise ConfigError("fock-suite supports 1..3 momenta (exhaustive checks)")
@@ -291,14 +297,17 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int, threads: int) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_flight(cfg: dict, out: str, seed: int, threads: int) -> int:
+def cmd_flight(cfg: dict, out: str, seed: int) -> int:
     energies = cfg["energies"]
     try:
         pairs = tuple((str(label), float(ev)) for label, ev in energies)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"energies must be (label, eV) pairs: {exc}") from exc
+    _finite("energies", [ev for _, ev in pairs], ndim=1)
     scenario = FlightScenario(
-        distance_m=float(cfg["distance_m"]), photon_energies=pairs, sign=_sign_value(cfg)
+        distance_m=float(_finite("distance_m", cfg["distance_m"])),
+        photon_energies=pairs,
+        sign=_sign_value(cfg),
     )
     energy_by_label = dict(pairs)
     rows = [
@@ -314,8 +323,8 @@ def cmd_flight(cfg: dict, out: str, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_tilt(cfg: dict, out: str, seed: int, threads: int) -> int:
-    k_values = [float(v) for v in cfg["k_values"]]
+def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
+    k_values = _finite("k_values", cfg["k_values"], ndim=1)
     n_dirs = int(cfg["directions"])
     if n_dirs < 1:
         raise ConfigError("directions must be >= 1")
@@ -323,13 +332,10 @@ def cmd_tilt(cfg: dict, out: str, seed: int, threads: int) -> int:
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((n_dirs, 3))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
-    profile = single_point_profile()
     rows = []
     for kmag in k_values:
-        tilts = [
-            maxwell_emergence_report(profile, kmag * d, sign, 0).tilt_angle for d in directions
-        ]
-        rows.append([kmag, max(tilts), float(np.mean(tilts)), tilt_angle_estimate(kmag)])
+        tilts = tilt_angle(kmag * directions, sign)
+        rows.append([kmag, tilts.max(), float(np.mean(tilts)), tilt_angle_estimate(kmag)])
     write_table(
         out,
         _base_header("tilt", cfg, seed),
@@ -360,7 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help=f"output path (default {OUT_DEFAULTS[name]})")
         p.add_argument("--seed", type=int, help="random seed (default 0)")
         p.add_argument("--sign", choices=("plus", "minus"), help="walk chirality branch")
-        p.add_argument("--threads", type=int, help="worker threads (env LATTICELIGHT_THREADS)")
         if name == "dispersion":
             p.add_argument("--kmax", type=float)
             p.add_argument("--points", type=int)
@@ -434,13 +439,15 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args.command, args)
         seed = args.seed if args.seed is not None else 0
-        threads = resolve_threads(args.threads)
         out = args.out if args.out is not None else OUT_DEFAULTS[args.command]
-        return COMMANDS[args.command](cfg, out, seed, threads)
+        return COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
+    except DegeneratePointError as exc:
+        print(f"error: degenerate wavevector: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -57,38 +57,25 @@ class UnitSystem:
 PLANCK_UNITS = UnitSystem()
 
 
-@dataclass(frozen=True)
-class DispersionPoint:
-    """omega, group velocity and speed at one wavevector."""
-
-    k: np.ndarray
-    omega: float
-    group_velocity: np.ndarray
-    speed: float
-
-
-def omega(k, sign) -> float:
-    """Angular frequency omega(k) = 2 |n(k/2)| = 2 lam(k/2), walk units."""
+def omega(k, sign):
+    """Angular frequency omega(k) = 2 |n(k/2)| = 2 lam(k/2), walk units, at ``k[..., 3]``."""
     return 2.0 * bloch_data(np.asarray(k, dtype=float) / 2.0, sign).lam
 
 
 def group_velocity(k, sign, step: float = 1e-5) -> np.ndarray:
-    """Gradient of omega by Richardson-extrapolated central differences.
+    """Gradient of omega at one wavevector by Richardson-extrapolated central differences.
 
     Undefined where n(k/2) = 0 (band crossing); raises DegeneratePointError
-    there instead of returning an arbitrary vector.
+    there instead of returning an arbitrary vector.  Kept as the
+    finite-difference oracle for group_velocity_analytic.
     """
     k = np.asarray(k, dtype=float)
     if bloch_data(k / 2.0, sign).lam < _DEGENERATE_TOL:
         raise DegeneratePointError(f"group velocity undefined at k={k} (n = 0)")
 
     def central(h):
-        g = np.zeros(3)
-        for j in range(3):
-            dk = np.zeros(3)
-            dk[j] = h
-            g[j] = (omega(k + dk, sign) - omega(k - dk, sign)) / (2.0 * h)
-        return g
+        shifts = h * np.eye(3)
+        return (omega(k + shifts, sign) - omega(k - shifts, sign)) / (2.0 * h)
 
     coarse = central(step)
     fine = central(step / 2.0)
@@ -96,37 +83,16 @@ def group_velocity(k, sign, step: float = 1e-5) -> np.ndarray:
 
 
 def group_velocity_analytic(k, sign) -> np.ndarray:
-    """Chain-rule gradient of omega: grad omega(k) = -grad d(k/2) / sin lam(k/2).
+    """Chain-rule gradient of omega at ``k[..., 3]``: -grad d(k/2) / sin lam(k/2).
 
-    Independent closed-form route used to cross-check the finite-difference
-    gradient.
+    The gradient is undefined where sin lam(k/2) < 1e-12 (n(k/2) = 0 or
+    lam = pi); those wavevectors get NaN components.
     """
-    k = np.asarray(k, dtype=float)
-    b = bloch_data(k / 2.0, sign)
-    sin_lam = math.sin(b.lam)
-    if sin_lam < _DEGENERATE_TOL:
-        raise DegeneratePointError(f"group velocity undefined at k={k}")
-    s = float(sign)
-    a = (k / 2.0) / SQRT3
-    cx, cy, cz = np.cos(a)
-    sx, sy, sz = np.sin(a)
-    grad_d = (
-        np.array(
-            [
-                -sx * cy * cz + s * cx * sy * sz,
-                -cx * sy * cz + s * sx * cy * sz,
-                -cx * cy * sz + s * sx * sy * cz,
-            ]
-        )
-        / SQRT3
-    )
-    return -grad_d / sin_lam
-
-
-def dispersion_point(k, sign) -> DispersionPoint:
-    k = np.asarray(k, dtype=float)
-    vg = group_velocity(k, sign)
-    return DispersionPoint(k=k, omega=omega(k, sign), group_velocity=vg, speed=float(np.linalg.norm(vg)))
+    b = bloch_data(np.asarray(k, dtype=float) / 2.0, sign)
+    sin_lam = np.sin(b.lam)
+    undefined = sin_lam < _DEGENERATE_TOL
+    vg = -b.grad_d / np.where(undefined, 1.0, sin_lam)[..., None]
+    return np.where(undefined[..., None], np.nan, vg)
 
 
 DIAGONAL = np.array([1.0, 1.0, 1.0]) / SQRT3

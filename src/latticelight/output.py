@@ -9,10 +9,6 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "LATTICELIGHT_THREADS"
 
 
 def format_value(value) -> str:
@@ -62,21 +58,3 @@ def read_table(path: str):
     rows = [line.split(",") for line in body[1:]]
     return header, columns, rows
 
-
-def resolve_threads(cli_value) -> int:
-    """Thread count: explicit flag wins, then the environment, then 1."""
-    if cli_value is not None:
-        return max(1, int(cli_value))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def thread_map(fn, items, threads: int) -> list:
-    """Map with an optional thread pool; results keep submission order."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -10,8 +10,9 @@ images of each other through the reflection k_y -> -k_y.  The minus branch
 reduces to exp(-i k/sqrt(3) . sigma) at small wavevector; the plus branch
 reduces to the same generator with k_y reflected.
 
-Everything here is a pure function of its arguments and safe to call from
-any number of threads.
+Every evaluation takes wavevectors as ``k[..., 3]``, so a whole grid of
+k-points costs one call; everything here is a pure function of its
+arguments.
 """
 
 from __future__ import annotations
@@ -51,16 +52,22 @@ def _check_sign(sign):
 
 @dataclass(frozen=True)
 class BlochData:
-    """Bloch decomposition of one walk step: A = d I - i n_tilde.sigma = exp(-i n.sigma).
+    """Bloch decomposition of walk steps: A = d I - i n_tilde.sigma = exp(-i n.sigma).
+
+    For wavevectors ``k[..., 3]`` the fields have shapes ``d[...]``,
+    ``n_tilde[..., 3]``, ``lam[...]``, ``n[..., 3]`` and ``grad_d[..., 3]``;
+    a single wavevector gives float scalars and 3-vectors.
 
     Invariants: d^2 + |n_tilde|^2 = 1, lam = arccos(d), |n| = lam, and
     n = lam * n_tilde / sin(lam) away from the removable sin(lam) -> 0 limit.
+    ``grad_d`` is the gradient of d with respect to k.
     """
 
     d: float
     n_tilde: np.ndarray
     lam: float
     n: np.ndarray
+    grad_d: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -72,53 +79,79 @@ class WeylStep:
     sign: int
 
 
-def bloch_data(k, sign) -> BlochData:
-    """Evaluate d, n_tilde, lam, n at wavevector ``k`` for one chirality branch.
+def _components(v):
+    """The three components of ``v[..., 3]``.
 
-    All four quantities are periodic in each component of k with period
-    2*pi*sqrt(3).  ``lam`` is computed as atan2(|n_tilde|, d), which agrees
-    with arccos(d) but stays fully accurate near d = +-1.  The lam -> 0
-    limit of n = lam*n_tilde/sin(lam) is removable and handled without
-    division blow-up; at an exact lam = pi degeneracy (n_tilde = 0 with
-    d = -1) the axis is genuinely undefined and a DegeneratePointError is
-    raised.
+    A single vector gives numpy scalars, not 0-d arrays, which keeps the
+    per-call cost of one wavevector near that of scalar code.
+    """
+    return v[..., 0][()], v[..., 1][()], v[..., 2][()]
+
+
+def _vectors(x, y, z) -> np.ndarray:
+    """3-vectors ``[..., 3]`` from their component arrays (cheaper than np.stack)."""
+    out = np.empty(np.shape(x) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = x, y, z
+    return out
+
+
+def _closed_forms(k, sign):
+    """(d, n_tilde, |n_tilde|, lam, grad d) at every wavevector of ``k[..., 3]``.
+
+    The only place the trigonometric closed forms are written out; lam is
+    atan2(|n_tilde|, d), which agrees with arccos(d) but stays fully
+    accurate near d = +-1.
     """
     s = _check_sign(sign)
     a = np.asarray(k, dtype=float) / SQRT3
-    if a.shape != (3,):
-        raise ValueError(f"wavevector must have shape (3,), got {a.shape}")
-    cx, cy, cz = np.cos(a)
-    sx, sy, sz = np.sin(a)
+    if a.ndim == 0 or a.shape[-1] != 3:
+        raise ValueError(f"wavevectors must have shape (..., 3), got {a.shape}")
+    cx, cy, cz = _components(np.cos(a))
+    sx, sy, sz = _components(np.sin(a))
     d = cx * cy * cz + s * sx * sy * sz
-    n_tilde = np.array(
-        [
-            sx * cy * cz - s * cx * sy * sz,
-            -s * cx * sy * cz - sx * cy * sz,
-            cx * cy * sz - s * sx * sy * cz,
-        ]
-    )
-    nt_norm = float(np.linalg.norm(n_tilde))
-    lam = math.atan2(nt_norm, d)  # in [0, pi]; |n_tilde| = sin(lam)
-    if nt_norm >= _AXIS_TOL:
-        n = (lam / nt_norm) * n_tilde
-    elif lam < math.pi / 2.0:
-        # lam/sin(lam) = 1 + lam^2/6 + ...; here lam <= ~1e-14 so the
-        # series collapses to n = n_tilde
-        n = n_tilde * (1.0 + lam * lam / 6.0)
-    else:
-        raise DegeneratePointError(
-            f"rotation axis undefined at k={np.asarray(k)} (lam=pi, n_tilde=0)"
+    nx = sx * cy * cz - s * cx * sy * sz
+    ny = -s * cx * sy * cz - sx * cy * sz
+    nz = cx * cy * sz - s * sx * sy * cz
+    grad_d = (
+        _vectors(
+            -sx * cy * cz + s * cx * sy * sz,
+            -cx * sy * cz + s * sx * cy * sz,
+            -cx * cy * sz + s * sx * sy * cz,
         )
-    return BlochData(d=float(d), n_tilde=n_tilde, lam=lam, n=n)
-
-
-def _rodrigues_su2(angle: float, axis: np.ndarray) -> np.ndarray:
-    """exp(-i * angle * axis.sigma) for a unit 3-vector axis."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return c * np.eye(2, dtype=complex) - 1j * s * (
-        axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
+        / SQRT3
     )
+    nt_norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+    lam = np.arctan2(nt_norm, d)  # in [0, pi]; |n_tilde| = sin(lam)
+    return d, _vectors(nx, ny, nz), nt_norm, lam, grad_d
+
+
+def bloch_data(k, sign) -> BlochData:
+    """Evaluate d, n_tilde, lam, n and grad d at wavevectors ``k[..., 3]`` for one branch.
+
+    All quantities are periodic in each component of k with period
+    2*pi*sqrt(3).  The lam -> 0 limit of n = lam*n_tilde/sin(lam) is
+    removable and handled without division blow-up; at an exact lam = pi
+    degeneracy (n_tilde = 0 with d = -1) the axis is genuinely undefined and
+    a DegeneratePointError is raised if any wavevector of the batch sits
+    there.
+    """
+    d, n_tilde, nt_norm, lam, grad_d = _closed_forms(k, sign)
+    tiny = nt_norm < _AXIS_TOL
+    undefined = tiny & (lam >= math.pi / 2.0)
+    if undefined.any():
+        where = np.asarray(k, dtype=float).reshape(-1, 3)[np.ravel(undefined)][0]
+        raise DegeneratePointError(f"rotation axis undefined at k={where} (lam=pi, n_tilde=0)")
+    # lam/sin(lam) = 1 + lam^2/6 + ...; below _AXIS_TOL lam <= ~1e-14, so the
+    # series collapses to n = n_tilde
+    scale = np.where(tiny, 1.0 + lam * lam / 6.0, lam / np.where(tiny, 1.0, nt_norm))
+    n = scale[..., None] * n_tilde
+    return BlochData(d=d[()], n_tilde=n_tilde, lam=lam[()], n=n, grad_d=grad_d)
+
+
+def _su2(c, v) -> np.ndarray:
+    """c I - i v.sigma for scalars ``c[...]`` and 3-vectors ``v[..., 3]``, shape (..., 2, 2)."""
+    coeffs = np.concatenate([np.asarray(c, dtype=complex)[..., None], -1j * np.asarray(v)], axis=-1)
+    return np.einsum("...m,mij->...ij", coeffs, PAULI)
 
 
 def weyl_step(k, sign) -> WeylStep:
@@ -129,44 +162,31 @@ def weyl_step(k, sign) -> WeylStep:
     raises, since it would mean the closed forms are being misused.
     """
     b = bloch_data(k, sign)
-    matrix = b.d * np.eye(2, dtype=complex) - 1j * (
-        b.n_tilde[0] * SIGMA_X + b.n_tilde[1] * SIGMA_Y + b.n_tilde[2] * SIGMA_Z
-    )
+    matrix = _su2(b.d, b.n_tilde)
     if b.lam >= _AXIS_TOL:
-        via_exp = _rodrigues_su2(b.lam, b.n / b.lam)
+        via_exp = _su2(math.cos(b.lam), math.sin(b.lam) * (b.n / b.lam))
     else:
-        via_exp = _rodrigues_su2(0.0, np.array([0.0, 0.0, 1.0]))
+        via_exp = np.eye(2, dtype=complex)
     if np.max(np.abs(matrix - via_exp)) > 1e-11:
         raise RuntimeError("Bloch-form and exponential-form step matrices disagree")
     return WeylStep(matrix=matrix, bloch=b, sign=int(sign))
 
 
 def step_power(k, sign, t: int) -> np.ndarray:
-    """A(k)^t in closed form: a rotation by angle t*lam about the fixed axis.
+    """A(k)^t in closed form at wavevectors ``k[..., 3]``, shape (..., 2, 2).
 
-    The angle is reduced mod 2*pi before the trig evaluation, so there is no
-    error accumulation for |t| up to ~1e6; negative t gives inverse steps.
+    Each power is a rotation by angle t*lam about the fixed axis.  The angle
+    is reduced mod 2*pi before the trig evaluation, so there is no error
+    accumulation for |t| up to ~1e6; negative t gives inverse steps.  Where
+    |n_tilde| vanishes, A = d*I with d = +-1 and the power is d^t * I.
     """
-    s = _check_sign(sign)
-    a = np.asarray(k, dtype=float) / SQRT3
-    cx, cy, cz = np.cos(a)
-    sx, sy, sz = np.sin(a)
-    d = cx * cy * cz + s * sx * sy * sz
-    n_tilde = np.array(
-        [
-            sx * cy * cz - s * cx * sy * sz,
-            -s * cx * sy * cz - sx * cy * sz,
-            cx * cy * sz - s * sx * sy * cz,
-        ]
-    )
-    nt_norm = float(np.linalg.norm(n_tilde))
-    if nt_norm < _AXIS_TOL:
-        # A = d*I with d = +-1 at these isolated points; any axis works
-        val = 1.0 if d > 0.0 else (-1.0) ** (int(t) % 2)
-        return val * np.eye(2, dtype=complex)
-    lam = math.atan2(nt_norm, d)
-    angle = math.fmod(t * lam, 2.0 * math.pi)
-    return _rodrigues_su2(angle, n_tilde / nt_norm)
+    d, n_tilde, nt_norm, lam, _ = _closed_forms(k, sign)
+    tiny = nt_norm < _AXIS_TOL
+    angle = np.fmod(t * lam, 2.0 * math.pi)
+    parity = np.where(d > 0.0, 1.0, (-1.0) ** (int(t) % 2))
+    c = np.where(tiny, parity, np.cos(angle))
+    axis = n_tilde / np.where(tiny, 1.0, nt_norm)[..., None]
+    return _su2(c, np.where(tiny, 0.0, np.sin(angle))[..., None] * axis)
 
 
 def interp_unitary(k, q, sign, t: int) -> np.ndarray:
@@ -191,12 +211,8 @@ def rotation_vector_jacobian(k, sign, step: float = 1e-5) -> np.ndarray:
     degenerate points; tests cross-check against Richardson extrapolation.
     """
     k = np.asarray(k, dtype=float)
-    cols = []
-    for j in range(3):
-        dk = np.zeros(3)
-        dk[j] = step
-        cols.append((rotation_vector(k + dk, sign) - rotation_vector(k - dk, sign)) / (2.0 * step))
-    return np.column_stack(cols)
+    shifts = step * np.eye(3)  # row j: the step along k_j
+    return ((rotation_vector(k + shifts, sign) - rotation_vector(k - shifts, sign)) / (2.0 * step)).T
 
 
 def approx_interp_unitary(k, q_offset, sign, t: int, step: float = 1e-5) -> np.ndarray:
@@ -219,7 +235,7 @@ def approx_interp_unitary(k, q_offset, sign, t: int, step: float = 1e-5) -> np.n
     e = b.n / b.lam
     jac = rotation_vector_jacobian(k_half, sign, step=step)
     c = float(e @ (jac @ np.asarray(q_offset, dtype=float)))
-    return _rodrigues_su2(c * t, e)
+    return _su2(math.cos(c * t), math.sin(c * t) * e)
 
 
 def canonical_wavevector(k) -> np.ndarray:

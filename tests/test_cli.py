@@ -141,3 +141,60 @@ def test_bad_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["dispersion", "--sign", "sideways"])
     assert err.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        (["dispersion", "--kmax", "nan"], "kmax"),
+        (["dispersion", "--kmax", "inf"], "kmax"),
+        (["maxwell-convergence", "--k", "0.4", "nan", "0.2"], "k"),
+        (["maxwell-convergence", "--base-radius", "inf"], "base_radius"),
+        (["maxwell-convergence", "--spacing-factor", "nan"], "spacing_factor"),
+        (["tilt", "--k-values", "0.05,nan"], "k_values"),
+        (["tilt", "--k-values", "inf"], "k_values"),
+        (["flight", "--distance-m", "nan"], "distance_m"),
+        (["flight", "--distance-m", "inf"], "distance_m"),
+        (["flight", "--energies", "GeV=nan,MeV=1e6"], "energies"),
+        (["flight", "--energies", "GeV=inf,MeV=1e6"], "energies"),
+    ],
+)
+def test_non_finite_input_is_rejected(tmp_path, capsys, args, key):
+    out = tmp_path / "x.out"
+    assert run(args + ["--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_config_file_value_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"k_values": [0.05, NaN]}')  # Python's json reads NaN
+    out = tmp_path / "t.csv"
+    assert run(["tilt", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "k_values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("dispersion", '{"points": Infinity}'),
+        ("dispersion", '{"kmax": [1.0, 2.0]}'),
+        ("tilt", '{"k_values": 0.05}'),
+        ("maxwell-convergence", '{"k": "north"}'),
+    ],
+)
+def test_malformed_config_value_is_a_config_error(tmp_path, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "x.out"
+    assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_degenerate_wavevector_is_named(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run(["tilt", "--k-values", "0", "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "degenerate wavevector" in err and "invalid configuration" not in err
