@@ -27,9 +27,9 @@ from .walk import PAULI, DegeneratePointError, bloch_data, step_power
 
 _FRAME_TOL = 1e-12
 
-
-class EmptySupportError(ValueError):
-    """No grid point qualifies for the requested profile support."""
+# largest enclosing cube (2m+1)^3, m = floor(radius / grid_spacing), that
+# make_uniform_profile will allocate: about 25 MB of float64 offsets
+MAX_PROFILE_CUBE = 2**20
 
 
 @dataclass(frozen=True)
@@ -72,21 +72,23 @@ def single_point_profile() -> SmearingProfile:
 def make_uniform_profile(radius: float, grid_spacing: float) -> SmearingProfile:
     """Uniform weights 1/sqrt(N) on the cubic-grid points inside the ball |q| <= radius.
 
-    Raises EmptySupportError when no grid point qualifies.  The grid is the
-    cubic lattice of the given spacing centered on q = 0; points are
-    enumerated in a fixed lexicographic order.
+    The grid is the cubic lattice of the given spacing centered on q = 0;
+    points are enumerated in a fixed lexicographic order.  The origin is
+    always inside, so the support is never empty.  Raises ValueError, before
+    allocating, when the enclosing (2m+1)^3 cube exceeds MAX_PROFILE_CUBE.
     """
     if radius <= 0.0 or grid_spacing <= 0.0:
         raise ValueError("radius and grid_spacing must be positive")
-    m = int(math.floor(radius / grid_spacing + 1e-12))
+    m = math.floor(min(radius / grid_spacing + 1e-12, MAX_PROFILE_CUBE))  # finite for an infinite ratio
+    if (2 * m + 1) ** 3 > MAX_PROFILE_CUBE:
+        raise ValueError(
+            f"radius / grid_spacing = {radius / grid_spacing:.6g} needs more than"
+            f" MAX_PROFILE_CUBE = {MAX_PROFILE_CUBE} grid points"
+        )
     axis = np.arange(-m, m + 1, dtype=float)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     grid *= grid_spacing
     offsets = grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
-    if not len(offsets):
-        raise EmptySupportError(
-            f"no grid point with spacing {grid_spacing} inside radius {radius}"
-        )
     weights = np.full(len(offsets), 1.0 / math.sqrt(len(offsets)), dtype=complex)
     return SmearingProfile(offsets, weights)
 

@@ -33,16 +33,6 @@ from .dispersion import (
     tilt_angle_estimate,
     time_of_flight_delta,
 )
-from .fock import (
-    available_profiles,
-    build_fock,
-    commutator_report,
-    composite_boson_suite,
-    default_pairs,
-    gamma_for_profile,
-    polarization_boson_check,
-    schwartz_exhaustive,
-)
 from .output import write_json, write_table
 from .walk import MINUS, PLUS, DegeneratePointError
 
@@ -153,7 +143,10 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
         raise ConfigError("need levels >= 2, base_radius > 0, 0 < spacing_factor <= 1")
     sign = _sign_value(cfg)
     radii = [base * 0.5**i for i in range(levels)]
-    profiles = [single_point_profile()] + [make_uniform_profile(r, r * factor) for r in radii]
+    try:
+        profiles = [single_point_profile()] + [make_uniform_profile(r, r * factor) for r in radii]
+    except ValueError as exc:
+        raise ConfigError(f"spacing_factor {factor!r} is too small: {exc}") from exc
     reports = [maxwell_emergence_report(profile, k, sign, t) for profile in profiles]
     slope = float(
         np.polyfit(
@@ -176,7 +169,34 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
     return EXIT_OK
 
 
+def _pair_commutator_check(space, profiles) -> dict:
+    """[gamma, gamma'^dag] and [gamma, gamma'] over all label pairs; the gammas are freed on return."""
+    from . import fock
+
+    specs = [(alpha, beta, prof) for alpha in ("R", "L") for beta in ("R", "L") for prof in profiles.values()]
+    gammas = {spec: fock.gamma_for_profile(space, *spec) for spec in specs}
+    worst_assembly = 0.0
+    worst_plain = 0.0
+    for s1, g1 in gammas.items():
+        for s2, g2 in gammas.items():
+            report = fock.commutator_report(space, s1, s2, gammas)
+            worst_assembly = max(worst_assembly, report.max_abs_difference)
+            plain = (g1 @ g2 - g2 @ g1).tocsr()
+            plain.eliminate_zeros()
+            if plain.nnz:
+                worst_plain = max(worst_plain, float(np.max(np.abs(plain.data))))
+    return {
+        "name": "pair_commutators",
+        "passed": bool(worst_assembly <= 1e-12 and worst_plain == 0.0),
+        "max_assembly_deviation": worst_assembly,
+        "max_gamma_gamma": worst_plain,
+        "label_pairs": len(specs) ** 2,
+    }
+
+
 def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
+    from . import fock  # here, so that only fock-suite pays for loading scipy.sparse
+
     n = int(cfg["momenta"])
     if not 1 <= n <= 3:
         raise ConfigError("fock-suite supports 1..3 momenta (exhaustive checks)")
@@ -184,8 +204,8 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
         momenta = list(range(-(n // 2), n - n // 2))
     else:
         momenta = [2 * j + 1 - n for j in range(n)]
-    space = build_fock(momenta)
-    profiles = available_profiles(momenta)
+    space = fock.build_fock(momenta)
+    profiles = fock.available_profiles(momenta)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -197,34 +217,9 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
         }
     )
 
-    specs = [
-        (alpha, beta, prof)
-        for alpha in ("R", "L")
-        for beta in ("R", "L")
-        for prof in profiles.values()
-    ]
-    worst_assembly = 0.0
-    worst_plain = 0.0
-    for s1 in specs:
-        g1 = gamma_for_profile(space, *s1)
-        for s2 in specs:
-            worst_assembly = max(worst_assembly, commutator_report(space, s1, s2).max_abs_difference)
-            g2 = gamma_for_profile(space, *s2)
-            plain = (g1 @ g2 - g2 @ g1).tocsr()
-            plain.eliminate_zeros()
-            if plain.nnz:
-                worst_plain = max(worst_plain, float(np.max(np.abs(plain.data))))
-    checks.append(
-        {
-            "name": "pair_commutators",
-            "passed": bool(worst_assembly <= 1e-12 and worst_plain == 0.0),
-            "max_assembly_deviation": worst_assembly,
-            "max_gamma_gamma": worst_plain,
-            "label_pairs": len(specs) ** 2,
-        }
-    )
+    checks.append(_pair_commutator_check(space, profiles))
 
-    sweep = schwartz_exhaustive(space, profiles.values())
+    sweep = fock.schwartz_exhaustive(space, profiles.values())
     checks.append(
         {
             "name": "schwartz_bound",
@@ -235,7 +230,7 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
         }
     )
 
-    pol = polarization_boson_check(space, profiles.values())
+    pol = fock.polarization_boson_check(space, profiles.values())
     checks.append(
         {
             "name": "polarization_modes",
@@ -245,13 +240,13 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
         }
     )
 
-    pairs = default_pairs(space)
+    pairs = fock.default_pairs(space)
     uniform = np.full(len(pairs), 1.0 / math.sqrt(len(pairs)))
     n_max = min(int(cfg["n_max"]), len(pairs))
     second = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
     second -= uniform * np.sum(second * np.conj(uniform))
     second /= np.linalg.norm(second)
-    suite = composite_boson_suite(space, pairs, uniform, n_max, second_weights=second)
+    suite = fock.composite_boson_suite(space, pairs, uniform, n_max, second_weights=second)
     conj_ok = True
     worst_slack = math.inf
     for _ in range(int(cfg["conjecture_samples"])):
@@ -260,7 +255,7 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
         w2 = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
         w2 -= w1 * np.sum(w2 * np.conj(w1))
         w2 /= np.linalg.norm(w2)
-        rep = composite_boson_suite(space, pairs, w1, min(2, n_max), second_weights=w2)
+        rep = fock.composite_boson_suite(space, pairs, w1, min(2, n_max), second_weights=w2)
         for _, value, bound, holds in rep.cross_rows:
             conj_ok = conj_ok and holds
             worst_slack = min(worst_slack, bound - value)

@@ -16,7 +16,8 @@ total k.  The algebra only sees the resulting index pairing, so any lattice
 convention can be supplied through explicit pairings as well.
 
 Everything is exact: matrices are sparse with entries built from +-1 and
-profile weights, and comparisons are matrix comparisons.
+profile weights, and comparisons are matrix comparisons.  Quadratic operators
+are assembled in one COO pass from per-mode occupation and parity tables.
 """
 
 from __future__ import annotations
@@ -49,15 +50,6 @@ class SaturationError(RuntimeError):
     """(c^dag)^N annihilates the vacuum: Pauli blocking reached."""
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Vectorized population count for uint64 arrays."""
-    x = x.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
-
-
 class Mode(NamedTuple):
     field: str
     spin: str
@@ -86,20 +78,26 @@ class FockSpace:
         self._positions = {mode: i for i, mode in enumerate(self.modes)}
         self.mode_count = len(self.modes)
         self.dim = 1 << self.mode_count
+        self._states = np.arange(self.dim, dtype=np.int32)  # the basis, read-only
+        # per mode p: is p occupied, and the parity of the occupied modes below p
+        self._occupied = np.array([(self._states >> p) & 1 for p in range(self.mode_count)], dtype=bool)
+        self._parity = np.zeros_like(self._occupied)
+        np.logical_xor.accumulate(self._occupied[:-1], axis=0, out=self._parity[1:])
         self.lowering = [self._build_lowering(i) for i in range(self.mode_count)]
         self.raising = [op.T.tocsr() for op in self.lowering]
         if verify:
             self.verify_anticommutators()
 
+    def _apply(self, position: int, raising: bool, states: np.ndarray):
+        """a_p (a_p^dag if raising) on basis states: survivor mask, their images, their sign flips."""
+        keep = self._occupied[position][states] != raising
+        kept = states[keep]
+        return keep, kept ^ (1 << position), self._parity[position][kept]
+
     def _build_lowering(self, position: int) -> sparse.csr_matrix:
-        states = np.arange(self.dim, dtype=np.uint64)
-        bit = np.uint64(1 << position)
-        occupied = states[(states & bit) != 0]
-        below = occupied & np.uint64((1 << position) - 1)
-        signs = 1.0 - 2.0 * (_popcount(below) % 2).astype(float)
-        rows = (occupied ^ bit).astype(np.int64)
-        cols = occupied.astype(np.int64)
-        return sparse.csr_matrix((signs, (rows, cols)), shape=(self.dim, self.dim))
+        keep, rows, flips = self._apply(position, False, self._states)
+        signs = np.where(flips, -1.0, 1.0)
+        return sparse.csr_matrix((signs, (rows, self._states[keep])), shape=(self.dim, self.dim))
 
     def verify_anticommutators(self):
         """Check {a_i, a_j} = 0 and {a_i, a_j^dag} = delta_ij I exactly."""
@@ -136,9 +134,7 @@ class FockSpace:
 
     def number_operator(self, field: str, spin: str, momentum) -> sparse.csr_matrix:
         position = self.position(field, spin, momentum)
-        states = np.arange(self.dim, dtype=np.uint64)
-        diag = ((states >> np.uint64(position)) & np.uint64(1)).astype(float)
-        return sparse.diags(diag, format="csr")
+        return sparse.diags(self._occupied[position].astype(float), format="csr")
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -147,7 +143,7 @@ class FockSpace:
 
     def particle_numbers(self) -> np.ndarray:
         """Total occupation of every basis state (index = basis state)."""
-        return _popcount(np.arange(self.dim, dtype=np.uint64))
+        return self._occupied.sum(axis=0)
 
 
 def build_fock(momenta, verify: bool = True) -> FockSpace:
@@ -214,12 +210,42 @@ def available_profiles(momenta) -> dict:
 # pair operators
 
 
-@dataclass(frozen=True)
-class CompositeOperator:
-    """A sparse quadratic pair operator with a human-readable label."""
+def _ladder_pair(space: FockSpace, weight, first, second):
+    """(rows, cols, values) of weight * A_first A_second; ladders are (position, raising) pairs."""
+    keep, states, flips = space._apply(*second, space._states)
+    keep2, rows, flips2 = space._apply(*first, states)
+    weight = complex(weight)
+    return rows, space._states[keep][keep2], np.where(flips[keep2] ^ flips2, -weight, weight)
 
-    matrix: sparse.csr_matrix
-    label: str
+
+def _quadratic(space: FockSpace, terms) -> sparse.csr_matrix:
+    """sum_j w_j A_j B_j over (w_j, A_j, B_j) ladder terms, assembled in one COO pass."""
+    empty = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0, dtype=complex))
+    parts = [empty] + [_ladder_pair(space, *term) for term in terms]
+    rows, cols, values = (np.concatenate(column) for column in zip(*parts))
+    return sparse.csr_matrix((values, (rows, cols)), shape=(space.dim, space.dim))
+
+
+def _number_diagonal(space: FockSpace, terms) -> np.ndarray:
+    """Diagonal of sum_j w_j n_j over (w_j, position_j) terms."""
+    return sum((weight * space._occupied[position] for weight, position in terms), np.zeros(space.dim))
+
+
+def _gamma_terms(space: FockSpace, alpha: str, beta: str, pairing, weights) -> list:
+    weights = np.asarray(weights, dtype=complex)
+    if len(weights) != len(pairing):
+        raise ValueError("pairing and weights must have equal length")
+    return [
+        (w, (space.position("phi", alpha, minus), False), (space.position("psi", beta, plus), False))
+        for (minus, plus), w in zip(pairing, weights)
+        if w != 0.0
+    ]
+
+
+def _profile_pairing(profile: LatticeProfile):
+    """(k/2 - q, k/2 + q) momentum pairs and the weights f_k(q) of a profile."""
+    pairing = [(profile.half - q, profile.half + q) for q, _ in profile.weights]
+    return pairing, [w for _, w in profile.weights]
 
 
 def gamma_ab(space: FockSpace, alpha: str, beta: str, pairing, weights) -> sparse.csr_matrix:
@@ -228,22 +254,27 @@ def gamma_ab(space: FockSpace, alpha: str, beta: str, pairing, weights) -> spars
     ``pairing`` is a sequence of (minus_momentum, plus_momentum) labels; the
     caller owns the lattice convention behind it.
     """
-    weights = np.asarray(weights, dtype=complex)
-    if len(weights) != len(pairing):
-        raise ValueError("pairing and weights must have equal length")
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for (minus, plus), w in zip(pairing, weights):
-        if w == 0.0:
-            continue
-        out = out + w * (space.annihilator("phi", alpha, minus) @ space.annihilator("psi", beta, plus))
-    return out
+    return _quadratic(space, _gamma_terms(space, alpha, beta, pairing, weights))
 
 
 def gamma_for_profile(space: FockSpace, alpha: str, beta: str, profile: LatticeProfile) -> sparse.csr_matrix:
     """gamma_{alpha,beta}(k) with momenta resolved as k/2 -+ q on the lattice."""
-    pairing = [(profile.half - q, profile.half + q) for q, _ in profile.weights]
-    weights = [w for _, w in profile.weights]
-    return gamma_ab(space, alpha, beta, pairing, weights)
+    return gamma_ab(space, alpha, beta, *_profile_pairing(profile))
+
+
+def _hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in) -> list:
+    if branch not in (+1, -1):
+        raise ValueError("branch must be +1 or -1")
+    shift = (prof_dag.total - prof_in.total) // 2
+    terms = []
+    for q, w_in in prof_in.weights:
+        weight = w_in * np.conj(prof_dag.weight(q + branch * shift))
+        if weight == 0.0:
+            continue
+        dag = space.position(field, spin_dag, prof_dag.total - prof_in.half + branch * q)
+        inn = space.position(field, spin_in, prof_in.half + branch * q)
+        terms.append((weight, (dag, True), (inn, False)))
+    return terms
 
 
 def h_operator(
@@ -266,33 +297,23 @@ def h_operator(
     Zero-weight terms are skipped; a nonzero-weight term whose momentum is
     not in the space raises UnresolvedMomentumError.
     """
+    return _quadratic(space, _hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in))
+
+
+def _gamma_diagonal(space: FockSpace, profile: LatticeProfile, field, spin, branch) -> np.ndarray:
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    shift = (prof_dag.total - prof_in.total) // 2
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for q, w_in in prof_in.weights:
-        w_dag = prof_dag.weight(q + branch * shift)
-        weight = w_in * np.conj(w_dag)
-        if weight == 0.0:
-            continue
-        mom_dag = prof_dag.total - prof_in.half + branch * q
-        mom_in = prof_in.half + branch * q
-        out = out + weight * (
-            space.creator(field, spin_dag, mom_dag) @ space.annihilator(field, spin_in, mom_in)
-        )
-    return out
+    return _number_diagonal(
+        space,
+        [(abs(w) ** 2, space.position(field, spin, profile.half + branch * q)) for q, w in profile.weights],
+    )
 
 
 def gamma_weighted_number(
     space: FockSpace, profile: LatticeProfile, field: str, spin: str, branch: int
 ) -> sparse.csr_matrix:
     """Profile-shaped number operator Gamma^branch = sum_q |f(q)|^2 n(k/2 + branch*q)."""
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for q, w in profile.weights:
-        out = out + (abs(w) ** 2) * space.number_operator(field, spin, profile.half + branch * q)
-    return out
+    return sparse.diags(_gamma_diagonal(space, profile, field, spin, branch), format="csr")
 
 
 @dataclass(frozen=True)
@@ -306,18 +327,20 @@ class CommutatorReport:
     max_abs_difference: float
 
 
-def commutator_report(space: FockSpace, spec1, spec2) -> CommutatorReport:
+def commutator_report(space: FockSpace, spec1, spec2, gammas=None) -> CommutatorReport:
     """Compare [gamma_1(k), gamma_2(k')^dag] with its assembled decomposition.
 
     Each spec is (alpha, beta, profile).  The assembly is
     overlap * delta_spin * I - (delta_{alpha,alpha'} H^+_psi +
     delta_{beta,beta'} H^-_phi); the overlap reduces to 1 for identical
-    normalized profiles and to 0 for k != k'.
+    normalized profiles and to 0 for k != k'.  ``gammas`` optionally maps
+    specs to gamma matrices built beforehand; the others are built here.
     """
     alpha1, beta1, prof1 = spec1
     alpha2, beta2, prof2 = spec2
-    g1 = gamma_for_profile(space, alpha1, beta1, prof1)
-    g2 = gamma_for_profile(space, alpha2, beta2, prof2)
+    gammas = gammas or {}
+    g1 = gammas[spec1] if spec1 in gammas else gamma_for_profile(space, *spec1)
+    g2 = gammas[spec2] if spec2 in gammas else gamma_for_profile(space, *spec2)
     g2d = g2.conj().T.tocsr()
     direct = (g1 @ g2d - g2d @ g1).tocsr()
 
@@ -325,22 +348,20 @@ def commutator_report(space: FockSpace, spec1, spec2) -> CommutatorReport:
         coefficient = complex(prof1.overlap(prof2))
     else:
         coefficient = 0.0
-    delta_part = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+    terms = []
     if alpha1 == alpha2:
-        delta_part = delta_part + h_operator(space, +1, "psi", beta2, beta1, prof2, prof1)
+        terms += _hopping_terms(space, +1, "psi", beta2, beta1, prof2, prof1)
     if beta1 == beta2:
-        delta_part = delta_part + h_operator(space, -1, "phi", alpha2, alpha1, prof2, prof1)
+        terms += _hopping_terms(space, -1, "phi", alpha2, alpha1, prof2, prof1)
+    delta_part = _quadratic(space, terms)
     assembled = (coefficient * sparse.identity(space.dim, dtype=complex, format="csr") - delta_part).tocsr()
 
-    diff = (direct - assembled).tocsr()
-    diff.eliminate_zeros()
-    max_abs = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
     return CommutatorReport(
         direct=direct,
         identity_coefficient=coefficient,
         delta_part=delta_part,
         assembled=assembled,
-        max_abs_difference=max_abs,
+        max_abs_difference=_max_abs(direct - assembled),
     )
 
 
@@ -384,10 +405,10 @@ def schwartz_exhaustive(space: FockSpace, profiles, slack: float = 1e-10) -> Sch
                     for spin_in in SPINS:
                         for spin_dag in SPINS:
                             h = h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
-                            g_in = gamma_weighted_number(space, prof_in, field, spin_in, branch)
-                            g_dag = gamma_weighted_number(space, prof_dag, field, spin_dag, branch)
+                            g_in = _gamma_diagonal(space, prof_in, field, spin_in, branch)
+                            g_dag = _gamma_diagonal(space, prof_dag, field, spin_dag, branch)
                             lhs = np.abs(h.diagonal())
-                            rhs = np.sqrt(g_in.diagonal().real * g_dag.diagonal().real)
+                            rhs = np.sqrt(g_in * g_dag)
                             worst = min(worst, float(np.min(rhs - lhs)))
                             cases += 1
     return SchwartzSweep(cases=cases, states=space.dim, worst_margin=worst, holds=worst >= -slack)
@@ -416,14 +437,15 @@ def polarization_gamma(
 ) -> sparse.csr_matrix:
     """gamma^i(k) = sum_{alpha,beta} M^i_{alpha,beta} gamma_{alpha,beta}(k)."""
     mat = polarization_matrices(frame)[index]
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for ia, alpha in enumerate(SPINS):
-        for ib, beta in enumerate(SPINS):
-            w = mat[ia, ib]
-            if w == 0.0:
-                continue
-            out = out + w * gamma_for_profile(space, alpha, beta, profile)
-    return out
+    pairing, weights = _profile_pairing(profile)
+    terms = [
+        (mat[ia, ib] * w, first, second)
+        for ia, alpha in enumerate(SPINS)
+        for ib, beta in enumerate(SPINS)
+        if mat[ia, ib] != 0.0
+        for w, first, second in _gamma_terms(space, alpha, beta, pairing, weights)
+    ]
+    return _quadratic(space, terms)
 
 
 _DEFAULT_FRAME = PolarizationFrame(
@@ -463,10 +485,11 @@ def polarization_boson_check(
     cases = 0
     for (ip, i), g in gammas.items():
         for (jp, j), g2 in gammas.items():
-            g2d = g2.conj().T.tocsr()
-            comm = (g @ g2d - g2d @ g).tocsr()
+            # diag [g, g2^dag] = row sums minus column sums of g * conj(g2)
+            product = g.multiply(g2.conj())
+            diagonal = np.asarray(product.sum(axis=1)).ravel() - np.asarray(product.sum(axis=0)).ravel()
             expected = 1.0 if (ip == jp and i == j) else 0.0
-            dev = np.abs(comm.diagonal() - expected)[keep]
+            dev = np.abs(diagonal - expected)[keep]
             for n in by_particles:
                 sel = kept_numbers == n
                 if np.any(sel):
@@ -493,31 +516,31 @@ def default_pairs(space: FockSpace) -> tuple:
     )
 
 
+def _pair_positions(space: FockSpace, pair) -> tuple:
+    (psi_spin, psi_p), (phi_spin, phi_p) = pair
+    return space.position("psi", psi_spin, psi_p), space.position("phi", phi_spin, phi_p)
+
+
 def composite_boson(space: FockSpace, pairs, weights) -> sparse.csr_matrix:
     """c = sum_i f(i) psi_i phi_i over explicit (psi mode, phi mode) pairs."""
     weights = np.asarray(weights, dtype=complex)
     if len(weights) != len(pairs):
         raise ValueError("pairs and weights must have equal length")
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for ((psi_spin, psi_p), (phi_spin, phi_p)), w in zip(pairs, weights):
-        if w == 0.0:
-            continue
-        out = out + w * (
-            space.annihilator("psi", psi_spin, psi_p) @ space.annihilator("phi", phi_spin, phi_p)
-        )
-    return out
+    resolved = [(_pair_positions(space, pair), w) for pair, w in zip(pairs, weights) if w != 0.0]
+    return _quadratic(space, [(w, (psi, False), (phi, False)) for (psi, phi), w in resolved])
+
+
+def _pair_number_diagonals(space: FockSpace, pairs, weights):
+    squares = [abs(w) ** 2 for w in np.asarray(weights, dtype=complex)]
+    positions = [_pair_positions(space, pair) for pair in pairs]
+    g_psi = _number_diagonal(space, [(w2, psi) for (psi, _), w2 in zip(positions, squares)])
+    g_phi = _number_diagonal(space, [(w2, phi) for (_, phi), w2 in zip(positions, squares)])
+    return g_psi, g_phi
 
 
 def pair_number_operators(space: FockSpace, pairs, weights):
     """(Gamma_psi, Gamma_phi) = profile-weighted number operators of the pair modes."""
-    weights = np.asarray(weights, dtype=complex)
-    g_psi = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    g_phi = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for ((psi_spin, psi_p), (phi_spin, phi_p)), w in zip(pairs, weights):
-        w2 = abs(w) ** 2
-        g_psi = g_psi + w2 * space.number_operator("psi", psi_spin, psi_p)
-        g_phi = g_phi + w2 * space.number_operator("phi", phi_spin, phi_p)
-    return g_psi, g_phi
+    return tuple(sparse.diags(d, format="csr") for d in _pair_number_diagonals(space, pairs, weights))
 
 
 def purity(weights) -> float:
@@ -537,6 +560,11 @@ def pair_condensate(space: FockSpace, c_matrix, n: int) -> np.ndarray:
     v = space.vacuum()
     for _ in range(n):
         v = cd @ v
+    return _unit(v, n)
+
+
+def _unit(v: np.ndarray, n: int) -> np.ndarray:
+    """(c^dag)^n |0> normalized; SaturationError when it vanishes."""
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise SaturationError(f"(c^dag)^{n} |0> = 0: more pairs than modes")
@@ -572,50 +600,42 @@ def composite_boson_suite(
     """
     weights = np.asarray(weights, dtype=complex)
     c1 = composite_boson(space, pairs, weights)
-    g_psi, g_phi = pair_number_operators(space, pairs, weights)
     c1d = c1.conj().T.tocsr()
-    identity = sparse.identity(space.dim, dtype=complex, format="csr")
-    comm_dev = _max_abs((c1 @ c1d - c1d @ c1) - (identity - g_psi - g_phi))
+    g_psi, g_phi = _pair_number_diagonals(space, pairs, weights)
+    comm_dev = _max_abs((c1 @ c1d - c1d @ c1) - sparse.diags(1.0 - g_psi - g_phi, format="csr"))
     p1 = purity(weights)
 
-    rows = []
-    for n in range(1, n_max + 1):
-        state = pair_condensate(space, c1, n)
-        expect = float(np.vdot(state, g_psi @ state).real)
-        holds = (p1 - slack) <= expect <= (n * p1 + slack)
-        rows.append((n, expect, p1, n * p1, holds))
-
-    active = int(np.sum(np.abs(weights) > 0.0))
-    saturation_order = active + 1
-    cd = c1.conj().T.tocsr()
+    # one chain (c^dag)^N |0> serves the sandwich, the saturation and the cross rows
+    saturation_order = int(np.sum(np.abs(weights) > 0.0)) + 1
+    states = []
     v = space.vacuum()
-    for _ in range(saturation_order):
-        v = cd @ v
+    for n in range(1, max(n_max, saturation_order) + 1):
+        v = c1d @ v
+        if n <= n_max:
+            states.append(_unit(v, n))
     if float(np.linalg.norm(v)) != 0.0:
         raise RuntimeError("expected exact Pauli blocking above the pair count")
+
+    rows = []
+    for n, state in enumerate(states, start=1):
+        expect = float(np.vdot(state, g_psi * state).real)
+        holds = (p1 - slack) <= expect <= (n * p1 + slack)
+        rows.append((n, expect, p1, n * p1, holds))
 
     cross_rows = []
     cross_dev = 0.0
     if second_weights is not None:
         w2 = np.asarray(second_weights, dtype=complex)
-        overlap = complex(np.sum(weights * np.conj(w2)))
-        c2 = composite_boson(space, pairs, w2)
-        c2d = c2.conj().T.tocsr()
-        # [c1, c2^dag] = overlap*I - sum_i f1(i) conj(f2(i)) (n_psi_i + n_phi_i)
-        target = overlap * identity
-        for ((psi_spin, psi_p), (phi_spin, phi_p)), w1, ww2 in zip(pairs, weights, w2):
-            coeff = w1 * np.conj(ww2)
-            if coeff == 0.0:
-                continue
-            target = target - coeff * (
-                space.number_operator("psi", psi_spin, psi_p)
-                + space.number_operator("phi", phi_spin, phi_p)
-            )
-        cross_dev = _max_abs((c1 @ c2d - c2d @ c1) - target)
-        p_max = max(p1, purity(w2))
+        c2d = composite_boson(space, pairs, w2).conj().T.tocsr()
         cross_comm = (c1 @ c2d - c2d @ c1).tocsr()
-        for n in range(1, n_max + 1):
-            state = pair_condensate(space, c1, n)
+        # [c1, c2^dag] = overlap*I - sum_i f1(i) conj(f2(i)) (n_psi_i + n_phi_i)
+        coeffs = weights * np.conj(w2)
+        terms = [(c, p) for pair, c in zip(pairs, coeffs) if c != 0.0 for p in _pair_positions(space, pair)]
+        overlap = complex(np.sum(coeffs))
+        target = sparse.diags(overlap - _number_diagonal(space, terms), format="csr")
+        cross_dev = _max_abs(cross_comm - target)
+        p_max = max(p1, purity(w2))
+        for n, state in enumerate(states, start=1):
             value = abs(np.vdot(state, cross_comm @ state))
             bound = 2.0 * n * p_max
             cross_rows.append((n, float(value), bound, value <= bound + slack))

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from latticelight.bilinear import (
+    MAX_PROFILE_CUBE,
     em_field_kernels,
     eigenmodes,
     evolve_kernel,
@@ -67,6 +68,14 @@ def test_profile_input_validation():
         make_uniform_profile(radius=-1.0, grid_spacing=1.0)
     with pytest.raises(ValueError):
         make_uniform_profile(radius=1.0, grid_spacing=0.0)
+
+
+def test_profile_cube_cap():
+    # m = 51 gives 103^3 > 2^20 points, the first half-width over the cap
+    assert (2 * 50 + 1) ** 3 <= MAX_PROFILE_CUBE < (2 * 51 + 1) ** 3
+    for radius, spacing in [(51.0, 1.0), (1.0, 0.005), (1.0, 1e-300), (1.0, 5e-324)]:
+        with pytest.raises(ValueError, match="MAX_PROFILE_CUBE"):
+            make_uniform_profile(radius, spacing)
 
 
 # ---------------------------------------------------------------------------

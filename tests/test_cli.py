@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import latticelight
 from latticelight.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from latticelight.output import read_table
 
@@ -198,3 +203,32 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "degenerate wavevector" in err and "invalid configuration" not in err
+
+
+@pytest.mark.parametrize("factor", ["1e-300", "0.005"])
+def test_oversized_profile_grid_is_rejected_before_allocating(tmp_path, capsys, factor):
+    # 0.005 asks for a 401^3 cube: 1.5 GB of offsets before any temporaries
+    out = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        code = run(["maxwell-convergence", "--spacing-factor", factor, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert "spacing_factor" in capsys.readouterr().err
+    assert peak < 1_000_000
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(latticelight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, latticelight.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert result.stdout.strip() == "[]"

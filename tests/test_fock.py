@@ -7,7 +7,9 @@ import pytest
 from scipy import sparse
 
 from latticelight.fock import (
+    SPINS,
     FockSizeError,
+    LatticeProfile,
     SaturationError,
     UnresolvedMomentumError,
     available_profiles,
@@ -305,3 +307,188 @@ def test_composite_suite_saturation_error(two_momentum_space):
     weights = np.full(len(pairs), 0.5)
     with pytest.raises(SaturationError):
         composite_boson_suite(space, pairs, weights, len(pairs) + 1)
+
+
+# ---------------------------------------------------------------------------
+# one-pass operator assembly against products of the ladder matrices
+
+CLI_MOMENTA = {1: [0], 2: [-1, 1], 3: [-1, 0, 1]}
+
+
+@pytest.fixture(scope="module", params=sorted(CLI_MOMENTA))
+def sized_space(request):
+    return build_fock(CLI_MOMENTA[request.param])
+
+
+def ladder(space, field, spin, momentum, raising):
+    return (space.creator if raising else space.annihilator)(field, spin, momentum)
+
+
+def reference_sum(space, terms):
+    """sum_j w_j A_j B_j by repeated CSR addition, ladders as (field, spin, momentum, raising)."""
+    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+    for weight, first, second in terms:
+        out = out + weight * (ladder(space, *first) @ ladder(space, *second))
+    return out
+
+
+def random_weights(rng, n, unit):
+    if unit:
+        return rng.choice([-1.0, 1.0], size=n)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def random_profiles(space, rng, unit):
+    """Every supported total momentum with random (or equal-magnitude +-) weights."""
+    out = []
+    for total, prof in available_profiles(space.momenta).items():
+        w = random_weights(rng, len(prof.weights), unit)
+        w = w / np.linalg.norm(w)
+        out.append(LatticeProfile(total=total, weights=tuple(zip((q for q, _ in prof.weights), w))))
+    return out
+
+
+def assert_same_operator(got, want, exact):
+    assert got.shape == want.shape
+    diff = max_abs(got - want)
+    assert diff == 0.0 if exact else diff <= 1e-15
+
+
+@pytest.mark.parametrize("unit", [False, True])
+def test_gamma_ab_matches_ladder_products(sized_space, unit):
+    space = sized_space
+    rng = np.random.default_rng(11)
+    pairing = [(p1, p2) for p1 in space.momenta for p2 in space.momenta]
+    for alpha in SPINS:
+        for beta in SPINS:
+            w = random_weights(rng, len(pairing), unit)
+            want = reference_sum(
+                space,
+                [(wj, ("phi", alpha, m, False), ("psi", beta, p, False)) for (m, p), wj in zip(pairing, w)],
+            )
+            assert_same_operator(gamma_ab(space, alpha, beta, pairing, w), want, unit)
+
+
+@pytest.mark.parametrize("unit", [False, True])
+def test_h_operator_matches_ladder_products(sized_space, unit):
+    space = sized_space
+    profiles = random_profiles(space, np.random.default_rng(12), unit)
+    for branch in (+1, -1):
+        for field in ("psi", "phi"):
+            for prof_dag in profiles:
+                for prof_in in profiles:
+                    shift = (prof_dag.total - prof_in.total) // 2
+                    for spin_dag in SPINS:
+                        for spin_in in SPINS:
+                            terms = [
+                                (
+                                    w * np.conj(prof_dag.weight(q + branch * shift)),
+                                    (field, spin_dag, prof_dag.total - prof_in.half + branch * q, True),
+                                    (field, spin_in, prof_in.half + branch * q, False),
+                                )
+                                for q, w in prof_in.weights
+                                if prof_dag.weight(q + branch * shift) != 0.0
+                            ]
+                            got = h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
+                            assert_same_operator(got, reference_sum(space, terms), unit)
+
+
+@pytest.mark.parametrize("unit", [False, True])
+def test_composite_boson_matches_ladder_products(sized_space, unit):
+    space = sized_space
+    modes = [(spin, p) for spin in SPINS for p in space.momenta]
+    pairs = [(a, b) for a in modes for b in modes]
+    w = random_weights(np.random.default_rng(13), len(pairs), unit)
+    want = reference_sum(
+        space, [(wj, ("psi", *a, False), ("phi", *b, False)) for (a, b), wj in zip(pairs, w)]
+    )
+    assert_same_operator(composite_boson(space, pairs, w), want, unit)
+
+
+@pytest.mark.parametrize("unit", [False, True])
+def test_number_operators_match_ladder_products(sized_space, unit):
+    space = sized_space
+    rng = np.random.default_rng(14)
+    for prof in random_profiles(space, rng, unit):
+        for field in ("psi", "phi"):
+            for spin in SPINS:
+                for branch in (+1, -1):
+                    modes = [(w, (field, spin, prof.half + branch * q)) for q, w in prof.weights]
+                    terms = [(abs(w) ** 2, (*mode, True), (*mode, False)) for w, mode in modes]
+                    got = gamma_weighted_number(space, prof, field, spin, branch)
+                    assert_same_operator(got, reference_sum(space, terms), unit)
+    pairs = default_pairs(space)
+    w = random_weights(rng, len(pairs), unit)
+    got = pair_number_operators(space, pairs, w)
+    for side, field in enumerate(("psi", "phi")):
+        terms = [
+            (abs(wj) ** 2, (field, *pair[side], True), (field, *pair[side], False))
+            for pair, wj in zip(pairs, w)
+        ]
+        assert_same_operator(got[side], reference_sum(space, terms), unit)
+
+
+def test_zero_weight_terms_skipped_and_unresolved_momenta_raise(two_momentum_space):
+    space = two_momentum_space
+    # momentum 7 is not in the space: harmless with zero weight, an error otherwise
+    g = gamma_ab(space, "R", "L", [(-1, 1), (7, 1)], [1.0, 0.0])
+    assert_same_operator(g, gamma_ab(space, "R", "L", [(-1, 1)], [1.0]), True)
+    with pytest.raises(UnresolvedMomentumError):
+        gamma_ab(space, "R", "L", [(-1, 1), (7, 1)], [1.0, 0.5])
+    pairs = [(("R", 1), ("R", 1)), (("R", 7), ("L", 1))]
+    c = composite_boson(space, pairs, [1.0, 0.0])
+    assert_same_operator(c, composite_boson(space, pairs[:1], [1.0]), True)
+    with pytest.raises(UnresolvedMomentumError):
+        composite_boson(space, pairs, [1.0, 1.0])
+    with pytest.raises(UnresolvedMomentumError):
+        pair_number_operators(space, pairs, [1.0, 0.0])
+    with pytest.raises(UnresolvedMomentumError):
+        gamma_weighted_number(space, uniform_profile(6, [0]), "psi", "R", +1)
+
+
+# ---------------------------------------------------------------------------
+# Schwartz bound beyond basis-state diagonals
+
+
+def test_schwartz_bound_on_sector_superpositions(two_momentum_space, profiles):
+    """|<H>| <= sqrt(<Gamma_a><Gamma_b>) on random states inside each (N_psi, N_phi) sector.
+
+    The exhaustive sweep compares diagonals only; most hopping operators have
+    a zero diagonal, so superpositions are what exercise their off-diagonal part.
+    """
+    space = two_momentum_space
+    rng = np.random.default_rng(15)
+    psi_bits = sum(1 << i for i, mode in enumerate(space.modes) if mode.field == "psi")
+    sector = [(bin(s & psi_bits).count("1"), bin(s & ~psi_bits).count("1")) for s in range(space.dim)]
+    columns = []
+    for key in sorted(set(sector)):
+        support = [s for s in range(space.dim) if sector[s] == key]
+        for _ in range(4):
+            v = np.zeros(space.dim, dtype=complex)
+            v[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+            columns.append(v / np.linalg.norm(v))
+    states = np.array(columns).T
+
+    def expect(op):
+        return np.sum(np.conj(states) * (op @ states), axis=0)
+
+    cases = 0
+    off_diagonal_worst = 0.0
+    for field in ("psi", "phi"):
+        for branch in (+1, -1):
+            for prof_in in profiles.values():
+                for prof_dag in profiles.values():
+                    for spin_in in SPINS:
+                        for spin_dag in SPINS:
+                            h = h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
+                            g_a = gamma_weighted_number(space, prof_dag, field, spin_dag, branch)
+                            g_b = gamma_weighted_number(space, prof_in, field, spin_in, branch)
+                            lhs = np.abs(expect(h))
+                            rhs = np.sqrt(np.maximum(expect(g_a).real, 0.0) * np.maximum(expect(g_b).real, 0.0))
+                            assert np.all(lhs <= rhs + 1e-12)
+                            if not np.any(h.diagonal()):
+                                off_diagonal_worst = max(off_diagonal_worst, float(np.max(lhs)))
+                            cases += 1
+    assert cases == schwartz_exhaustive(space, profiles.values()).cases
+    # the states reach hopping operators whose diagonal the sweep sees as zero
+    assert off_diagonal_worst > 0.01
