@@ -218,11 +218,16 @@ def _ladder_pair(space: FockSpace, weight, first, second):
     return rows, space._states[keep][keep2], np.where(flips[keep2] ^ flips2, -weight, weight)
 
 
-def _quadratic(space: FockSpace, terms) -> sparse.csr_matrix:
-    """sum_j w_j A_j B_j over (w_j, A_j, B_j) ladder terms, assembled in one COO pass."""
+def _coo(space: FockSpace, terms):
+    """(rows, cols, values) of sum_j w_j A_j B_j over (w_j, A_j, B_j) ladder terms."""
     empty = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0, dtype=complex))
     parts = [empty] + [_ladder_pair(space, *term) for term in terms]
-    rows, cols, values = (np.concatenate(column) for column in zip(*parts))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _quadratic(space: FockSpace, terms) -> sparse.csr_matrix:
+    """sum_j w_j A_j B_j over (w_j, A_j, B_j) ladder terms, assembled in one COO pass."""
+    rows, cols, values = _coo(space, terms)
     return sparse.csr_matrix((values, (rows, cols)), shape=(space.dim, space.dim))
 
 
@@ -327,23 +332,10 @@ class CommutatorReport:
     max_abs_difference: float
 
 
-def commutator_report(space: FockSpace, spec1, spec2, gammas=None) -> CommutatorReport:
-    """Compare [gamma_1(k), gamma_2(k')^dag] with its assembled decomposition.
-
-    Each spec is (alpha, beta, profile).  The assembly is
-    overlap * delta_spin * I - (delta_{alpha,alpha'} H^+_psi +
-    delta_{beta,beta'} H^-_phi); the overlap reduces to 1 for identical
-    normalized profiles and to 0 for k != k'.  ``gammas`` optionally maps
-    specs to gamma matrices built beforehand; the others are built here.
-    """
+def _assembly_terms(space: FockSpace, spec1, spec2):
+    """Identity coefficient and hopping terms of the assembly of [gamma_1, gamma_2^dag]."""
     alpha1, beta1, prof1 = spec1
     alpha2, beta2, prof2 = spec2
-    gammas = gammas or {}
-    g1 = gammas[spec1] if spec1 in gammas else gamma_for_profile(space, *spec1)
-    g2 = gammas[spec2] if spec2 in gammas else gamma_for_profile(space, *spec2)
-    g2d = g2.conj().T.tocsr()
-    direct = (g1 @ g2d - g2d @ g1).tocsr()
-
     if alpha1 == alpha2 and beta1 == beta2 and prof1.total == prof2.total:
         coefficient = complex(prof1.overlap(prof2))
     else:
@@ -353,6 +345,25 @@ def commutator_report(space: FockSpace, spec1, spec2, gammas=None) -> Commutator
         terms += _hopping_terms(space, +1, "psi", beta2, beta1, prof2, prof1)
     if beta1 == beta2:
         terms += _hopping_terms(space, -1, "phi", alpha2, alpha1, prof2, prof1)
+    return coefficient, terms
+
+
+def commutator_report(space: FockSpace, spec1, spec2, gammas=None) -> CommutatorReport:
+    """Compare [gamma_1(k), gamma_2(k')^dag] with its assembled decomposition.
+
+    Each spec is (alpha, beta, profile).  The assembly is
+    overlap * delta_spin * I - (delta_{alpha,alpha'} H^+_psi +
+    delta_{beta,beta'} H^-_phi); the overlap reduces to 1 for identical
+    normalized profiles and to 0 for k != k'.  ``gammas`` optionally maps
+    specs to gamma matrices built beforehand; the others are built here.
+    """
+    gammas = gammas or {}
+    g1 = gammas[spec1] if spec1 in gammas else gamma_for_profile(space, *spec1)
+    g2 = gammas[spec2] if spec2 in gammas else gamma_for_profile(space, *spec2)
+    g2d = g2.conj().T.tocsr()
+    direct = (g1 @ g2d - g2d @ g1).tocsr()
+
+    coefficient, terms = _assembly_terms(space, spec1, spec2)
     delta_part = _quadratic(space, terms)
     assembled = (coefficient * sparse.identity(space.dim, dtype=complex, format="csr") - delta_part).tocsr()
 
@@ -363,6 +374,68 @@ def commutator_report(space: FockSpace, spec1, spec2, gammas=None) -> Commutator
         assembled=assembled,
         max_abs_difference=_max_abs(direct - assembled),
     )
+
+
+#: widest hstack of gammas the pair sweep multiplies at once, in columns
+SWEEP_WIDTH = 4096
+
+
+@dataclass(frozen=True)
+class PairSweep:
+    """Worst deviations over every ordered pair of gamma labels."""
+
+    label_pairs: int  # ordered pairs compared
+    max_assembly_deviation: float  # of [gamma_1, gamma_2^dag] from its assembly
+    max_gamma_gamma: float  # of [gamma_1, gamma_2] from 0
+
+
+def pair_commutator_sweep(space: FockSpace, specs) -> PairSweep:
+    """commutator_report and [gamma_1, gamma_2] = 0 over all ordered pairs of ``specs``.
+
+    Each gamma and its adjoint is built once.  The second labels go in
+    groups: with W = [g_a^dag, g_b^dag, ...] stacked side by side and
+    B = diag(g1, g1, ...), the one sparse sum g1 W - W B + [H_a - c_a I,
+    H_b - c_b I, ...] holds every pair's deviation from its assembly
+    c I - H, and the same product over [g_a, g_b, ...] holds [g1, g_a], ....
+    A group is as wide as fits in SWEEP_WIDTH columns: a whole row at
+    dimension 256, one pair at a time at 4,096, where wider stacks would
+    raise peak memory.
+    """
+    specs = list(specs)
+    gammas = [gamma_for_profile(space, *spec) for spec in specs]
+    size = max(1, SWEEP_WIDTH // space.dim)
+    worst_assembly = worst_plain = 0.0
+    compared = 0
+    for start in range(0, len(specs), size):
+        group = range(start, min(start + size, len(specs)))
+        stacked = sparse.hstack([gammas[j] for j in group], format="csr")
+        adjoints = sparse.hstack([gammas[j].conj().T for j in group], format="csr")
+        for spec1, g1 in zip(specs, gammas):
+            blocks = g1 if len(group) == 1 else sparse.kron(sparse.identity(len(group)), g1, format="csr")
+            target = _negated_assemblies(space, spec1, [specs[j] for j in group])
+            worst_assembly = max(worst_assembly, _max_abs(g1 @ adjoints - adjoints @ blocks + target))
+            worst_plain = max(worst_plain, _max_abs(g1 @ stacked - stacked @ blocks))
+            compared += len(group)
+    return PairSweep(
+        label_pairs=compared,
+        max_assembly_deviation=worst_assembly,
+        max_gamma_gamma=worst_plain,
+    )
+
+
+def _negated_assemblies(space: FockSpace, spec1, specs2) -> sparse.csr_matrix:
+    """[H_a - c_a I, H_b - c_b I, ...]: the assemblies of commutator_report, negated, side by side."""
+    parts = []
+    for column, spec2 in enumerate(specs2):
+        coefficient, terms = _assembly_terms(space, spec1, spec2)
+        rows, cols, values = _coo(space, terms)
+        if coefficient != 0.0:
+            diagonal = space._states
+            rows, cols = np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal])
+            values = np.concatenate([values, np.full(space.dim, -coefficient, dtype=complex)])
+        parts.append((rows, cols + column * space.dim, values))
+    rows, cols, values = (np.concatenate(column) for column in zip(*parts))
+    return sparse.csr_matrix((values, (rows, cols)), shape=(space.dim, len(specs2) * space.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +603,54 @@ def composite_boson(space: FockSpace, pairs, weights) -> sparse.csr_matrix:
     return _quadratic(space, [(w, (psi, False), (phi, False)) for (psi, phi), w in resolved])
 
 
+class PairStack(NamedTuple):
+    """The pair operators b_i = psi_i phi_i stacked: rows i*dim to (i+1)*dim - 1 hold b_i.
+
+    Stored column-wise, so the index arrays grow with dim, not with the stack height.
+    """
+
+    lowering: sparse.csc_matrix  # the b_i
+    raising: sparse.csc_matrix  # the b_i^dag
+
+
+def pair_stack(space: FockSpace, pairs) -> PairStack:
+    """The stacked pair operators of ``pairs`` and their adjoints, one COO pass each."""
+    positions = [_pair_positions(space, pair) for pair in pairs]
+    parts = [_ladder_pair(space, 1.0, (psi, False), (phi, False)) for psi, phi in positions]
+    rows, cols, values = (np.concatenate(column) for column in zip(*parts))
+    blocks = np.repeat(np.arange(len(parts)) * space.dim, [len(part[0]) for part in parts])
+    shape = (len(parts) * space.dim, space.dim)
+    return PairStack(
+        sparse.csc_matrix((values, (rows + blocks, cols)), shape=shape),
+        sparse.csc_matrix((np.conj(values), (cols + blocks, rows)), shape=shape),
+    )
+
+
+def cross_commutator_values(stack: PairStack, weights, second_weights, n_max: int) -> np.ndarray:
+    """|<N|[c1, c2^dag]|N>| for N = 1..n_max, with |N> the normalized (c1^dag)^N |0>.
+
+    On a state u, c u = sum_i f(i) b_i u and c^dag u = sum_i conj(f(i)) b_i^dag u
+    come from one stacked product per side, contracted with the weights, and
+    <u|[c1, c2^dag]|u> = <c1^dag u|c2^dag u> - <c2 u|c1 u>.  No operator
+    product is formed.  Raises SaturationError if n_max exceeds the
+    constructible N.
+    """
+    both = np.array([weights, second_weights], dtype=complex)
+    shape = (both.shape[1], stack.lowering.shape[1])
+    vacuum = np.zeros(shape[1], dtype=complex)
+    vacuum[0] = 1.0
+    # each stacked product is contracted at once, so one (pairs, dim) temporary lives at a time;
+    # einsum rather than matmul keeps BLAS, and its buffers, out of it
+    v = np.einsum("i,ij->j", np.conj(both[0]), (stack.raising @ vacuum).reshape(shape))  # c1^dag |0>
+    values = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        u = _unit(v, n)
+        v, c2d_u = np.einsum("wi,ij->wj", np.conj(both), (stack.raising @ u).reshape(shape))  # v = c1^dag u
+        c1_u, c2_u = np.einsum("wi,ij->wj", both, (stack.lowering @ u).reshape(shape))
+        values[n - 1] = abs(np.vdot(v, c2d_u) - np.vdot(c2_u, c1_u))
+    return values
+
+
 def _pair_number_diagonals(space: FockSpace, pairs, weights):
     squares = [abs(w) ** 2 for w in np.asarray(weights, dtype=complex)]
     positions = [_pair_positions(space, pair) for pair in pairs]
@@ -595,8 +716,9 @@ def composite_boson_suite(
     Checks, as matrices, [c, c^dag] = I - (Gamma_psi + Gamma_phi); for each
     N = 1..n_max the sandwich P <= <N|Gamma_psi|N> <= N P; the exact Pauli
     saturation order; and, given a second orthogonal weight vector, the
-    cross-commutator identity and |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2).
-    Raises SaturationError if n_max exceeds the constructible N.
+    cross-commutator identity and |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2),
+    the latter from cross_commutator_values.  Raises SaturationError if n_max
+    exceeds the constructible N.
     """
     weights = np.asarray(weights, dtype=complex)
     c1 = composite_boson(space, pairs, weights)
@@ -605,7 +727,7 @@ def composite_boson_suite(
     comm_dev = _max_abs((c1 @ c1d - c1d @ c1) - sparse.diags(1.0 - g_psi - g_phi, format="csr"))
     p1 = purity(weights)
 
-    # one chain (c^dag)^N |0> serves the sandwich, the saturation and the cross rows
+    # one chain (c^dag)^N |0> serves the sandwich and the saturation
     saturation_order = int(np.sum(np.abs(weights) > 0.0)) + 1
     states = []
     v = space.vacuum()
@@ -626,19 +748,18 @@ def composite_boson_suite(
     cross_dev = 0.0
     if second_weights is not None:
         w2 = np.asarray(second_weights, dtype=complex)
+        p_max = max(p1, purity(w2))
+        values = cross_commutator_values(pair_stack(space, pairs), weights, w2, n_max)
+        for n, value in enumerate(values, start=1):
+            bound = 2.0 * n * p_max
+            cross_rows.append((n, float(value), bound, value <= bound + slack))
         c2d = composite_boson(space, pairs, w2).conj().T.tocsr()
-        cross_comm = (c1 @ c2d - c2d @ c1).tocsr()
         # [c1, c2^dag] = overlap*I - sum_i f1(i) conj(f2(i)) (n_psi_i + n_phi_i)
         coeffs = weights * np.conj(w2)
         terms = [(c, p) for pair, c in zip(pairs, coeffs) if c != 0.0 for p in _pair_positions(space, pair)]
         overlap = complex(np.sum(coeffs))
         target = sparse.diags(overlap - _number_diagonal(space, terms), format="csr")
-        cross_dev = _max_abs(cross_comm - target)
-        p_max = max(p1, purity(w2))
-        for n, state in enumerate(states, start=1):
-            value = abs(np.vdot(state, cross_comm @ state))
-            bound = 2.0 * n * p_max
-            cross_rows.append((n, float(value), bound, value <= bound + slack))
+        cross_dev = _max_abs((c1 @ c2d - c2d @ c1) - target)
 
     return CompositeBosonReport(
         purity=p1,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 
 def format_value(value) -> str:
     if isinstance(value, bool):
@@ -27,11 +29,18 @@ def header_lines(header: dict) -> list:
 
 
 def write_table(path: str, header: dict, columns, rows):
-    """Write a self-describing CSV artifact (JSON header + rows)."""
+    """Write a self-describing CSV artifact (JSON header + rows).
+
+    A float ndarray body is formatted one row at a time through a "%.17g"
+    template, which gives the same text as format_value on every float.
+    """
     lines = header_lines(header)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        template = ",".join(["%.17g"] * rows.shape[1])
+        lines.extend(template % tuple(row.tolist()) for row in rows)
+    else:
+        lines.extend(",".join(format_value(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

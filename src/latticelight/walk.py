@@ -39,6 +39,9 @@ PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
 # below this |n_tilde| the rotation axis is numerically undefined
 _AXIS_TOL = 1e-14
 
+#: largest |t| step_power accepts; beyond it t*lam mod 2*pi loses the documented accuracy
+MAX_STEPS = 10**6
+
 
 class DegeneratePointError(ValueError):
     """The rotation axis is undefined: |n| vanishes away from the identity."""
@@ -155,21 +158,13 @@ def _su2(c, v) -> np.ndarray:
 
 
 def weyl_step(k, sign) -> WeylStep:
-    """Build one walk unitary A(k) and check the two constructions agree.
+    """One walk unitary A(k), assembled once as d I - i n_tilde.sigma.
 
-    The matrix is assembled as d I - i n_tilde.sigma and cross-checked
-    against the Pauli exponential exp(-i n.sigma); a mismatch beyond 1e-11
-    raises, since it would mean the closed forms are being misused.
+    That it equals the Pauli exponential exp(-i n.sigma) is checked in the
+    tests, not on every call.
     """
     b = bloch_data(k, sign)
-    matrix = _su2(b.d, b.n_tilde)
-    if b.lam >= _AXIS_TOL:
-        via_exp = _su2(math.cos(b.lam), math.sin(b.lam) * (b.n / b.lam))
-    else:
-        via_exp = np.eye(2, dtype=complex)
-    if np.max(np.abs(matrix - via_exp)) > 1e-11:
-        raise RuntimeError("Bloch-form and exponential-form step matrices disagree")
-    return WeylStep(matrix=matrix, bloch=b, sign=int(sign))
+    return WeylStep(matrix=_su2(b.d, b.n_tilde), bloch=b, sign=int(sign))
 
 
 def step_power(k, sign, t: int) -> np.ndarray:
@@ -177,9 +172,12 @@ def step_power(k, sign, t: int) -> np.ndarray:
 
     Each power is a rotation by angle t*lam about the fixed axis.  The angle
     is reduced mod 2*pi before the trig evaluation, so there is no error
-    accumulation for |t| up to ~1e6; negative t gives inverse steps.  Where
-    |n_tilde| vanishes, A = d*I with d = +-1 and the power is d^t * I.
+    accumulation for |t| up to MAX_STEPS = 10**6; a larger |t| raises
+    ValueError.  Negative t gives inverse steps.  Where |n_tilde| vanishes,
+    A = d*I with d = +-1 and the power is d^t * I.
     """
+    if abs(t) > MAX_STEPS:
+        raise ValueError(f"t must satisfy |t| <= {MAX_STEPS}, got {t}")
     d, n_tilde, nt_norm, lam, _ = _closed_forms(k, sign)
     tiny = nt_norm < _AXIS_TOL
     angle = np.fmod(t * lam, 2.0 * math.pi)

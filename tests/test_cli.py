@@ -86,6 +86,49 @@ def test_fock_suite_size_guard(tmp_path):
     assert run(["fock-suite", "--momenta", 9, "--out", tmp_path / "x.json"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        (["--n-max", 0], "n_max"),
+        (["--n-max", -2], "n_max"),
+        (["--conjecture-samples", 0], "conjecture_samples"),
+        (["--conjecture-samples", -5], "conjecture_samples"),
+    ],
+)
+def test_fock_suite_rejects_empty_counts(tmp_path, capsys, args, key):
+    # zero samples used to write "conjecture_worst_slack": Infinity, which is not JSON
+    out = tmp_path / "fock.json"
+    assert run(["fock-suite", "--momenta", 1, *args, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"error: {key} must be >= 1" in capsys.readouterr().err
+
+
+def test_fock_suite_smallest_counts_write_valid_json(tmp_path):
+    out = tmp_path / "fock.json"
+    args = ["fock-suite", "--momenta", 1, "--n-max", 1, "--conjecture-samples", 1, "--out", out]
+    assert run(args) == EXIT_OK
+    report = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
+    composite = report["checks"][-1]
+    assert composite["conjecture_samples"] == 1
+    assert len(composite["sandwich"]) == 1
+    assert 0.0 < composite["conjecture_worst_slack"] < 2.0
+
+
+@pytest.mark.parametrize("t", [1000001, 100000000])
+def test_maxwell_step_count_beyond_documented_range_is_rejected(tmp_path, capsys, t):
+    out = tmp_path / "m.csv"
+    assert run(["maxwell-convergence", "--levels", 2, "--t", t, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "t must satisfy |t| <= 1000000" in capsys.readouterr().err
+
+
+def test_maxwell_step_count_at_documented_limit_runs(tmp_path):
+    out = tmp_path / "m.csv"
+    assert run(["maxwell-convergence", "--levels", 2, "--t", 1000000, "--out", out]) == EXIT_OK
+    _, _, rows = read_table(out)
+    assert float(rows[0][1]) <= 1e-10  # the single-point residual stays exact
+
+
 def test_flight_equal_energies_and_linearity(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"energies": [["a", 1e9], ["b", 1e9]]}))

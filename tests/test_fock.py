@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from latticelight import fock
 from latticelight.fock import (
     SPINS,
     FockSizeError,
@@ -17,13 +18,16 @@ from latticelight.fock import (
     commutator_report,
     composite_boson,
     composite_boson_suite,
+    cross_commutator_values,
     default_pairs,
     gamma_ab,
     gamma_for_profile,
     gamma_weighted_number,
     h_operator,
+    pair_commutator_sweep,
     pair_condensate,
     pair_number_operators,
+    pair_stack,
     polarization_boson_check,
     polarization_gamma,
     purity,
@@ -492,3 +496,117 @@ def test_schwartz_bound_on_sector_superpositions(two_momentum_space, profiles):
     assert cases == schwartz_exhaustive(space, profiles.values()).cases
     # the states reach hopping operators whose diagonal the sweep sees as zero
     assert off_diagonal_worst > 0.01
+
+
+# ---------------------------------------------------------------------------
+# the oracles that fock-suite runs: cross values from state vectors, batched pair sweep
+
+
+def matrix_route_cross_values(space, pairs, w1, w2, n_max):
+    """|<N|[c1, c2^dag]|N>| with the commutator formed as a sparse operator product."""
+    c1 = composite_boson(space, pairs, w1)
+    c2d = composite_boson(space, pairs, w2).conj().T.tocsr()
+    commutator = c1 @ c2d - c2d @ c1
+    states = [pair_condensate(space, c1, n) for n in range(1, n_max + 1)]
+    return np.array([abs(np.vdot(s, commutator @ s)) for s in states])
+
+
+def seeded_weight_pair(n, seed):
+    """A random normalized complex w1 and a w2 orthogonal to it, as fock-suite draws them."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w1 /= np.linalg.norm(w1)
+    w2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w2 -= w1 * np.sum(w2 * np.conj(w1))
+    return w1, w2 / np.linalg.norm(w2)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_cross_values_match_matrix_route(sized_space, seed):
+    space = sized_space
+    pairs = default_pairs(space)
+    stack = pair_stack(space, pairs)
+    w1, w2 = seeded_weight_pair(len(pairs), seed)
+    got = cross_commutator_values(stack, w1, w2, len(pairs))
+    want = matrix_route_cross_values(space, pairs, w1, w2, len(pairs))
+    assert got.shape == (len(pairs),)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    # not orthogonal, not normalized: still the same expectation values
+    rng = np.random.default_rng(seed + 1)
+    w3 = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+    got = cross_commutator_values(stack, w1, w3, len(pairs))
+    want = matrix_route_cross_values(space, pairs, w1, w3, len(pairs))
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(want))
+
+
+def test_cross_values_saturate_like_the_chain(two_momentum_space):
+    space = two_momentum_space
+    pairs = default_pairs(space)
+    w1, w2 = seeded_weight_pair(len(pairs), 5)
+    with pytest.raises(SaturationError):
+        cross_commutator_values(pair_stack(space, pairs), w1, w2, len(pairs) + 1)
+
+
+def test_dropped_conjugate_on_w2_changes_cross_values(sized_space):
+    # the 1e-14 comparison above can fail: without the conjugate on w2,
+    # c2^dag would be sum_i f2(i) b_i^dag, and the values move by far more than that
+    space = sized_space
+    pairs = default_pairs(space)
+    w1, w2 = seeded_weight_pair(len(pairs), 3)
+    got = cross_commutator_values(pair_stack(space, pairs), w1, w2, len(pairs))
+    c1 = composite_boson(space, pairs, w1)
+    c2d_unconjugated = composite_boson(space, pairs, np.conj(w2)).conj().T.tocsr()
+    c2 = composite_boson(space, pairs, w2)
+    mutant = []
+    for n in range(1, len(pairs) + 1):
+        s = pair_condensate(space, c1, n)
+        c1d_s = c1.conj().T @ s
+        mutant.append(abs(np.vdot(c1d_s, c2d_unconjugated @ s) - np.vdot(c2 @ s, c1 @ s)))
+    assert np.max(np.abs(got - np.array(mutant))) >= 1e-6
+
+
+def reference_sweep_maxima(space, specs):
+    """Max over commutator_report and over the plain [g1, g2], one pair at a time."""
+    gammas = {spec: gamma_for_profile(space, *spec) for spec in specs}
+    worst_assembly = worst_plain = 0.0
+    for s1 in specs:
+        for s2 in specs:
+            worst_assembly = max(worst_assembly, commutator_report(space, s1, s2, gammas).max_abs_difference)
+            worst_plain = max(worst_plain, max_abs(gammas[s1] @ gammas[s2] - gammas[s2] @ gammas[s1]))
+    return worst_assembly, worst_plain
+
+
+def label_specs(space):
+    return [(a, b, p) for a in SPINS for b in SPINS for p in available_profiles(space.momenta).values()]
+
+
+@pytest.mark.parametrize("columns", [None, 1, 5])
+def test_pair_sweep_matches_per_pair_reports(sized_space, monkeypatch, columns):
+    # columns: the group width in units of dim (None keeps SWEEP_WIDTH: whole rows
+    # below dim 4,096, single pairs at it); 5 leaves a shorter last group
+    space = sized_space
+    if columns is not None:
+        monkeypatch.setattr(fock, "SWEEP_WIDTH", columns * space.dim)
+    specs = label_specs(space)
+    sweep = pair_commutator_sweep(space, specs)
+    worst_assembly, worst_plain = reference_sweep_maxima(space, specs)
+    assert sweep.label_pairs == len(specs) ** 2
+    assert sweep.max_assembly_deviation == pytest.approx(worst_assembly, abs=1e-15)
+    assert sweep.max_assembly_deviation <= 1e-12
+    assert sweep.max_gamma_gamma == worst_plain == 0.0
+
+
+@pytest.mark.parametrize("columns", [None, 1])
+def test_pair_sweep_catches_flipped_hopping_sign(monkeypatch, columns):
+    space = build_fock([-1, 1])
+    if columns is not None:
+        monkeypatch.setattr(fock, "SWEEP_WIDTH", columns * space.dim)
+    hopping_terms = fock._hopping_terms
+
+    def flipped(*args):
+        return [(-weight, first, second) for weight, first, second in hopping_terms(*args)]
+
+    monkeypatch.setattr(fock, "_hopping_terms", flipped)
+    sweep = pair_commutator_sweep(space, label_specs(space))
+    assert sweep.max_assembly_deviation >= 1.0
+    assert sweep.max_gamma_gamma == 0.0

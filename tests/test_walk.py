@@ -99,6 +99,21 @@ def test_weyl_step_unitary_and_both_constructions(sign):
 
 
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_weyl_step_matches_exponential_form(sign):
+    # the Bloch form d I - i n_tilde.sigma against cos(lam) I - i sin(lam) (n/lam).sigma,
+    # which weyl_step used to rebuild on every call; below lam ~ 1e-14 the latter is I
+    ks = np.vstack([random_wavevectors(200, seed=12), 1e-16 * random_wavevectors(4, seed=13), HAND_K])
+    for k in ks:
+        step = weyl_step(k, sign)
+        b = step.bloch
+        if b.lam >= 1e-14:
+            via_exp = math.cos(b.lam) * np.eye(2) - 1j * math.sin(b.lam) * pauli_dot(b.n / b.lam)
+        else:
+            via_exp = np.eye(2)
+        assert np.max(np.abs(step.matrix - via_exp)) <= 1e-11
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
 def test_conjugate_step_identity(sign):
     for k in random_wavevectors(200, seed=4):
         a = weyl_step(k, sign).matrix
@@ -172,6 +187,16 @@ def test_step_power_group_property():
         lhs = step_power(k, MINUS, int(t1 + t2))
         rhs = step_power(k, MINUS, int(t1)) @ step_power(k, MINUS, int(t2))
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-10
+
+
+def test_step_power_rejects_steps_beyond_documented_range():
+    k = np.array([0.7, -0.4, 1.1])
+    for t in (10**6, -(10**6)):
+        a = step_power(k, MINUS, t)
+        assert np.linalg.norm(a.conj().T @ a - np.eye(2), 2) <= 1e-12
+    for t in (10**6 + 1, -(10**6) - 1, 10**8):
+        with pytest.raises(ValueError, match=r"t must satisfy \|t\| <= 1000000"):
+            step_power(k, MINUS, t)
 
 
 def test_interp_unitary_trivial_cases():
