@@ -99,6 +99,15 @@ def _finite(key: str, value, ndim: int = 0) -> np.ndarray:
     return array
 
 
+def _integer(cfg: dict, key: str) -> int:
+    """cfg[key] as an int: bools, non-integral numbers and non-numbers are rejected by key."""
+    value = cfg[key]
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _base_header(command: str, cfg: dict, seed: int) -> dict:
     return {
         "artifact_version": __version__,
@@ -110,7 +119,7 @@ def _base_header(command: str, cfg: dict, seed: int) -> dict:
 
 def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
     kmax = float(_finite("kmax", cfg["kmax"]))
-    points = int(cfg["points"])
+    points = _integer(cfg, "points")
     if points < 1 or kmax <= 0:
         raise ConfigError("dispersion needs points >= 1 and kmax > 0")
     if cfg["diagonal"]:
@@ -135,8 +144,8 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
     k = _finite("k", cfg["k"], ndim=1)
     if k.shape != (3,):
         raise ConfigError("k must be a 3-vector")
-    t = int(cfg["t"])
-    levels = int(cfg["levels"])
+    t = _integer(cfg, "t")
+    levels = _integer(cfg, "levels")
     base = float(_finite("base_radius", cfg["base_radius"]))
     factor = float(_finite("spacing_factor", cfg["spacing_factor"]))
     if levels < 2 or base <= 0 or not 0 < factor <= 1:
@@ -170,13 +179,14 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
-    from . import fock  # here, so that only fock-suite pays for loading scipy.sparse
+    from . import fock  # here, so that the other subcommands never load the Fock oracle
 
-    n = int(cfg["momenta"])
+    n = _integer(cfg, "momenta")
     if not 1 <= n <= 3:
         raise ConfigError("fock-suite supports 1..3 momenta (exhaustive checks)")
-    samples = int(cfg["conjecture_samples"])
-    for key, value in (("n_max", int(cfg["n_max"])), ("conjecture_samples", samples)):
+    n_max = _integer(cfg, "n_max")
+    samples = _integer(cfg, "conjecture_samples")
+    for key, value in (("n_max", n_max), ("conjecture_samples", samples)):
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
     if n % 2 == 1:
@@ -231,7 +241,7 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
 
     pairs = fock.default_pairs(space)
     uniform = np.full(len(pairs), 1.0 / math.sqrt(len(pairs)))
-    n_max = min(int(cfg["n_max"]), len(pairs))
+    n_max = min(n_max, len(pairs))
     second = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
     second -= uniform * np.sum(second * np.conj(uniform))
     second /= np.linalg.norm(second)
@@ -310,7 +320,7 @@ def cmd_flight(cfg: dict, out: str, seed: int) -> int:
 
 def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
     k_values = _finite("k_values", cfg["k_values"], ndim=1)
-    n_dirs = int(cfg["directions"])
+    n_dirs = _integer(cfg, "directions")
     if n_dirs < 1:
         raise ConfigError("directions must be >= 1")
     sign = _sign_value(cfg)

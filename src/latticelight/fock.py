@@ -1,9 +1,9 @@
 """Exact Fermionic Fock space over a small discrete momentum set.
 
 The mode set is (field psi/phi) x (spin R/L) x (momentum label); lowering
-operators are Jordan-Wigner sparse matrices with signs fixed by the global
-ordering field, then spin, then momentum.  On top of the raw algebra this
-module builds the pair operators
+operators follow Jordan-Wigner with signs fixed by the global ordering
+field, then spin, then momentum.  On top of the raw algebra this module
+builds the pair operators
 
     gamma_{alpha,beta}(k) = sum_q f_k(q) phi_alpha(k/2 - q) psi_beta(k/2 + q),
 
@@ -15,22 +15,32 @@ Momentum labels are integers; the k/2 +- q arithmetic presumes an even
 total k.  The algebra only sees the resulting index pairing, so any lattice
 convention can be supplied through explicit pairings as well.
 
-Everything is exact: matrices are sparse with entries built from +-1 and
-profile weights, and comparisons are matrix comparisons.  Quadratic operators
-are assembled in one COO pass from per-mode occupation and parity tables.
+Everything is exact and needs numpy alone.  A product of ladder operators
+has at most one entry per row over the basis states, so it is a signed map:
+row s reads column ``source[s]`` with sign +-1, or 0 where the product
+annihilates it.  The checks work on weighted sums of such maps: an operator
+product composes maps by gathers, one per term against a whole stack of
+terms; an operator identity is compared entry by entry after equal (row,
+column) entries are merged by one sort.  The
+public builders that return matrices (gamma_ab, h_operator,
+composite_boson, ...) turn the same maps into scipy CSR, and import scipy
+only when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .walk import PAULI
 from .bilinear import PolarizationFrame
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 FIELDS = ("psi", "phi")
 SPINS = ("R", "L")
@@ -56,13 +66,26 @@ class Mode(NamedTuple):
     momentum: int
 
 
-class FockSpace:
-    """Fock space with Jordan-Wigner lowering operators for every mode.
+class SignedMap(NamedTuple):
+    """An operator with at most one entry per row: row s holds sign[s] in column source[s].
 
-    All anticommutation relations are verified as exact sparse-matrix
-    identities at build time (disable with verify=False for large spaces
-    you have verified before).  After construction every matrix is
-    immutable and safe to share across threads.
+    So (A v)[s] = sign[s] * v[source[s]].  For ladder products ``source`` is
+    the basis with the ladders' bits flipped (a permutation) and ``sign`` is
+    +-1 where the product survives, 0 where it annihilates.  Both arrays may
+    carry leading axes, which stack maps.
+    """
+
+    source: np.ndarray
+    sign: np.ndarray
+
+
+class FockSpace:
+    """Fock space with Jordan-Wigner ladder operators for every mode.
+
+    All anticommutation relations are verified exactly at build time
+    (disable with verify=False for large spaces you have verified before).
+    Signed maps of ladder products are built once, on first use; the CSR
+    matrices ``lowering`` and ``raising`` are built when first read.
     """
 
     def __init__(self, momenta, verify: bool = True):
@@ -83,38 +106,53 @@ class FockSpace:
         self._occupied = np.array([(self._states >> p) & 1 for p in range(self.mode_count)], dtype=bool)
         self._parity = np.zeros_like(self._occupied)
         np.logical_xor.accumulate(self._occupied[:-1], axis=0, out=self._parity[1:])
-        self.lowering = [self._build_lowering(i) for i in range(self.mode_count)]
-        self.raising = [op.T.tocsr() for op in self.lowering]
+        self._terms = {}  # (first, second) ladders -> signed map of their product
         if verify:
             self.verify_anticommutators()
 
-    def _apply(self, position: int, raising: bool, states: np.ndarray):
-        """a_p (a_p^dag if raising) on basis states: survivor mask, their images, their sign flips."""
-        keep = self._occupied[position][states] != raising
-        kept = states[keep]
-        return keep, kept ^ (1 << position), self._parity[position][kept]
+    def _ladder(self, position: int, raising: bool) -> SignedMap:
+        """a_p (a_p^dag if raising): row s reads s with bit p flipped, signed by the parity below p."""
+        source = self._states ^ (1 << position)
+        live = self._occupied[position][source] != raising
+        return SignedMap(source, (1 - 2 * self._parity[position][source].astype(np.int8)) * live)
 
-    def _build_lowering(self, position: int) -> sparse.csr_matrix:
-        keep, rows, flips = self._apply(position, False, self._states)
-        signs = np.where(flips, -1.0, 1.0)
-        return sparse.csr_matrix((signs, (rows, self._states[keep])), shape=(self.dim, self.dim))
+    def _term(self, first, second) -> SignedMap:
+        """A_first A_second, built once per space; ladders are (position, raising) pairs."""
+        key = (first, second)
+        if key not in self._terms:
+            self._terms[key] = _product(self._ladder(*first), self._ladder(*second))
+        return self._terms[key]
+
+    @cached_property
+    def lowering(self) -> list:
+        """The a_p as scipy CSR matrices."""
+        return [_csr(self, [(1.0, self._ladder(p, False))]) for p in range(self.mode_count)]
+
+    @cached_property
+    def raising(self) -> list:
+        """The a_p^dag as scipy CSR matrices."""
+        return [_csr(self, [(1.0, self._ladder(p, True))]) for p in range(self.mode_count)]
 
     def verify_anticommutators(self):
-        """Check {a_i, a_j} = 0 and {a_i, a_j^dag} = delta_ij I exactly."""
-        identity = sparse.identity(self.dim, format="csr")
-        for i in range(self.mode_count):
-            a_i = self.lowering[i]
+        """Check {a_i, a_j} = 0 and {a_i, a_j^dag} = delta_ij I exactly.
+
+        Both orders of a product must read the same column in every row (the
+        basis state's own, for the identity), so the anticommutator is one
+        signed map whose signs must all equal 0 (or 1).
+        """
+        lowering = [self._ladder(p, False) for p in range(self.mode_count)]
+        raising = [self._ladder(p, True) for p in range(self.mode_count)]
+        for i, a_i in enumerate(lowering):
             for j in range(i, self.mode_count):
-                a_j = self.lowering[j]
-                anti = a_i @ a_j + a_j @ a_i
-                anti.eliminate_zeros()
-                if anti.nnz:
-                    raise RuntimeError(f"{{a_{i}, a_{j}}} != 0")
-                mixed = a_i @ self.raising[j] + self.raising[j] @ a_i
-                diff = mixed - identity if i == j else mixed
-                diff.eliminate_zeros()
-                if diff.nnz:
-                    raise RuntimeError(f"{{a_{i}, a_{j}^dag}} != delta_{{{i}{j}}} I")
+                for partner, target, name in (
+                    (lowering[j], 0, f"{{a_{i}, a_{j}}} != 0"),
+                    (raising[j], int(i == j), f"{{a_{i}, a_{j}^dag}} != delta_{{{i}{j}}} I"),
+                ):
+                    ij, ji = _product(a_i, partner), _product(partner, a_i)
+                    columns = self._states if target else ji.source
+                    same_columns = np.array_equal(ij.source, columns) and np.array_equal(ji.source, columns)
+                    if not (same_columns and np.all(ij.sign + ji.sign == target)):
+                        raise RuntimeError(name)
 
     def position(self, field: str, spin: str, momentum) -> int:
         try:
@@ -133,6 +171,8 @@ class FockSpace:
         return self.raising[self.position(field, spin, momentum)]
 
     def number_operator(self, field: str, spin: str, momentum) -> sparse.csr_matrix:
+        from scipy import sparse
+
         position = self.position(field, spin, momentum)
         return sparse.diags(self._occupied[position].astype(float), format="csr")
 
@@ -152,6 +192,119 @@ def build_fock(momenta, verify: bool = True) -> FockSpace:
 
 
 # ---------------------------------------------------------------------------
+# signed maps: products, adjoints, sums
+
+
+def _product(a: SignedMap, b: SignedMap) -> SignedMap:
+    """A B: row s of A reads row a.source[s] of B, one gather.
+
+    Stacked maps compose every pair at once; the result's stack axes are
+    b's, then a's.
+    """
+    return SignedMap(b.source[..., a.source], a.sign * b.sign[..., a.source])
+
+
+def _adjoint(space: FockSpace, m: SignedMap) -> SignedMap:
+    """A^dag (signs are real): row source[s] reads column s, one scatter."""
+    source, sign = np.empty_like(m.source), np.empty_like(m.sign)
+    np.put_along_axis(source, m.source, np.broadcast_to(space._states, m.source.shape), axis=-1)
+    np.put_along_axis(sign, m.source, m.sign, axis=-1)
+    return SignedMap(source, sign)
+
+
+def _stacked(space: FockSpace, terms):
+    """Weights (n,) and the stacked (n, dim) maps of (w_j, A_j, B_j) ladder terms."""
+    maps = [space._term(first, second) for _, first, second in terms]
+    source = np.array([m.source for m in maps], dtype=np.int32).reshape(len(maps), space.dim)
+    sign = np.array([m.sign for m in maps], dtype=np.int8).reshape(len(maps), space.dim)
+    return np.array([w for w, _, _ in terms], dtype=complex), SignedMap(source, sign)
+
+
+class _Operator(NamedTuple):
+    """sum_j weights[j] A_j over stacked signed maps A_j, their adjoints kept alongside."""
+
+    weights: np.ndarray
+    maps: SignedMap
+    adjoints: SignedMap
+
+    def dagger(self) -> "_Operator":
+        return _Operator(np.conj(self.weights), self.adjoints, self.maps)
+
+
+def _operator(space: FockSpace, terms) -> _Operator:
+    weights, maps = _stacked(space, terms)
+    return _Operator(weights, maps, _adjoint(space, maps))
+
+
+def _apply(weights, maps: SignedMap, v: np.ndarray) -> np.ndarray:
+    """sum_j w_j A_j v over stacked maps: one gather, contracted with each row of weights."""
+    # einsum rather than matmul keeps BLAS, and its buffers, out of it
+    return np.einsum("...i,ij->...j", weights, maps.sign * v[maps.source])
+
+
+def _entries(dim: int, labels, weights, rows, m: SignedMap, transpose: bool = False):
+    """Keys label*dim^2 + row*dim + column, and values, of the nonzero entries of stacked map rows.
+
+    ``labels`` and ``weights`` broadcast against m's stack axes; ``rows`` is
+    the basis row of each position along its last axis, and ``transpose``
+    swaps rows and columns.  The signs may be any coefficients (those of a
+    diagonal, say).
+    """
+    live = np.flatnonzero(m.sign)
+    stack, at = np.divmod(live, m.sign.shape[-1])
+    label, weight = (np.broadcast_to(x, m.sign.shape[:-1]).ravel()[stack] for x in (labels, weights))
+    row, column = rows[at], m.source.ravel()[live]
+    if transpose:
+        row, column = column, row
+    return (label.astype(np.int64) * dim + row) * dim + column, weight * m.sign.ravel()[live]
+
+
+def _commutator(dim: int, a: _Operator, b: _Operator, labels) -> list:
+    """Entries of [A, B], labelled per term of B.
+
+    For each term A_i, A_i B and B A_i = (A_i^dag B^dag)^dag are one gather
+    each over B's stack, on only the rows where A_i (or A_i^dag) survives.
+    """
+    entries = []
+    for w, map_i, adjoint_i in zip(a.weights, zip(*a.maps), zip(*a.adjoints)):
+        for (source, sign), right, weights, transpose in (
+            (map_i, b.maps, w * b.weights, False),
+            (adjoint_i, b.adjoints, -w * b.weights, True),
+        ):
+            rows = np.flatnonzero(sign)
+            product = _product(SignedMap(source[rows], sign[rows]), right)
+            entries.append(_entries(dim, labels, weights, rows, product, transpose))
+    return entries
+
+
+def _max_entry(entries: list) -> float:
+    """Largest |entry| of a sum of (keys, values) entries, equal keys summed.
+
+    One sort brings equal keys together; np.add.reduceat sums them.  The
+    list is emptied once its parts are joined, so they are freed before the
+    sort.
+    """
+    if not entries:
+        return 0.0
+    keys, values = (np.concatenate(part) for part in zip(*entries))
+    entries.clear()
+    if not keys.size:
+        return 0.0
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    values = values[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return float(np.max(np.abs(np.add.reduceat(values, starts))))
+
+
+def _diagonal(space: FockSpace, terms) -> np.ndarray:
+    """Diagonal of sum_j w_j A_j B_j: the rows whose map reads their own column."""
+    weights, maps = _stacked(space, terms)
+    return np.einsum("i,ij->j", weights, np.where(maps.source == space._states, maps.sign, 0))
+
+
+# ---------------------------------------------------------------------------
 # profiles on an integer momentum lattice
 
 
@@ -168,6 +321,8 @@ class LatticeProfile:
         items = tuple(sorted((int(q), complex(w)) for q, w in self.weights))
         if len({q for q, _ in items}) != len(items):
             raise ValueError("duplicate q in profile")
+        if not all(math.isfinite(w.real) and math.isfinite(w.imag) for _, w in items):
+            raise ValueError(f"profile weights must be finite, got {[w for _, w in items]!r}")
         norm = sum(abs(w) ** 2 for _, w in items)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"profile not normalized: sum|f|^2 = {norm!r}")
@@ -210,25 +365,28 @@ def available_profiles(momenta) -> dict:
 # pair operators
 
 
-def _ladder_pair(space: FockSpace, weight, first, second):
-    """(rows, cols, values) of weight * A_first A_second; ladders are (position, raising) pairs."""
-    keep, states, flips = space._apply(*second, space._states)
-    keep2, rows, flips2 = space._apply(*first, states)
-    weight = complex(weight)
-    return rows, space._states[keep][keep2], np.where(flips[keep2] ^ flips2, -weight, weight)
-
-
-def _coo(space: FockSpace, terms):
-    """(rows, cols, values) of sum_j w_j A_j B_j over (w_j, A_j, B_j) ladder terms."""
-    empty = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0, dtype=complex))
-    parts = [empty] + [_ladder_pair(space, *term) for term in terms]
+def _coo(space: FockSpace, weighted_maps):
+    """(rows, cols, values) of sum_j w_j A_j over (w_j, signed map A_j) pairs."""
+    parts = [
+        (space._states[live], m.source[live], weight * m.sign[live])
+        for weight, m in weighted_maps
+        for live in [m.sign != 0]
+    ]
+    if not parts:
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0, dtype=complex)
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _quadratic(space: FockSpace, terms) -> sparse.csr_matrix:
-    """sum_j w_j A_j B_j over (w_j, A_j, B_j) ladder terms, assembled in one COO pass."""
-    rows, cols, values = _coo(space, terms)
+def _csr(space: FockSpace, weighted_maps) -> sparse.csr_matrix:
+    from scipy import sparse
+
+    rows, cols, values = _coo(space, weighted_maps)
     return sparse.csr_matrix((values, (rows, cols)), shape=(space.dim, space.dim))
+
+
+def _quadratic(space: FockSpace, terms) -> sparse.csr_matrix:
+    """sum_j w_j A_j B_j over (w_j, A_j, B_j) ladder terms as CSR, assembled in one COO pass."""
+    return _csr(space, [(complex(weight), space._term(first, second)) for weight, first, second in terms])
 
 
 def _number_diagonal(space: FockSpace, terms) -> np.ndarray:
@@ -318,6 +476,8 @@ def gamma_weighted_number(
     space: FockSpace, profile: LatticeProfile, field: str, spin: str, branch: int
 ) -> sparse.csr_matrix:
     """Profile-shaped number operator Gamma^branch = sum_q |f(q)|^2 n(k/2 + branch*q)."""
+    from scipy import sparse
+
     return sparse.diags(_gamma_diagonal(space, profile, field, spin, branch), format="csr")
 
 
@@ -357,6 +517,8 @@ def commutator_report(space: FockSpace, spec1, spec2, gammas=None) -> Commutator
     normalized profiles and to 0 for k != k'.  ``gammas`` optionally maps
     specs to gamma matrices built beforehand; the others are built here.
     """
+    from scipy import sparse
+
     gammas = gammas or {}
     g1 = gammas[spec1] if spec1 in gammas else gamma_for_profile(space, *spec1)
     g2 = gammas[spec2] if spec2 in gammas else gamma_for_profile(space, *spec2)
@@ -376,10 +538,6 @@ def commutator_report(space: FockSpace, spec1, spec2, gammas=None) -> Commutator
     )
 
 
-#: widest hstack of gammas the pair sweep multiplies at once, in columns
-SWEEP_WIDTH = 4096
-
-
 @dataclass(frozen=True)
 class PairSweep:
     """Worst deviations over every ordered pair of gamma labels."""
@@ -392,30 +550,37 @@ class PairSweep:
 def pair_commutator_sweep(space: FockSpace, specs) -> PairSweep:
     """commutator_report and [gamma_1, gamma_2] = 0 over all ordered pairs of ``specs``.
 
-    Each gamma and its adjoint is built once.  The second labels go in
-    groups: with W = [g_a^dag, g_b^dag, ...] stacked side by side and
-    B = diag(g1, g1, ...), the one sparse sum g1 W - W B + [H_a - c_a I,
-    H_b - c_b I, ...] holds every pair's deviation from its assembly
-    c I - H, and the same product over [g_a, g_b, ...] holds [g1, g_a], ....
-    A group is as wide as fits in SWEEP_WIDTH columns: a whole row at
-    dimension 256, one pair at a time at 4,096, where wider stacks would
-    raise peak memory.
+    The terms of every gamma, and their adjoints, are stacked once, labelled
+    by their gamma.  For one gamma_1 each product with all second gammas is
+    one gather per term of gamma_1; every entry of [g1, g2^dag] - (c I - H)
+    and of [g1, g2] is summed over equal (second label, row, column) and the
+    largest |entry| kept.
     """
     specs = list(specs)
-    gammas = [gamma_for_profile(space, *spec) for spec in specs]
-    size = max(1, SWEEP_WIDTH // space.dim)
+    terms = [_gamma_terms(space, alpha, beta, *_profile_pairing(prof)) for alpha, beta, prof in specs]
+    labels = np.repeat(np.arange(len(specs)), [len(t) for t in terms])
+    gammas = _operator(space, [term for t in terms for term in t])
+    adjoints = gammas.dagger()
     worst_assembly = worst_plain = 0.0
     compared = 0
-    for start in range(0, len(specs), size):
-        group = range(start, min(start + size, len(specs)))
-        stacked = sparse.hstack([gammas[j] for j in group], format="csr")
-        adjoints = sparse.hstack([gammas[j].conj().T for j in group], format="csr")
-        for spec1, g1 in zip(specs, gammas):
-            blocks = g1 if len(group) == 1 else sparse.kron(sparse.identity(len(group)), g1, format="csr")
-            target = _negated_assemblies(space, spec1, [specs[j] for j in group])
-            worst_assembly = max(worst_assembly, _max_abs(g1 @ adjoints - adjoints @ blocks + target))
-            worst_plain = max(worst_plain, _max_abs(g1 @ stacked - stacked @ blocks))
-            compared += len(group)
+    for spec1, terms1 in zip(specs, terms):
+        g1 = _operator(space, terms1)
+        # the assembly c I - H of every second label, negated
+        targets = [_assembly_terms(space, spec1, spec2) for spec2 in specs]
+        hopping = [(j, term) for j, (_, hop) in enumerate(targets) for term in hop]
+        hop_weights, hop_maps = _stacked(space, [term for _, term in hopping])
+        identities = [(j, c) for j, (c, _) in enumerate(targets) if c != 0.0]
+        coefficients = np.array([c for _, c in identities], dtype=complex)
+        diagonal = np.tile(space._states, (len(identities), 1))
+        identity = SignedMap(diagonal, np.ones(diagonal.shape, dtype=np.int8))
+        assembly = [
+            *_commutator(space.dim, g1, adjoints, labels),
+            _entries(space.dim, np.array([j for j, _ in hopping]), hop_weights, space._states, hop_maps),
+            _entries(space.dim, np.array([j for j, _ in identities]), -coefficients, space._states, identity),
+        ]
+        worst_assembly = max(worst_assembly, _max_entry(assembly))
+        worst_plain = max(worst_plain, _max_entry(_commutator(space.dim, g1, gammas, labels)))
+        compared += len(specs)
     return PairSweep(
         label_pairs=compared,
         max_assembly_deviation=worst_assembly,
@@ -423,33 +588,8 @@ def pair_commutator_sweep(space: FockSpace, specs) -> PairSweep:
     )
 
 
-def _negated_assemblies(space: FockSpace, spec1, specs2) -> sparse.csr_matrix:
-    """[H_a - c_a I, H_b - c_b I, ...]: the assemblies of commutator_report, negated, side by side."""
-    parts = []
-    for column, spec2 in enumerate(specs2):
-        coefficient, terms = _assembly_terms(space, spec1, spec2)
-        rows, cols, values = _coo(space, terms)
-        if coefficient != 0.0:
-            diagonal = space._states
-            rows, cols = np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal])
-            values = np.concatenate([values, np.full(space.dim, -coefficient, dtype=complex)])
-        parts.append((rows, cols + column * space.dim, values))
-    rows, cols, values = (np.concatenate(column) for column in zip(*parts))
-    return sparse.csr_matrix((values, (rows, cols)), shape=(space.dim, len(specs2) * space.dim))
-
-
 # ---------------------------------------------------------------------------
 # Schwartz bound
-
-
-def schwartz_bound_check(state, h_matrix, gamma_a, gamma_b, slack: float = 1e-10):
-    """Evaluate |<H>| <= sqrt(<Gamma_a><Gamma_b>) on one normalized state."""
-    state = np.asarray(state, dtype=complex)
-    lhs = abs(np.vdot(state, h_matrix @ state))
-    ga = float(np.vdot(state, gamma_a @ state).real)
-    gb = float(np.vdot(state, gamma_b @ state).real)
-    rhs = math.sqrt(max(ga, 0.0) * max(gb, 0.0))
-    return lhs, rhs, lhs <= rhs + slack
 
 
 @dataclass(frozen=True)
@@ -477,10 +617,10 @@ def schwartz_exhaustive(space: FockSpace, profiles, slack: float = 1e-10) -> Sch
                 for prof_dag in profiles:
                     for spin_in in SPINS:
                         for spin_dag in SPINS:
-                            h = h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
+                            terms = _hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
                             g_in = _gamma_diagonal(space, prof_in, field, spin_in, branch)
                             g_dag = _gamma_diagonal(space, prof_dag, field, spin_dag, branch)
-                            lhs = np.abs(h.diagonal())
+                            lhs = np.abs(_diagonal(space, terms))
                             rhs = np.sqrt(g_in * g_dag)
                             worst = min(worst, float(np.min(rhs - lhs)))
                             cases += 1
@@ -505,20 +645,22 @@ def polarization_matrices(frame: PolarizationFrame) -> list:
     return [m / math.sqrt(2.0) for m in mats]
 
 
-def polarization_gamma(
-    space: FockSpace, profile: LatticeProfile, frame: PolarizationFrame, index: int
-) -> sparse.csr_matrix:
-    """gamma^i(k) = sum_{alpha,beta} M^i_{alpha,beta} gamma_{alpha,beta}(k)."""
-    mat = polarization_matrices(frame)[index]
+def _polarization_terms(space: FockSpace, profile: LatticeProfile, mat) -> list:
     pairing, weights = _profile_pairing(profile)
-    terms = [
+    return [
         (mat[ia, ib] * w, first, second)
         for ia, alpha in enumerate(SPINS)
         for ib, beta in enumerate(SPINS)
         if mat[ia, ib] != 0.0
         for w, first, second in _gamma_terms(space, alpha, beta, pairing, weights)
     ]
-    return _quadratic(space, terms)
+
+
+def polarization_gamma(
+    space: FockSpace, profile: LatticeProfile, frame: PolarizationFrame, index: int
+) -> sparse.csr_matrix:
+    """gamma^i(k) = sum_{alpha,beta} M^i_{alpha,beta} gamma_{alpha,beta}(k)."""
+    return _quadratic(space, _polarization_terms(space, profile, polarization_matrices(frame)[index]))
 
 
 _DEFAULT_FRAME = PolarizationFrame(
@@ -537,6 +679,31 @@ class PolarizationReport:
     vacuum_deviation: float
 
 
+def _polarization_diagonals(space: FockSpace, profiles, frame: PolarizationFrame, rows) -> np.ndarray:
+    """<s|[gamma_g, gamma_h^dag]|s> for every pair of polarization gammas g, h and basis state s in ``rows``.
+
+    Every gamma^i(k) is a row of coefficients over the distinct ladder terms
+    T_a; the diagonals of T_a T_b^dag - T_b^dag T_a on ``rows`` are
+    contracted with those coefficients for every pair at once.
+    """
+    gammas = [_polarization_terms(space, prof, mat) for prof in profiles for mat in polarization_matrices(frame)]
+    column = {key: j for j, key in enumerate(dict.fromkeys((f, s) for t in gammas for _, f, s in t))}
+    coefficients = np.zeros((len(gammas), len(column)), dtype=complex)
+    for g, terms in enumerate(gammas):
+        for w, first, second in terms:
+            coefficients[g, column[first, second]] += w
+    ladders = _operator(space, [(1.0, *key) for key in column])
+
+    def diagonal(left, right):  # diagonal of L R on the rows; axes (R, L, row)
+        product = _product(SignedMap(left.source[:, rows], left.sign[:, rows]), right)
+        return np.where(product.source == space._states[rows], product.sign, 0)
+
+    # axes (a, b, row)
+    diagonals = diagonal(ladders.maps, ladders.adjoints).transpose(1, 0, 2) - diagonal(ladders.adjoints, ladders.maps)
+    partial = np.einsum("ga,abk->gbk", coefficients, diagonals)
+    return np.einsum("hb,gbk->ghk", np.conj(coefficients), partial)
+
+
 def polarization_boson_check(
     space: FockSpace, profiles, frame: PolarizationFrame = _DEFAULT_FRAME, max_particles: int = 2
 ) -> PolarizationReport:
@@ -546,34 +713,17 @@ def polarization_boson_check(
     particle number <= max_particles; deviations are grouped by particle
     number (they grow with occupancy, vanishing exactly on the vacuum).
     """
-    profiles = list(profiles)
     numbers = space.particle_numbers()
-    keep = numbers <= max_particles
-    kept_numbers = numbers[keep]
-    gammas = {}
-    for ip, prof in enumerate(profiles):
-        for i in range(4):
-            gammas[(ip, i)] = polarization_gamma(space, prof, frame, i)
-    by_particles: dict = {int(n): 0.0 for n in sorted(set(kept_numbers.tolist()))}
-    cases = 0
-    for (ip, i), g in gammas.items():
-        for (jp, j), g2 in gammas.items():
-            # diag [g, g2^dag] = row sums minus column sums of g * conj(g2)
-            product = g.multiply(g2.conj())
-            diagonal = np.asarray(product.sum(axis=1)).ravel() - np.asarray(product.sum(axis=0)).ravel()
-            expected = 1.0 if (ip == jp and i == j) else 0.0
-            dev = np.abs(diagonal - expected)[keep]
-            for n in by_particles:
-                sel = kept_numbers == n
-                if np.any(sel):
-                    by_particles[n] = max(by_particles[n], float(np.max(dev[sel])))
-            cases += 1
-    max_dev = max(by_particles.values())
+    kept = np.flatnonzero(numbers <= max_particles)
+    kept_numbers = numbers[kept]
+    values = _polarization_diagonals(space, list(profiles), frame, kept)
+    deviation = np.abs(values - np.eye(len(values))[..., None]).max(axis=(0, 1), initial=0.0)
+    by_particles = {int(n): float(np.max(deviation[kept_numbers == n])) for n in sorted(set(kept_numbers.tolist()))}
     return PolarizationReport(
-        cases=cases,
-        states_checked=int(np.sum(keep)),
+        cases=len(values) ** 2,
+        states_checked=len(kept),
         deviation_by_particles=by_particles,
-        max_deviation=max_dev,
+        max_deviation=max(by_particles.values()),
         vacuum_deviation=by_particles.get(0, 0.0),
     )
 
@@ -594,59 +744,51 @@ def _pair_positions(space: FockSpace, pair) -> tuple:
     return space.position("psi", psi_spin, psi_p), space.position("phi", phi_spin, phi_p)
 
 
-def composite_boson(space: FockSpace, pairs, weights) -> sparse.csr_matrix:
-    """c = sum_i f(i) psi_i phi_i over explicit (psi mode, phi mode) pairs."""
+def _composite_terms(space: FockSpace, pairs, weights) -> list:
     weights = np.asarray(weights, dtype=complex)
     if len(weights) != len(pairs):
         raise ValueError("pairs and weights must have equal length")
     resolved = [(_pair_positions(space, pair), w) for pair, w in zip(pairs, weights) if w != 0.0]
-    return _quadratic(space, [(w, (psi, False), (phi, False)) for (psi, phi), w in resolved])
+    return [(w, (psi, False), (phi, False)) for (psi, phi), w in resolved]
+
+
+def composite_boson(space: FockSpace, pairs, weights) -> sparse.csr_matrix:
+    """c = sum_i f(i) psi_i phi_i over explicit (psi mode, phi mode) pairs."""
+    return _quadratic(space, _composite_terms(space, pairs, weights))
 
 
 class PairStack(NamedTuple):
-    """The pair operators b_i = psi_i phi_i stacked: rows i*dim to (i+1)*dim - 1 hold b_i.
+    """The pair operators b_i = psi_i phi_i as stacked signed maps: row i holds b_i."""
 
-    Stored column-wise, so the index arrays grow with dim, not with the stack height.
-    """
-
-    lowering: sparse.csc_matrix  # the b_i
-    raising: sparse.csc_matrix  # the b_i^dag
+    lowering: SignedMap  # the b_i
+    raising: SignedMap  # the b_i^dag
 
 
 def pair_stack(space: FockSpace, pairs) -> PairStack:
-    """The stacked pair operators of ``pairs`` and their adjoints, one COO pass each."""
+    """The stacked pair operators of ``pairs`` and their adjoints."""
     positions = [_pair_positions(space, pair) for pair in pairs]
-    parts = [_ladder_pair(space, 1.0, (psi, False), (phi, False)) for psi, phi in positions]
-    rows, cols, values = (np.concatenate(column) for column in zip(*parts))
-    blocks = np.repeat(np.arange(len(parts)) * space.dim, [len(part[0]) for part in parts])
-    shape = (len(parts) * space.dim, space.dim)
-    return PairStack(
-        sparse.csc_matrix((values, (rows + blocks, cols)), shape=shape),
-        sparse.csc_matrix((np.conj(values), (cols + blocks, rows)), shape=shape),
-    )
+    stack = _operator(space, [(1.0, (psi, False), (phi, False)) for psi, phi in positions])
+    return PairStack(stack.maps, stack.adjoints)
 
 
 def cross_commutator_values(stack: PairStack, weights, second_weights, n_max: int) -> np.ndarray:
     """|<N|[c1, c2^dag]|N>| for N = 1..n_max, with |N> the normalized (c1^dag)^N |0>.
 
     On a state u, c u = sum_i f(i) b_i u and c^dag u = sum_i conj(f(i)) b_i^dag u
-    come from one stacked product per side, contracted with the weights, and
+    come from one stacked gather per side, contracted with the weights, and
     <u|[c1, c2^dag]|u> = <c1^dag u|c2^dag u> - <c2 u|c1 u>.  No operator
     product is formed.  Raises SaturationError if n_max exceeds the
     constructible N.
     """
     both = np.array([weights, second_weights], dtype=complex)
-    shape = (both.shape[1], stack.lowering.shape[1])
-    vacuum = np.zeros(shape[1], dtype=complex)
+    vacuum = np.zeros(stack.lowering.source.shape[-1], dtype=complex)
     vacuum[0] = 1.0
-    # each stacked product is contracted at once, so one (pairs, dim) temporary lives at a time;
-    # einsum rather than matmul keeps BLAS, and its buffers, out of it
-    v = np.einsum("i,ij->j", np.conj(both[0]), (stack.raising @ vacuum).reshape(shape))  # c1^dag |0>
+    v = _apply(np.conj(both[0]), stack.raising, vacuum)  # c1^dag |0>
     values = np.empty(n_max)
     for n in range(1, n_max + 1):
         u = _unit(v, n)
-        v, c2d_u = np.einsum("wi,ij->wj", np.conj(both), (stack.raising @ u).reshape(shape))  # v = c1^dag u
-        c1_u, c2_u = np.einsum("wi,ij->wj", both, (stack.lowering @ u).reshape(shape))
+        v, c2d_u = _apply(np.conj(both), stack.raising, u)  # v = c1^dag u
+        c1_u, c2_u = _apply(both, stack.lowering, u)
         values[n - 1] = abs(np.vdot(v, c2d_u) - np.vdot(c2_u, c1_u))
     return values
 
@@ -661,6 +803,8 @@ def _pair_number_diagonals(space: FockSpace, pairs, weights):
 
 def pair_number_operators(space: FockSpace, pairs, weights):
     """(Gamma_psi, Gamma_phi) = profile-weighted number operators of the pair modes."""
+    from scipy import sparse
+
     return tuple(sparse.diags(d, format="csr") for d in _pair_number_diagonals(space, pairs, weights))
 
 
@@ -713,7 +857,7 @@ def composite_boson_suite(
 ) -> CompositeBosonReport:
     """Brute-force verification of the composite-boson relations.
 
-    Checks, as matrices, [c, c^dag] = I - (Gamma_psi + Gamma_phi); for each
+    Checks, entry by entry, [c, c^dag] = I - (Gamma_psi + Gamma_phi); for each
     N = 1..n_max the sandwich P <= <N|Gamma_psi|N> <= N P; the exact Pauli
     saturation order; and, given a second orthogonal weight vector, the
     cross-commutator identity and |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2),
@@ -721,10 +865,13 @@ def composite_boson_suite(
     exceeds the constructible N.
     """
     weights = np.asarray(weights, dtype=complex)
-    c1 = composite_boson(space, pairs, weights)
-    c1d = c1.conj().T.tocsr()
+    c1 = _operator(space, _composite_terms(space, pairs, weights))
+    c1d = c1.dagger()
+    labels = np.zeros(len(c1.weights), dtype=np.int64)
     g_psi, g_phi = _pair_number_diagonals(space, pairs, weights)
-    comm_dev = _max_abs((c1 @ c1d - c1d @ c1) - sparse.diags(1.0 - g_psi - g_phi, format="csr"))
+    # [c, c^dag] - (I - Gamma_psi - Gamma_phi)
+    target = _entries(space.dim, 0, 1.0, space._states, SignedMap(space._states, g_psi + g_phi - 1.0))
+    comm_dev = _max_entry(_commutator(space.dim, c1, c1d, labels) + [target])
     p1 = purity(weights)
 
     # one chain (c^dag)^N |0> serves the sandwich and the saturation
@@ -732,7 +879,7 @@ def composite_boson_suite(
     states = []
     v = space.vacuum()
     for n in range(1, max(n_max, saturation_order) + 1):
-        v = c1d @ v
+        v = _apply(c1d.weights, c1d.maps, v)
         if n <= n_max:
             states.append(_unit(v, n))
     if float(np.linalg.norm(v)) != 0.0:
@@ -753,13 +900,14 @@ def composite_boson_suite(
         for n, value in enumerate(values, start=1):
             bound = 2.0 * n * p_max
             cross_rows.append((n, float(value), bound, value <= bound + slack))
-        c2d = composite_boson(space, pairs, w2).conj().T.tocsr()
+        c2 = _operator(space, _composite_terms(space, pairs, w2))
         # [c1, c2^dag] = overlap*I - sum_i f1(i) conj(f2(i)) (n_psi_i + n_phi_i)
         coeffs = weights * np.conj(w2)
         terms = [(c, p) for pair, c in zip(pairs, coeffs) if c != 0.0 for p in _pair_positions(space, pair)]
-        overlap = complex(np.sum(coeffs))
-        target = sparse.diags(overlap - _number_diagonal(space, terms), format="csr")
-        cross_dev = _max_abs((c1 @ c2d - c2d @ c1) - target)
+        diagonal = _number_diagonal(space, terms) - complex(np.sum(coeffs))
+        target = _entries(space.dim, 0, 1.0, space._states, SignedMap(space._states, diagonal))
+        labels = np.zeros(len(c2.weights), dtype=np.int64)
+        cross_dev = _max_entry(_commutator(space.dim, c1, c2.dagger(), labels) + [target])
 
     return CompositeBosonReport(
         purity=p1,

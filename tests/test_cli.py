@@ -275,3 +275,52 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_fock_suite_run_leaves_scipy_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(latticelight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "fock.json"
+    probe = (
+        "import sys; from latticelight.cli import main; "
+        f"code = main(['fock-suite', '--momenta', '2', '--conjecture-samples', '3', '--out', {str(out)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert result.stdout.strip() == "0 []"
+    assert json.loads(out.read_text())["passed"] is True
+
+
+INTEGER_KEYS = [
+    ("dispersion", "points"),
+    ("maxwell-convergence", "t"),
+    ("maxwell-convergence", "levels"),
+    ("fock-suite", "momenta"),
+    ("fock-suite", "n_max"),
+    ("fock-suite", "conjecture_samples"),
+    ("tilt", "directions"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.9, 2.5, "3", None, [2]])
+@pytest.mark.parametrize("command,key", INTEGER_KEYS)
+def test_integer_keys_reject_non_integers(tmp_path, capsys, command, key, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: bad}))
+    out = tmp_path / "out"
+    assert run([command, "--config", config, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"error: {key} must be an integer, got {bad!r}" in capsys.readouterr().err
+
+
+def test_integral_float_counts_keep_running(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"momenta": 1.0, "n_max": 2.0, "conjecture_samples": 3.0}))
+    out = tmp_path / "fock.json"
+    assert run(["fock-suite", "--config", config, "--out", out]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["space"]["dimension"] == 16
+    assert report["checks"][-1]["conjecture_samples"] == 3.0
+    assert len(report["checks"][-1]["sandwich"]) == 2

@@ -31,7 +31,6 @@ from latticelight.fock import (
     polarization_boson_check,
     polarization_gamma,
     purity,
-    schwartz_bound_check,
     schwartz_exhaustive,
     uniform_profile,
 )
@@ -195,7 +194,11 @@ def test_schwartz_on_vacuum(two_momentum_space, profiles):
     space = two_momentum_space
     h = h_operator(space, +1, "psi", "R", "R", profiles[0], profiles[0])
     g = gamma_weighted_number(space, profiles[0], "psi", "R", +1)
-    lhs, rhs, holds = schwartz_bound_check(space.vacuum(), h, g, g)
+    vacuum = space.vacuum()
+    lhs = abs(np.vdot(vacuum, h @ vacuum))
+    ga = gb = float(np.vdot(vacuum, g @ vacuum).real)
+    rhs = math.sqrt(max(ga, 0.0) * max(gb, 0.0))
+    holds = lhs <= rhs + 1e-10
     assert lhs == 0.0 and rhs == 0.0 and holds
 
 
@@ -580,14 +583,12 @@ def label_specs(space):
     return [(a, b, p) for a in SPINS for b in SPINS for p in available_profiles(space.momenta).values()]
 
 
-@pytest.mark.parametrize("columns", [None, 1, 5])
-def test_pair_sweep_matches_per_pair_reports(sized_space, monkeypatch, columns):
-    # columns: the group width in units of dim (None keeps SWEEP_WIDTH: whole rows
-    # below dim 4,096, single pairs at it); 5 leaves a shorter last group
+@pytest.mark.parametrize("labels", [None, 1, 5])
+def test_pair_sweep_matches_per_pair_reports(sized_space, labels):
+    # labels: how many of the leading labels are swept (None: all of them);
+    # 1 leaves a single pair, 5 cuts through a spin block at m >= 2
     space = sized_space
-    if columns is not None:
-        monkeypatch.setattr(fock, "SWEEP_WIDTH", columns * space.dim)
-    specs = label_specs(space)
+    specs = label_specs(space)[:labels]
     sweep = pair_commutator_sweep(space, specs)
     worst_assembly, worst_plain = reference_sweep_maxima(space, specs)
     assert sweep.label_pairs == len(specs) ** 2
@@ -596,17 +597,125 @@ def test_pair_sweep_matches_per_pair_reports(sized_space, monkeypatch, columns):
     assert sweep.max_gamma_gamma == worst_plain == 0.0
 
 
-@pytest.mark.parametrize("columns", [None, 1])
-def test_pair_sweep_catches_flipped_hopping_sign(monkeypatch, columns):
+@pytest.mark.parametrize("labels", [None, 1])
+def test_pair_sweep_catches_flipped_hopping_sign(monkeypatch, labels):
     space = build_fock([-1, 1])
-    if columns is not None:
-        monkeypatch.setattr(fock, "SWEEP_WIDTH", columns * space.dim)
     hopping_terms = fock._hopping_terms
 
     def flipped(*args):
         return [(-weight, first, second) for weight, first, second in hopping_terms(*args)]
 
     monkeypatch.setattr(fock, "_hopping_terms", flipped)
-    sweep = pair_commutator_sweep(space, label_specs(space))
+    specs = label_specs(space)[:labels]
+    specs.append(specs[0])  # a repeated label, whose entries coincide with the first's
+    sweep = pair_commutator_sweep(space, specs)
+    assert sweep.label_pairs == len(specs) ** 2
     assert sweep.max_assembly_deviation >= 1.0
     assert sweep.max_gamma_gamma == 0.0
+    # pair by pair, never summed over second labels: commutator_report sees the same flip
+    assert sweep.max_assembly_deviation == pytest.approx(reference_sweep_maxima(space, specs)[0], abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the signed-map checks against the CSR matrix route
+
+
+@pytest.mark.parametrize("table", ["_parity", "_occupied"])
+@pytest.mark.parametrize("m", sorted(CLI_MOMENTA))
+def test_verification_catches_one_corrupted_table_entry(m, table):
+    for pick in range(3):
+        space = build_fock(CLI_MOMENTA[m])  # verified intact
+        position = (0, space.mode_count - 1, space.mode_count // 2)[pick]
+        state = (0, space.dim - 1, space.dim // 3)[pick]
+        getattr(space, table)[position, state] ^= True
+        with pytest.raises(RuntimeError):
+            space.verify_anticommutators()
+
+
+def csr_commutator_diagonals(space, profiles, frame):
+    """diag [g, g2^dag] for every ordered pair of polarization gammas, as CSR products."""
+    gammas = [polarization_gamma(space, prof, frame, i) for prof in profiles for i in range(4)]
+    return [
+        [(g @ g2.conj().T - g2.conj().T @ g).diagonal() for g2 in gammas]
+        for g in gammas
+    ]
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.3, -0.5, 0.8)])
+def test_polarization_diagonals_match_csr_products(sized_space, axis):
+    from latticelight.bilinear import polarization_frame
+
+    space = sized_space
+    frame = polarization_frame(np.array(axis))
+    profiles = random_profiles(space, np.random.default_rng(16), unit=False)
+    diagonals = np.array(csr_commutator_diagonals(space, profiles, frame))
+    everything = np.arange(space.dim)
+    got = fock._polarization_diagonals(space, profiles, frame, everything)
+    assert got.shape == diagonals.shape
+    assert np.max(np.abs(got - diagonals)) <= 1e-15
+    # the report groups the same deviations by particle number
+    report = polarization_boson_check(space, profiles, frame)
+    numbers = space.particle_numbers()
+    deviation = np.abs(diagonals - np.eye(len(diagonals))[..., None]).max(axis=(0, 1))
+    assert report.cases == len(diagonals) ** 2
+    assert report.states_checked == int(np.sum(numbers <= 2))
+    assert sorted(report.deviation_by_particles) == [n for n in range(3) if np.any(numbers == n)]
+    for n, value in report.deviation_by_particles.items():
+        assert value == pytest.approx(float(np.max(deviation[numbers == n])), abs=1e-15)
+
+
+def csr_composite_deviations(space, pairs, w1, w2):
+    """max |entries| of [c1, c1^dag] - (I - Gamma_psi - Gamma_phi) and of the cross identity, with CSR."""
+    c1 = composite_boson(space, pairs, w1)
+    c1d = c1.conj().T.tocsr()
+    g_psi, g_phi = pair_number_operators(space, pairs, w1)
+    identity = sparse.identity(space.dim, dtype=complex, format="csr")
+    own = max_abs((c1 @ c1d - c1d @ c1) - (identity - g_psi - g_phi))
+    c2d = composite_boson(space, pairs, w2).conj().T.tocsr()
+    coeffs = w1 * np.conj(w2)
+    target = sum(
+        (c * (space.number_operator("psi", *pair[0]) + space.number_operator("phi", *pair[1]))
+         for pair, c in zip(pairs, coeffs)),
+        sparse.csr_matrix((space.dim, space.dim), dtype=complex),
+    )
+    cross = max_abs((c1 @ c2d - c2d @ c1) - (np.sum(coeffs) * identity - target))
+    return own, cross
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_composite_deviations_match_csr_route(sized_space, seed):
+    space = sized_space
+    pairs = default_pairs(space)
+    w1, w2 = seeded_weight_pair(len(pairs), seed)
+    report = composite_boson_suite(space, pairs, w1, len(pairs), second_weights=w2)
+    own, cross = csr_composite_deviations(space, pairs, w1, w2)
+    assert report.commutator_identity_deviation == pytest.approx(own, abs=1e-15)
+    assert report.cross_identity_deviation == pytest.approx(cross, abs=1e-15)
+    assert max(own, cross) <= 1e-14
+    # the sandwich rows come from the same (c^dag)^N |0> chain as pair_condensate
+    c1 = composite_boson(space, pairs, w1)
+    g_psi, _ = pair_number_operators(space, pairs, w1)
+    for n, expect, *_ in report.sandwich_rows:
+        state = pair_condensate(space, c1, n)
+        assert expect == pytest.approx(np.vdot(state, g_psi @ state).real, abs=1e-14)
+
+
+def test_composite_suite_catches_a_dropped_conjugate(sized_space, monkeypatch):
+    # an adjoint that keeps the weights unconjugated breaks both identities for complex weights
+    space = sized_space
+    pairs = default_pairs(space)
+    w1, w2 = seeded_weight_pair(len(pairs), 3)
+    monkeypatch.setattr(
+        fock._Operator, "dagger", lambda self: fock._Operator(self.weights, self.adjoints, self.maps)
+    )
+    report = composite_boson_suite(space, pairs, w1, 1, second_weights=w2)
+    assert report.commutator_identity_deviation >= 1e-3
+    assert report.cross_identity_deviation >= 1e-3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_profile_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        LatticeProfile(total=0, weights=((0, bad),))
+    with pytest.raises(ValueError, match="finite"):
+        LatticeProfile(total=0, weights=((-1, bad), (1, 1.0)))
