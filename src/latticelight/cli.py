@@ -43,6 +43,12 @@ EXIT_IO = 3
 
 SIGNS = {"plus": PLUS, "minus": MINUS}
 
+# Most wavevectors one batched evaluation may take: the dispersion grid
+# (points^3, or points along the diagonal) and the tilt directions.  Peak
+# traced memory is about 0.6 kB per dispersion wavevector and 0.25 kB per
+# tilt direction, so at the cap about 0.6 GB and 0.26 GB.
+MAX_WAVEVECTORS = 2**20
+
 
 class ConfigError(Exception):
     pass
@@ -122,6 +128,11 @@ def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
     points = _integer(cfg, "points")
     if points < 1 or kmax <= 0:
         raise ConfigError("dispersion needs points >= 1 and kmax > 0")
+    count = points if cfg["diagonal"] else points**3
+    if count > MAX_WAVEVECTORS:
+        raise ConfigError(
+            f"points = {points} asks for {count} wavevectors, over MAX_WAVEVECTORS = {MAX_WAVEVECTORS}"
+        )
     if cfg["diagonal"]:
         grid = np.linspace(0.0, kmax, points)[:, None] * DIAGONAL
     else:
@@ -246,7 +257,7 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
     second -= uniform * np.sum(second * np.conj(uniform))
     second /= np.linalg.norm(second)
     suite = fock.composite_boson_suite(space, pairs, uniform, n_max, second_weights=second)
-    stack = fock.pair_stack(space, pairs)  # after the suite, whose operators are freed by then
+    stack = fock.pair_stack(space, pairs)
     # random orthonormal pairs: |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2) for N = 1, 2
     sample_n = np.arange(1, min(2, n_max) + 1)
     worst_slack = math.inf
@@ -323,6 +334,8 @@ def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
     n_dirs = _integer(cfg, "directions")
     if n_dirs < 1:
         raise ConfigError("directions must be >= 1")
+    if n_dirs > MAX_WAVEVECTORS:
+        raise ConfigError(f"directions = {n_dirs} is over MAX_WAVEVECTORS = {MAX_WAVEVECTORS}")
     sign = _sign_value(cfg)
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((n_dirs, 3))

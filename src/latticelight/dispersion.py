@@ -168,11 +168,6 @@ def angular_frequency_si(omega_adim: float, units: UnitSystem = PLANCK_UNITS) ->
     return omega_adim / units.planck_time
 
 
-def angular_frequency_adim(omega_si: float, units: UnitSystem = PLANCK_UNITS) -> float:
-    """Inverse of angular_frequency_si."""
-    return omega_si * units.planck_time
-
-
 @dataclass(frozen=True)
 class FlightScenario:
     """Pulse-arrival comparison: photons of several energies over one distance."""

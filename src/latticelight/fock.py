@@ -25,6 +25,16 @@ column) entries are merged by one sort.  The
 public builders that return matrices (gamma_ab, h_operator,
 composite_boson, ...) turn the same maps into scipy CSR, and import scipy
 only when called.
+
+The composite-boson states (c^dag)^N |0>, c = sum_i f(i) b_i over disjoint
+pairs b_i = psi_i phi_i, lie in the span of the 2^P pair-occupation states
+prod_{i in S} b_i^dag |0> (the Schmidt-pair picture of Law, PRA 71, 034306
+(2005)).  Each b_i is even, so the b_i commute with each other and square to
+zero, and b_i b_i^dag = 1 on states where both of the pair's modes are empty:
+that span is invariant under every b_i and b_i^dag, its basis is orthonormal,
+and it carries no Jordan-Wigner sign.  cross_commutator_values works on that
+P-bit register (pair_stack); composite_boson_suite still checks the operator
+identities behind it, entry by entry, in the full Fock space.
 """
 
 from __future__ import annotations
@@ -606,20 +616,25 @@ def schwartz_exhaustive(space: FockSpace, profiles, slack: float = 1e-10) -> Sch
     """Check the bound on every basis state for every label combination.
 
     Basis-state expectations only see operator diagonals, so each case is a
-    vectorized comparison across all 2^M states.
+    vectorized comparison across all 2^M states.  Each Gamma diagonal is
+    built once per (profile, field, spin, branch).
     """
     profiles = list(profiles)
     worst = math.inf
     cases = 0
     for field in FIELDS:
         for branch in (+1, -1):
-            for prof_in in profiles:
-                for prof_dag in profiles:
+            gammas = {
+                (i, spin): _gamma_diagonal(space, prof, field, spin, branch)
+                for i, prof in enumerate(profiles)
+                for spin in SPINS
+            }
+            for i_in, prof_in in enumerate(profiles):
+                for i_dag, prof_dag in enumerate(profiles):
                     for spin_in in SPINS:
                         for spin_dag in SPINS:
                             terms = _hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
-                            g_in = _gamma_diagonal(space, prof_in, field, spin_in, branch)
-                            g_dag = _gamma_diagonal(space, prof_dag, field, spin_dag, branch)
+                            g_in, g_dag = gammas[i_in, spin_in], gammas[i_dag, spin_dag]
                             lhs = np.abs(_diagonal(space, terms))
                             rhs = np.sqrt(g_in * g_dag)
                             worst = min(worst, float(np.min(rhs - lhs)))
@@ -757,25 +772,55 @@ def composite_boson(space: FockSpace, pairs, weights) -> sparse.csr_matrix:
     return _quadratic(space, _composite_terms(space, pairs, weights))
 
 
+def _disjoint_positions(space: FockSpace, pairs) -> list:
+    """The (psi, phi) positions of every pair; ValueError naming a mode that two pairs share."""
+    positions = [_pair_positions(space, pair) for pair in pairs]
+    owner = {}
+    for i, pair_positions in enumerate(positions):
+        for position in pair_positions:
+            if position in owner:
+                mode = space.modes[position]
+                raise ValueError(
+                    f"pairs {owner[position]} and {i} share the mode {mode.field}({mode.spin}, {mode.momentum})"
+                )
+            owner[position] = i
+    return positions
+
+
 class PairStack(NamedTuple):
-    """The pair operators b_i = psi_i phi_i as stacked signed maps: row i holds b_i."""
+    """The pair operators b_i = psi_i phi_i as stacked signed maps on the 2^P pair register.
+
+    Register state s stands for prod_{i: bit i of s set} b_i^dag |0>; row i
+    of each map holds one pair.
+    """
 
     lowering: SignedMap  # the b_i
     raising: SignedMap  # the b_i^dag
 
 
 def pair_stack(space: FockSpace, pairs) -> PairStack:
-    """The stacked pair operators of ``pairs`` and their adjoints."""
-    positions = [_pair_positions(space, pair) for pair in pairs]
-    stack = _operator(space, [(1.0, (psi, False), (phi, False)) for psi, phi in positions])
-    return PairStack(stack.maps, stack.adjoints)
+    """The b_i and b_i^dag of P disjoint ``pairs`` over the 2^P register states.
+
+    Row s of b_i^dag reads s with bit i flipped, with sign 1 where bit i of s
+    is set and 0 elsewhere; b_i is the same with the bit test reversed.  No
+    sign enters because the b_i commute (see the module docstring).  ``space``
+    only resolves the pairs; pairs that share a mode raise ValueError.
+    """
+    count = len(_disjoint_positions(space, pairs))
+    states = np.arange(1 << count, dtype=np.int32)
+    bits = (1 << np.arange(count, dtype=np.int32))[:, None]
+    source = states ^ bits
+    occupied = (states & bits != 0).astype(np.int8)
+    return PairStack(SignedMap(source, 1 - occupied), SignedMap(source, occupied))
 
 
 def cross_commutator_values(stack: PairStack, weights, second_weights, n_max: int) -> np.ndarray:
     """|<N|[c1, c2^dag]|N>| for N = 1..n_max, with |N> the normalized (c1^dag)^N |0>.
 
-    On a state u, c u = sum_i f(i) b_i u and c^dag u = sum_i conj(f(i)) b_i^dag u
-    come from one stacked gather per side, contracted with the weights, and
+    ``stack`` comes from pair_stack, so the states are vectors over the pair
+    register, whose state 0 is the vacuum.  On a state u,
+    c u = sum_i f(i) b_i u and c^dag u = sum_i conj(f(i)) b_i^dag u come from
+    one stacked gather per side, contracted with the weights, and
     <u|[c1, c2^dag]|u> = <c1^dag u|c2^dag u> - <c2 u|c1 u>.  No operator
     product is formed.  Raises SaturationError if n_max exceeds the
     constructible N.
@@ -857,13 +902,16 @@ def composite_boson_suite(
 ) -> CompositeBosonReport:
     """Brute-force verification of the composite-boson relations.
 
-    Checks, entry by entry, [c, c^dag] = I - (Gamma_psi + Gamma_phi); for each
-    N = 1..n_max the sandwich P <= <N|Gamma_psi|N> <= N P; the exact Pauli
-    saturation order; and, given a second orthogonal weight vector, the
-    cross-commutator identity and |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2),
-    the latter from cross_commutator_values.  Raises SaturationError if n_max
-    exceeds the constructible N.
+    Checks, entry by entry in the Fock space, [c, c^dag] = I - (Gamma_psi +
+    Gamma_phi); for each N = 1..n_max the sandwich P <= <N|Gamma_psi|N> <= N P
+    on the Fock-space chain (c^dag)^N |0>; the exact Pauli saturation order;
+    and, given a second orthogonal weight vector, the cross-commutator
+    identity (in the Fock space) and |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2)
+    (on the pair register, from cross_commutator_values).  Pairs that share
+    a mode raise ValueError; SaturationError if n_max exceeds the
+    constructible N.
     """
+    stack = pair_stack(space, pairs)  # refuses pairs that share a mode before anything else is built
     weights = np.asarray(weights, dtype=complex)
     c1 = _operator(space, _composite_terms(space, pairs, weights))
     c1d = c1.dagger()
@@ -896,7 +944,7 @@ def composite_boson_suite(
     if second_weights is not None:
         w2 = np.asarray(second_weights, dtype=complex)
         p_max = max(p1, purity(w2))
-        values = cross_commutator_values(pair_stack(space, pairs), weights, w2, n_max)
+        values = cross_commutator_values(stack, weights, w2, n_max)
         for n, value in enumerate(values, start=1):
             bound = 2.0 * n * p_max
             cross_rows.append((n, float(value), bound, value <= bound + slack))

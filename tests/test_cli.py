@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import latticelight
-from latticelight.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from latticelight.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, MAX_WAVEVECTORS, main
 from latticelight.output import read_table
 
 
@@ -261,6 +261,34 @@ def test_oversized_profile_grid_is_rejected_before_allocating(tmp_path, capsys, 
     assert code == EXIT_CONFIG
     assert not out.exists()
     assert "spacing_factor" in capsys.readouterr().err
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        (["dispersion", "--points", 102], "points"),  # 102^3 is the first cube over 2^20
+        (["dispersion", "--points", 100000], "points"),
+        (["dispersion", "--diagonal", "--points", MAX_WAVEVECTORS + 1], "points"),
+        (["tilt", "--directions", MAX_WAVEVECTORS + 1], "directions"),
+        (["tilt", "--directions", 100000000000], "directions"),
+    ],
+)
+def test_oversized_wavevector_batches_are_rejected_before_allocating(tmp_path, capsys, args, key):
+    # 100000 points and 10^11 directions used to end in numpy's _ArrayMemoryError traceback
+    assert 101**3 <= MAX_WAVEVECTORS < 102**3
+    assert 100 * max(21**3, 2048) < MAX_WAVEVECTORS  # the benchmark's grid and directions
+    out = tmp_path / "o.csv"
+    tracemalloc.start()
+    try:
+        code = run([*args, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error: {key} = " in err and "MAX_WAVEVECTORS" in err
     assert peak < 1_000_000
 
 

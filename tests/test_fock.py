@@ -719,3 +719,194 @@ def test_profile_rejects_non_finite_weights(bad):
         LatticeProfile(total=0, weights=((0, bad),))
     with pytest.raises(ValueError, match="finite"):
         LatticeProfile(total=0, weights=((-1, bad), (1, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# the 2^P pair register against the Fock space
+
+
+def full_space_pair_stack(space, pairs):
+    """The pair operators as stacked signed maps over the whole Fock space: the register's reference."""
+    positions = [fock._pair_positions(space, pair) for pair in pairs]
+    stack = fock._operator(space, [(1.0, (psi, False), (phi, False)) for psi, phi in positions])
+    return fock.PairStack(stack.maps, stack.adjoints)
+
+
+def crossed_pairs(space):
+    """Disjoint pairs whose phi partner sits at another (spin, momentum), listed in reverse."""
+    psi, phi = zip(*default_pairs(space))
+    return tuple(zip(psi, phi[1:] + phi[:1]))[::-1]
+
+
+def register_embedding(space, pairs):
+    """(dim, 2^P) matrix whose column S is prod_{i in S} b_i^dag |0> in the Fock basis.
+
+    Each column is asserted to be +-1 at the Fock state whose bits are the
+    OR of the pairs' psi and phi bits, and 0 elsewhere.
+    """
+    creators = [composite_boson(space, [pair], [1.0]).conj().T.tocsr() for pair in pairs]
+    positions = [fock._pair_positions(space, pair) for pair in pairs]
+    embedding = np.zeros((space.dim, 1 << len(pairs)))
+    for s in range(1 << len(pairs)):
+        v, index = space.vacuum(), 0
+        for i, (b_dag, (psi, phi)) in enumerate(zip(creators, positions)):
+            if s >> i & 1:
+                v = b_dag @ v
+                index |= (1 << psi) | (1 << phi)
+        assert np.flatnonzero(v).tolist() == [index] and abs(v[index]) == 1.0
+        embedding[:, s] = v.real
+    return embedding
+
+
+def dense(m):
+    """The signed map as a dense matrix: row s holds sign[s] in column source[s]."""
+    out = np.zeros((len(m.source), len(m.source)))
+    out[np.arange(len(m.source)), m.source] = m.sign
+    return out
+
+
+def register_chain(stack, weights, n_max):
+    """The normalized (c^dag)^N |0>, N = 1..n_max, over the register."""
+    v = np.zeros(stack.raising.source.shape[-1], dtype=complex)
+    v[0] = 1.0
+    states = []
+    for n in range(1, n_max + 1):
+        v = fock._apply(np.conj(weights), stack.raising, v)
+        states.append(fock._unit(v, n))
+    return states
+
+
+def intertwining_error(space, pairs, stack, embedding):
+    """Largest |entry| of b E - E b_register over the b_i and the b_i^dag, E the register embedding."""
+    worst = 0.0
+    for i, pair in enumerate(pairs):
+        b = composite_boson(space, [pair], [1.0])
+        lowering, raising = (fock.SignedMap(m.source[i], m.sign[i]) for m in stack)
+        for full, register in ((b, lowering), (b.conj().T.tocsr(), raising)):
+            worst = max(worst, float(np.max(np.abs(full @ embedding - embedding @ dense(register)))))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("crossed", [False, True])
+def test_register_chain_embeds_into_the_fock_chain(sized_space, seed, crossed):
+    space = sized_space
+    pairs = crossed_pairs(space) if crossed else default_pairs(space)
+    stack = pair_stack(space, pairs)
+    assert stack.lowering.source.shape == stack.raising.source.shape == (len(pairs), 1 << len(pairs))
+    embedding = register_embedding(space, pairs)
+    assert intertwining_error(space, pairs, stack, embedding) == 0.0
+    w1, _ = seeded_weight_pair(len(pairs), seed)
+    c1 = composite_boson(space, pairs, w1)
+    for n, state in enumerate(register_chain(stack, w1, len(pairs)), start=1):
+        assert np.max(np.abs(embedding @ state - pair_condensate(space, c1, n))) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("crossed", [False, True])
+def test_register_cross_values_match_the_full_space_stack(sized_space, seed, crossed):
+    space = sized_space
+    pairs = crossed_pairs(space) if crossed else default_pairs(space)
+    w1, w2 = seeded_weight_pair(len(pairs), seed)
+    got = cross_commutator_values(pair_stack(space, pairs), w1, w2, len(pairs))
+    want = cross_commutator_values(full_space_pair_stack(space, pairs), w1, w2, len(pairs))
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def parity_below(size, count):
+    """(-1)^(set bits of s below bit i) for every pair i and register state s: a Jordan-Wigner sign."""
+    states = np.arange(size)
+    below = [[bin(s & ((1 << i) - 1)).count("1") for s in states] for i in range(count)]
+    return (1 - 2 * (np.array(below) % 2)).astype(np.int8)
+
+
+def test_a_mutated_register_is_caught(sized_space):
+    space = sized_space
+    pairs = default_pairs(space)
+    stack = pair_stack(space, pairs)
+    (lower_source, lower_sign), (raise_source, raise_sign) = stack
+    w1, w2 = seeded_weight_pair(len(pairs), 3)
+    want = cross_commutator_values(full_space_pair_stack(space, pairs), w1, w2, 1)
+    ones = np.ones_like(raise_sign)
+    signs = parity_below(raise_sign.shape[1], len(pairs))
+    mutants = {
+        "ignores occupancy": fock.PairStack(
+            fock.SignedMap(lower_source, ones), fock.SignedMap(raise_source, ones)
+        ),
+        "adds a sign": fock.PairStack(
+            fock.SignedMap(lower_source, lower_sign * signs), fock.SignedMap(raise_source, raise_sign * signs)
+        ),
+    }
+    embedding = register_embedding(space, pairs)
+    for name, mutant in mutants.items():
+        assert intertwining_error(space, pairs, mutant, embedding) >= 1.0, name
+        got = cross_commutator_values(mutant, w1, w2, 1)
+        assert np.max(np.abs(got - want)) >= 1e-6, name
+
+
+@pytest.mark.parametrize(
+    "pairs,mode",
+    [
+        (((("R", 0), ("R", 0)), (("R", 0), ("L", 0))), r"psi\(R, 0\)"),
+        (((("R", 0), ("R", 0)), (("L", 0), ("R", 0))), r"phi\(R, 0\)"),
+        (((("R", 0), ("R", 0)), (("L", 0), ("L", 0)), (("R", 0), ("R", 0))), r"psi\(R, 0\)"),
+    ],
+)
+def test_pairs_sharing_a_mode_are_refused_before_anything_is_built(monkeypatch, pairs, mode):
+    # on shared modes the suite used to report saturation order 3 where the truth is 2, as a physics failure
+    space = build_fock([0])
+    first, second = (0, 2) if len(pairs) == 3 else (0, 1)
+    message = rf"pairs {first} and {second} share the mode {mode}"
+    with pytest.raises(ValueError, match=message):
+        pair_stack(space, pairs)
+
+    def unbuilt(*args):
+        raise AssertionError("an operator was built before the pairs were checked")
+
+    monkeypatch.setattr(fock, "_operator", unbuilt)
+    monkeypatch.setattr(fock, "_pair_number_diagonals", unbuilt)
+    weights = np.full(len(pairs), 1.0 / math.sqrt(len(pairs)))
+    with pytest.raises(ValueError, match=message):
+        composite_boson_suite(space, pairs, weights, 2, second_weights=np.roll(weights, 1))
+
+
+def csr_schwartz_margin(space, profiles):
+    """min over cases and basis states of rhs - lhs, from CSR h_operator and gamma_weighted_number diagonals."""
+    worst = math.inf
+    for field in ("psi", "phi"):
+        for branch in (+1, -1):
+            for prof_in in profiles:
+                for prof_dag in profiles:
+                    for spin_in in SPINS:
+                        for spin_dag in SPINS:
+                            h = h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
+                            g_in = gamma_weighted_number(space, prof_in, field, spin_in, branch).diagonal()
+                            g_dag = gamma_weighted_number(space, prof_dag, field, spin_dag, branch).diagonal()
+                            worst = min(worst, float(np.min(np.sqrt(g_in * g_dag) - np.abs(h.diagonal()))))
+    return worst
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_schwartz_margin_matches_csr_diagonals(sized_space, monkeypatch, uniform, scale):
+    # the true margin is 0 (the vacuum); hopping weights scaled by 2 break the
+    # bound, and the negative margin then depends on which Gamma pairs with which case
+    space = sized_space
+    if uniform:
+        profiles = list(available_profiles(space.momenta).values())
+    else:
+        profiles = random_profiles(space, np.random.default_rng(23), unit=False)
+    hopping_terms, gamma_diagonal = fock._hopping_terms, fock._gamma_diagonal
+    builds = []
+    monkeypatch.setattr(
+        fock, "_hopping_terms", lambda *args: [(scale * w, a, b) for w, a, b in hopping_terms(*args)]
+    )
+    monkeypatch.setattr(fock, "_gamma_diagonal", lambda *args: builds.append(args) or gamma_diagonal(*args))
+    sweep = schwartz_exhaustive(space, profiles)
+    # one Gamma diagonal per (profile, field, spin, branch): 24 at m=3, against 288 built per case
+    assert len(builds) == len(profiles) * 2 * 2 * 2
+    want = csr_schwartz_margin(space, profiles)
+    assert sweep.cases == 2 * 2 * len(profiles) ** 2 * 4
+    assert sweep.worst_margin == pytest.approx(want, abs=1e-15)
+    assert sweep.holds == (scale == 1.0)
+    assert (want == 0.0) == (scale == 1.0)
