@@ -17,8 +17,6 @@ from .walk import (
     bloch_data,
     canonical_wavevector,
     interp_unitary,
-    rotation_vector,
-    rotation_vector_jacobian,
     step_power,
     weyl_step,
 )
@@ -35,8 +33,6 @@ __all__ = [
     "bloch_data",
     "canonical_wavevector",
     "interp_unitary",
-    "rotation_vector",
-    "rotation_vector_jacobian",
     "step_power",
     "weyl_step",
     "__version__",

@@ -212,18 +212,6 @@ def polarization_frame(n) -> PolarizationFrame:
     return PolarizationFrame(e=e, u1=u1, u2=u2)
 
 
-def transverse_project(vectors, frame: PolarizationFrame):
-    """Split complex 3-vectors into (u1, u2) components and the e component.
-
-    ``vectors`` is any array with the 3-vector on its last axis; returns
-    (transverse, longitudinal) with shapes (..., 2) and (...,).
-    """
-    vectors = np.asarray(vectors)
-    trans = np.stack([vectors @ frame.u1, vectors @ frame.u2], axis=-1)
-    longitudinal = vectors @ frame.e
-    return trans, longitudinal
-
-
 def transverse_tables(tables: np.ndarray, frame: PolarizationFrame):
     """Project the channel axis of (N, 3, 4) kernel tables onto the frame.
 

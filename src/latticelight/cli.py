@@ -54,64 +54,116 @@ class ConfigError(Exception):
     pass
 
 
-DEFAULTS = {
-    "dispersion": {"kmax": 1.0, "points": 5, "diagonal": False, "sign": "minus"},
-    "maxwell-convergence": {
-        "k": [0.4, 0.3, 0.2],
-        "t": 100,
-        "base_radius": 4e-4,
-        "levels": 5,
-        "spacing_factor": 0.5,
-        "sign": "minus",
-    },
-    "fock-suite": {"momenta": 2, "n_max": 3, "conjecture_samples": 50, "sign": "minus"},
-    "flight": {
-        "distance_m": 3.0857e25,
-        "energies": [["GeV", 1e9], ["MeV", 1e6]],
-        "sign": "minus",
-    },
-    "tilt": {"k_values": [0.05, 0.1], "directions": 128, "sign": "minus"},
-}
-
-OUT_DEFAULTS = {
-    "dispersion": "dispersion.csv",
-    "maxwell-convergence": "maxwell_convergence.csv",
-    "fock-suite": "fock_suite.json",
-    "flight": "flight.csv",
-    "tilt": "tilt.csv",
-}
-
-
-def _sign_value(cfg) -> int:
-    name = cfg["sign"]
-    if name not in SIGNS:
-        raise ConfigError(f"sign must be 'plus' or 'minus', got {name!r}")
-    return SIGNS[name]
-
-
-def _finite(key: str, value, ndim: int = 0) -> np.ndarray:
-    """The config value as a float array of ``ndim`` dimensions (0: one number, 1: a list).
-
-    Non-numbers, the wrong nesting, NaN and infinity are rejected by key.
-    """
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be numeric, got {value!r}") from exc
-    if array.ndim != ndim:
-        raise ConfigError(f"{key} must be {('a number', 'a list of numbers')[ndim]}, got {value!r}")
-    if not np.all(np.isfinite(array)):
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be numeric, got {value!r}")
+    if not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value!r}")
-    return array
+    return float(value)
 
 
-def _integer(cfg: dict, key: str) -> int:
-    """cfg[key] as an int: bools, non-integral numbers and non-numbers are rejected by key."""
-    value = cfg[key]
+def _integer(key: str, value) -> int:
+    """Bools, non-integral numbers and non-numbers are rejected; an integral float such as 2.0 reads as 2."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _vector(key: str, value) -> list:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{key} must be a 3-vector, got {value!r}")
+    return [_number(key, v) for v in value]
+
+
+def _numbers(key: str, value) -> list:
+    """A non-empty list of finite numbers; the flag's form is comma-separated text."""
+    if isinstance(value, str):
+        try:
+            value = [float(part) for part in value.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse --{key.replace('_', '-')}: {exc}") from exc
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a non-empty list of numbers, got {value!r}")
+    return [_number(key, v) for v in value]
+
+
+def _bool(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _sign(key: str, value) -> str:
+    if not isinstance(value, str) or value not in SIGNS:
+        raise ConfigError(f"{key} must be 'plus' or 'minus', got {value!r}")
+    return value
+
+
+def _energies(key: str, value) -> list:
+    """At least two [label, eV] pairs; the flag's form is label=eV,label=eV."""
+    if isinstance(value, str):
+        try:
+            value = [[label, float(ev)] for label, ev in (part.split("=") for part in value.split(","))]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse --{key}: {exc}") from exc
+    if not isinstance(value, list) or len(value) < 2 or not all(
+        isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) for pair in value
+    ):
+        raise ConfigError(f"{key} must be at least two (label, eV) pairs, got {value!r}")
+    return [[label, _number(key, ev)] for label, ev in value]
+
+
+# A reader is (check, flag): check(key, value) returns the checked value or
+# raises ConfigError naming the key; flag holds the argparse keywords of --key.
+NUMBER = (_number, {"type": float})
+INTEGER = (_integer, {"type": int})
+VECTOR = (_vector, {"type": float, "nargs": 3})
+NUMBERS = (_numbers, {"help": "comma-separated numbers"})
+BOOL = (_bool, {"action": "store_true", "default": None})
+SIGN = (_sign, {"choices": tuple(SIGNS), "help": "walk chirality branch"})
+ENERGIES = (_energies, {"help": "comma-separated label=eV pairs, e.g. GeV=1e9,MeV=1e6"})
+
+# command -> (default output path, {key: (default, reader)}).  Ranges and
+# checks that span keys stay in the handlers.
+SCHEMA = {
+    "dispersion": (
+        "dispersion.csv",
+        {"sign": ("minus", SIGN), "kmax": (1.0, NUMBER), "points": (5, INTEGER), "diagonal": (False, BOOL)},
+    ),
+    "maxwell-convergence": (
+        "maxwell_convergence.csv",
+        {
+            "sign": ("minus", SIGN),
+            "k": ([0.4, 0.3, 0.2], VECTOR),
+            "t": (100, INTEGER),
+            "base_radius": (4e-4, NUMBER),
+            "levels": (5, INTEGER),
+            "spacing_factor": (0.5, NUMBER),
+        },
+    ),
+    "fock-suite": (
+        "fock_suite.json",
+        {
+            "sign": ("minus", SIGN),
+            "momenta": (2, INTEGER),
+            "n_max": (3, INTEGER),
+            "conjecture_samples": (50, INTEGER),
+        },
+    ),
+    "flight": (
+        "flight.csv",
+        {
+            "sign": ("minus", SIGN),
+            "distance_m": (3.0857e25, NUMBER),
+            "energies": ([["GeV", 1e9], ["MeV", 1e6]], ENERGIES),
+        },
+    ),
+    "tilt": (
+        "tilt.csv",
+        {"sign": ("minus", SIGN), "k_values": ([0.05, 0.1], NUMBERS), "directions": (128, INTEGER)},
+    ),
+}
 
 
 def _base_header(command: str, cfg: dict, seed: int) -> dict:
@@ -124,8 +176,7 @@ def _base_header(command: str, cfg: dict, seed: int) -> dict:
 
 
 def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
-    kmax = float(_finite("kmax", cfg["kmax"]))
-    points = _integer(cfg, "points")
+    kmax, points = cfg["kmax"], cfg["points"]
     if points < 1 or kmax <= 0:
         raise ConfigError("dispersion needs points >= 1 and kmax > 0")
     count = points if cfg["diagonal"] else points**3
@@ -152,22 +203,16 @@ def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
-    k = _finite("k", cfg["k"], ndim=1)
-    if k.shape != (3,):
-        raise ConfigError("k must be a 3-vector")
-    t = _integer(cfg, "t")
-    levels = _integer(cfg, "levels")
-    base = float(_finite("base_radius", cfg["base_radius"]))
-    factor = float(_finite("spacing_factor", cfg["spacing_factor"]))
+    t, levels, base, factor = cfg["t"], cfg["levels"], cfg["base_radius"], cfg["spacing_factor"]
     if levels < 2 or base <= 0 or not 0 < factor <= 1:
         raise ConfigError("need levels >= 2, base_radius > 0, 0 < spacing_factor <= 1")
-    sign = _sign_value(cfg)
+    sign = SIGNS[cfg["sign"]]
     radii = [base * 0.5**i for i in range(levels)]
     try:
         profiles = [single_point_profile()] + [make_uniform_profile(r, r * factor) for r in radii]
     except ValueError as exc:
         raise ConfigError(f"spacing_factor {factor!r} is too small: {exc}") from exc
-    reports = [maxwell_emergence_report(profile, k, sign, t) for profile in profiles]
+    reports = [maxwell_emergence_report(profile, cfg["k"], sign, t) for profile in profiles]
     slope = float(
         np.polyfit(
             np.log([r.qbar for r in reports[1:]]),
@@ -192,11 +237,9 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
 def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
     from . import fock  # here, so that the other subcommands never load the Fock oracle
 
-    n = _integer(cfg, "momenta")
+    n, n_max, samples = cfg["momenta"], cfg["n_max"], cfg["conjecture_samples"]
     if not 1 <= n <= 3:
         raise ConfigError("fock-suite supports 1..3 momenta (exhaustive checks)")
-    n_max = _integer(cfg, "n_max")
-    samples = _integer(cfg, "conjecture_samples")
     for key, value in (("n_max", n_max), ("conjecture_samples", samples)):
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
@@ -304,17 +347,8 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_flight(cfg: dict, out: str, seed: int) -> int:
-    energies = cfg["energies"]
-    try:
-        pairs = tuple((str(label), float(ev)) for label, ev in energies)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"energies must be (label, eV) pairs: {exc}") from exc
-    _finite("energies", [ev for _, ev in pairs], ndim=1)
-    scenario = FlightScenario(
-        distance_m=float(_finite("distance_m", cfg["distance_m"])),
-        photon_energies=pairs,
-        sign=_sign_value(cfg),
-    )
+    pairs = tuple(map(tuple, cfg["energies"]))
+    scenario = FlightScenario(distance_m=cfg["distance_m"], photon_energies=pairs, sign=SIGNS[cfg["sign"]])
     energy_by_label = dict(pairs)
     rows = [
         [l1, l2, energy_by_label[l1], energy_by_label[l2], k1, k2, delta]
@@ -330,18 +364,17 @@ def cmd_flight(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
-    k_values = _finite("k_values", cfg["k_values"], ndim=1)
-    n_dirs = _integer(cfg, "directions")
+    n_dirs = cfg["directions"]
     if n_dirs < 1:
         raise ConfigError("directions must be >= 1")
     if n_dirs > MAX_WAVEVECTORS:
         raise ConfigError(f"directions = {n_dirs} is over MAX_WAVEVECTORS = {MAX_WAVEVECTORS}")
-    sign = _sign_value(cfg)
+    sign = SIGNS[cfg["sign"]]
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((n_dirs, 3))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     rows = []
-    for kmag in k_values:
+    for kmag in cfg["k_values"]:
         tilts = tilt_angle(kmag * directions, sign)
         rows.append([kmag, tilts.max(), float(np.mean(tilts)), tilt_angle_estimate(kmag)])
     write_table(
@@ -368,35 +401,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sweeps and oracle suites for the BCC Weyl-walk theory of light",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (out, keys) in SCHEMA.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help=f"output path (default {OUT_DEFAULTS[name]})")
+        p.add_argument("--out", help=f"output path (default {out})")
         p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--sign", choices=("plus", "minus"), help="walk chirality branch")
-        if name == "dispersion":
-            p.add_argument("--kmax", type=float)
-            p.add_argument("--points", type=int)
-            p.add_argument("--diagonal", action="store_true", default=None)
-        elif name == "maxwell-convergence":
-            p.add_argument("--k", type=float, nargs=3)
-            p.add_argument("--t", type=int)
-            p.add_argument("--base-radius", dest="base_radius", type=float)
-            p.add_argument("--levels", type=int)
-            p.add_argument("--spacing-factor", dest="spacing_factor", type=float)
-        elif name == "fock-suite":
-            p.add_argument("--momenta", type=int)
-            p.add_argument("--n-max", dest="n_max", type=int)
-            p.add_argument("--conjecture-samples", dest="conjecture_samples", type=int)
-        elif name == "flight":
-            p.add_argument("--distance-m", dest="distance_m", type=float)
-            p.add_argument(
-                "--energies",
-                help="comma-separated label=eV pairs, e.g. GeV=1e9,MeV=1e6",
-            )
-        elif name == "tilt":
-            p.add_argument("--k-values", dest="k_values", help="comma-separated magnitudes")
-            p.add_argument("--directions", type=int)
+        for key, (_, (_, flag)) in keys.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
     return parser
 
 
@@ -416,29 +427,16 @@ def _load_config(path) -> dict:
 
 
 def _effective_config(command: str, args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS[command])
+    """Each key's flag, else its config-file value, else its default, through the key's reader."""
+    keys = SCHEMA[command][1]
     from_file = _load_config(args.config)
-    unknown = set(from_file) - set(cfg)
+    unknown = set(from_file) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    cfg.update(from_file)
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    if command == "flight" and isinstance(cfg["energies"], str):
-        try:
-            cfg["energies"] = [
-                [part.split("=")[0], float(part.split("=")[1])]
-                for part in cfg["energies"].split(",")
-            ]
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"cannot parse --energies: {exc}") from exc
-    if command == "tilt" and isinstance(cfg["k_values"], str):
-        try:
-            cfg["k_values"] = [float(v) for v in cfg["k_values"].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse --k-values: {exc}") from exc
+    cfg = {}
+    for key, (default, (check, _)) in keys.items():
+        flag = getattr(args, key)
+        cfg[key] = check(key, flag if flag is not None else from_file.get(key, default))
     return cfg
 
 
@@ -447,7 +445,7 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args.command, args)
         seed = args.seed if args.seed is not None else 0
-        out = args.out if args.out is not None else OUT_DEFAULTS[args.command]
+        out = args.out if args.out is not None else SCHEMA[args.command][0]
         return COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,13 +92,12 @@ class SignedMap(NamedTuple):
 class FockSpace:
     """Fock space with Jordan-Wigner ladder operators for every mode.
 
-    All anticommutation relations are verified exactly at build time
-    (disable with verify=False for large spaces you have verified before).
+    All anticommutation relations are verified exactly at build time.
     Signed maps of ladder products are built once, on first use; the CSR
     matrices ``lowering`` and ``raising`` are built when first read.
     """
 
-    def __init__(self, momenta, verify: bool = True):
+    def __init__(self, momenta):
         momenta = tuple(momenta)
         if not 1 <= len(momenta) <= MAX_MOMENTA:
             raise FockSizeError(f"need 1..{MAX_MOMENTA} momenta, got {len(momenta)}")
@@ -117,8 +116,7 @@ class FockSpace:
         self._parity = np.zeros_like(self._occupied)
         np.logical_xor.accumulate(self._occupied[:-1], axis=0, out=self._parity[1:])
         self._terms = {}  # (first, second) ladders -> signed map of their product
-        if verify:
-            self.verify_anticommutators()
+        self.verify_anticommutators()
 
     def _ladder(self, position: int, raising: bool) -> SignedMap:
         """a_p (a_p^dag if raising): row s reads s with bit p flipped, signed by the parity below p."""
@@ -196,9 +194,9 @@ class FockSpace:
         return self._occupied.sum(axis=0)
 
 
-def build_fock(momenta, verify: bool = True) -> FockSpace:
+def build_fock(momenta) -> FockSpace:
     """Fock space over 4 * len(momenta) modes with build-time verification."""
-    return FockSpace(momenta, verify=verify)
+    return FockSpace(momenta)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +610,7 @@ class SchwartzSweep:
     holds: bool
 
 
-def schwartz_exhaustive(space: FockSpace, profiles, slack: float = 1e-10) -> SchwartzSweep:
+def schwartz_exhaustive(space: FockSpace, profiles) -> SchwartzSweep:
     """Check the bound on every basis state for every label combination.
 
     Basis-state expectations only see operator diagonals, so each case is a
@@ -639,7 +637,7 @@ def schwartz_exhaustive(space: FockSpace, profiles, slack: float = 1e-10) -> Sch
                             rhs = np.sqrt(g_in * g_dag)
                             worst = min(worst, float(np.min(rhs - lhs)))
                             cases += 1
-    return SchwartzSweep(cases=cases, states=space.dim, worst_margin=worst, holds=worst >= -slack)
+    return SchwartzSweep(cases=cases, states=space.dim, worst_margin=worst, holds=worst >= -1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -720,16 +718,16 @@ def _polarization_diagonals(space: FockSpace, profiles, frame: PolarizationFrame
 
 
 def polarization_boson_check(
-    space: FockSpace, profiles, frame: PolarizationFrame = _DEFAULT_FRAME, max_particles: int = 2
+    space: FockSpace, profiles, frame: PolarizationFrame = _DEFAULT_FRAME
 ) -> PolarizationReport:
     """Evaluate the four-mode Bose commutators on all low-occupancy basis states.
 
     Expectations are taken on the vacuum and on every basis state with total
-    particle number <= max_particles; deviations are grouped by particle
+    particle number <= 2; deviations are grouped by particle
     number (they grow with occupancy, vanishing exactly on the vacuum).
     """
     numbers = space.particle_numbers()
-    kept = np.flatnonzero(numbers <= max_particles)
+    kept = np.flatnonzero(numbers <= 2)
     kept_numbers = numbers[kept]
     values = _polarization_diagonals(space, list(profiles), frame, kept)
     deviation = np.abs(values - np.eye(len(values))[..., None]).max(axis=(0, 1), initial=0.0)
@@ -897,9 +895,7 @@ class CompositeBosonReport:
     cross_identity_deviation: float
 
 
-def composite_boson_suite(
-    space: FockSpace, pairs, weights, n_max: int, second_weights=None, slack: float = 1e-12
-) -> CompositeBosonReport:
+def composite_boson_suite(space: FockSpace, pairs, weights, n_max: int, second_weights=None) -> CompositeBosonReport:
     """Brute-force verification of the composite-boson relations.
 
     Checks, entry by entry in the Fock space, [c, c^dag] = I - (Gamma_psi +
@@ -936,7 +932,7 @@ def composite_boson_suite(
     rows = []
     for n, state in enumerate(states, start=1):
         expect = float(np.vdot(state, g_psi * state).real)
-        holds = (p1 - slack) <= expect <= (n * p1 + slack)
+        holds = (p1 - 1e-12) <= expect <= (n * p1 + 1e-12)
         rows.append((n, expect, p1, n * p1, holds))
 
     cross_rows = []
@@ -947,7 +943,7 @@ def composite_boson_suite(
         values = cross_commutator_values(stack, weights, w2, n_max)
         for n, value in enumerate(values, start=1):
             bound = 2.0 * n * p_max
-            cross_rows.append((n, float(value), bound, value <= bound + slack))
+            cross_rows.append((n, float(value), bound, value <= bound + 1e-12))
         c2 = _operator(space, _composite_terms(space, pairs, w2))
         # [c1, c2^dag] = overlap*I - sum_i f1(i) conj(f2(i)) (n_psi_i + n_phi_i)
         coeffs = weights * np.conj(w2)

@@ -197,30 +197,15 @@ def interp_unitary(k, q, sign, t: int) -> np.ndarray:
     return step_power(k_half, sign, -t) @ step_power(q, sign, t)
 
 
-def rotation_vector(k, sign) -> np.ndarray:
-    """The rotation vector n(k) with |n| = lam (convenience accessor)."""
-    return bloch_data(k, sign).n
-
-
-def rotation_vector_jacobian(k, sign, step: float = 1e-5) -> np.ndarray:
-    """Jacobian matrix of n(.) at ``k`` by central finite differences.
-
-    Column j holds dn/dk_j.  The default step gives ~1e-8 accuracy away from
-    degenerate points; tests cross-check against Richardson extrapolation.
-    """
-    k = np.asarray(k, dtype=float)
-    shifts = step * np.eye(3)  # row j: the step along k_j
-    return ((rotation_vector(k + shifts, sign) - rotation_vector(k - shifts, sign)) / (2.0 * step)).T
-
-
-def approx_interp_unitary(k, q_offset, sign, t: int, step: float = 1e-5) -> np.ndarray:
+def approx_interp_unitary(k, q_offset, sign, t: int) -> np.ndarray:
     """First-order surrogate for U(k, t; k/2 + q_offset).
 
-    Returns exp(-i c t e.sigma) with e = n(k/2)/|n(k/2)| and
-    c = e . J_n(k/2) q_offset, where J_n is the Jacobian of the rotation
-    vector (central differences with the given step).  Because c is linear
-    in the offset, the k/2 - q branch is obtained by negating ``q_offset``:
-    the two branches carry opposite rotation senses about the common axis.
+    Returns exp(-i c t e.sigma) with e = n(k/2)/|n(k/2)| and c = e . J_n(k/2)
+    q_offset, where J_n is the Jacobian of the rotation vector.  Since
+    |n| = lam, e . J_n is exactly grad lam = -grad d / sin(lam), so c comes
+    from the closed forms.  Because c is linear in the offset, the k/2 - q
+    branch is obtained by negating ``q_offset``: the two branches carry
+    opposite rotation senses about the common axis.
 
     Valid for offsets small against |n(k/2)|; that is the caller's
     responsibility and not checked.  Raises DegeneratePointError when
@@ -231,8 +216,7 @@ def approx_interp_unitary(k, q_offset, sign, t: int, step: float = 1e-5) -> np.n
     if b.lam < 1e-12:
         raise DegeneratePointError(f"|n(k/2)| = {b.lam:.3e} too small at k={np.asarray(k)}")
     e = b.n / b.lam
-    jac = rotation_vector_jacobian(k_half, sign, step=step)
-    c = float(e @ (jac @ np.asarray(q_offset, dtype=float)))
+    c = -float(b.grad_d @ np.asarray(q_offset, dtype=float)) / math.sin(b.lam)
     return _su2(math.cos(c * t), math.sin(c * t) * e)
 
 

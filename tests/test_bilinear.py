@@ -19,7 +19,7 @@ from latticelight.bilinear import (
     rotation_generator,
     single_point_profile,
     transverse_kernel,
-    transverse_project,
+    transverse_tables,
     vector_tables,
 )
 from latticelight.walk import (
@@ -165,18 +165,19 @@ def test_frame_orthonormal_right_handed():
         polarization_frame(np.zeros(3))
 
 
-def test_transverse_project_cases():
+def test_transverse_tables_cases():
+    # channel columns of one table: e, u1 and a random complex vector
     f = polarization_frame(np.array([0.2, -0.5, 1.0]))
-    trans, longitudinal = transverse_project(f.e, f)
-    assert np.max(np.abs(trans)) <= 1e-14
-    assert longitudinal == pytest.approx(1.0)
-    trans, longitudinal = transverse_project(f.u1, f)
-    assert np.allclose(trans, [1.0, 0.0], atol=1e-14)
-    assert abs(longitudinal) <= 1e-14
     rng = np.random.default_rng(23)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    trans, longitudinal = transverse_project(v, f)
-    assert np.sum(np.abs(trans) ** 2) + abs(longitudinal) ** 2 == pytest.approx(
+    tables = np.stack([f.e, f.u1, v, np.zeros(3)], axis=-1)[None]
+    trans, longitudinal = transverse_tables(tables, f)
+    assert trans.shape == (1, 2, 4) and longitudinal.shape == (1, 4)
+    assert np.max(np.abs(trans[0, :, 0])) <= 1e-14
+    assert longitudinal[0, 0] == pytest.approx(1.0)
+    assert np.allclose(trans[0, :, 1], [1.0, 0.0], atol=1e-14)
+    assert abs(longitudinal[0, 1]) <= 1e-14
+    assert np.sum(np.abs(trans[0, :, 2]) ** 2) + abs(longitudinal[0, 2]) ** 2 == pytest.approx(
         np.sum(np.abs(v) ** 2), rel=1e-12
     )
 

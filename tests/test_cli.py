@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import latticelight
-from latticelight.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, MAX_WAVEVECTORS, main
+from latticelight.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, MAX_WAVEVECTORS, SCHEMA, main
 from latticelight.output import read_table
 
 
@@ -352,3 +353,75 @@ def test_integral_float_counts_keep_running(tmp_path):
     assert report["space"]["dimension"] == 16
     assert report["checks"][-1]["conjecture_samples"] == 3.0
     assert len(report["checks"][-1]["sandwich"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,config,flags,key",
+    [
+        ("dispersion", {"diagonal": "false", "points": 3}, [], "diagonal"),
+        ("dispersion", {"diagonal": 1}, [], "diagonal"),
+        ("dispersion", {"diagonal": None}, [], "diagonal"),
+        ("dispersion", {"sign": "sideways"}, [], "sign"),
+        ("fock-suite", {"sign": 7}, [], "sign"),
+        ("tilt", {"sign": ["minus"]}, [], "sign"),
+        ("flight", None, ["--energies", "GeV=1e9=junk,MeV=1e6"], "energies"),
+        ("flight", {"energies": []}, [], "energies"),
+        ("flight", {"energies": [["GeV", 1e9]]}, [], "energies"),
+        ("flight", None, ["--energies", "GeV=1e9"], "energies"),
+        ("tilt", {"k_values": []}, [], "k_values"),
+    ],
+)
+def test_schema_rejects_values_that_used_to_run(tmp_path, capsys, command, config, flags, key):
+    # each of these used to exit 0 (or, for a list as sign, end in a TypeError
+    # traceback): a string or null taken as a bool, an unchecked sign, a
+    # dropped "=junk", or a table with no rows
+    args = [command, *flags, "--out", tmp_path / "out"]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args += ["--config", tmp_path / "config.json"]
+    assert run(args) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+DEFAULT_CONFIGS = {
+    "dispersion": {"kmax": 1.0, "points": 5, "diagonal": False, "sign": "minus"},
+    "maxwell-convergence": {
+        "k": [0.4, 0.3, 0.2],
+        "t": 100,
+        "base_radius": 4e-4,
+        "levels": 5,
+        "spacing_factor": 0.5,
+        "sign": "minus",
+    },
+    "fock-suite": {"momenta": 2, "n_max": 3, "conjecture_samples": 50, "sign": "minus"},
+    "flight": {"distance_m": 3.0857e25, "energies": [["GeV", 1e9], ["MeV", 1e6]], "sign": "minus"},
+    "tilt": {"k_values": [0.05, 0.1], "directions": 128, "sign": "minus"},
+}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        *DEFAULT_CONFIGS.items(),
+        # the header echoes checked values: 5.0 reads as the integer 5, 1 as the float 1.0
+        ("dispersion", {"kmax": 1, "points": 5.0}),
+    ],
+)
+def test_config_file_of_defaults_matches_a_flagless_run(tmp_path, command, config):
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run([command, "--seed", 3, "--out", tmp_path / "flagless"]) == EXIT_OK
+    assert run([command, "--seed", 3, "--config", tmp_path / "config.json", "--out", tmp_path / "file"]) == EXIT_OK
+    assert (tmp_path / "file").read_bytes() == (tmp_path / "flagless").read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_CONFIGS))
+def test_help_lists_exactly_the_schema_keys(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--help"])
+    assert exit_info.value.code == EXIT_OK
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    keys = {"--" + key.replace("_", "-") for key in DEFAULT_CONFIGS[command]}
+    assert set(SCHEMA[command][1]) == set(DEFAULT_CONFIGS[command])
+    assert flags == keys | {"--help", "--config", "--out", "--seed"}

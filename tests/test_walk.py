@@ -17,8 +17,6 @@ from latticelight.walk import (
     bloch_data,
     canonical_wavevector,
     interp_unitary,
-    rotation_vector,
-    rotation_vector_jacobian,
     step_power,
     weyl_step,
 )
@@ -220,17 +218,21 @@ def test_interp_unitary_against_repeated_multiplication():
         assert np.linalg.norm(u - direct, 2) <= 1e-10
 
 
-def test_jacobian_richardson_cross_check():
+def test_surrogate_rate_matches_lam_differences():
+    # c = e . J_n(k/2) q is the rate of |n| = lam along q: the surrogate at t = 1
+    # must be exp(-i c e.sigma) with c from central differences of lam
     rng = np.random.default_rng(12)
-    for _ in range(10):
-        k = rng.uniform(-1.5, 1.5, 3)
-        if bloch_data(k, MINUS).lam < 0.05:
-            continue
-        coarse = rotation_vector_jacobian(k, MINUS, step=1e-4)
-        fine = rotation_vector_jacobian(k, MINUS, step=5e-5)
-        richardson = (4.0 * fine - coarse) / 3.0
-        default = rotation_vector_jacobian(k, MINUS)
-        assert np.max(np.abs(default - richardson)) <= 1e-8
+    step = 1e-5
+    for sign in (PLUS, MINUS):
+        for _ in range(10):
+            k = rng.uniform(-1.5, 1.5, 3)
+            q = rng.standard_normal(3)
+            b = bloch_data(k / 2.0, sign)
+            if b.lam < 0.05:
+                continue
+            c = (bloch_data(k / 2.0 + step * q, sign).lam - bloch_data(k / 2.0 - step * q, sign).lam) / (2.0 * step)
+            expected = math.cos(c) * np.eye(2) - 1j * math.sin(c) * pauli_dot(b.n / b.lam)
+            assert np.max(np.abs(approx_interp_unitary(k, q, sign, 1) - expected)) <= 1e-8
 
 
 def test_approx_interp_unitary_trivial_cases():
@@ -290,4 +292,4 @@ def test_sign_validation():
     with pytest.raises(ValueError):
         bloch_data(np.zeros(3), 0)
     with pytest.raises(ValueError):
-        rotation_vector(np.zeros(3), "plus")
+        bloch_data(np.zeros(3), "plus")
