@@ -93,59 +93,24 @@ def make_uniform_profile(radius: float, grid_spacing: float) -> SmearingProfile:
     return SmearingProfile(offsets, weights)
 
 
-@dataclass(frozen=True)
-class BilinearKernel:
-    """Coefficient table of one evolved sigma^mu kernel over a profile grid.
-
-    ``table[iq]`` holds the four (I, sigma_x, sigma_y, sigma_z) coefficients
-    of M_mu(q, t), smearing weight included.
-    """
-
-    k: np.ndarray
-    t: int
-    mu: int
-    table: np.ndarray
-
-
 def pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
     """Expand 2x2 matrices ``[..., 2, 2]`` in the sigma^mu basis: c_mu = tr(sigma_mu M) / 2."""
     return np.einsum("mij,...ji->...m", PAULI, matrix) / 2.0
 
 
-def _kernel_tables(profile: SmearingProfile, k, sign, t: int, mus) -> np.ndarray:
-    """Sigma-basis coefficients of (A(k/2-q)^t)^dag sigma^mu (A(k/2+q)^t) f(q).
+def vector_tables(profile: SmearingProfile, k, sign, t: int) -> np.ndarray:
+    """Evolved tables of all three vector channels, shape (N, 3, 4).
 
-    Shape (N, len(mus), 4): grid point, inserted channel mu, coefficient
-    c_nu = tr(sigma_nu M) / 2.  Both step powers are evaluated over the whole
-    grid at once.
+    Entry [q, a, nu] is the sigma-basis coefficient c_nu = tr(sigma_nu M) / 2
+    of M = (A(k/2-q)^t)^dag sigma^a (A(k/2+q)^t) f(q), with a = x, y, z the
+    inserted channel.  Both step powers are evaluated over the whole grid at
+    once.
     """
     k_half = np.asarray(k, dtype=float) / 2.0
     a_minus = step_power(k_half - profile.offsets, sign, t)
     a_plus = step_power(k_half + profile.offsets, sign, t)
-    products = np.conj(a_minus.swapaxes(-1, -2))[:, None] @ PAULI[list(mus)] @ a_plus[:, None]
+    products = np.conj(a_minus.swapaxes(-1, -2))[:, None] @ PAULI[1:] @ a_plus[:, None]
     return pauli_coefficients(products) * profile.weights[:, None, None]
-
-
-def evolve_kernel(mu: int, profile: SmearingProfile, k, sign, t: int) -> BilinearKernel:
-    """Exact evolved kernel for one sigma^mu channel (no approximation).
-
-    For each grid offset q the 2x2 matrix (A(k/2-q)^t)^dag sigma^mu
-    (A(k/2+q)^t) is built from closed-form step powers, multiplied by f(q),
-    and stored through its sigma-basis coefficients.
-    """
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"mu must be 0..3, got {mu}")
-    table = _kernel_tables(profile, k, sign, t, [mu])[:, 0]
-    return BilinearKernel(k=np.asarray(k, dtype=float), t=int(t), mu=mu, table=table)
-
-
-def vector_tables(profile: SmearingProfile, k, sign, t: int) -> np.ndarray:
-    """Evolved tables of all three vector channels, shape (N, 3, 4).
-
-    Axis 1 indexes which sigma^a (a = x, y, z) was inserted; axis 2 the
-    sigma-basis coefficient of the evolved kernel.
-    """
-    return _kernel_tables(profile, k, sign, t, [1, 2, 3])
 
 
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
@@ -223,43 +188,6 @@ def transverse_tables(tables: np.ndarray, frame: PolarizationFrame):
     )
     longitudinal = np.einsum("a,qav->qv", frame.e, tables)
     return trans, longitudinal
-
-
-@dataclass(frozen=True)
-class TransverseKernel:
-    """Transverse 2-component kernel table plus the longitudinal diagnostic."""
-
-    k: np.ndarray
-    t: int
-    frame: PolarizationFrame
-    n_norm: float
-    table: np.ndarray
-    longitudinal: np.ndarray
-
-
-def transverse_kernel(profile: SmearingProfile, k, sign, t: int) -> TransverseKernel:
-    """Evolve the vector kernels and project onto the transverse frame of n(k/2)."""
-    k = np.asarray(k, dtype=float)
-    b = bloch_data(k / 2.0, sign)
-    frame = polarization_frame(b.n)
-    tables = vector_tables(profile, k, sign, t)
-    trans, longitudinal = transverse_tables(tables, frame)
-    return TransverseKernel(
-        k=k, t=int(t), frame=frame, n_norm=b.lam, table=trans, longitudinal=longitudinal
-    )
-
-
-def em_field_kernels(kernel: TransverseKernel):
-    """Field-strength kernels E = |n|(F + F^dag), B = i|n|(F^dag - F).
-
-    The dagger acts entrywise on the 2x2 kernels, i.e. conjugates the
-    coefficient table.  Both returned tables are real and satisfy
-    E + iB = 2|n| F exactly.
-    """
-    t = kernel.table
-    e_table = (kernel.n_norm * (t + np.conj(t))).real
-    b_table = (1j * kernel.n_norm * (np.conj(t) - t)).real
-    return e_table, b_table
 
 
 @dataclass(frozen=True)
@@ -391,26 +319,3 @@ def maxwell_generator_check(profile: SmearingProfile, k, sign, t: int) -> Genera
         rotation_step_residual=step,
         discretization_floor=floor,
     )
-
-
-def eigenmodes(k, sign):
-    """Circular-polarization eigenvectors of the predicted rotation about n(k/2).
-
-    Returns (u_plus, u_minus), normalized, with u_plus = (u1 + i u2)/sqrt(2)
-    carrying the positive-frequency phase: predicted_rotation(n, t) u_plus =
-    exp(-2i|n|t) u_plus, and u_minus = conj(u_plus) the opposite phase.  The
-    eigenrelation is verified internally at t = 1 to 1e-10.
-    """
-    k = np.asarray(k, dtype=float)
-    b = bloch_data(k / 2.0, sign)
-    frame = polarization_frame(b.n)
-    u_plus = (frame.u1 + 1j * frame.u2) / math.sqrt(2.0)
-    u_minus = (frame.u1 - 1j * frame.u2) / math.sqrt(2.0)
-    rot = predicted_rotation(b.n, 1)
-    omega = 2.0 * b.lam
-    if (
-        np.linalg.norm(rot @ u_plus - np.exp(-1j * omega) * u_plus) > 1e-10
-        or np.linalg.norm(rot @ u_minus - np.exp(1j * omega) * u_minus) > 1e-10
-    ):
-        raise RuntimeError("circular modes fail the rotation eigenrelation")
-    return u_plus, u_minus

@@ -206,6 +206,11 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
     t, levels, base, factor = cfg["t"], cfg["levels"], cfg["base_radius"], cfg["spacing_factor"]
     if levels < 2 or base <= 0 or not 0 < factor <= 1:
         raise ConfigError("need levels >= 2, base_radius > 0, 0 < spacing_factor <= 1")
+    if t < 1:  # at t = 0 every residual is 0 and the log-log slope is undefined
+        raise ConfigError(f"t must be >= 1, got {t}")
+    # checked before the radii list is built; on a smaller radius |q|^2 underflows and qbar can read 0
+    if math.ldexp(base, 1 - levels) < math.sqrt(sys.float_info.min):
+        raise ConfigError(f"levels = {levels} halves base_radius below sqrt(smallest normal float)")
     sign = SIGNS[cfg["sign"]]
     radii = [base * 0.5**i for i in range(levels)]
     try:
@@ -333,15 +338,10 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
     )
 
     passed = all(c["passed"] for c in checks)
-    report = {
-        "artifact_version": __version__,
-        "command": "fock-suite",
-        "config": cfg,
-        "seed": seed,
-        "space": {"momenta": momenta, "modes": space.mode_count, "dimension": space.dim},
-        "checks": checks,
-        "passed": passed,
-    }
+    report = _base_header("fock-suite", cfg, seed)
+    report.update(
+        space={"momenta": momenta, "modes": space.mode_count, "dimension": space.dim}, checks=checks, passed=passed
+    )
     write_json(out, report)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 

@@ -62,7 +62,7 @@ def omega(k, sign):
     return 2.0 * bloch_data(np.asarray(k, dtype=float) / 2.0, sign).lam
 
 
-def group_velocity(k, sign, step: float = 1e-5) -> np.ndarray:
+def group_velocity(k, sign) -> np.ndarray:
     """Gradient of omega at one wavevector by Richardson-extrapolated central differences.
 
     Undefined where n(k/2) = 0 (band crossing); raises DegeneratePointError
@@ -77,6 +77,7 @@ def group_velocity(k, sign, step: float = 1e-5) -> np.ndarray:
         shifts = h * np.eye(3)
         return (omega(k + shifts, sign) - omega(k - shifts, sign)) / (2.0 * h)
 
+    step = 1e-5
     coarse = central(step)
     fine = central(step / 2.0)
     return (4.0 * fine - coarse) / 3.0
@@ -161,11 +162,6 @@ def energy_to_wavevector(energy_ev: float, units: UnitSystem = PLANCK_UNITS) -> 
         raise ValueError("photon energy must be positive")
     k_phys = energy_ev * EV / (HBAR * units.c)
     return units.link_length * k_phys
-
-
-def angular_frequency_si(omega_adim: float, units: UnitSystem = PLANCK_UNITS) -> float:
-    """Adimensional omega (radians per step) to SI rad/s."""
-    return omega_adim / units.planck_time
 
 
 @dataclass(frozen=True)

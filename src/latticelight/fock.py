@@ -480,15 +480,6 @@ def _gamma_diagonal(space: FockSpace, profile: LatticeProfile, field, spin, bran
     )
 
 
-def gamma_weighted_number(
-    space: FockSpace, profile: LatticeProfile, field: str, spin: str, branch: int
-) -> sparse.csr_matrix:
-    """Profile-shaped number operator Gamma^branch = sum_q |f(q)|^2 n(k/2 + branch*q)."""
-    from scipy import sparse
-
-    return sparse.diags(_gamma_diagonal(space, profile, field, spin, branch), format="csr")
-
-
 @dataclass(frozen=True)
 class CommutatorReport:
     """Direct [gamma, gamma'^dag] against its identity-minus-hopping assembly."""
@@ -496,7 +487,6 @@ class CommutatorReport:
     direct: sparse.csr_matrix
     identity_coefficient: complex
     delta_part: sparse.csr_matrix
-    assembled: sparse.csr_matrix
     max_abs_difference: float
 
 
@@ -516,21 +506,18 @@ def _assembly_terms(space: FockSpace, spec1, spec2):
     return coefficient, terms
 
 
-def commutator_report(space: FockSpace, spec1, spec2, gammas=None) -> CommutatorReport:
+def commutator_report(space: FockSpace, spec1, spec2) -> CommutatorReport:
     """Compare [gamma_1(k), gamma_2(k')^dag] with its assembled decomposition.
 
     Each spec is (alpha, beta, profile).  The assembly is
     overlap * delta_spin * I - (delta_{alpha,alpha'} H^+_psi +
     delta_{beta,beta'} H^-_phi); the overlap reduces to 1 for identical
-    normalized profiles and to 0 for k != k'.  ``gammas`` optionally maps
-    specs to gamma matrices built beforehand; the others are built here.
+    normalized profiles and to 0 for k != k'.
     """
     from scipy import sparse
 
-    gammas = gammas or {}
-    g1 = gammas[spec1] if spec1 in gammas else gamma_for_profile(space, *spec1)
-    g2 = gammas[spec2] if spec2 in gammas else gamma_for_profile(space, *spec2)
-    g2d = g2.conj().T.tocsr()
+    g1 = gamma_for_profile(space, *spec1)
+    g2d = gamma_for_profile(space, *spec2).conj().T.tocsr()
     direct = (g1 @ g2d - g2d @ g1).tocsr()
 
     coefficient, terms = _assembly_terms(space, spec1, spec2)
@@ -541,7 +528,6 @@ def commutator_report(space: FockSpace, spec1, spec2, gammas=None) -> Commutator
         direct=direct,
         identity_coefficient=coefficient,
         delta_part=delta_part,
-        assembled=assembled,
         max_abs_difference=_max_abs(direct - assembled),
     )
 
@@ -842,13 +828,6 @@ def _pair_number_diagonals(space: FockSpace, pairs, weights):
     g_psi = _number_diagonal(space, [(w2, psi) for (psi, _), w2 in zip(positions, squares)])
     g_phi = _number_diagonal(space, [(w2, phi) for (_, phi), w2 in zip(positions, squares)])
     return g_psi, g_phi
-
-
-def pair_number_operators(space: FockSpace, pairs, weights):
-    """(Gamma_psi, Gamma_phi) = profile-weighted number operators of the pair modes."""
-    from scipy import sparse
-
-    return tuple(sparse.diags(d, format="csr") for d in _pair_number_diagonals(space, pairs, weights))
 
 
 def purity(weights) -> float:

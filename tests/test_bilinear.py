@@ -8,9 +8,6 @@ from scipy.linalg import expm
 
 from latticelight.bilinear import (
     MAX_PROFILE_CUBE,
-    em_field_kernels,
-    eigenmodes,
-    evolve_kernel,
     make_uniform_profile,
     maxwell_emergence_report,
     maxwell_generator_check,
@@ -18,7 +15,6 @@ from latticelight.bilinear import (
     predicted_rotation,
     rotation_generator,
     single_point_profile,
-    transverse_kernel,
     transverse_tables,
     vector_tables,
 )
@@ -84,29 +80,23 @@ def test_profile_cube_cap():
 
 def test_kernel_at_t0_is_profile_times_delta():
     profile = make_uniform_profile(radius=1.0, grid_spacing=1.0)
-    for mu in range(4):
-        kernel = evolve_kernel(mu, profile, K_REF, MINUS, 0)
-        expected = np.zeros((len(profile.weights), 4), dtype=complex)
-        expected[:, mu] = profile.weights
-        assert np.max(np.abs(kernel.table - expected)) <= 1e-14
-
-
-def test_scalar_channel_invariant_at_zero_offset():
-    kernel = evolve_kernel(0, single_point_profile(), K_REF, MINUS, 7)
-    assert abs(abs(kernel.table[0, 0]) - 1.0) <= 1e-13
-    assert np.max(np.abs(kernel.table[0, 1:])) <= 1e-13
+    tables = vector_tables(profile, K_REF, MINUS, 0)
+    expected = np.zeros((len(profile.weights), 3, 4), dtype=complex)
+    for a in range(3):
+        expected[:, a, a + 1] = profile.weights
+    assert np.max(np.abs(tables - expected)) <= 1e-14
 
 
 def test_kernel_decomposition_is_exact():
     profile = make_uniform_profile(radius=0.3, grid_spacing=0.15)
     t = 9
-    for mu in (0, 2):
-        kernel = evolve_kernel(mu, profile, K_REF, MINUS, t)
-        for iq, (q, w) in enumerate(zip(profile.offsets, profile.weights)):
-            a_minus = step_power(K_REF / 2.0 - q, MINUS, t)
-            a_plus = step_power(K_REF / 2.0 + q, MINUS, t)
-            direct = a_minus.conj().T @ PAULI[mu] @ a_plus * w
-            rebuilt = sum(kernel.table[iq, nu] * PAULI[nu] for nu in range(4))
+    tables = vector_tables(profile, K_REF, MINUS, t)
+    for iq, (q, w) in enumerate(zip(profile.offsets, profile.weights)):
+        a_minus = step_power(K_REF / 2.0 - q, MINUS, t)
+        a_plus = step_power(K_REF / 2.0 + q, MINUS, t)
+        for a in range(3):
+            direct = a_minus.conj().T @ PAULI[a + 1] @ a_plus * w
+            rebuilt = sum(tables[iq, a, nu] * PAULI[nu] for nu in range(4))
             assert np.max(np.abs(rebuilt - direct)) <= 1e-12
 
 
@@ -121,11 +111,11 @@ def test_vector_channel_norm_preserved_per_point():
 def test_z_kernel_follows_rotation_oracle():
     k = np.array([0.3, 0.2, 0.1])
     t = 10
-    kernel = evolve_kernel(3, single_point_profile(), k, MINUS, t)
+    z_kernel = vector_tables(single_point_profile(), k, MINUS, t)[0, 2]
     n = bloch_data(k / 2.0, MINUS).n
     predicted = predicted_rotation(n, t).T @ np.array([0.0, 0.0, 1.0])
-    assert np.max(np.abs(kernel.table[0, 1:] - predicted)) <= 1e-12
-    assert abs(kernel.table[0, 0]) <= 1e-13
+    assert np.max(np.abs(z_kernel[1:] - predicted)) <= 1e-12
+    assert abs(z_kernel[0]) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -252,57 +242,30 @@ def test_generator_step_residual_slope():
 
 
 # ---------------------------------------------------------------------------
-# eigenmodes and field kernels
+# circular modes
 
 
-def test_eigenmodes_standard_circular_pair():
-    k = np.array([0.0, 0.0, 0.6])  # n(k/2) is along z here
-    u_plus, u_minus = eigenmodes(k, MINUS)
-    targets = [np.array([1.0, 1j, 0.0]) / math.sqrt(2.0), np.array([1.0, -1j, 0.0]) / math.sqrt(2.0)]
-    for u in (u_plus, u_minus):
-        matched = False
-        for tgt in targets:
-            phase = np.vdot(tgt, u)
-            matched = matched or np.linalg.norm(u - phase * tgt) <= 1e-12
-        assert matched
-    assert abs(np.sum(u_plus * np.conj(u_minus))) <= 1e-14  # orthogonal pair
-
-
-def test_eigenmodes_eigenrelation():
+def test_circular_modes_are_rotation_eigenvectors():
+    # predicted_rotation(n, 1) takes (u1 +- i u2)/sqrt2 of polarization_frame(n) to exp(-+2i|n|) times itself
     rng = np.random.default_rng(24)
-    for _ in range(20):
-        k = rng.uniform(-1.5, 1.5, 3)
+    k_along_z = np.array([0.0, 0.0, 0.6])  # n(k/2) is along z here
+    for k in [k_along_z] + [rng.uniform(-1.5, 1.5, 3) for _ in range(20)]:
         b = bloch_data(k / 2.0, MINUS)
         if b.lam < 0.05:
             continue
-        u_plus, u_minus = eigenmodes(k, MINUS)
+        frame = polarization_frame(b.n)
         rot = predicted_rotation(b.n, 1)
-        omega = 2.0 * b.lam
-        assert np.linalg.norm(rot @ u_plus - np.exp(-1j * omega) * u_plus) <= 1e-10
-        assert np.linalg.norm(rot @ u_minus - np.exp(1j * omega) * u_minus) <= 1e-10
+        u_plus = (frame.u1 + 1j * frame.u2) / math.sqrt(2.0)
+        u_minus = (frame.u1 - 1j * frame.u2) / math.sqrt(2.0)
+        assert np.linalg.norm(rot @ u_plus - np.exp(-2j * b.lam) * u_plus) <= 1e-10
+        assert np.linalg.norm(rot @ u_minus - np.exp(2j * b.lam) * u_minus) <= 1e-10
         assert np.linalg.norm(u_plus) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_em_field_kernels_identities():
-    profile = make_uniform_profile(0.1, 0.05)
-    tk = transverse_kernel(profile, K_REF, MINUS, 13)
-    e_table, b_table = em_field_kernels(tk)
-    assert np.max(np.abs(e_table + 1j * b_table - 2.0 * tk.n_norm * tk.table)) <= 1e-12
-
-    # real table -> no B; imaginary table -> no E
-    real_tk = transverse_kernel(profile, K_REF, MINUS, 0)
-    e_table, b_table = em_field_kernels(real_tk)
-    assert np.max(np.abs(b_table)) <= 1e-14
-    imag = type(real_tk)(
-        k=real_tk.k,
-        t=real_tk.t,
-        frame=real_tk.frame,
-        n_norm=real_tk.n_norm,
-        table=1j * real_tk.table,
-        longitudinal=1j * real_tk.longitudinal,
-    )
-    e_table, b_table = em_field_kernels(imag)
-    assert np.max(np.abs(e_table)) <= 1e-14
+        assert abs(np.vdot(u_minus, u_plus)) <= 1e-14  # orthogonal pair
+        if k is k_along_z:
+            # the standard circular pair (1, +-i, 0)/sqrt2, up to a phase
+            targets = [np.array([1.0, 1j, 0.0]) / math.sqrt(2.0), np.array([1.0, -1j, 0.0]) / math.sqrt(2.0)]
+            for u in (u_plus, u_minus):
+                assert any(np.linalg.norm(u - np.vdot(tgt, u) * tgt) <= 1e-12 for tgt in targets)
 
 
 def test_surrogate_kernel_is_time_invariant():

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import latticelight
+from artifacts import read_table
 from latticelight.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, MAX_WAVEVECTORS, SCHEMA, main
-from latticelight.output import read_table
 
 
 def run(args):
@@ -121,6 +121,15 @@ def test_maxwell_step_count_beyond_documented_range_is_rejected(tmp_path, capsys
     assert run(["maxwell-convergence", "--levels", 2, "--t", t, "--out", out]) == EXIT_CONFIG
     assert not out.exists()
     assert "t must satisfy |t| <= 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_maxwell_step_count_below_one_is_rejected(tmp_path, capsys, t):
+    # at t = 0 every residual is 0: the slope fit used to write NaN into the header and exit 0
+    out = tmp_path / "m.csv"
+    assert run(["maxwell-convergence", "--t", t, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"error: t must be >= 1, got {t}" in capsys.readouterr().err
 
 
 def test_maxwell_step_count_at_documented_limit_runs(tmp_path):
@@ -262,6 +271,24 @@ def test_oversized_profile_grid_is_rejected_before_allocating(tmp_path, capsys, 
     assert code == EXIT_CONFIG
     assert not out.exists()
     assert "spacing_factor" in capsys.readouterr().err
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("levels", [501, 1100, 10**6])
+def test_levels_past_the_radius_floor_are_rejected_before_allocating(tmp_path, capsys, levels):
+    # 4e-4 * 2^(1 - 501) is the first last-level radius below sqrt(2.2e-308), where |q|^2 underflows;
+    # past about 1,075 halvings the radius is 0 and the message used to blame spacing_factor
+    out = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        code = run(["maxwell-convergence", "--levels", levels, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error: levels = {levels} " in err and "spacing_factor" not in err
     assert peak < 1_000_000
 
 

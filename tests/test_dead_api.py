@@ -1,0 +1,56 @@
+"""No dead API: each public function and class in src has a caller in src, or a reason here.
+
+The package's ``__init__`` re-exports do not count as callers.  A name that
+only tests call stays only when an acceptance criterion calls it as written,
+when it is the reference that a test compares shipped code against, or when
+an open ROADMAP item decides its fate; TEST_ONLY says which.
+"""
+
+import ast
+from pathlib import Path
+
+import latticelight
+
+SRC = Path(latticelight.__file__).parent
+
+TEST_ONLY = {
+    "weyl_step": "the one-step reference that tests compare walk.step_power against",
+    "interp_unitary": "the exact interpolating unitary of the walk error-law tests",
+    "approx_interp_unitary": "the first-order surrogate of the walk error-law tests",
+    "maxwell_generator_check": "acceptance criterion 4",
+    "speed_of_light": "acceptance criterion 5b",
+    "group_velocity": "acceptance criterion 5c: the finite-difference oracle of group_velocity_analytic",
+    "commutator_report": "acceptance criterion 7: the per-pair CSR reference of pair_commutator_sweep",
+    "composite_boson": "acceptance criteria 8 and 9: the CSR composite boson",
+    "pair_condensate": "acceptance criterion 8: the CSR (c^dag)^N |0> chain",
+    "h_operator": "the CSR hopping operator that the Schwartz-bound oracles compare against",
+    "polarization_gamma": "the CSR polarization gammas that the polarization-diagonal oracle compares against",
+    "saturation_estimate": "ROADMAP item 3 decides whether a saturation subcommand uses it or it goes",
+}
+
+
+def public_definitions_and_references():
+    """({public module-level function or class: module}, every name a src module other than __init__ mentions)."""
+    defined, referenced = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.stem
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return defined, referenced
+
+
+def test_every_public_name_has_a_src_caller_or_a_reason():
+    defined, referenced = public_definitions_and_references()
+    uncalled = {f"{module}.{name}" for name, module in defined.items() if name not in referenced}
+    # left only: call, delete or list it; right only: src calls or no longer defines it
+    assert uncalled == {f"{defined.get(name)}.{name}" for name in TEST_ONLY}

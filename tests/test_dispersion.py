@@ -11,7 +11,6 @@ from latticelight.dispersion import (
     EnergyOutOfRangeError,
     FlightScenario,
     UnitSystem,
-    angular_frequency_si,
     energy_to_wavevector,
     group_velocity,
     group_velocity_analytic,
@@ -128,11 +127,6 @@ def test_tilt_estimate_values():
     assert 1e-16 <= estimate <= 1e-14
     with pytest.raises(ValueError):
         tilt_angle_estimate(-1.0)
-
-
-def test_unit_round_trip():
-    w = 0.4321
-    assert angular_frequency_si(w) * PLANCK_UNITS.planck_time == pytest.approx(w, rel=1e-12)
 
 
 def test_unit_system_consistency():

@@ -8,6 +8,7 @@ from scipy import sparse
 
 from latticelight import fock
 from latticelight.fock import (
+    FIELDS,
     SPINS,
     FockSizeError,
     LatticeProfile,
@@ -22,11 +23,9 @@ from latticelight.fock import (
     default_pairs,
     gamma_ab,
     gamma_for_profile,
-    gamma_weighted_number,
     h_operator,
     pair_commutator_sweep,
     pair_condensate,
-    pair_number_operators,
     pair_stack,
     polarization_boson_check,
     polarization_gamma,
@@ -50,6 +49,27 @@ def max_abs(matrix):
     matrix = matrix.tocsr()
     matrix.eliminate_zeros()
     return float(np.max(np.abs(matrix.data))) if matrix.nnz else 0.0
+
+
+def weighted_numbers(space, terms):
+    """sum_j w_j n_j as CSR over (w_j, (field, spin, momentum)) terms, from the number operators."""
+    zero = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+    return sum((w * space.number_operator(*mode) for w, mode in terms), zero)
+
+
+def gamma_reference(space, profile, field, spin, branch):
+    """Gamma^branch = sum_q |f(q)|^2 n_{field,spin}(k/2 + branch*q)."""
+    return weighted_numbers(
+        space, [(abs(w) ** 2, (field, spin, profile.half + branch * q)) for q, w in profile.weights]
+    )
+
+
+def pair_number_reference(space, pairs, weights):
+    """(Gamma_psi, Gamma_phi) = sum_i |f(i)|^2 n of the pair's psi (phi) mode."""
+    return tuple(
+        weighted_numbers(space, [(abs(w) ** 2, (field, *pair[side])) for pair, w in zip(pairs, weights)])
+        for side, field in enumerate(FIELDS)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +213,7 @@ def test_h_operator_skips_zero_weight_and_raises_when_unresolved(two_momentum_sp
 def test_schwartz_on_vacuum(two_momentum_space, profiles):
     space = two_momentum_space
     h = h_operator(space, +1, "psi", "R", "R", profiles[0], profiles[0])
-    g = gamma_weighted_number(space, profiles[0], "psi", "R", +1)
+    g = gamma_reference(space, profiles[0], "psi", "R", +1)
     vacuum = space.vacuum()
     lhs = abs(np.vdot(vacuum, h @ vacuum))
     ga = gb = float(np.vdot(vacuum, g @ vacuum).real)
@@ -213,7 +233,7 @@ def test_uniform_gamma_counts_occupancy(two_momentum_space, profiles):
     # uniform |f|^2 = 1/N over the support: <Gamma> = (particles inside)/N
     space = two_momentum_space
     prof = profiles[0]  # two q points, N = 2
-    gamma = gamma_weighted_number(space, prof, "psi", "R", +1)
+    gamma = gamma_reference(space, prof, "psi", "R", +1)
     state = space.creator("psi", "R", 1) @ space.vacuum()
     assert np.vdot(state, gamma @ state).real == pytest.approx(0.5, abs=1e-14)
     state2 = space.creator("psi", "R", -1) @ state
@@ -261,7 +281,7 @@ def test_uniform_composite_equalities(two_momentum_space):
     weights = np.full(n, 1.0 / math.sqrt(n))
     assert purity(weights) == pytest.approx(1.0 / n, rel=1e-12)
     c = composite_boson(space, pairs, weights)
-    g_psi, _ = pair_number_operators(space, pairs, weights)
+    g_psi, _ = pair_number_reference(space, pairs, weights)
     one = pair_condensate(space, c, 1)
     assert np.vdot(one, g_psi @ one).real == pytest.approx(1.0 / n, abs=1e-13)
 
@@ -274,7 +294,7 @@ def test_composite_commutator_identity(two_momentum_space):
     weights /= np.linalg.norm(weights)
     c = composite_boson(space, pairs, weights)
     cd = c.conj().T.tocsr()
-    g_psi, g_phi = pair_number_operators(space, pairs, weights)
+    g_psi, g_phi = pair_number_reference(space, pairs, weights)
     identity = sparse.identity(space.dim, dtype=complex, format="csr")
     assert max_abs((c @ cd - cd @ c) - (identity - g_psi - g_phi)) <= 1e-14
 
@@ -422,17 +442,17 @@ def test_number_operators_match_ladder_products(sized_space, unit):
                 for branch in (+1, -1):
                     modes = [(w, (field, spin, prof.half + branch * q)) for q, w in prof.weights]
                     terms = [(abs(w) ** 2, (*mode, True), (*mode, False)) for w, mode in modes]
-                    got = gamma_weighted_number(space, prof, field, spin, branch)
+                    got = sparse.diags(fock._gamma_diagonal(space, prof, field, spin, branch), format="csr")
                     assert_same_operator(got, reference_sum(space, terms), unit)
     pairs = default_pairs(space)
     w = random_weights(rng, len(pairs), unit)
-    got = pair_number_operators(space, pairs, w)
+    got = fock._pair_number_diagonals(space, pairs, w)
     for side, field in enumerate(("psi", "phi")):
         terms = [
             (abs(wj) ** 2, (field, *pair[side], True), (field, *pair[side], False))
             for pair, wj in zip(pairs, w)
         ]
-        assert_same_operator(got[side], reference_sum(space, terms), unit)
+        assert_same_operator(sparse.diags(got[side], format="csr"), reference_sum(space, terms), unit)
 
 
 def test_zero_weight_terms_skipped_and_unresolved_momenta_raise(two_momentum_space):
@@ -448,9 +468,9 @@ def test_zero_weight_terms_skipped_and_unresolved_momenta_raise(two_momentum_spa
     with pytest.raises(UnresolvedMomentumError):
         composite_boson(space, pairs, [1.0, 1.0])
     with pytest.raises(UnresolvedMomentumError):
-        pair_number_operators(space, pairs, [1.0, 0.0])
+        fock._pair_number_diagonals(space, pairs, [1.0, 0.0])
     with pytest.raises(UnresolvedMomentumError):
-        gamma_weighted_number(space, uniform_profile(6, [0]), "psi", "R", +1)
+        fock._gamma_diagonal(space, uniform_profile(6, [0]), "psi", "R", +1)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +508,8 @@ def test_schwartz_bound_on_sector_superpositions(two_momentum_space, profiles):
                     for spin_in in SPINS:
                         for spin_dag in SPINS:
                             h = h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
-                            g_a = gamma_weighted_number(space, prof_dag, field, spin_dag, branch)
-                            g_b = gamma_weighted_number(space, prof_in, field, spin_in, branch)
+                            g_a = gamma_reference(space, prof_dag, field, spin_dag, branch)
+                            g_b = gamma_reference(space, prof_in, field, spin_in, branch)
                             lhs = np.abs(expect(h))
                             rhs = np.sqrt(np.maximum(expect(g_a).real, 0.0) * np.maximum(expect(g_b).real, 0.0))
                             assert np.all(lhs <= rhs + 1e-12)
@@ -574,7 +594,7 @@ def reference_sweep_maxima(space, specs):
     worst_assembly = worst_plain = 0.0
     for s1 in specs:
         for s2 in specs:
-            worst_assembly = max(worst_assembly, commutator_report(space, s1, s2, gammas).max_abs_difference)
+            worst_assembly = max(worst_assembly, commutator_report(space, s1, s2).max_abs_difference)
             worst_plain = max(worst_plain, max_abs(gammas[s1] @ gammas[s2] - gammas[s2] @ gammas[s1]))
     return worst_assembly, worst_plain
 
@@ -668,15 +688,13 @@ def csr_composite_deviations(space, pairs, w1, w2):
     """max |entries| of [c1, c1^dag] - (I - Gamma_psi - Gamma_phi) and of the cross identity, with CSR."""
     c1 = composite_boson(space, pairs, w1)
     c1d = c1.conj().T.tocsr()
-    g_psi, g_phi = pair_number_operators(space, pairs, w1)
+    g_psi, g_phi = pair_number_reference(space, pairs, w1)
     identity = sparse.identity(space.dim, dtype=complex, format="csr")
     own = max_abs((c1 @ c1d - c1d @ c1) - (identity - g_psi - g_phi))
     c2d = composite_boson(space, pairs, w2).conj().T.tocsr()
     coeffs = w1 * np.conj(w2)
-    target = sum(
-        (c * (space.number_operator("psi", *pair[0]) + space.number_operator("phi", *pair[1]))
-         for pair, c in zip(pairs, coeffs)),
-        sparse.csr_matrix((space.dim, space.dim), dtype=complex),
+    target = weighted_numbers(
+        space, [(c, (field, *pair[side])) for pair, c in zip(pairs, coeffs) for side, field in enumerate(FIELDS)]
     )
     cross = max_abs((c1 @ c2d - c2d @ c1) - (np.sum(coeffs) * identity - target))
     return own, cross
@@ -694,7 +712,7 @@ def test_composite_deviations_match_csr_route(sized_space, seed):
     assert max(own, cross) <= 1e-14
     # the sandwich rows come from the same (c^dag)^N |0> chain as pair_condensate
     c1 = composite_boson(space, pairs, w1)
-    g_psi, _ = pair_number_operators(space, pairs, w1)
+    g_psi, _ = pair_number_reference(space, pairs, w1)
     for n, expect, *_ in report.sandwich_rows:
         state = pair_condensate(space, c1, n)
         assert expect == pytest.approx(np.vdot(state, g_psi @ state).real, abs=1e-14)
@@ -871,7 +889,7 @@ def test_pairs_sharing_a_mode_are_refused_before_anything_is_built(monkeypatch, 
 
 
 def csr_schwartz_margin(space, profiles):
-    """min over cases and basis states of rhs - lhs, from CSR h_operator and gamma_weighted_number diagonals."""
+    """min over cases and basis states of rhs - lhs, from CSR h_operator and number-operator Gamma diagonals."""
     worst = math.inf
     for field in ("psi", "phi"):
         for branch in (+1, -1):
@@ -880,8 +898,8 @@ def csr_schwartz_margin(space, profiles):
                     for spin_in in SPINS:
                         for spin_dag in SPINS:
                             h = h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
-                            g_in = gamma_weighted_number(space, prof_in, field, spin_in, branch).diagonal()
-                            g_dag = gamma_weighted_number(space, prof_dag, field, spin_dag, branch).diagonal()
+                            g_in = gamma_reference(space, prof_in, field, spin_in, branch).diagonal().real
+                            g_dag = gamma_reference(space, prof_dag, field, spin_dag, branch).diagonal().real
                             worst = min(worst, float(np.min(np.sqrt(g_in * g_dag) - np.abs(h.diagonal()))))
     return worst
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from latticelight.output import format_value, read_table, write_table
+from artifacts import read_table
+from latticelight.output import format_value, write_table
 
 
 def awkward_floats():
