@@ -245,27 +245,39 @@ def test_generator_step_residual_slope():
 # circular modes
 
 
-def test_circular_modes_are_rotation_eigenvectors():
-    # predicted_rotation(n, 1) takes (u1 +- i u2)/sqrt2 of polarization_frame(n) to exp(-+2i|n|) times itself
+def circular_modes(n):
+    """(u1 +- i u2)/sqrt2 of polarization_frame(n)."""
+    frame = polarization_frame(n)
+    return (frame.u1 + 1j * frame.u2) / math.sqrt(2.0), (frame.u1 - 1j * frame.u2) / math.sqrt(2.0)
+
+
+def test_eigenmodes_standard_circular_pair():
+    k = np.array([0.0, 0.0, 0.6])  # n(k/2) is along z here
+    u_plus, u_minus = circular_modes(bloch_data(k / 2.0, MINUS).n)
+    targets = [np.array([1.0, 1j, 0.0]) / math.sqrt(2.0), np.array([1.0, -1j, 0.0]) / math.sqrt(2.0)]
+    for u in (u_plus, u_minus):
+        matched = False
+        for tgt in targets:
+            phase = np.vdot(tgt, u)
+            matched = matched or np.linalg.norm(u - phase * tgt) <= 1e-12
+        assert matched
+    assert abs(np.sum(u_plus * np.conj(u_minus))) <= 1e-14  # orthogonal pair
+
+
+def test_eigenmodes_eigenrelation():
+    # predicted_rotation(n, 1) takes the circular modes to exp(-+2i|n|) times themselves
     rng = np.random.default_rng(24)
-    k_along_z = np.array([0.0, 0.0, 0.6])  # n(k/2) is along z here
-    for k in [k_along_z] + [rng.uniform(-1.5, 1.5, 3) for _ in range(20)]:
+    for _ in range(20):
+        k = rng.uniform(-1.5, 1.5, 3)
         b = bloch_data(k / 2.0, MINUS)
         if b.lam < 0.05:
             continue
-        frame = polarization_frame(b.n)
+        u_plus, u_minus = circular_modes(b.n)
         rot = predicted_rotation(b.n, 1)
-        u_plus = (frame.u1 + 1j * frame.u2) / math.sqrt(2.0)
-        u_minus = (frame.u1 - 1j * frame.u2) / math.sqrt(2.0)
-        assert np.linalg.norm(rot @ u_plus - np.exp(-2j * b.lam) * u_plus) <= 1e-10
-        assert np.linalg.norm(rot @ u_minus - np.exp(2j * b.lam) * u_minus) <= 1e-10
+        omega = 2.0 * b.lam
+        assert np.linalg.norm(rot @ u_plus - np.exp(-1j * omega) * u_plus) <= 1e-10
+        assert np.linalg.norm(rot @ u_minus - np.exp(1j * omega) * u_minus) <= 1e-10
         assert np.linalg.norm(u_plus) == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.vdot(u_minus, u_plus)) <= 1e-14  # orthogonal pair
-        if k is k_along_z:
-            # the standard circular pair (1, +-i, 0)/sqrt2, up to a phase
-            targets = [np.array([1.0, 1j, 0.0]) / math.sqrt(2.0), np.array([1.0, -1j, 0.0]) / math.sqrt(2.0)]
-            for u in (u_plus, u_minus):
-                assert any(np.linalg.norm(u - np.vdot(tgt, u) * tgt) <= 1e-12 for tgt in targets)
 
 
 def test_surrogate_kernel_is_time_invariant():
