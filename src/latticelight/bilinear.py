@@ -88,7 +88,7 @@ def make_uniform_profile(radius: float, grid_spacing: float) -> SmearingProfile:
     axis = np.arange(-m, m + 1, dtype=float)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     grid *= grid_spacing
-    offsets = grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
+    offsets = grid[np.linalg.norm(grid, axis=1) <= radius * (1.0 + 1e-12)]
     weights = np.full(len(offsets), 1.0 / math.sqrt(len(offsets)), dtype=complex)
     return SmearingProfile(offsets, weights)
 

@@ -27,7 +27,6 @@ from .bilinear import (
 )
 from .dispersion import (
     DIAGONAL,
-    FlightScenario,
     group_velocity_analytic,
     omega,
     tilt_angle_estimate,
@@ -77,7 +76,7 @@ def _vector(key: str, value) -> list:
 
 
 def _numbers(key: str, value) -> list:
-    """A non-empty list of finite numbers; the flag's form is comma-separated text."""
+    """A non-empty list of finite numbers >= 0; the flag's form is comma-separated text."""
     if isinstance(value, str):
         try:
             value = [float(part) for part in value.split(",")]
@@ -85,7 +84,11 @@ def _numbers(key: str, value) -> list:
             raise ConfigError(f"cannot parse --{key.replace('_', '-')}: {exc}") from exc
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key} must be a non-empty list of numbers, got {value!r}")
-    return [_number(key, v) for v in value]
+    numbers = [_number(key, v) for v in value]
+    for v in numbers:
+        if v < 0.0:
+            raise ConfigError(f"{key} must be >= 0, got {v!r}")
+    return numbers
 
 
 def _bool(key: str, value) -> bool:
@@ -101,7 +104,7 @@ def _sign(key: str, value) -> str:
 
 
 def _energies(key: str, value) -> list:
-    """At least two [label, eV] pairs; the flag's form is label=eV,label=eV."""
+    """At least two [label, eV] pairs with eV > 0; the flag's form is label=eV,label=eV."""
     if isinstance(value, str):
         try:
             value = [[label, float(ev)] for label, ev in (part.split("=") for part in value.split(","))]
@@ -111,7 +114,11 @@ def _energies(key: str, value) -> list:
         isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) for pair in value
     ):
         raise ConfigError(f"{key} must be at least two (label, eV) pairs, got {value!r}")
-    return [[label, _number(key, ev)] for label, ev in value]
+    pairs = [[label, _number(key, ev)] for label, ev in value]
+    for label, ev in pairs:
+        if ev <= 0.0:
+            raise ConfigError(f"{key} must be > 0 eV, got {ev!r} for {label!r}")
+    return pairs
 
 
 # A reader is (check, flag): check(key, value) returns the checked value or
@@ -120,7 +127,7 @@ NUMBER = (_number, {"type": float})
 INTEGER = (_integer, {"type": int})
 VECTOR = (_vector, {"type": float, "nargs": 3})
 NUMBERS = (_numbers, {"help": "comma-separated numbers"})
-BOOL = (_bool, {"action": "store_true", "default": None})
+BOOL = (_bool, {"action": argparse.BooleanOptionalAction, "default": None})
 SIGN = (_sign, {"choices": tuple(SIGNS), "help": "walk chirality branch"})
 ENERGIES = (_energies, {"help": "comma-separated label=eV pairs, e.g. GeV=1e9,MeV=1e6"})
 
@@ -347,13 +354,7 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_flight(cfg: dict, out: str, seed: int) -> int:
-    pairs = tuple(map(tuple, cfg["energies"]))
-    scenario = FlightScenario(distance_m=cfg["distance_m"], photon_energies=pairs, sign=SIGNS[cfg["sign"]])
-    energy_by_label = dict(pairs)
-    rows = [
-        [l1, l2, energy_by_label[l1], energy_by_label[l2], k1, k2, delta]
-        for l1, l2, k1, k2, delta in time_of_flight_delta(scenario)
-    ]
+    rows = time_of_flight_delta(cfg["distance_m"], cfg["energies"], SIGNS[cfg["sign"]])
     write_table(
         out,
         _base_header("flight", cfg, seed),

@@ -12,8 +12,8 @@ superluminal (though uniformly bounded) and the plus branch subluminal.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,8 +99,8 @@ def group_velocity_analytic(k, sign) -> np.ndarray:
 DIAGONAL = np.array([1.0, 1.0, 1.0]) / SQRT3
 
 
-def speed_deviation(k_magnitude: float, sign, direction=None) -> float:
-    """Normalized group speed minus 1, in a cancellation-free closed form.
+def speed_deviation(k, sign):
+    """Normalized group speed minus 1 at wavevectors ``k[..., 3]``, in a cancellation-free closed form.
 
     With a = k/(2 sqrt3) the squared normalized speed is exactly
 
@@ -110,32 +110,32 @@ def speed_deviation(k_magnitude: float, sign, direction=None) -> float:
     reproduce n_tilde except for the sign of one y term, so the deviation
     collapses to a pure product of sines).  Unlike differencing omega, this
     resolves the deviation at astrophysical wavevectors (|k| ~ 1e-19) where
-    it falls far below float precision of speed itself.  Along the positive
-    diagonal the leading behavior is -sign * |k| / 9.
+    it falls far below float precision of speed itself.  The leading
+    behavior is -sign * k_x k_y k_z / (sqrt3 |k|^2): -sign * |k| / 9 along
+    the positive diagonal, 0 along the axes.  A single k gives a float;
+    raises DegeneratePointError if n(k/2) = 0 at any wavevector.
     """
-    direction = DIAGONAL if direction is None else np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    kvec = k_magnitude * direction
-    b = bloch_data(kvec / 2.0, sign)
-    nt2 = float(np.sum(b.n_tilde**2))
-    if nt2 == 0.0:
-        raise DegeneratePointError(f"speed undefined at k={kvec} (n = 0)")
-    a2 = kvec / SQRT3  # = 2a
-    g = -float(sign) * 0.5 * math.sin(a2[0]) * math.sin(a2[1]) * math.sin(a2[2]) / nt2
+    k = np.asarray(k, dtype=float)
+    nt2 = np.sum(bloch_data(k / 2.0, sign).n_tilde ** 2, axis=-1)
+    degenerate = nt2 == 0.0
+    if degenerate.any():
+        where = k.reshape(-1, 3)[np.ravel(degenerate)][0]
+        raise DegeneratePointError(f"speed undefined at k={where} (n = 0)")
+    sin_2a = np.sin(k / SQRT3)
+    g = -float(sign) * 0.5 * sin_2a[..., 0] * sin_2a[..., 1] * sin_2a[..., 2] / nt2
     # sqrt(1 + g) - 1 without cancellation
-    return g / (1.0 + math.sqrt(1.0 + g))
+    return (g / (1.0 + np.sqrt(1.0 + g)))[()]
 
 
-def speed_of_light(k_magnitude: float, sign, direction=None) -> float:
-    """|group velocity|, normalized so the small-k limit is 1.
+def speed_of_light(k_magnitude: float, sign) -> float:
+    """|group velocity| along the positive diagonal, normalized so the small-k limit is 1.
 
-    Evaluated along the positive diagonal by default (k_x = k_y = k_z =
-    k/sqrt3); the sqrt(3) lattice-to-physical factor is applied so the
-    returned number multiplies c directly.  Computed through the stable
-    closed form of speed_deviation; tests cross-check it against
-    sqrt(3) |group_velocity| where finite differences can resolve it.
+    The sqrt(3) lattice-to-physical factor is applied so the returned number
+    multiplies c directly.  Computed through the stable closed form of
+    speed_deviation; tests cross-check it against sqrt(3) |group_velocity|
+    where finite differences can resolve it.
     """
-    return 1.0 + speed_deviation(k_magnitude, sign, direction)
+    return 1.0 + speed_deviation(k_magnitude * DIAGONAL, sign)
 
 
 def tilt_angle_estimate(k_magnitude: float) -> float:
@@ -164,61 +164,41 @@ def energy_to_wavevector(energy_ev: float, units: UnitSystem = PLANCK_UNITS) -> 
     return units.link_length * k_phys
 
 
-@dataclass(frozen=True)
-class FlightScenario:
-    """Pulse-arrival comparison: photons of several energies over one distance."""
-
-    distance_m: float
-    photon_energies: tuple  # ((label, energy_eV), ...)
-    sign: int
-    direction: np.ndarray = field(default_factory=lambda: DIAGONAL.copy())
-
-    def __post_init__(self):
-        if self.distance_m <= 0.0:
-            raise ValueError("distance must be positive")
-        for _, ev in self.photon_energies:
-            if ev <= 0.0:
-                raise ValueError("photon energies must be positive")
-
-
-def time_of_flight_delta(scenario: FlightScenario, units: UnitSystem = PLANCK_UNITS):
-    """Arrival-time differences Delta t = D (1/v_1 - 1/v_2) for each energy pair.
+def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL, units: UnitSystem = PLANCK_UNITS):
+    """Arrival-time differences Delta t = D (1/v_1 - 1/v_2) for each pair of ``(label, eV)`` photons.
 
     Energies are converted to adimensional wavevectors (see
-    energy_to_wavevector), the group speed is evaluated along the scenario
-    direction, and the distance is treated as flat and static (no redshift
-    integration).  Raises EnergyOutOfRangeError when an implied wavevector
-    leaves the canonical periodic cell.
+    energy_to_wavevector), the group speed of all of them is evaluated along
+    ``direction`` in one speed_deviation call, and the distance is treated
+    as flat and static (no redshift integration).  Raises
+    EnergyOutOfRangeError when an implied wavevector leaves the canonical
+    periodic cell.
 
-    Returns a list of rows (label_1, label_2, k_1, k_2, delta_seconds) over
-    all unordered pairs in input order; delta_seconds > 0 means photon 1
-    arrives later.
+    Returns a list of rows (label_1, label_2, energy_1_ev, energy_2_ev, k_1,
+    k_2, delta_seconds) over all unordered pairs in input order;
+    delta_seconds > 0 means photon 1 arrives later.
     """
-    direction = np.asarray(scenario.direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    labels = [label for label, _ in scenario.photon_energies]
+    if distance_m <= 0.0:
+        raise ValueError("distance_m must be positive")
+    labels = [label for label, _ in energies]
     if len(set(labels)) != len(labels):
-        raise ValueError("photon labels must be distinct")
-    deviations = {}
-    ks = {}
-    for label, ev in scenario.photon_energies:
-        kmag = energy_to_wavevector(ev, units)
-        kvec = kmag * direction
-        if np.max(np.abs(kvec - canonical_wavevector(kvec))) > 1e-9:
-            raise EnergyOutOfRangeError(
-                f"photon {label!r} at {ev} eV implies k={kmag:.3e} outside the canonical cell"
-            )
-        ks[label] = kmag
-        deviations[label] = speed_deviation(kmag, scenario.sign, direction)
-    rows = []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            l1, l2 = labels[i], labels[j]
-            d1, d2 = deviations[l1], deviations[l2]
-            # D (1/v1 - 1/v2) with v = c (1 + dev), kept stable for tiny devs
-            delta = scenario.distance_m / units.c * (d2 - d1) / ((1.0 + d1) * (1.0 + d2))
-            rows.append((l1, l2, ks[l1], ks[l2], delta))
-    return rows
+        raise ValueError("energies must have distinct labels")
+    ks = [energy_to_wavevector(ev, units) for _, ev in energies]
+    direction = np.asarray(direction, dtype=float)
+    kvecs = np.multiply.outer(ks, direction / np.linalg.norm(direction))
+    outside = np.max(np.abs(kvecs - canonical_wavevector(kvecs)), axis=-1) > 1e-9
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise EnergyOutOfRangeError(
+            f"photon {labels[i]!r} at {energies[i][1]} eV implies k={ks[i]:.3e} outside the canonical cell"
+        )
+    deviations = speed_deviation(kvecs, sign).tolist()
+    photons = [(label, ev, k, dev) for (label, ev), k, dev in zip(energies, ks, deviations)]
+    # D (1/v1 - 1/v2) with v = c (1 + dev), kept stable for tiny devs
+    return [
+        (l1, l2, e1, e2, k1, k2, distance_m / units.c * (d2 - d1) / ((1.0 + d1) * (1.0 + d2)))
+        for (l1, e1, k1, d1), (l2, e2, k2, d2) in itertools.combinations(photons, 2)
+    ]
 
 
 def saturation_estimate(photon_count: float, volume_cm3: float, units: UnitSystem = PLANCK_UNITS):

@@ -59,6 +59,13 @@ def test_profile_normalization_and_concentration():
     assert 0.0 < fraction < 1.0
 
 
+@pytest.mark.parametrize("factor,count", [(0.5, 33), (0.125, 2109)])
+def test_profile_point_count_is_scale_free(factor, count):
+    # the ball test is relative to the radius: a tiny ball is not its whole enclosing cube
+    for radius in (1.0, 1e-6, 1e-13):
+        assert len(make_uniform_profile(radius, radius * factor).weights) == count
+
+
 def test_profile_input_validation():
     with pytest.raises(ValueError):
         make_uniform_profile(radius=-1.0, grid_spacing=1.0)

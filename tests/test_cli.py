@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line front end."""
 
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +181,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 8
 
 
+def test_no_diagonal_flag_overrides_a_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"diagonal": True, "points": 3}))
+    out = tmp_path / "d.csv"
+    assert run(["dispersion", "--config", cfg, "--no-diagonal", "--out", out]) == EXIT_OK
+    header, _, rows = read_table(out)
+    assert header["config"]["diagonal"] is False
+    assert len(rows) == 27  # the cube, not the 3-point diagonal
+
+
 def test_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -256,6 +268,27 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "degenerate wavevector" in err and "invalid configuration" not in err
+
+
+@pytest.mark.parametrize(
+    "args,config,message",
+    [
+        (["tilt", "--k-values", "0.05,-0.1"], None, "error: k_values must be >= 0, got -0.1"),
+        (["tilt"], {"k_values": [-0.05]}, "error: k_values must be >= 0, got -0.05"),
+        (["flight", "--energies", "GeV=1e9,MeV=-1e6"], None, "energies must be > 0 eV, got -1000000.0 for 'MeV'"),
+        (["flight"], {"energies": [["GeV", 0], ["MeV", 1e6]]}, "energies must be > 0 eV, got 0.0 for 'GeV'"),
+        (["flight", "--distance-m", "-1"], None, "distance_m must be positive"),
+        (["flight", "--energies", "GeV=1e9,GeV=1e6"], None, "energies must have distinct labels"),
+    ],
+)
+def test_range_messages_name_the_key(tmp_path, capsys, args, config, message):
+    out = tmp_path / "x.csv"
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = args + ["--config", tmp_path / "config.json"]
+    assert run(args + ["--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("factor", ["1e-300", "0.005"])
@@ -450,5 +483,26 @@ def test_help_lists_exactly_the_schema_keys(capsys, command):
     assert exit_info.value.code == EXIT_OK
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     keys = {"--" + key.replace("_", "-") for key in DEFAULT_CONFIGS[command]}
+    keys |= {"--no-" + key for key, default in DEFAULT_CONFIGS[command].items() if isinstance(default, bool)}
     assert set(SCHEMA[command][1]) == set(DEFAULT_CONFIGS[command])
     assert flags == keys | {"--help", "--config", "--out", "--seed"}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_TABLE_HEADER = "| command | key | type (flag form) | default | range |"
+
+
+def test_readme_cli_table_matches_the_schema():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(README_TABLE_HEADER) + 2  # past the header and its rule
+    documented = []
+    command = None
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        command = cells[0].strip("`") or command
+        for name in SCHEMA if command == "all five" else [command]:
+            documented.append(((name, cells[1].strip("`")), json.loads(cells[3].strip("`"))))
+    expected = {(name, key): default for name, (_, keys) in SCHEMA.items() for key, (default, _) in keys.items()}
+    assert sorted(pair for pair, _ in documented) == sorted(expected)
+    for pair, default in documented:
+        assert default == expected[pair] and type(default) is type(expected[pair]), pair

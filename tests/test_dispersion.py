@@ -9,7 +9,6 @@ from latticelight.dispersion import (
     DIAGONAL,
     PLANCK_UNITS,
     EnergyOutOfRangeError,
-    FlightScenario,
     UnitSystem,
     energy_to_wavevector,
     group_velocity,
@@ -94,8 +93,49 @@ def test_speed_matches_gradient_route():
 
 
 def test_speed_deviation_stable_at_astrophysical_k():
-    dev = speed_deviation(1e-19, MINUS)
+    dev = speed_deviation(1e-19 * DIAGONAL, MINUS)
+    assert isinstance(dev, float)
     assert dev == pytest.approx(1e-19 / 9.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_speed_deviation_batch_equals_its_rows(sign):
+    rng = np.random.default_rng(34)
+    ks = rng.uniform(-2.0, 2.0, (4, 5, 3))
+    batch = speed_deviation(ks, sign)
+    assert batch.shape == (4, 5)
+    rows = np.array([[speed_deviation(k, sign) for k in row] for row in ks])
+    assert np.array_equal(batch, rows)
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_speed_deviation_vanishes_along_the_axes(sign):
+    ks = np.concatenate([m * np.eye(3) for m in (1e-19, 1e-3, 0.7, -1.5)])
+    assert np.all(speed_deviation(ks, sign) == 0.0)
+
+
+def test_speed_deviation_branches_have_opposite_signs():
+    rng = np.random.default_rng(35)
+    ks = rng.uniform(-2.0, 2.0, (200, 3))
+    plus, minus = speed_deviation(ks, PLUS), speed_deviation(ks, MINUS)
+    assert np.all(plus != 0.0)
+    assert np.array_equal(np.sign(plus), -np.sign(minus))
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_speed_deviation_anisotropy_law_at_astrophysical_k(sign):
+    # -sign k_x k_y k_z / (sqrt3 |k|^2): the law a direction-resolved delay integrates, k/9 on the diagonal
+    rng = np.random.default_rng(36)
+    dirs = rng.standard_normal((500, 3))
+    ks = 1e-19 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    law = -sign * np.prod(ks, axis=1) / (SQRT3 * np.sum(ks**2, axis=1))
+    np.testing.assert_allclose(speed_deviation(ks, sign), law, rtol=1e-6, atol=0.0)
+
+
+def test_speed_deviation_degenerate_row_in_a_batch():
+    ks = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [0.3, -0.2, 0.1]])
+    with pytest.raises(DegeneratePointError):
+        speed_deviation(ks, MINUS)
 
 
 def test_superluminal_branch_uniformly_bounded():
@@ -136,26 +176,23 @@ def test_unit_system_consistency():
 
 
 def test_flight_equal_energies():
-    scenario = FlightScenario(
-        distance_m=3.0857e25, photon_energies=(("a", 1e9), ("b", 1e9)), sign=MINUS
-    )
-    rows = time_of_flight_delta(scenario)
+    rows = time_of_flight_delta(3.0857e25, [["a", 1e9], ["b", 1e9]], MINUS)
     assert len(rows) == 1
-    assert rows[0][4] == 0.0
+    assert rows[0][:4] == ("a", "b", 1e9, 1e9)
+    assert rows[0][6] == 0.0
 
 
 def test_flight_linear_in_distance():
-    energies = (("hi", 1e9), ("lo", 1e6))
-    r1 = time_of_flight_delta(FlightScenario(1e25, energies, MINUS))[0][4]
-    r2 = time_of_flight_delta(FlightScenario(2e25, energies, MINUS))[0][4]
+    energies = [["hi", 1e9], ["lo", 1e6]]
+    r1 = time_of_flight_delta(1e25, energies, MINUS)[0][6]
+    r2 = time_of_flight_delta(2e25, energies, MINUS)[0][6]
     assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
 
 def test_flight_first_order_agreement():
     # Delta t ~= (D/c) (k2 - k1) * slope with the diagonal slope dev = k/9
     distance = 3.0857e25
-    scenario = FlightScenario(distance, (("GeV", 1e9), ("MeV", 1e6)), MINUS)
-    full = time_of_flight_delta(scenario)[0][4]
+    full = time_of_flight_delta(distance, [["GeV", 1e9], ["MeV", 1e6]], MINUS)[0][6]
     k1 = energy_to_wavevector(1e9)
     k2 = energy_to_wavevector(1e6)
     first_order = distance / PLANCK_UNITS.c * (k2 - k1) / 9.0
@@ -163,18 +200,17 @@ def test_flight_first_order_agreement():
 
 
 def test_flight_out_of_range_energy():
-    scenario = FlightScenario(1e25, (("planck", 1e29), ("lo", 1e6)), MINUS)
-    with pytest.raises(EnergyOutOfRangeError):
-        time_of_flight_delta(scenario)
+    with pytest.raises(EnergyOutOfRangeError, match="'planck'"):
+        time_of_flight_delta(1e25, [["lo", 1e6], ["planck", 1e29]], MINUS)
 
 
 def test_flight_validation():
+    with pytest.raises(ValueError, match="distance_m must be positive"):
+        time_of_flight_delta(-1.0, [["a", 1e9], ["b", 1e6]], MINUS)
     with pytest.raises(ValueError):
-        FlightScenario(-1.0, (("a", 1e9),), MINUS)
-    with pytest.raises(ValueError):
-        FlightScenario(1.0, (("a", -1e9),), MINUS)
-    with pytest.raises(ValueError):
-        time_of_flight_delta(FlightScenario(1e25, (("a", 1e9), ("a", 1e6)), MINUS))
+        time_of_flight_delta(1.0, [["a", -1e9], ["b", 1e6]], MINUS)
+    with pytest.raises(ValueError, match="energies must have distinct labels"):
+        time_of_flight_delta(1e25, [["a", 1e9], ["a", 1e6]], MINUS)
 
 
 def test_saturation_estimate():
