@@ -209,9 +209,12 @@ def _weighted_rms(dev: np.ndarray) -> float:
 
 
 def _axis_angle(n, k):
-    """Angle in [0, pi] between the rotation axes ``n[..., 3]`` and wavevectors ``k[..., 3]``."""
-    cosang = np.sum(n * k, axis=-1) / (np.linalg.norm(n, axis=-1) * np.linalg.norm(k, axis=-1))
-    return np.arccos(np.clip(cosang, -1.0, 1.0))
+    """Angle in [0, pi] between the rotation axes ``n[..., 3]`` and wavevectors ``k[..., 3]``.
+
+    atan2(|n x k|, n . k) keeps its relative precision at small angles, where
+    arccos of the cosine has an absolute error of about sqrt(eps) = 1e-8.
+    """
+    return np.arctan2(np.linalg.norm(np.cross(n, k), axis=-1), np.sum(n * k, axis=-1))
 
 
 def tilt_angle(k, sign):

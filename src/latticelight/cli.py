@@ -247,7 +247,7 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
-    from . import fock  # here, so that the other subcommands never load the Fock oracle
+    from .onebody import fock_suite  # here, so that the other subcommands never load it
 
     n, n_max, samples = cfg["momenta"], cfg["n_max"], cfg["conjecture_samples"]
     if not 1 <= n <= 3:
@@ -255,102 +255,10 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
     for key, value in (("n_max", n_max), ("conjecture_samples", samples)):
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
-    if n % 2 == 1:
-        momenta = list(range(-(n // 2), n - n // 2))
-    else:
-        momenta = [2 * j + 1 - n for j in range(n)]
-    space = fock.build_fock(momenta)
-    profiles = fock.available_profiles(momenta)
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    checks.append(
-        {
-            "name": "anticommutators",
-            "passed": True,
-            "detail": f"verified exactly at build for {space.mode_count} modes",
-        }
-    )
-
-    specs = [(alpha, beta, prof) for alpha in fock.SPINS for beta in fock.SPINS for prof in profiles.values()]
-    pair_sweep = fock.pair_commutator_sweep(space, specs)
-    checks.append(
-        {
-            "name": "pair_commutators",
-            "passed": bool(pair_sweep.max_assembly_deviation <= 1e-12 and pair_sweep.max_gamma_gamma == 0.0),
-            "max_assembly_deviation": pair_sweep.max_assembly_deviation,
-            "max_gamma_gamma": pair_sweep.max_gamma_gamma,
-            "label_pairs": pair_sweep.label_pairs,
-        }
-    )
-
-    sweep = fock.schwartz_exhaustive(space, profiles.values())
-    checks.append(
-        {
-            "name": "schwartz_bound",
-            "passed": bool(sweep.holds),
-            "cases": sweep.cases,
-            "states": sweep.states,
-            "worst_margin": sweep.worst_margin,
-        }
-    )
-
-    pol = fock.polarization_boson_check(space, profiles.values())
-    checks.append(
-        {
-            "name": "polarization_modes",
-            "passed": bool(pol.vacuum_deviation <= 1e-12),
-            "vacuum_deviation": pol.vacuum_deviation,
-            "deviation_by_particles": {str(k): v for k, v in pol.deviation_by_particles.items()},
-        }
-    )
-
-    pairs = fock.default_pairs(space)
-    uniform = np.full(len(pairs), 1.0 / math.sqrt(len(pairs)))
-    n_max = min(n_max, len(pairs))
-    second = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
-    second -= uniform * np.sum(second * np.conj(uniform))
-    second /= np.linalg.norm(second)
-    suite = fock.composite_boson_suite(space, pairs, uniform, n_max, second_weights=second)
-    stack = fock.pair_stack(space, pairs)
-    # random orthonormal pairs: |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2) for N = 1, 2
-    sample_n = np.arange(1, min(2, n_max) + 1)
-    worst_slack = math.inf
-    for _ in range(samples):
-        w1 = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
-        w1 /= np.linalg.norm(w1)
-        w2 = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
-        w2 -= w1 * np.sum(w2 * np.conj(w1))
-        w2 /= np.linalg.norm(w2)
-        bounds = 2.0 * sample_n * max(fock.purity(w1), fock.purity(w2))
-        values = fock.cross_commutator_values(stack, w1, w2, len(sample_n))
-        worst_slack = min(worst_slack, float(np.min(bounds - values)))
-    checks.append(
-        {
-            "name": "composite_bosons",
-            "passed": bool(
-                suite.commutator_identity_deviation <= 1e-12
-                and all(r[4] for r in suite.sandwich_rows)
-                and suite.cross_identity_deviation <= 1e-12
-                and all(r[3] for r in suite.cross_rows)
-                and worst_slack >= -1e-12
-            ),
-            "purity": suite.purity,
-            "commutator_identity_deviation": suite.commutator_identity_deviation,
-            "sandwich": [list(r) for r in suite.sandwich_rows],
-            "saturation_order": suite.saturation_order,
-            "conjecture_samples": samples,
-            "conjecture_worst_slack": worst_slack,
-        }
-    )
-
-    passed = all(c["passed"] for c in checks)
     report = _base_header("fock-suite", cfg, seed)
-    report.update(
-        space={"momenta": momenta, "modes": space.mode_count, "dimension": space.dim}, checks=checks, passed=passed
-    )
+    report.update(fock_suite(n, n_max, samples, seed))
     write_json(out, report)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
 def cmd_flight(cfg: dict, out: str, seed: int) -> int:

@@ -1,19 +1,11 @@
-"""Exact Fermionic Fock space over a small discrete momentum set.
+"""The Jordan-Wigner Fock space over up to 3 momenta: the oracle of ``onebody``.
 
-The mode set is (field psi/phi) x (spin R/L) x (momentum label); lowering
-operators follow Jordan-Wigner with signs fixed by the global ordering
-field, then spin, then momentum.  On top of the raw algebra this module
-builds the pair operators
-
-    gamma_{alpha,beta}(k) = sum_q f_k(q) phi_alpha(k/2 - q) psi_beta(k/2 + q),
-
-their polarization contractions, and generic composite bosons
-c = sum_i f(i) psi_i phi_i, and verifies commutation relations, Schwartz
-bounds and composite-boson claims by brute force.
-
-Momentum labels are integers; the k/2 +- q arithmetic presumes an even
-total k.  The algebra only sees the resulting index pairing, so any lattice
-convention can be supplied through explicit pairings as well.
+``onebody`` computes every fock-suite check without a Fock basis, from the
+mode table and the ladder terms of the pair operators, hopping operators,
+polarization modes and composite bosons.  Here the same terms act on the
+2^(4M) basis states, with Jordan-Wigner signs fixed by the mode order (field,
+then spin, then momentum), and the identities and bounds are verified by
+brute force.  Acceptance criteria 7 to 9 and the tests use it.
 
 Everything is exact and needs numpy alone.  A product of ladder operators
 has at most one entry per row over the basis states, so it is a signed map:
@@ -21,20 +13,9 @@ row s reads column ``source[s]`` with sign +-1, or 0 where the product
 annihilates it.  The checks work on weighted sums of such maps: an operator
 product composes maps by gathers, one per term against a whole stack of
 terms; an operator identity is compared entry by entry after equal (row,
-column) entries are merged by one sort.  The
-public builders that return matrices (gamma_ab, h_operator,
-composite_boson, ...) turn the same maps into scipy CSR, and import scipy
-only when called.
-
-The composite-boson states (c^dag)^N |0>, c = sum_i f(i) b_i over disjoint
-pairs b_i = psi_i phi_i, lie in the span of the 2^P pair-occupation states
-prod_{i in S} b_i^dag |0> (the Schmidt-pair picture of Law, PRA 71, 034306
-(2005)).  Each b_i is even, so the b_i commute with each other and square to
-zero, and b_i b_i^dag = 1 on states where both of the pair's modes are empty:
-that span is invariant under every b_i and b_i^dag, its basis is orthonormal,
-and it carries no Jordan-Wigner sign.  cross_commutator_values works on that
-P-bit register (pair_stack); composite_boson_suite still checks the operator
-identities behind it, entry by entry, in the full Fock space.
+column) entries are merged by one sort.  The builders that return matrices
+(gamma_ab, composite_boson, ...) turn the same maps into scipy CSR, and
+import scipy only when called.
 """
 
 from __future__ import annotations
@@ -46,34 +27,35 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .walk import PAULI
-from .bilinear import PolarizationFrame
+from .onebody import (  # noqa: F401  (the names tests and criteria import from here)
+    FIELDS,
+    SPINS,
+    LatticeProfile,
+    ModeTable,
+    SaturationError,
+    UnresolvedMomentumError,
+    _assembly_terms,
+    _composite_terms,
+    _disjoint_positions,
+    _gamma_terms,
+    _hopping_terms,
+    _occupations,
+    _pair_positions,
+    _profile_pairing,
+    available_profiles,
+    default_pairs,
+    purity,
+    uniform_profile,
+)
 
 if TYPE_CHECKING:
     from scipy import sparse
 
-FIELDS = ("psi", "phi")
-SPINS = ("R", "L")
-
-MAX_MOMENTA = 5  # keeps the dimension at or below 2**20
+MAX_MOMENTA = 3  # the dimension is at most 2**12
 
 
 class FockSizeError(ValueError):
     """Requested momentum set exceeds the supported space size."""
-
-
-class UnresolvedMomentumError(KeyError):
-    """A k/2 +- q combination with nonzero weight falls outside the momentum set."""
-
-
-class SaturationError(RuntimeError):
-    """(c^dag)^N annihilates the vacuum: Pauli blocking reached."""
-
-
-class Mode(NamedTuple):
-    field: str
-    spin: str
-    momentum: int
 
 
 class SignedMap(NamedTuple):
@@ -89,7 +71,7 @@ class SignedMap(NamedTuple):
     sign: np.ndarray
 
 
-class FockSpace:
+class FockSpace(ModeTable):
     """Fock space with Jordan-Wigner ladder operators for every mode.
 
     All anticommutation relations are verified exactly at build time.
@@ -101,14 +83,7 @@ class FockSpace:
         momenta = tuple(momenta)
         if not 1 <= len(momenta) <= MAX_MOMENTA:
             raise FockSizeError(f"need 1..{MAX_MOMENTA} momenta, got {len(momenta)}")
-        if len(set(momenta)) != len(momenta):
-            raise ValueError("momentum labels must be distinct")
-        self.momenta = momenta
-        self.modes = tuple(
-            Mode(field, spin, p) for field in FIELDS for spin in SPINS for p in momenta
-        )
-        self._positions = {mode: i for i, mode in enumerate(self.modes)}
-        self.mode_count = len(self.modes)
+        super().__init__(momenta)
         self.dim = 1 << self.mode_count
         self._states = np.arange(self.dim, dtype=np.int32)  # the basis, read-only
         # per mode p: is p occupied, and the parity of the occupied modes below p
@@ -161,16 +136,6 @@ class FockSpace:
                     same_columns = np.array_equal(ij.source, columns) and np.array_equal(ji.source, columns)
                     if not (same_columns and np.all(ij.sign + ji.sign == target)):
                         raise RuntimeError(name)
-
-    def position(self, field: str, spin: str, momentum) -> int:
-        try:
-            return self._positions[Mode(field, spin, momentum)]
-        except KeyError:
-            if field not in FIELDS or spin not in SPINS:
-                raise ValueError(f"unknown mode label ({field!r}, {spin!r})") from None
-            raise UnresolvedMomentumError(
-                f"momentum {momentum!r} not in space {self.momenta}"
-            ) from None
 
     def annihilator(self, field: str, spin: str, momentum) -> sparse.csr_matrix:
         return self.lowering[self.position(field, spin, momentum)]
@@ -313,63 +278,6 @@ def _diagonal(space: FockSpace, terms) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# profiles on an integer momentum lattice
-
-
-@dataclass(frozen=True)
-class LatticeProfile:
-    """Discrete normalized profile f_k(q) for an even total pair momentum k."""
-
-    total: int
-    weights: tuple  # ((q, weight), ...) sorted by q
-
-    def __post_init__(self):
-        if self.total % 2 != 0:
-            raise ValueError("total pair momentum must be even (k/2 integral)")
-        items = tuple(sorted((int(q), complex(w)) for q, w in self.weights))
-        if len({q for q, _ in items}) != len(items):
-            raise ValueError("duplicate q in profile")
-        if not all(math.isfinite(w.real) and math.isfinite(w.imag) for _, w in items):
-            raise ValueError(f"profile weights must be finite, got {[w for _, w in items]!r}")
-        norm = sum(abs(w) ** 2 for _, w in items)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"profile not normalized: sum|f|^2 = {norm!r}")
-        object.__setattr__(self, "weights", items)
-
-    @property
-    def half(self) -> int:
-        return self.total // 2
-
-    def weight(self, q: int) -> complex:
-        for qq, w in self.weights:
-            if qq == q:
-                return w
-        return 0.0
-
-    def overlap(self, other: "LatticeProfile") -> complex:
-        return sum(w * np.conj(other.weight(q)) for q, w in self.weights)
-
-
-def uniform_profile(total: int, qs) -> LatticeProfile:
-    qs = tuple(qs)
-    w = 1.0 / math.sqrt(len(qs))
-    return LatticeProfile(total=total, weights=tuple((q, w) for q in qs))
-
-
-def available_profiles(momenta) -> dict:
-    """Uniform profiles for every total momentum the lattice supports.
-
-    k = p1 + p2 over mode pairs with even difference; q = (p2 - p1)/2.
-    """
-    table: dict = {}
-    for p1 in momenta:
-        for p2 in momenta:
-            if (p2 - p1) % 2 == 0:
-                table.setdefault(p1 + p2, set()).add((p2 - p1) // 2)
-    return {k: uniform_profile(k, sorted(qs)) for k, qs in sorted(table.items())}
-
-
-# ---------------------------------------------------------------------------
 # pair operators
 
 
@@ -402,23 +310,6 @@ def _number_diagonal(space: FockSpace, terms) -> np.ndarray:
     return sum((weight * space._occupied[position] for weight, position in terms), np.zeros(space.dim))
 
 
-def _gamma_terms(space: FockSpace, alpha: str, beta: str, pairing, weights) -> list:
-    weights = np.asarray(weights, dtype=complex)
-    if len(weights) != len(pairing):
-        raise ValueError("pairing and weights must have equal length")
-    return [
-        (w, (space.position("phi", alpha, minus), False), (space.position("psi", beta, plus), False))
-        for (minus, plus), w in zip(pairing, weights)
-        if w != 0.0
-    ]
-
-
-def _profile_pairing(profile: LatticeProfile):
-    """(k/2 - q, k/2 + q) momentum pairs and the weights f_k(q) of a profile."""
-    pairing = [(profile.half - q, profile.half + q) for q, _ in profile.weights]
-    return pairing, [w for _, w in profile.weights]
-
-
 def gamma_ab(space: FockSpace, alpha: str, beta: str, pairing, weights) -> sparse.csr_matrix:
     """gamma = sum_j w_j phi_alpha(minus_j) psi_beta(plus_j) from an explicit pairing.
 
@@ -433,51 +324,9 @@ def gamma_for_profile(space: FockSpace, alpha: str, beta: str, profile: LatticeP
     return gamma_ab(space, alpha, beta, *_profile_pairing(profile))
 
 
-def _hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in) -> list:
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
-    shift = (prof_dag.total - prof_in.total) // 2
-    terms = []
-    for q, w_in in prof_in.weights:
-        weight = w_in * np.conj(prof_dag.weight(q + branch * shift))
-        if weight == 0.0:
-            continue
-        dag = space.position(field, spin_dag, prof_dag.total - prof_in.half + branch * q)
-        inn = space.position(field, spin_in, prof_in.half + branch * q)
-        terms.append((weight, (dag, True), (inn, False)))
-    return terms
-
-
-def h_operator(
-    space: FockSpace,
-    branch: int,
-    field: str,
-    spin_dag: str,
-    spin_in: str,
-    prof_dag: LatticeProfile,
-    prof_in: LatticeProfile,
-) -> sparse.csr_matrix:
-    """Hopping operator H^branch appearing in the pair commutator.
-
-    With k = prof_in.total, k' = prof_dag.total, s = (k' - k)/2 and
-    branch = +-1:
-
-        H = sum_q f_k(q) conj(f_k'(q + branch*s))
-            field^dag_{spin_dag}(k' - k/2 + branch*q) field_{spin_in}(k/2 + branch*q)
-
-    Zero-weight terms are skipped; a nonzero-weight term whose momentum is
-    not in the space raises UnresolvedMomentumError.
-    """
-    return _quadratic(space, _hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in))
-
-
 def _gamma_diagonal(space: FockSpace, profile: LatticeProfile, field, spin, branch) -> np.ndarray:
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
-    return _number_diagonal(
-        space,
-        [(abs(w) ** 2, space.position(field, spin, profile.half + branch * q)) for q, w in profile.weights],
-    )
+    """Diagonal of Gamma^branch = sum_q |f(q)|^2 n_{field,spin}(k/2 + branch*q)."""
+    return _occupations(space, profile, field, spin, branch) @ space._occupied
 
 
 @dataclass(frozen=True)
@@ -488,22 +337,6 @@ class CommutatorReport:
     identity_coefficient: complex
     delta_part: sparse.csr_matrix
     max_abs_difference: float
-
-
-def _assembly_terms(space: FockSpace, spec1, spec2):
-    """Identity coefficient and hopping terms of the assembly of [gamma_1, gamma_2^dag]."""
-    alpha1, beta1, prof1 = spec1
-    alpha2, beta2, prof2 = spec2
-    if alpha1 == alpha2 and beta1 == beta2 and prof1.total == prof2.total:
-        coefficient = complex(prof1.overlap(prof2))
-    else:
-        coefficient = 0.0
-    terms = []
-    if alpha1 == alpha2:
-        terms += _hopping_terms(space, +1, "psi", beta2, beta1, prof2, prof1)
-    if beta1 == beta2:
-        terms += _hopping_terms(space, -1, "phi", alpha2, alpha1, prof2, prof1)
-    return coefficient, terms
 
 
 def commutator_report(space: FockSpace, spec1, spec2) -> CommutatorReport:
@@ -529,56 +362,6 @@ def commutator_report(space: FockSpace, spec1, spec2) -> CommutatorReport:
         identity_coefficient=coefficient,
         delta_part=delta_part,
         max_abs_difference=_max_abs(direct - assembled),
-    )
-
-
-@dataclass(frozen=True)
-class PairSweep:
-    """Worst deviations over every ordered pair of gamma labels."""
-
-    label_pairs: int  # ordered pairs compared
-    max_assembly_deviation: float  # of [gamma_1, gamma_2^dag] from its assembly
-    max_gamma_gamma: float  # of [gamma_1, gamma_2] from 0
-
-
-def pair_commutator_sweep(space: FockSpace, specs) -> PairSweep:
-    """commutator_report and [gamma_1, gamma_2] = 0 over all ordered pairs of ``specs``.
-
-    The terms of every gamma, and their adjoints, are stacked once, labelled
-    by their gamma.  For one gamma_1 each product with all second gammas is
-    one gather per term of gamma_1; every entry of [g1, g2^dag] - (c I - H)
-    and of [g1, g2] is summed over equal (second label, row, column) and the
-    largest |entry| kept.
-    """
-    specs = list(specs)
-    terms = [_gamma_terms(space, alpha, beta, *_profile_pairing(prof)) for alpha, beta, prof in specs]
-    labels = np.repeat(np.arange(len(specs)), [len(t) for t in terms])
-    gammas = _operator(space, [term for t in terms for term in t])
-    adjoints = gammas.dagger()
-    worst_assembly = worst_plain = 0.0
-    compared = 0
-    for spec1, terms1 in zip(specs, terms):
-        g1 = _operator(space, terms1)
-        # the assembly c I - H of every second label, negated
-        targets = [_assembly_terms(space, spec1, spec2) for spec2 in specs]
-        hopping = [(j, term) for j, (_, hop) in enumerate(targets) for term in hop]
-        hop_weights, hop_maps = _stacked(space, [term for _, term in hopping])
-        identities = [(j, c) for j, (c, _) in enumerate(targets) if c != 0.0]
-        coefficients = np.array([c for _, c in identities], dtype=complex)
-        diagonal = np.tile(space._states, (len(identities), 1))
-        identity = SignedMap(diagonal, np.ones(diagonal.shape, dtype=np.int8))
-        assembly = [
-            *_commutator(space.dim, g1, adjoints, labels),
-            _entries(space.dim, np.array([j for j, _ in hopping]), hop_weights, space._states, hop_maps),
-            _entries(space.dim, np.array([j for j, _ in identities]), -coefficients, space._states, identity),
-        ]
-        worst_assembly = max(worst_assembly, _max_entry(assembly))
-        worst_plain = max(worst_plain, _max_entry(_commutator(space.dim, g1, gammas, labels)))
-        compared += len(specs)
-    return PairSweep(
-        label_pairs=compared,
-        max_assembly_deviation=worst_assembly,
-        max_gamma_gamma=worst_plain,
     )
 
 
@@ -627,199 +410,12 @@ def schwartz_exhaustive(space: FockSpace, profiles) -> SchwartzSweep:
 
 
 # ---------------------------------------------------------------------------
-# polarization operators
-
-
-def polarization_matrices(frame: PolarizationFrame) -> list:
-    """Spin contraction matrices for the four polarization modes.
-
-    Index 0 is timelike (identity), 1 and 2 transverse (u1, u2), 3
-    longitudinal (the axis e).  Each matrix carries a 1/sqrt(2) so that the
-    resulting pair mode is unit-normalized on the vacuum.
-    """
-    vectors = [None, frame.u1, frame.u2, frame.e]
-    mats = [PAULI[0]]
-    for v in vectors[1:]:
-        mats.append(v[0] * PAULI[1] + v[1] * PAULI[2] + v[2] * PAULI[3])
-    return [m / math.sqrt(2.0) for m in mats]
-
-
-def _polarization_terms(space: FockSpace, profile: LatticeProfile, mat) -> list:
-    pairing, weights = _profile_pairing(profile)
-    return [
-        (mat[ia, ib] * w, first, second)
-        for ia, alpha in enumerate(SPINS)
-        for ib, beta in enumerate(SPINS)
-        if mat[ia, ib] != 0.0
-        for w, first, second in _gamma_terms(space, alpha, beta, pairing, weights)
-    ]
-
-
-def polarization_gamma(
-    space: FockSpace, profile: LatticeProfile, frame: PolarizationFrame, index: int
-) -> sparse.csr_matrix:
-    """gamma^i(k) = sum_{alpha,beta} M^i_{alpha,beta} gamma_{alpha,beta}(k)."""
-    return _quadratic(space, _polarization_terms(space, profile, polarization_matrices(frame)[index]))
-
-
-_DEFAULT_FRAME = PolarizationFrame(
-    e=np.array([0.0, 0.0, 1.0]), u1=np.array([1.0, 0.0, 0.0]), u2=np.array([0.0, 1.0, 0.0])
-)
-
-
-@dataclass(frozen=True)
-class PolarizationReport:
-    """Deviation of [gamma^i(k), gamma^j(k')^dag] from delta_ij delta_kk'."""
-
-    cases: int
-    states_checked: int
-    deviation_by_particles: dict
-    max_deviation: float
-    vacuum_deviation: float
-
-
-def _polarization_diagonals(space: FockSpace, profiles, frame: PolarizationFrame, rows) -> np.ndarray:
-    """<s|[gamma_g, gamma_h^dag]|s> for every pair of polarization gammas g, h and basis state s in ``rows``.
-
-    Every gamma^i(k) is a row of coefficients over the distinct ladder terms
-    T_a; the diagonals of T_a T_b^dag - T_b^dag T_a on ``rows`` are
-    contracted with those coefficients for every pair at once.
-    """
-    gammas = [_polarization_terms(space, prof, mat) for prof in profiles for mat in polarization_matrices(frame)]
-    column = {key: j for j, key in enumerate(dict.fromkeys((f, s) for t in gammas for _, f, s in t))}
-    coefficients = np.zeros((len(gammas), len(column)), dtype=complex)
-    for g, terms in enumerate(gammas):
-        for w, first, second in terms:
-            coefficients[g, column[first, second]] += w
-    ladders = _operator(space, [(1.0, *key) for key in column])
-
-    def diagonal(left, right):  # diagonal of L R on the rows; axes (R, L, row)
-        product = _product(SignedMap(left.source[:, rows], left.sign[:, rows]), right)
-        return np.where(product.source == space._states[rows], product.sign, 0)
-
-    # axes (a, b, row)
-    diagonals = diagonal(ladders.maps, ladders.adjoints).transpose(1, 0, 2) - diagonal(ladders.adjoints, ladders.maps)
-    partial = np.einsum("ga,abk->gbk", coefficients, diagonals)
-    return np.einsum("hb,gbk->ghk", np.conj(coefficients), partial)
-
-
-def polarization_boson_check(
-    space: FockSpace, profiles, frame: PolarizationFrame = _DEFAULT_FRAME
-) -> PolarizationReport:
-    """Evaluate the four-mode Bose commutators on all low-occupancy basis states.
-
-    Expectations are taken on the vacuum and on every basis state with total
-    particle number <= 2; deviations are grouped by particle
-    number (they grow with occupancy, vanishing exactly on the vacuum).
-    """
-    numbers = space.particle_numbers()
-    kept = np.flatnonzero(numbers <= 2)
-    kept_numbers = numbers[kept]
-    values = _polarization_diagonals(space, list(profiles), frame, kept)
-    deviation = np.abs(values - np.eye(len(values))[..., None]).max(axis=(0, 1), initial=0.0)
-    by_particles = {int(n): float(np.max(deviation[kept_numbers == n])) for n in sorted(set(kept_numbers.tolist()))}
-    return PolarizationReport(
-        cases=len(values) ** 2,
-        states_checked=len(kept),
-        deviation_by_particles=by_particles,
-        max_deviation=max(by_particles.values()),
-        vacuum_deviation=by_particles.get(0, 0.0),
-    )
-
-
-# ---------------------------------------------------------------------------
 # composite bosons
-
-
-def default_pairs(space: FockSpace) -> tuple:
-    """One (psi, phi) mode pair per (spin, momentum), in deterministic order."""
-    return tuple(
-        ((spin, p), (spin, p)) for spin in SPINS for p in space.momenta
-    )
-
-
-def _pair_positions(space: FockSpace, pair) -> tuple:
-    (psi_spin, psi_p), (phi_spin, phi_p) = pair
-    return space.position("psi", psi_spin, psi_p), space.position("phi", phi_spin, phi_p)
-
-
-def _composite_terms(space: FockSpace, pairs, weights) -> list:
-    weights = np.asarray(weights, dtype=complex)
-    if len(weights) != len(pairs):
-        raise ValueError("pairs and weights must have equal length")
-    resolved = [(_pair_positions(space, pair), w) for pair, w in zip(pairs, weights) if w != 0.0]
-    return [(w, (psi, False), (phi, False)) for (psi, phi), w in resolved]
 
 
 def composite_boson(space: FockSpace, pairs, weights) -> sparse.csr_matrix:
     """c = sum_i f(i) psi_i phi_i over explicit (psi mode, phi mode) pairs."""
     return _quadratic(space, _composite_terms(space, pairs, weights))
-
-
-def _disjoint_positions(space: FockSpace, pairs) -> list:
-    """The (psi, phi) positions of every pair; ValueError naming a mode that two pairs share."""
-    positions = [_pair_positions(space, pair) for pair in pairs]
-    owner = {}
-    for i, pair_positions in enumerate(positions):
-        for position in pair_positions:
-            if position in owner:
-                mode = space.modes[position]
-                raise ValueError(
-                    f"pairs {owner[position]} and {i} share the mode {mode.field}({mode.spin}, {mode.momentum})"
-                )
-            owner[position] = i
-    return positions
-
-
-class PairStack(NamedTuple):
-    """The pair operators b_i = psi_i phi_i as stacked signed maps on the 2^P pair register.
-
-    Register state s stands for prod_{i: bit i of s set} b_i^dag |0>; row i
-    of each map holds one pair.
-    """
-
-    lowering: SignedMap  # the b_i
-    raising: SignedMap  # the b_i^dag
-
-
-def pair_stack(space: FockSpace, pairs) -> PairStack:
-    """The b_i and b_i^dag of P disjoint ``pairs`` over the 2^P register states.
-
-    Row s of b_i^dag reads s with bit i flipped, with sign 1 where bit i of s
-    is set and 0 elsewhere; b_i is the same with the bit test reversed.  No
-    sign enters because the b_i commute (see the module docstring).  ``space``
-    only resolves the pairs; pairs that share a mode raise ValueError.
-    """
-    count = len(_disjoint_positions(space, pairs))
-    states = np.arange(1 << count, dtype=np.int32)
-    bits = (1 << np.arange(count, dtype=np.int32))[:, None]
-    source = states ^ bits
-    occupied = (states & bits != 0).astype(np.int8)
-    return PairStack(SignedMap(source, 1 - occupied), SignedMap(source, occupied))
-
-
-def cross_commutator_values(stack: PairStack, weights, second_weights, n_max: int) -> np.ndarray:
-    """|<N|[c1, c2^dag]|N>| for N = 1..n_max, with |N> the normalized (c1^dag)^N |0>.
-
-    ``stack`` comes from pair_stack, so the states are vectors over the pair
-    register, whose state 0 is the vacuum.  On a state u,
-    c u = sum_i f(i) b_i u and c^dag u = sum_i conj(f(i)) b_i^dag u come from
-    one stacked gather per side, contracted with the weights, and
-    <u|[c1, c2^dag]|u> = <c1^dag u|c2^dag u> - <c2 u|c1 u>.  No operator
-    product is formed.  Raises SaturationError if n_max exceeds the
-    constructible N.
-    """
-    both = np.array([weights, second_weights], dtype=complex)
-    vacuum = np.zeros(stack.lowering.source.shape[-1], dtype=complex)
-    vacuum[0] = 1.0
-    v = _apply(np.conj(both[0]), stack.raising, vacuum)  # c1^dag |0>
-    values = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        u = _unit(v, n)
-        v, c2d_u = _apply(np.conj(both), stack.raising, u)  # v = c1^dag u
-        c1_u, c2_u = _apply(both, stack.lowering, u)
-        values[n - 1] = abs(np.vdot(v, c2d_u) - np.vdot(c2_u, c1_u))
-    return values
 
 
 def _pair_number_diagonals(space: FockSpace, pairs, weights):
@@ -828,12 +424,6 @@ def _pair_number_diagonals(space: FockSpace, pairs, weights):
     g_psi = _number_diagonal(space, [(w2, psi) for (psi, _), w2 in zip(positions, squares)])
     g_phi = _number_diagonal(space, [(w2, phi) for (_, phi), w2 in zip(positions, squares)])
     return g_psi, g_phi
-
-
-def purity(weights) -> float:
-    """P = sum |f(i)|^4, the single-pair reduced-state purity."""
-    w = np.asarray(weights, dtype=complex)
-    return float(np.sum(np.abs(w) ** 4))
 
 
 def pair_condensate(space: FockSpace, c_matrix, n: int) -> np.ndarray:
@@ -881,12 +471,11 @@ def composite_boson_suite(space: FockSpace, pairs, weights, n_max: int, second_w
     Gamma_phi); for each N = 1..n_max the sandwich P <= <N|Gamma_psi|N> <= N P
     on the Fock-space chain (c^dag)^N |0>; the exact Pauli saturation order;
     and, given a second orthogonal weight vector, the cross-commutator
-    identity (in the Fock space) and |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2)
-    (on the pair register, from cross_commutator_values).  Pairs that share
-    a mode raise ValueError; SaturationError if n_max exceeds the
-    constructible N.
+    identity and |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2)
+    on the same chain.  Pairs that share a mode raise ValueError;
+    SaturationError if n_max exceeds the constructible N.
     """
-    stack = pair_stack(space, pairs)  # refuses pairs that share a mode before anything else is built
+    _disjoint_positions(space, pairs)  # refuses pairs that share a mode before anything is built
     weights = np.asarray(weights, dtype=complex)
     c1 = _operator(space, _composite_terms(space, pairs, weights))
     c1d = c1.dagger()
@@ -919,18 +508,20 @@ def composite_boson_suite(space: FockSpace, pairs, weights, n_max: int, second_w
     if second_weights is not None:
         w2 = np.asarray(second_weights, dtype=complex)
         p_max = max(p1, purity(w2))
-        values = cross_commutator_values(stack, weights, w2, n_max)
-        for n, value in enumerate(values, start=1):
-            bound = 2.0 * n * p_max
-            cross_rows.append((n, float(value), bound, value <= bound + 1e-12))
         c2 = _operator(space, _composite_terms(space, pairs, w2))
+        c2d = c2.dagger()
+        for n, u in enumerate(states, start=1):
+            # <u|[c1, c2^dag]|u> = <c1^dag u|c2^dag u> - <c2 u|c1 u>
+            c1d_u, c2d_u, c1_u, c2_u = (_apply(c.weights, c.maps, u) for c in (c1d, c2d, c1, c2))
+            value = abs(np.vdot(c1d_u, c2d_u) - np.vdot(c2_u, c1_u))
+            cross_rows.append((n, float(value), 2.0 * n * p_max, value <= 2.0 * n * p_max + 1e-12))
         # [c1, c2^dag] = overlap*I - sum_i f1(i) conj(f2(i)) (n_psi_i + n_phi_i)
         coeffs = weights * np.conj(w2)
         terms = [(c, p) for pair, c in zip(pairs, coeffs) if c != 0.0 for p in _pair_positions(space, pair)]
         diagonal = _number_diagonal(space, terms) - complex(np.sum(coeffs))
         target = _entries(space.dim, 0, 1.0, space._states, SignedMap(space._states, diagonal))
         labels = np.zeros(len(c2.weights), dtype=np.int64)
-        cross_dev = _max_entry(_commutator(space.dim, c1, c2.dagger(), labels) + [target])
+        cross_dev = _max_entry(_commutator(space.dim, c1, c2d, labels) + [target])
 
     return CompositeBosonReport(
         purity=p1,

@@ -1,0 +1,496 @@
+"""The fock-suite checks on the one-body algebra of the fermion bilinears.
+
+Modes are (field psi/phi) x (spin R/L) x (integer momentum label), ordered by
+field, then spin, then momentum.  The pair operators
+
+    gamma_{alpha,beta}(k) = sum_q f_k(q) phi_alpha(k/2 - q) psi_beta(k/2 + q),
+
+their polarization contractions, the hopping operators of their commutators
+and the composite bosons c = sum_i f(i) psi_i phi_i are lists of weighted
+ladder terms (w, (position, raising), (position, raising)); this module and
+the Jordan-Wigner oracle in ``fock`` read the same lists.  Momentum labels
+are integers, and k/2 +- q presumes an even total k.
+
+No check here needs the 2^(4M) Fock basis:
+
+* Operators quadratic in the ladders form a Lie algebra (Blaizot & Ripka,
+  Quantum Theory of Finite Systems, 1986).  With Psi = (a_1..a_n,
+  a_1^dag..a_n^dag) and antisymmetric pairing blocks,
+  [1/2 Psi^dag M1 Psi, 1/2 Psi^dag M2 Psi] = 1/2 Psi^dag [M1, M2] Psi, and
+  1/2 Psi^dag K Psi is sum_ij h_ij a_i^dag a_j - tr(h)/2 plus pairing terms,
+  h the upper-left block of K.  An identity [Q1, Q2] = c I - sum_ij H_ij
+  a_i^dag a_j is a comparison of blocks, and of -tr(h)/2 with c.
+* On basis states, one-body operators are linear in the occupations n_i.
+* Over disjoint pairs b_i = psi_i phi_i, (c^dag)^N |0> with
+  lambda_i = |f(i)|^2 occupies pair i with probability
+  <n_i>_N = lambda_i e_{N-1}(lambda without i) / e_N(lambda), e_N the
+  elementary symmetric polynomial (Law, PRA 71, 034306 (2005)).
+
+``fock`` checks each closed form against the Fock space at up to 3 momenta.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from .bilinear import PolarizationFrame
+from .walk import PAULI
+
+FIELDS = ("psi", "phi")
+SPINS = ("R", "L")
+
+TOL = 1e-12
+
+
+class UnresolvedMomentumError(KeyError):
+    """A k/2 +- q combination with nonzero weight falls outside the momentum set."""
+
+
+class SaturationError(RuntimeError):
+    """(c^dag)^N annihilates the vacuum: Pauli blocking reached."""
+
+
+class Mode(NamedTuple):
+    field: str
+    spin: str
+    momentum: int
+
+
+class ModeTable:
+    """The 4 * len(momenta) modes in ladder order, and their positions."""
+
+    def __init__(self, momenta):
+        momenta = tuple(momenta)
+        if len(set(momenta)) != len(momenta):
+            raise ValueError("momentum labels must be distinct")
+        self.momenta = momenta
+        self.modes = tuple(Mode(field, spin, p) for field in FIELDS for spin in SPINS for p in momenta)
+        self._positions = {mode: i for i, mode in enumerate(self.modes)}
+        self.mode_count = len(self.modes)
+
+    def position(self, field: str, spin: str, momentum) -> int:
+        try:
+            return self._positions[Mode(field, spin, momentum)]
+        except KeyError:
+            if field not in FIELDS or spin not in SPINS:
+                raise ValueError(f"unknown mode label ({field!r}, {spin!r})") from None
+            raise UnresolvedMomentumError(f"momentum {momentum!r} not in space {self.momenta}") from None
+
+
+# ---------------------------------------------------------------------------
+# profiles on an integer momentum lattice
+
+
+@dataclass(frozen=True)
+class LatticeProfile:
+    """Discrete normalized profile f_k(q) for an even total pair momentum k."""
+
+    total: int
+    weights: tuple  # ((q, weight), ...) sorted by q
+
+    def __post_init__(self):
+        if self.total % 2 != 0:
+            raise ValueError("total pair momentum must be even (k/2 integral)")
+        items = tuple(sorted((int(q), complex(w)) for q, w in self.weights))
+        if len({q for q, _ in items}) != len(items):
+            raise ValueError("duplicate q in profile")
+        if not all(math.isfinite(w.real) and math.isfinite(w.imag) for _, w in items):
+            raise ValueError(f"profile weights must be finite, got {[w for _, w in items]!r}")
+        norm = sum(abs(w) ** 2 for _, w in items)
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"profile not normalized: sum|f|^2 = {norm!r}")
+        object.__setattr__(self, "weights", items)
+
+    @property
+    def half(self) -> int:
+        return self.total // 2
+
+    def weight(self, q: int) -> complex:
+        for qq, w in self.weights:
+            if qq == q:
+                return w
+        return 0.0
+
+    def overlap(self, other: "LatticeProfile") -> complex:
+        return sum(w * np.conj(other.weight(q)) for q, w in self.weights)
+
+
+def uniform_profile(total: int, qs) -> LatticeProfile:
+    qs = tuple(qs)
+    w = 1.0 / math.sqrt(len(qs))
+    return LatticeProfile(total=total, weights=tuple((q, w) for q in qs))
+
+
+def available_profiles(momenta) -> dict:
+    """Uniform profiles for every total momentum the lattice supports.
+
+    k = p1 + p2 over mode pairs with even difference; q = (p2 - p1)/2.
+    """
+    table: dict = {}
+    for p1 in momenta:
+        for p2 in momenta:
+            if (p2 - p1) % 2 == 0:
+                table.setdefault(p1 + p2, set()).add((p2 - p1) // 2)
+    return {k: uniform_profile(k, sorted(qs)) for k, qs in sorted(table.items())}
+
+
+# ---------------------------------------------------------------------------
+# ladder terms of the operators
+
+
+def _gamma_terms(modes: ModeTable, alpha: str, beta: str, pairing, weights) -> list:
+    weights = np.asarray(weights, dtype=complex)
+    if len(weights) != len(pairing):
+        raise ValueError("pairing and weights must have equal length")
+    return [
+        (w, (modes.position("phi", alpha, minus), False), (modes.position("psi", beta, plus), False))
+        for (minus, plus), w in zip(pairing, weights)
+        if w != 0.0
+    ]
+
+
+def _profile_pairing(profile: LatticeProfile):
+    """(k/2 - q, k/2 + q) momentum pairs and the weights f_k(q) of a profile."""
+    pairing = [(profile.half - q, profile.half + q) for q, _ in profile.weights]
+    return pairing, [w for _, w in profile.weights]
+
+
+def _hopping_terms(modes: ModeTable, branch, field, spin_dag, spin_in, prof_dag, prof_in) -> list:
+    """H^branch = sum_q f_k(q) conj(f_k'(q + branch*s)) field^dag_{spin_dag}(k' - k/2 + branch*q) field_{spin_in}(k/2 + branch*q).
+
+    k = prof_in.total, k' = prof_dag.total, s = (k' - k)/2.  Zero-weight
+    terms are skipped; a nonzero-weight term whose momentum is not in the
+    table raises UnresolvedMomentumError.
+    """
+    if branch not in (+1, -1):
+        raise ValueError("branch must be +1 or -1")
+    shift = (prof_dag.total - prof_in.total) // 2
+    terms = []
+    for q, w_in in prof_in.weights:
+        weight = w_in * np.conj(prof_dag.weight(q + branch * shift))
+        if weight == 0.0:
+            continue
+        dag = modes.position(field, spin_dag, prof_dag.total - prof_in.half + branch * q)
+        inn = modes.position(field, spin_in, prof_in.half + branch * q)
+        terms.append((weight, (dag, True), (inn, False)))
+    return terms
+
+
+def _assembly_terms(modes: ModeTable, spec1, spec2):
+    """c and the terms of H in [gamma_1, gamma_2^dag] = c I - H; each spec is (alpha, beta, profile).
+
+    H = delta_{alpha,alpha'} H^+_psi + delta_{beta,beta'} H^-_phi, and c is
+    the profiles' overlap for equal labels and totals, else 0.
+    """
+    alpha1, beta1, prof1 = spec1
+    alpha2, beta2, prof2 = spec2
+    if alpha1 == alpha2 and beta1 == beta2 and prof1.total == prof2.total:
+        coefficient = complex(prof1.overlap(prof2))
+    else:
+        coefficient = 0.0
+    terms = []
+    if alpha1 == alpha2:
+        terms += _hopping_terms(modes, +1, "psi", beta2, beta1, prof2, prof1)
+    if beta1 == beta2:
+        terms += _hopping_terms(modes, -1, "phi", alpha2, alpha1, prof2, prof1)
+    return coefficient, terms
+
+
+def polarization_matrices(frame: PolarizationFrame) -> list:
+    """Spin contraction matrices for the four polarization modes.
+
+    Index 0 is timelike (identity), 1 and 2 transverse (u1, u2), 3
+    longitudinal (the axis e).  Each matrix carries a 1/sqrt(2) so that the
+    resulting pair mode is unit-normalized on the vacuum.
+    """
+    mats = [PAULI[0]] + [v[0] * PAULI[1] + v[1] * PAULI[2] + v[2] * PAULI[3] for v in (frame.u1, frame.u2, frame.e)]
+    return [m / math.sqrt(2.0) for m in mats]
+
+
+def _polarization_terms(modes: ModeTable, profile: LatticeProfile, mat) -> list:
+    """gamma^i(k) = sum_{alpha,beta} M^i_{alpha,beta} gamma_{alpha,beta}(k)."""
+    pairing, weights = _profile_pairing(profile)
+    return [
+        (mat[ia, ib] * w, first, second)
+        for ia, alpha in enumerate(SPINS)
+        for ib, beta in enumerate(SPINS)
+        if mat[ia, ib] != 0.0
+        for w, first, second in _gamma_terms(modes, alpha, beta, pairing, weights)
+    ]
+
+
+DEFAULT_FRAME = PolarizationFrame(e=np.array([0.0, 0.0, 1.0]), u1=np.array([1.0, 0.0, 0.0]), u2=np.array([0.0, 1.0, 0.0]))
+
+
+def default_pairs(modes: ModeTable) -> tuple:
+    """One (psi, phi) mode pair per (spin, momentum), in deterministic order."""
+    return tuple(((spin, p), (spin, p)) for spin in SPINS for p in modes.momenta)
+
+
+def _pair_positions(modes: ModeTable, pair) -> tuple:
+    (psi_spin, psi_p), (phi_spin, phi_p) = pair
+    return modes.position("psi", psi_spin, psi_p), modes.position("phi", phi_spin, phi_p)
+
+
+def _composite_terms(modes: ModeTable, pairs, weights) -> list:
+    weights = np.asarray(weights, dtype=complex)
+    if len(weights) != len(pairs):
+        raise ValueError("pairs and weights must have equal length")
+    resolved = [(_pair_positions(modes, pair), w) for pair, w in zip(pairs, weights) if w != 0.0]
+    return [(w, (psi, False), (phi, False)) for (psi, phi), w in resolved]
+
+
+def _disjoint_positions(modes: ModeTable, pairs) -> list:
+    """The (psi, phi) positions of every pair; ValueError naming a mode that two pairs share."""
+    positions = [_pair_positions(modes, pair) for pair in pairs]
+    owner = {}
+    for i, pair_positions in enumerate(positions):
+        for position in pair_positions:
+            if position in owner:
+                mode = modes.modes[position]
+                raise ValueError(
+                    f"pairs {owner[position]} and {i} share the mode {mode.field}({mode.spin}, {mode.momentum})"
+                )
+            owner[position] = i
+    return positions
+
+
+def purity(weights) -> float:
+    """P = sum |f(i)|^4, the single-pair reduced-state purity."""
+    w = np.asarray(weights, dtype=complex)
+    return float(np.sum(np.abs(w) ** 4))
+
+
+# ---------------------------------------------------------------------------
+# one-body closed forms
+
+
+def _matrix(n: int, terms) -> np.ndarray:
+    """M with sum_ij M_ij A_i B_j = sum_j w_j A_j B_j over (w_j, (i_j, _), (k_j, _)) ladder terms."""
+    m = np.zeros((n, n), dtype=complex)
+    for w, (i, _), (j, _) in terms:
+        m[i, j] += w
+    return m
+
+
+def _nambu(n: int, terms) -> np.ndarray:
+    """Nambu matrix [[0, 0], [A, 0]] of sum_j w_j a_i a_k, A = M - M^T antisymmetric; its adjoint's is M^dag."""
+    a, m = _matrix(n, terms), np.zeros((2 * n, 2 * n), dtype=complex)
+    m[n:, :n] = a - a.T
+    return m
+
+
+def _identity_deviation(m1, m2, coefficient, hopping) -> np.ndarray:
+    """Largest |.| by which [Q1, Q2] misses c I - sum_ij H_ij a_i^dag a_j, block by block and in the constant.
+
+    Nambu matrices ``m1``, ``m2``, the c and the H (..., n, n) broadcast over leading axes.
+    """
+    k = m1 @ m2 - m2 @ m1
+    n = k.shape[-1] // 2
+    target = np.zeros_like(k)
+    target[..., :n, :n] = -hopping
+    target[..., n:, n:] = np.swapaxes(hopping, -1, -2)
+    constant = -0.5 * np.trace(k[..., :n, :n], axis1=-2, axis2=-1)
+    return np.maximum(np.abs(k - target).max(axis=(-2, -1)), np.abs(constant - coefficient))
+
+
+def pair_commutators(modes: ModeTable, specs) -> dict:
+    """[gamma_1, gamma_2^dag] = c I - H and [gamma_1, gamma_2] = 0 over all ordered pairs of (alpha, beta, profile) specs."""
+    specs, n = list(specs), modes.mode_count
+    gammas = np.array([_nambu(n, _gamma_terms(modes, a, b, *_profile_pairing(p))) for a, b, p in specs])
+    adjoints, assembly, plain = np.conj(np.swapaxes(gammas, -1, -2)), 0.0, 0.0
+    for spec, gamma in zip(specs, gammas):  # one first label against all second labels
+        targets = [_assembly_terms(modes, spec, second) for second in specs]
+        hopping = np.array([_matrix(n, terms) for _, terms in targets])
+        deviation = _identity_deviation(gamma, adjoints, np.array([c for c, _ in targets]), hopping)
+        assembly = max(assembly, float(deviation.max()))
+        plain = max(plain, float(_identity_deviation(gamma, gammas, 0.0, np.zeros((n, n))).max()))
+    return {
+        "name": "pair_commutators",
+        "passed": assembly <= TOL and plain == 0.0,
+        "max_assembly_deviation": assembly,
+        "max_gamma_gamma": plain,
+        "label_pairs": len(specs) ** 2,
+    }
+
+
+def _occupations(modes: ModeTable, profile: LatticeProfile, field, spin, branch) -> np.ndarray:
+    """g with Gamma^branch = sum_q |f(q)|^2 n_{field,spin}(k/2 + branch*q) = sum_i g_i n_i."""
+    if branch not in (+1, -1):
+        raise ValueError("branch must be +1 or -1")
+    g = np.zeros(modes.mode_count)
+    for q, w in profile.weights:
+        g[modes.position(field, spin, profile.half + branch * q)] += abs(w) ** 2
+    return g
+
+
+def _schwartz_margins(h, g_in, g_dag) -> np.ndarray:
+    """sqrt(g_in,i g_dag,i) - |h_i|: the margin of mode i's one-particle state."""
+    return np.sqrt(g_in * g_dag) - np.abs(h)
+
+
+def schwartz_bound(modes: ModeTable, profiles) -> dict:
+    """|<s|H|s>| <= sqrt(<s|Gamma_in|s> <s|Gamma_dag|s>) on every basis state s and label combination.
+
+    On basis states <H> = sum_i h_i n_i over H's number terms and <Gamma> =
+    sum_i g_i n_i.  |h_i| <= sqrt(g_in,i g_dag,i) on every mode gives the bound
+    on every state by Cauchy-Schwarz (n_i^2 = n_i); a mode that breaks it is
+    broken by its one-particle state, whose margin is reported.  The vacuum's
+    margin is 0.
+    """
+    profiles, n = list(profiles), modes.mode_count
+    worst, cases = 0.0, 0
+    for field, branch in itertools.product(FIELDS, (+1, -1)):
+        gammas = {(p, spin): _occupations(modes, p, field, spin, branch) for p in profiles for spin in SPINS}
+        for p_in, p_dag, spin_in, spin_dag in itertools.product(profiles, profiles, SPINS, SPINS):
+            terms = _hopping_terms(modes, branch, field, spin_dag, spin_in, p_dag, p_in)
+            h = np.diagonal(_matrix(n, terms))
+            worst = min(worst, float(_schwartz_margins(h, gammas[p_in, spin_in], gammas[p_dag, spin_dag]).min()))
+            cases += 1
+    return {"name": "schwartz_bound", "passed": worst >= -1e-10, "cases": cases, "states": 1 << n, "worst_margin": worst}
+
+
+def _polarization_forms(pairs: np.ndarray):
+    """<s|[gamma_g, gamma_h^dag]|s> = sum_{i<j} A_g,ij conj(A_h,ij) (1 - n_i - n_j) = constant_gh - sum_i slope_ghi n_i."""
+    products = pairs[:, None] * np.conj(pairs[None, :])
+    return 0.5 * products.sum(axis=(-2, -1)), products.sum(axis=-1)
+
+
+def polarization_modes(modes: ModeTable, profiles, frame: PolarizationFrame = DEFAULT_FRAME) -> dict:
+    """Deviation of [gamma^i(k), gamma^j(k')^dag] from delta_ij delta_kk' on the basis states of 0, 1 and 2 particles."""
+    n = modes.mode_count
+    terms = [_polarization_terms(modes, p, mat) for p in profiles for mat in polarization_matrices(frame)]
+    constant, slope = _polarization_forms(np.array([_nambu(n, t)[n:, :n] for t in terms]))
+    vacuum = constant - np.eye(len(terms))
+    one = vacuum[..., None] - slope
+    upper = np.triu_indices(n, 1)
+    by_particles = {str(i): float(np.abs(d).max()) for i, d in enumerate((vacuum, one, one[..., upper[0]] - slope[..., upper[1]]))}
+    return {
+        "name": "polarization_modes",
+        "passed": by_particles["0"] <= TOL,
+        "vacuum_deviation": by_particles["0"],
+        "deviation_by_particles": by_particles,
+    }
+
+
+def pair_occupations(lam, n_max: int) -> np.ndarray:
+    """<n_i>_N = lam_i e_{N-1}(lam without i) / e_N(lam) for N = 1..n_max, axes (..., N, i).
+
+    e(lam without i) is the product of the prefix polynomial prod_{j<i}
+    (1 + lam_j x) and the suffix prod_{j>i}: sums of products of lam >= 0,
+    so nothing cancels.  SaturationError where e_N(lam) = 0.
+    """
+    lam = np.asarray(lam, dtype=float)
+    count = lam.shape[-1]
+    prefix = np.zeros(lam.shape[:-1] + (count + 1, n_max + 1))
+    suffix = np.zeros_like(prefix)
+    prefix[..., 0, 0] = suffix[..., count, 0] = 1.0
+    for i, j in zip(range(count), reversed(range(count))):
+        prefix[..., i + 1, :] = prefix[..., i, :]
+        prefix[..., i + 1, 1:] += lam[..., i, None] * prefix[..., i, :-1]
+        suffix[..., j, :] = suffix[..., j + 1, :]
+        suffix[..., j, 1:] += lam[..., j, None] * suffix[..., j + 1, :-1]
+    left_out = np.zeros(lam.shape + (n_max,))  # e_k(lam without i), k = 0..n_max-1
+    for a in range(n_max):
+        left_out[..., a:] += prefix[..., :count, a, None] * suffix[..., 1:, : n_max - a]
+    full = prefix[..., count, 1:]
+    if np.any(full == 0.0):
+        raise SaturationError(f"(c^dag)^N |0> = 0 for some N <= {n_max}: more pairs than modes")
+    return lam[..., None, :] * np.swapaxes(left_out, -1, -2) / full[..., None]
+
+
+def cross_values(weights, second_weights, n_max: int) -> np.ndarray:
+    """|<N|[c1, c2^dag]|N>| = |sum_i f1(i) conj(f2(i)) (1 - 2 <n_i>_N)| for N = 1..n_max, |N> the chain of c1.
+
+    Weights (..., P) give values (..., n_max).
+    """
+    f1, f2 = np.asarray(weights, dtype=complex), np.asarray(second_weights, dtype=complex)
+    occupations = pair_occupations(np.abs(f1) ** 2, n_max)
+    return np.abs(np.sum((f1 * np.conj(f2))[..., None, :] * (1.0 - 2.0 * occupations), axis=-1))
+
+
+def _unit_weights(rng, size: int, against=None) -> np.ndarray:
+    """A random unit complex weight vector, its component along the unit ``against`` removed."""
+    w = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if against is not None:
+        w -= against * np.sum(w * np.conj(against))
+    return w / np.linalg.norm(w)
+
+
+def composite_bosons(modes: ModeTable, pairs, weights, second_weights, n_max: int, samples: int, rng) -> dict:
+    """The composite-boson relations of c = sum_i f(i) psi_i phi_i over disjoint pairs.
+
+    [c, c^dag] = I - Gamma_psi - Gamma_phi and the cross identity with a
+    second weight vector, as Nambu blocks; the sandwich P <= <N|Gamma_psi|N>
+    <= N P and |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2), N = 1..n_max, from the
+    pair occupations; the Pauli saturation order; and the worst slack of the
+    cross bound at N = 1, 2 over ``samples`` random orthonormal weight pairs
+    from ``rng``.  Pairs that share a mode raise ValueError.
+    """
+    n, positions = modes.mode_count, _disjoint_positions(modes, pairs)
+    f1, f2 = np.asarray(weights, dtype=complex), np.asarray(second_weights, dtype=complex)
+    lam, p1 = np.abs(f1) ** 2, purity(f1)
+    c1, c2 = (_nambu(n, _composite_terms(modes, pairs, w)) for w in (f1, f2))
+    adjoints = np.conj(np.swapaxes([c1, c2], -1, -2))
+    hopping = np.zeros((2, n, n), dtype=complex)  # Gamma_psi + Gamma_phi, and the cross identity's
+    for pair, own, cross in zip(positions, lam, f1 * np.conj(f2)):
+        hopping[:, pair, pair] = [[own, own], [cross, cross]]
+    deviation = _identity_deviation(c1, adjoints, np.array([1.0, np.sum(f1 * np.conj(f2))]), hopping)
+    orders = np.arange(1, n_max + 1)
+    expect = pair_occupations(lam, n_max) @ lam
+    sandwich = [[N, float(e), p1, N * p1, bool(p1 - TOL <= e <= N * p1 + TOL)] for N, e in zip(orders.tolist(), expect)]
+    cross_holds = np.all(cross_values(f1, f2, n_max) <= 2.0 * orders * max(p1, purity(f2)) + TOL)
+    draws = []
+    for _ in range(samples):
+        w1 = _unit_weights(rng, len(pairs))
+        draws.append((w1, _unit_weights(rng, len(pairs), w1)))
+    w1, w2 = np.array(draws).transpose(1, 0, 2)
+    p_max = np.maximum(*(np.sum(np.abs(w) ** 4, axis=-1) for w in (w1, w2)))
+    bounds = 2.0 * orders[:2] * p_max[:, None]
+    worst_slack = float(np.min(bounds - cross_values(w1, w2, bounds.shape[-1])))
+    passed = deviation.max() <= TOL and all(row[4] for row in sandwich) and cross_holds and worst_slack >= -TOL
+    return {
+        "name": "composite_bosons",
+        "passed": bool(passed),
+        "purity": p1,
+        "commutator_identity_deviation": float(deviation[0]),
+        "sandwich": sandwich,
+        "saturation_order": int(np.sum(lam > 0.0)) + 1,
+        "conjecture_samples": samples,
+        "conjecture_worst_slack": worst_slack,
+    }
+
+
+def lattice_momenta(count: int) -> list:
+    """``count`` integer momentum labels centred on 0, spaced so that k/2 +- q stays on them."""
+    return list(range(-(count // 2), count - count // 2)) if count % 2 else [2 * j + 1 - count for j in range(count)]
+
+
+def fock_suite(count: int, n_max: int, samples: int, seed: int) -> dict:
+    """The "space", "checks" and "passed" of the fock-suite report over ``count`` momenta.
+
+    The composite bosons take uniform weights on default_pairs; their second
+    weight vector, then the conjecture samples, are drawn from ``seed``.
+    """
+    momenta = lattice_momenta(count)
+    modes = ModeTable(momenta)
+    profiles = list(available_profiles(momenta).values())
+    rng = np.random.default_rng(seed)
+    pairs = default_pairs(modes)
+    uniform = np.full(len(pairs), 1.0 / math.sqrt(len(pairs)))
+    second = _unit_weights(rng, len(pairs), uniform)
+    n = modes.mode_count
+    checks = [
+        {"name": "anticommutators", "passed": True, "detail": f"canonical for {n} modes; tests check the algebra in a Fock space"},
+        pair_commutators(modes, [(alpha, beta, p) for alpha in SPINS for beta in SPINS for p in profiles]),
+        schwartz_bound(modes, profiles),
+        polarization_modes(modes, profiles),
+        composite_bosons(modes, pairs, uniform, second, min(n_max, len(pairs)), samples, rng),
+    ]
+    space = {"momenta": momenta, "modes": n, "dimension": 1 << n}
+    return {"space": space, "checks": checks, "passed": all(c["passed"] for c in checks)}

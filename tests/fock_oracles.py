@@ -1,0 +1,276 @@
+"""Test oracles in the Jordan-Wigner Fock space of ``latticelight.fock``.
+
+``latticelight.onebody`` computes the fock-suite checks from mode
+bookkeeping; these evaluate the same quantities on basis states, with the
+signed maps of ``latticelight.fock``: the pair-commutator sweep, the
+polarization diagonals, the CSR hopping and polarization operators, and the
+composite-boson pair register.
+
+The composite-boson states (c^dag)^N |0>, c = sum_i f(i) b_i over disjoint
+pairs b_i = psi_i phi_i, lie in the span of the 2^P pair-occupation states
+prod_{i in S} b_i^dag |0> (the Schmidt-pair picture of Law, PRA 71, 034306
+(2005)).  Each b_i is even, so the b_i commute with each other and square to
+zero, and b_i b_i^dag = 1 on states where both of the pair's modes are empty:
+that span is invariant under every b_i and b_i^dag, its basis is orthonormal,
+and it carries no Jordan-Wigner sign.  cross_commutator_values works on that
+P-bit register (pair_stack).
+"""
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from latticelight import fock, onebody
+from latticelight.fock import SignedMap
+from latticelight.onebody import DEFAULT_FRAME
+
+
+@dataclass(frozen=True)
+class PairSweep:
+    """Worst deviations over every ordered pair of gamma labels."""
+
+    label_pairs: int  # ordered pairs compared
+    max_assembly_deviation: float  # of [gamma_1, gamma_2^dag] from its assembly
+    max_gamma_gamma: float  # of [gamma_1, gamma_2] from 0
+
+
+def pair_commutator_sweep(space, specs) -> PairSweep:
+    """commutator_report and [gamma_1, gamma_2] = 0 over all ordered pairs of ``specs``.
+
+    The terms of every gamma, and their adjoints, are stacked once, labelled
+    by their gamma.  For one gamma_1 each product with all second gammas is
+    one gather per term of gamma_1; every entry of [g1, g2^dag] - (c I - H)
+    and of [g1, g2] is summed over equal (second label, row, column) and the
+    largest |entry| kept.
+    """
+    specs = list(specs)
+    terms = [fock._gamma_terms(space, alpha, beta, *fock._profile_pairing(prof)) for alpha, beta, prof in specs]
+    labels = np.repeat(np.arange(len(specs)), [len(t) for t in terms])
+    gammas = fock._operator(space, [term for t in terms for term in t])
+    adjoints = gammas.dagger()
+    worst_assembly = worst_plain = 0.0
+    compared = 0
+    for spec1, terms1 in zip(specs, terms):
+        g1 = fock._operator(space, terms1)
+        # the assembly c I - H of every second label, negated
+        targets = [fock._assembly_terms(space, spec1, spec2) for spec2 in specs]
+        hopping = [(j, term) for j, (_, hop) in enumerate(targets) for term in hop]
+        hop_weights, hop_maps = fock._stacked(space, [term for _, term in hopping])
+        identities = [(j, c) for j, (c, _) in enumerate(targets) if c != 0.0]
+        coefficients = np.array([c for _, c in identities], dtype=complex)
+        diagonal = np.tile(space._states, (len(identities), 1))
+        identity = SignedMap(diagonal, np.ones(diagonal.shape, dtype=np.int8))
+        assembly = [
+            *fock._commutator(space.dim, g1, adjoints, labels),
+            fock._entries(space.dim, np.array([j for j, _ in hopping]), hop_weights, space._states, hop_maps),
+            fock._entries(space.dim, np.array([j for j, _ in identities]), -coefficients, space._states, identity),
+        ]
+        worst_assembly = max(worst_assembly, fock._max_entry(assembly))
+        worst_plain = max(worst_plain, fock._max_entry(fock._commutator(space.dim, g1, gammas, labels)))
+        compared += len(specs)
+    return PairSweep(
+        label_pairs=compared,
+        max_assembly_deviation=worst_assembly,
+        max_gamma_gamma=worst_plain,
+    )
+
+
+def h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in):
+    """The hopping operator H^branch of onebody._hopping_terms as CSR."""
+    return fock._quadratic(space, fock._hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in))
+
+
+def polarization_gamma(space, profile, frame, index):
+    """gamma^i(k) = sum_{alpha,beta} M^i_{alpha,beta} gamma_{alpha,beta}(k) as CSR."""
+    return fock._quadratic(space, onebody._polarization_terms(space, profile, onebody.polarization_matrices(frame)[index]))
+
+
+@dataclass(frozen=True)
+class PolarizationReport:
+    """Deviation of [gamma^i(k), gamma^j(k')^dag] from delta_ij delta_kk'."""
+
+    cases: int
+    states_checked: int
+    deviation_by_particles: dict
+    max_deviation: float
+    vacuum_deviation: float
+
+
+def polarization_diagonals(space, profiles, frame, rows) -> np.ndarray:
+    """<s|[gamma_g, gamma_h^dag]|s> for every pair of polarization gammas g, h and basis state s in ``rows``.
+
+    Every gamma^i(k) is a row of coefficients over the distinct ladder terms
+    T_a; the diagonals of T_a T_b^dag - T_b^dag T_a on ``rows`` are
+    contracted with those coefficients for every pair at once.
+    """
+    gammas = [onebody._polarization_terms(space, prof, mat) for prof in profiles for mat in onebody.polarization_matrices(frame)]
+    column = {key: j for j, key in enumerate(dict.fromkeys((f, s) for t in gammas for _, f, s in t))}
+    coefficients = np.zeros((len(gammas), len(column)), dtype=complex)
+    for g, terms in enumerate(gammas):
+        for w, first, second in terms:
+            coefficients[g, column[first, second]] += w
+    ladders = fock._operator(space, [(1.0, *key) for key in column])
+
+    def diagonal(left, right):  # diagonal of L R on the rows; axes (R, L, row)
+        product = fock._product(SignedMap(left.source[:, rows], left.sign[:, rows]), right)
+        return np.where(product.source == space._states[rows], product.sign, 0)
+
+    # axes (a, b, row)
+    diagonals = diagonal(ladders.maps, ladders.adjoints).transpose(1, 0, 2) - diagonal(ladders.adjoints, ladders.maps)
+    partial = np.einsum("ga,abk->gbk", coefficients, diagonals)
+    return np.einsum("hb,gbk->ghk", np.conj(coefficients), partial)
+
+
+def polarization_boson_check(space, profiles, frame=DEFAULT_FRAME) -> PolarizationReport:
+    """Evaluate the four-mode Bose commutators on all low-occupancy basis states.
+
+    Expectations are taken on the vacuum and on every basis state with total
+    particle number <= 2; deviations are grouped by particle
+    number (they grow with occupancy, vanishing exactly on the vacuum).
+    """
+    numbers = space.particle_numbers()
+    kept = np.flatnonzero(numbers <= 2)
+    kept_numbers = numbers[kept]
+    values = polarization_diagonals(space, list(profiles), frame, kept)
+    deviation = np.abs(values - np.eye(len(values))[..., None]).max(axis=(0, 1), initial=0.0)
+    by_particles = {int(n): float(np.max(deviation[kept_numbers == n])) for n in sorted(set(kept_numbers.tolist()))}
+    return PolarizationReport(
+        cases=len(values) ** 2,
+        states_checked=len(kept),
+        deviation_by_particles=by_particles,
+        max_deviation=max(by_particles.values()),
+        vacuum_deviation=by_particles.get(0, 0.0),
+    )
+
+
+class PairStack(NamedTuple):
+    """The pair operators b_i = psi_i phi_i as stacked signed maps on the 2^P pair register.
+
+    Register state s stands for prod_{i: bit i of s set} b_i^dag |0>; row i
+    of each map holds one pair.
+    """
+
+    lowering: SignedMap  # the b_i
+    raising: SignedMap  # the b_i^dag
+
+
+def pair_stack(space, pairs) -> PairStack:
+    """The b_i and b_i^dag of P disjoint ``pairs`` over the 2^P register states.
+
+    Row s of b_i^dag reads s with bit i flipped, with sign 1 where bit i of s
+    is set and 0 elsewhere; b_i is the same with the bit test reversed.  No
+    sign enters because the b_i commute (see the module docstring).  ``space``
+    only resolves the pairs; pairs that share a mode raise ValueError.
+    """
+    count = len(fock._disjoint_positions(space, pairs))
+    states = np.arange(1 << count, dtype=np.int32)
+    bits = (1 << np.arange(count, dtype=np.int32))[:, None]
+    source = states ^ bits
+    occupied = (states & bits != 0).astype(np.int8)
+    return PairStack(SignedMap(source, 1 - occupied), SignedMap(source, occupied))
+
+
+def cross_commutator_values(stack: PairStack, weights, second_weights, n_max: int) -> np.ndarray:
+    """|<N|[c1, c2^dag]|N>| for N = 1..n_max, with |N> the normalized (c1^dag)^N |0>.
+
+    ``stack`` comes from pair_stack, so the states are vectors over the pair
+    register, whose state 0 is the vacuum.  On a state u,
+    c u = sum_i f(i) b_i u and c^dag u = sum_i conj(f(i)) b_i^dag u come from
+    one stacked gather per side, contracted with the weights, and
+    <u|[c1, c2^dag]|u> = <c1^dag u|c2^dag u> - <c2 u|c1 u>.  No operator
+    product is formed.  Raises SaturationError if n_max exceeds the
+    constructible N.
+    """
+    both = np.array([weights, second_weights], dtype=complex)
+    vacuum = np.zeros(stack.lowering.source.shape[-1], dtype=complex)
+    vacuum[0] = 1.0
+    v = fock._apply(np.conj(both[0]), stack.raising, vacuum)  # c1^dag |0>
+    values = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        u = fock._unit(v, n)
+        v, c2d_u = fock._apply(np.conj(both), stack.raising, u)  # v = c1^dag u
+        c1_u, c2_u = fock._apply(both, stack.lowering, u)
+        values[n - 1] = abs(np.vdot(v, c2d_u) - np.vdot(c2_u, c1_u))
+    return values
+
+
+def conjecture_worst_slack(stack, rng, samples, n_max):
+    """min over random orthonormal (w1, w2) and N = 1, 2 of 2 N max(P1, P2) - |<N|[c1, c2^dag]|N>|, on the pair register."""
+    size = stack.lowering.source.shape[0]
+    sample_n = np.arange(1, min(2, n_max) + 1)
+    worst = np.inf
+    for _ in range(samples):
+        w1 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        w1 /= np.linalg.norm(w1)
+        w2 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        w2 -= w1 * np.sum(w2 * np.conj(w1))
+        w2 /= np.linalg.norm(w2)
+        bounds = 2.0 * sample_n * max(fock.purity(w1), fock.purity(w2))
+        values = cross_commutator_values(stack, w1, w2, len(sample_n))
+        worst = min(worst, float(np.min(bounds - values)))
+    return worst
+
+
+def oracle_report(count, n_max, samples, seed):
+    """The "space", "checks" and "passed" of a fock-suite report, every check by brute force in the Fock space."""
+    momenta = onebody.lattice_momenta(count)
+    space = fock.build_fock(momenta)
+    profiles = list(fock.available_profiles(momenta).values())
+    rng = np.random.default_rng(seed)
+    specs = [(alpha, beta, prof) for alpha in fock.SPINS for beta in fock.SPINS for prof in profiles]
+    sweep = pair_commutator_sweep(space, specs)
+    schwartz = fock.schwartz_exhaustive(space, profiles)
+    pol = polarization_boson_check(space, profiles)
+    pairs = fock.default_pairs(space)
+    uniform = np.full(len(pairs), 1.0 / np.sqrt(len(pairs)))
+    n_max = min(n_max, len(pairs))
+    second = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+    second -= uniform * np.sum(second * np.conj(uniform))
+    second /= np.linalg.norm(second)
+    suite = fock.composite_boson_suite(space, pairs, uniform, n_max, second_weights=second)
+    slack = conjecture_worst_slack(pair_stack(space, pairs), rng, samples, n_max)
+    checks = [
+        {"name": "anticommutators", "passed": True, "detail": "verified exactly at build"},
+        {
+            "name": "pair_commutators",
+            "passed": sweep.max_assembly_deviation <= 1e-12 and sweep.max_gamma_gamma == 0.0,
+            "max_assembly_deviation": sweep.max_assembly_deviation,
+            "max_gamma_gamma": sweep.max_gamma_gamma,
+            "label_pairs": sweep.label_pairs,
+        },
+        {
+            "name": "schwartz_bound",
+            "passed": schwartz.holds,
+            "cases": schwartz.cases,
+            "states": schwartz.states,
+            "worst_margin": schwartz.worst_margin,
+        },
+        {
+            "name": "polarization_modes",
+            "passed": pol.vacuum_deviation <= 1e-12,
+            "vacuum_deviation": pol.vacuum_deviation,
+            "deviation_by_particles": {str(k): v for k, v in pol.deviation_by_particles.items()},
+        },
+        {
+            "name": "composite_bosons",
+            "passed": bool(
+                suite.commutator_identity_deviation <= 1e-12
+                and all(r[4] for r in suite.sandwich_rows)
+                and suite.cross_identity_deviation <= 1e-12
+                and all(r[3] for r in suite.cross_rows)
+                and slack >= -1e-12
+            ),
+            "purity": suite.purity,
+            "commutator_identity_deviation": suite.commutator_identity_deviation,
+            "sandwich": [list(r) for r in suite.sandwich_rows],
+            "saturation_order": suite.saturation_order,
+            "conjecture_samples": samples,
+            "conjecture_worst_slack": slack,
+        },
+    ]
+    return {
+        "space": {"momenta": momenta, "modes": space.mode_count, "dimension": space.dim},
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+    }

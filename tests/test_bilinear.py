@@ -15,6 +15,7 @@ from latticelight.bilinear import (
     predicted_rotation,
     rotation_generator,
     single_point_profile,
+    tilt_angle,
     transverse_tables,
     vector_tables,
 )
@@ -214,6 +215,60 @@ def test_rotation_axis_aligns_with_k_at_small_k():
     ]
     assert all(a > b for a, b in zip(angles, angles[1:]))
     assert angles[-1] <= 0.01
+
+
+TILT_DIRECTION = np.array([0.3, 0.5, 0.81]) / np.linalg.norm([0.3, 0.5, 0.81])
+
+
+@pytest.mark.parametrize("kmag", [1e-8, 1e-10, 1e-11])
+def test_tilt_keeps_its_slope_at_small_k(kmag):
+    # arccos of the cosine read 2.58 |k| at 1e-8 and 0 at 1e-10 here; the slope is 0.1392134
+    def slope(k):
+        return float(tilt_angle(k * TILT_DIRECTION, MINUS)) / k
+
+    assert slope(kmag) == pytest.approx(slope(1e-6), rel=1e-5)
+    assert slope(1e-6) == pytest.approx(0.1392134, rel=1e-6)
+
+
+def test_leading_tilt_law_from_the_series():
+    """n(k/2) = (sqrt3/6) k + (1/12)(k_y k_z, -k_x k_z, k_x k_y) + O(k^3) on the minus branch.
+
+    n = lam n_tilde / |n_tilde| with lam = atan2(|n_tilde|, d), and d = 1 + O(k^2), so
+    n = n_tilde (1 + O(k^2)).  The tilt is then |w x k^| / (2 sqrt3) |k| + O(k^2) with
+    w = (k_y k_z, -k_x k_z, k_x k_y) / |k|^2, whose maximum over directions, at the
+    diagonal, is sqrt2/9 |k|.  Criterion 6a quotes 2k: 9 sqrt2 times this law.
+    """
+    import sympy as sp
+
+    t = sp.symbols("t", positive=True)
+    u = sp.symbols("u_x u_y u_z", real=True)
+    a = [t * c / (2 * sp.sqrt(3)) for c in u]
+    cx, cy, cz = (1 - x**2 / 2 for x in a)
+    sx, sy, sz = (x - x**3 / 6 for x in a)
+    s = MINUS
+    d = cx * cy * cz + s * sx * sy * sz
+    n_tilde = (sx * cy * cz - s * cx * sy * sz, -s * cx * sy * cz - sx * cy * sz, cx * cy * sz - s * sx * sy * cz)
+    w = (u[1] * u[2], -u[0] * u[2], u[0] * u[1])
+    for component, c, wc in zip(n_tilde, u, w):
+        poly = sp.Poly(sp.expand(component), t)
+        assert [poly.coeff_monomial(t**j) for j in range(3)] == [0, sp.sqrt(3) * c / 6, wc / 12]
+    d_poly = sp.Poly(sp.expand(d), t)
+    assert [d_poly.coeff_monomial(t**j) for j in range(2)] == [1, 0]
+
+    diagonal = [1 / sp.sqrt(3)] * 3
+    w_diag = [wc.subs(dict(zip(u, diagonal))) for wc in w]
+    cross = sp.Matrix(w_diag).cross(sp.Matrix(diagonal))
+    law = sp.nsimplify(sp.sqrt(cross.dot(cross)) / (2 * sp.sqrt(3)))
+    assert law == sp.sqrt(2) / 9
+    assert sp.nsimplify(2 / law) == 9 * sp.sqrt(2)
+
+    # the diagonal is the maximum over directions, and the code follows the law at small k
+    dirs = np.random.default_rng(38).standard_normal((100_000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    w_num = np.stack([dirs[:, 1] * dirs[:, 2], -dirs[:, 0] * dirs[:, 2], dirs[:, 0] * dirs[:, 1]], axis=1)
+    leading = np.linalg.norm(np.cross(w_num, dirs), axis=1) / (2 * math.sqrt(3))
+    assert math.sqrt(2) / 9 * (1 - 1e-3) <= leading.max() <= math.sqrt(2) / 9 * (1 + 1e-12)
+    np.testing.assert_allclose(tilt_angle(1e-6 * dirs[:1000], MINUS) / 1e-6, leading[:1000], rtol=1e-4, atol=1e-9)
 
 
 def test_report_requires_frame():

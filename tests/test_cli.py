@@ -68,6 +68,14 @@ def test_maxwell_convergence_content(tmp_path):
     assert abs(header["fitted_residual_slope"] - 1.0) <= 0.15
 
 
+def test_tilt_at_small_k_stays_on_the_leading_law(tmp_path):
+    # arccos of the cosine wrote 0 here, and 149 |k| at |k| = 1e-10
+    out = tmp_path / "t.csv"
+    assert run(["tilt", "--k-values", 1e-8, "--directions", 4, "--out", out]) == EXIT_OK
+    _, _, rows = read_table(out)
+    assert 0.0 < float(rows[0][1]) <= np.sqrt(2.0) / 9.0 * 1e-8
+
+
 def test_fock_suite_report(tmp_path):
     out = tmp_path / "fock.json"
     assert run(["fock-suite", "--momenta", 2, "--conjecture-samples", 5, "--seed", 11, "--out", out]) == EXIT_OK
@@ -358,7 +366,8 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, latticelight.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m in ('latticelight.fock', 'latticelight.onebody')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
@@ -372,14 +381,29 @@ def test_fock_suite_run_leaves_scipy_unloaded(tmp_path):
     out = tmp_path / "fock.json"
     probe = (
         "import sys; from latticelight.cli import main; "
-        f"code = main(['fock-suite', '--momenta', '2', '--conjecture-samples', '3', '--out', {str(out)!r}]); "
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"code = main(['fock-suite', '--momenta', '3', '--conjecture-samples', '3', '--out', {str(out)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'latticelight.fock'))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
     )
+    # the one-body engine: neither scipy nor the Jordan-Wigner oracle is loaded
     assert result.stdout.strip() == "0 []"
     assert json.loads(out.read_text())["passed"] is True
+
+
+def test_fock_suite_builds_no_fock_table(tmp_path):
+    # the Jordan-Wigner route peaked at 6.3 MB at 3 momenta
+    out = tmp_path / "fock.json"
+    tracemalloc.start()
+    try:
+        code = run(["fock-suite", "--momenta", 3, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["space"]["dimension"] == 4096
+    assert peak < 2_000_000
 
 
 INTEGER_KEYS = [

@@ -20,11 +20,12 @@ TEST_ONLY = {
     "maxwell_generator_check": "acceptance criterion 4",
     "speed_of_light": "acceptance criterion 5b",
     "group_velocity": "acceptance criterion 5c: the finite-difference oracle of group_velocity_analytic",
-    "commutator_report": "acceptance criterion 7: the per-pair CSR reference of pair_commutator_sweep",
+    "build_fock": "acceptance criteria 7 to 9: the Jordan-Wigner Fock space that the onebody checks are compared against",
+    "commutator_report": "acceptance criterion 7: the per-pair CSR reference of the pair-commutator oracles",
+    "schwartz_exhaustive": "acceptance criterion 8: the basis-state sweep that onebody.schwartz_bound is compared against",
+    "composite_boson_suite": "acceptance criterion 8: the Fock-space reference of onebody.composite_bosons",
     "composite_boson": "acceptance criteria 8 and 9: the CSR composite boson",
     "pair_condensate": "acceptance criterion 8: the CSR (c^dag)^N |0> chain",
-    "h_operator": "the CSR hopping operator that the Schwartz-bound oracles compare against",
-    "polarization_gamma": "the CSR polarization gammas that the polarization-diagonal oracle compares against",
     "saturation_estimate": "ROADMAP item 3 decides whether a saturation subcommand uses it or it goes",
 }
 

