@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import PAULI, DegeneratePointError, bloch_data, step_power
+from .walk import DegeneratePointError, _power_coefficients, bloch_data
 
 _FRAME_TOL = 1e-12
 
@@ -93,24 +93,30 @@ def make_uniform_profile(radius: float, grid_spacing: float) -> SmearingProfile:
     return SmearingProfile(offsets, weights)
 
 
-def pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
-    """Expand 2x2 matrices ``[..., 2, 2]`` in the sigma^mu basis: c_mu = tr(sigma_mu M) / 2."""
-    return np.einsum("mij,...ji->...m", PAULI, matrix) / 2.0
-
-
 def vector_tables(profile: SmearingProfile, k, sign, t: int) -> np.ndarray:
     """Evolved tables of all three vector channels, shape (N, 3, 4).
 
     Entry [q, a, nu] is the sigma-basis coefficient c_nu = tr(sigma_nu M) / 2
     of M = (A(k/2-q)^t)^dag sigma^a (A(k/2+q)^t) f(q), with a = x, y, z the
-    inserted channel.  Both step powers are evaluated over the whole grid at
-    once.
+    inserted channel.  From the real step-power coefficients over the whole
+    grid, A(k/2-q)^t = a0 - i a.sigma and A(k/2+q)^t = b0 - i b.sigma, the
+    quaternion product (a0 + i a.sigma) sigma^a (b0 - i b.sigma) gives
+    c_0 = i (b0 a - a0 b + b x a)_a and c_nu = (a0 b0 - a.b) delta_{a,nu}
+    + a_a b_nu + b_a a_nu - eps_{a,nu,m} (b0 a + a0 b)_m for nu = 1..3.
     """
     k_half = np.asarray(k, dtype=float) / 2.0
-    a_minus = step_power(k_half - profile.offsets, sign, t)
-    a_plus = step_power(k_half + profile.offsets, sign, t)
-    products = np.conj(a_minus.swapaxes(-1, -2))[:, None] @ PAULI[1:] @ a_plus[:, None]
-    return pauli_coefficients(products) * profile.weights[:, None, None]
+    a0, a = _power_coefficients(k_half - profile.offsets, sign, t)
+    b0, b = _power_coefficients(k_half + profile.offsets, sign, t)
+    out = np.empty((len(a0), 3, 4), dtype=complex)
+    out[:, :, 0] = 1j * (b0[:, None] * a - a0[:, None] * b + np.cross(b, a))
+    vec = a[:, :, None] * b[:, None, :]
+    vec += vec.swapaxes(1, 2)
+    vec[:, (0, 1, 2), (0, 1, 2)] += (a0 * b0 - np.sum(a * b, axis=1))[:, None]
+    w = b0[:, None] * a + a0[:, None] * b
+    vec[:, (1, 2, 0), (2, 0, 1)] -= w
+    vec[:, (2, 0, 1), (1, 2, 0)] += w
+    out[:, :, 1:] = vec
+    return out * profile.weights[:, None, None]
 
 
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
@@ -177,19 +183,6 @@ def polarization_frame(n) -> PolarizationFrame:
     return PolarizationFrame(e=e, u1=u1, u2=u2)
 
 
-def transverse_tables(tables: np.ndarray, frame: PolarizationFrame):
-    """Project the channel axis of (N, 3, 4) kernel tables onto the frame.
-
-    Returns (transverse (N, 2, 4), longitudinal (N, 4)).
-    """
-    trans = np.stack(
-        [np.einsum("a,qav->qv", frame.u1, tables), np.einsum("a,qav->qv", frame.u2, tables)],
-        axis=1,
-    )
-    longitudinal = np.einsum("a,qav->qv", frame.e, tables)
-    return trans, longitudinal
-
-
 @dataclass(frozen=True)
 class MaxwellReport:
     """Result of undoing the predicted rotation on an evolved kernel."""
@@ -220,17 +213,18 @@ def _axis_angle(n, k):
 def tilt_angle(k, sign):
     """Exact polarization tilt at wavevectors ``k[..., 3]``, in [0, pi/2].
 
-    The tilt is the angle between the rotation axis n(k/2) and k, folded
-    into [0, pi/2]: the angle between the polarization plane (normal to the
-    axis) and the plane orthogonal to k.  Raises DegeneratePointError when
-    |n(k/2)| is below tolerance at any wavevector (no axis, as in
-    polarization_frame).
+    The angle between the rotation axis n(k/2) and the branch's small-k axis,
+    folded into [0, pi/2]: k on the minus branch, and (k_x, -k_y, k_z) on the
+    plus branch, since n(k, +) = n((k_x, -k_y, k_z), -).  It is the angle
+    between the polarization plane (normal to n) and the plane orthogonal to
+    that axis.  Raises DegeneratePointError when |n(k/2)| is below tolerance
+    at any wavevector (no axis, as in polarization_frame).
     """
     k = np.asarray(k, dtype=float)
     n = bloch_data(k / 2.0, sign).n
     if np.any(np.linalg.norm(n, axis=-1) < _FRAME_TOL):
         raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} in the batch")
-    angle = _axis_angle(n, k)
+    angle = _axis_angle(n, k * np.array([1.0, -float(sign), 1.0]))
     return np.minimum(angle, math.pi - angle)
 
 
@@ -241,8 +235,8 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
     predicted rotation about n(k/2), and reports the profile-weighted RMS
     deviation of the back-rotated transverse table from its t = 0 value
     (zero, to rounding, for a single-point profile; O(qbar/|n|) otherwise).
-    Also reports the static tilt between the polarization plane (normal to
-    the rotation axis) and the plane orthogonal to k.
+    Also reports the static tilt of tilt_angle and the raw angle between the
+    rotation axis and k.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -251,11 +245,11 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
     frame = polarization_frame(b.n)
     rot = predicted_rotation(b.n, t)
 
-    now = vector_tables(profile, k, sign, t)
-    ref = vector_tables(profile, k, sign, 0)
-    back = np.einsum("ba,qbv->qav", rot, now)  # rot^T on the channel axis
-    dev_trans, _ = transverse_tables(back - ref, frame)
-    residual = _weighted_rms(dev_trans)
+    # u . (rot^T F) = (rot u) . F, and the t = 0 table is f(q) delta_{a, nu-1}
+    uv = np.stack([frame.u1, frame.u2])
+    dev = np.einsum("ia,qav->qiv", uv @ rot.T, vector_tables(profile, k, sign, t))
+    dev[:, :, 1:] -= profile.weights[:, None, None] * uv
+    residual = _weighted_rms(dev)
 
     return MaxwellReport(
         k=k,
@@ -297,17 +291,17 @@ def maxwell_generator_check(profile: SmearingProfile, k, sign, t: int) -> Genera
     k = np.asarray(k, dtype=float)
     b = bloch_data(k / 2.0, sign)
     frame = polarization_frame(b.n)
-    gen = _cross_matrix(2.0 * b.n)
-    rot_step = predicted_rotation(b.n, 1)
+    # u . (M F) = (u M) . F: each term is a (2, 3) projection of one table
+    uv = np.stack([frame.u1, frame.u2])
+    gen = uv @ _cross_matrix(2.0 * b.n)
+    rot_step = uv @ predicted_rotation(b.n, 1)
 
     def residuals(prof):
-        prev = vector_tables(prof, k, sign, t - 1)
-        now = vector_tables(prof, k, sign, t)
-        nxt = vector_tables(prof, k, sign, t + 1)
-        target = np.einsum("ab,qbv->qav", gen, now)
-        fwd, _ = transverse_tables((nxt - now) - target, frame)
-        cen, _ = transverse_tables((nxt - prev) / 2.0 - target, frame)
-        step, _ = transverse_tables(nxt - np.einsum("ab,qbv->qav", rot_step, now), frame)
+        prev, now, nxt = (vector_tables(prof, k, sign, s) for s in (t - 1, t, t + 1))
+        target = np.einsum("ia,qav->qiv", gen, now)
+        fwd = np.einsum("ia,qav->qiv", uv, nxt - now) - target
+        cen = np.einsum("ia,qav->qiv", uv, (nxt - prev) / 2.0) - target
+        step = np.einsum("ia,qav->qiv", uv, nxt) - np.einsum("ia,qav->qiv", rot_step, now)
         return _weighted_rms(fwd), _weighted_rms(cen), _weighted_rms(step)
 
     fwd, cen, step = residuals(profile)

@@ -167,15 +167,8 @@ def weyl_step(k, sign) -> WeylStep:
     return WeylStep(matrix=_su2(b.d, b.n_tilde), bloch=b, sign=int(sign))
 
 
-def step_power(k, sign, t: int) -> np.ndarray:
-    """A(k)^t in closed form at wavevectors ``k[..., 3]``, shape (..., 2, 2).
-
-    Each power is a rotation by angle t*lam about the fixed axis.  The angle
-    is reduced mod 2*pi before the trig evaluation, so there is no error
-    accumulation for |t| up to MAX_STEPS = 10**6; a larger |t| raises
-    ValueError.  Negative t gives inverse steps.  Where |n_tilde| vanishes,
-    A = d*I with d = +-1 and the power is d^t * I.
-    """
+def _power_coefficients(k, sign, t: int):
+    """Real (c[...], v[..., 3]) with A(k)^t = c I - i v.sigma: step_power's coefficients."""
     if abs(t) > MAX_STEPS:
         raise ValueError(f"t must satisfy |t| <= {MAX_STEPS}, got {t}")
     d, n_tilde, nt_norm, lam, _ = _closed_forms(k, sign)
@@ -184,7 +177,20 @@ def step_power(k, sign, t: int) -> np.ndarray:
     parity = np.where(d > 0.0, 1.0, (-1.0) ** (int(t) % 2))
     c = np.where(tiny, parity, np.cos(angle))
     axis = n_tilde / np.where(tiny, 1.0, nt_norm)[..., None]
-    return _su2(c, np.where(tiny, 0.0, np.sin(angle))[..., None] * axis)
+    return c, np.where(tiny, 0.0, np.sin(angle))[..., None] * axis
+
+
+def step_power(k, sign, t: int) -> np.ndarray:
+    """A(k)^t in closed form at wavevectors ``k[..., 3]``, shape (..., 2, 2).
+
+    Each power is a rotation by angle t*lam about the fixed axis, with t*lam
+    reduced mod 2*pi before the trig evaluation.  Every entry is within
+    1e-15 (1 + |t|) of the exact power (50-digit mpmath, in the tests) for
+    |t| up to MAX_STEPS = 10**6; a larger |t| raises ValueError.  Negative t
+    gives inverse steps.  Where |n_tilde| vanishes, A = d*I with d = +-1 and
+    the power is d^t * I.
+    """
+    return _su2(*_power_coefficients(k, sign, t))
 
 
 def interp_unitary(k, q, sign, t: int) -> np.ndarray:

@@ -3,7 +3,10 @@
 The ``reference_*`` functions are the per-point loops the batched kernels
 replaced, kept here verbatim in substance as the oracle.  Tolerances were
 fixed before the batched code was written: d, n_tilde and lam to 1e-13
-absolute, step powers to 1e-14 (1 + |t|), kernel tables to 1e-12.
+absolute, step powers to 1e-14 (1 + |t|), kernel tables to 1e-12.  The
+``matmul_*`` functions are the batched 2x2-matrix route that the kernel
+tables and the emergence residual took before they were written as products
+of SU(2) coefficients.
 """
 
 import math
@@ -17,7 +20,8 @@ from artifacts import read_table
 from latticelight.bilinear import (
     make_uniform_profile,
     maxwell_emergence_report,
-    pauli_coefficients,
+    polarization_frame,
+    predicted_rotation,
     single_point_profile,
     tilt_angle,
     vector_tables,
@@ -123,6 +127,30 @@ def reference_vector_tables(profile, k, sign, t):
     return out
 
 
+def pauli_coefficients(matrix):
+    """Expand 2x2 matrices ``[..., 2, 2]`` in the sigma^mu basis: c_mu = tr(sigma_mu M) / 2."""
+    return np.einsum("mij,...ji->...m", PAULI, matrix) / 2.0
+
+
+def matmul_vector_tables(profile, k, sign, t):
+    """(A(k/2-q)^t)^dag sigma^a A(k/2+q)^t f(q) as batched 2x2 products, expanded by trace."""
+    k_half = np.asarray(k, dtype=float) / 2.0
+    a_minus = step_power(k_half - profile.offsets, sign, t)
+    a_plus = step_power(k_half + profile.offsets, sign, t)
+    products = np.conj(a_minus.swapaxes(-1, -2))[:, None] @ PAULI[1:] @ a_plus[:, None]
+    return pauli_coefficients(products) * profile.weights[:, None, None]
+
+
+def matmul_emergence_residual(profile, k, sign, t):
+    """Back-rotate the evolved tables, subtract the evolved t = 0 tables, project on u1 and u2."""
+    n = bloch_data(np.asarray(k, dtype=float) / 2.0, sign).n
+    frame = polarization_frame(n)
+    back = np.einsum("ba,qbv->qav", predicted_rotation(n, t), matmul_vector_tables(profile, k, sign, t))
+    dev = back - matmul_vector_tables(profile, k, sign, 0)
+    trans = np.stack([np.einsum("a,qav->qv", frame.u1, dev), np.einsum("a,qav->qv", frame.u2, dev)], axis=1)
+    return math.sqrt(np.sum(np.abs(trans) ** 2))
+
+
 def reference_uniform_profile(radius, grid_spacing):
     """Offsets of the lexicographic triple loop with the |q| <= radius + 1e-12 test."""
     m = int(math.floor(radius / grid_spacing + 1e-12))
@@ -137,10 +165,14 @@ def reference_uniform_profile(radius, grid_spacing):
 
 
 def reference_tilt(k, sign):
-    """Angle between n(k/2) and k folded into [0, pi/2], one wavevector."""
+    """Angle between n(k/2) and the small-k axis folded into [0, pi/2], one wavevector.
+
+    The small-k axis is k on the minus branch and (k_x, -k_y, k_z) on the plus branch.
+    """
     n = reference_bloch(np.asarray(k, dtype=float) / 2.0, sign)[3]
     e = n / np.linalg.norm(n)
-    angle = math.acos(min(1.0, max(-1.0, float(np.dot(e, k / np.linalg.norm(k))))))
+    axis = k * np.array([1.0, 1.0 if sign == MINUS else -1.0, 1.0])
+    angle = math.acos(min(1.0, max(-1.0, float(np.dot(e, axis / np.linalg.norm(axis))))))
     return min(angle, math.pi - angle)
 
 
@@ -299,6 +331,32 @@ def test_kernel_tables_match_scalar_loop(k, sign, t, radius, cells):
     got = vector_tables(profile, k, sign, t)
     assert got.shape == (len(profile.weights), 3, 4)
     assert np.max(np.abs(got - want)) <= TABLE_ATOL
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+@pytest.mark.parametrize("t", [0, 1, 100, 10**6])
+def test_kernel_tables_match_matmul_oracle(sign, t):
+    rng = np.random.default_rng(42)
+    profile = make_uniform_profile(0.3, 0.1)
+    for k in rng.uniform(-2.0 * AXIS_PERIOD, 2.0 * AXIS_PERIOD, (5, 3)):
+        got = vector_tables(profile, k, sign, t)
+        assert np.max(np.abs(got - matmul_vector_tables(profile, k, sign, t))) <= TABLE_ATOL
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+@pytest.mark.parametrize("factor", [0.5, 0.125])
+def test_emergence_residual_matches_matmul_route(sign, factor):
+    # the levels of a default maxwell-convergence run, at a short and a long evolution
+    k = np.array([0.4, 0.3, 0.2])
+    radii = [4e-4 * 0.5**i for i in range(5)]
+    for t in (100, 10**6):
+        point = maxwell_emergence_report(single_point_profile(), k, sign, t).residual_transverse
+        assert point <= 1e-10 and matmul_emergence_residual(single_point_profile(), k, sign, t) <= 1e-10
+        for r in radii:
+            profile = make_uniform_profile(r, r * factor)
+            want = matmul_emergence_residual(profile, k, sign, t)
+            got = maxwell_emergence_report(profile, k, sign, t).residual_transverse
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_pauli_coefficients_batched():

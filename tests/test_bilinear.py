@@ -16,12 +16,12 @@ from latticelight.bilinear import (
     rotation_generator,
     single_point_profile,
     tilt_angle,
-    transverse_tables,
     vector_tables,
 )
 from latticelight.walk import (
     MINUS,
     PAULI,
+    PLUS,
     DegeneratePointError,
     approx_interp_unitary,
     bloch_data,
@@ -163,23 +163,6 @@ def test_frame_orthonormal_right_handed():
         polarization_frame(np.zeros(3))
 
 
-def test_transverse_tables_cases():
-    # channel columns of one table: e, u1 and a random complex vector
-    f = polarization_frame(np.array([0.2, -0.5, 1.0]))
-    rng = np.random.default_rng(23)
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    tables = np.stack([f.e, f.u1, v, np.zeros(3)], axis=-1)[None]
-    trans, longitudinal = transverse_tables(tables, f)
-    assert trans.shape == (1, 2, 4) and longitudinal.shape == (1, 4)
-    assert np.max(np.abs(trans[0, :, 0])) <= 1e-14
-    assert longitudinal[0, 0] == pytest.approx(1.0)
-    assert np.allclose(trans[0, :, 1], [1.0, 0.0], atol=1e-14)
-    assert abs(longitudinal[0, 1]) <= 1e-14
-    assert np.sum(np.abs(trans[0, :, 2]) ** 2) + abs(longitudinal[0, 2]) ** 2 == pytest.approx(
-        np.sum(np.abs(v) ** 2), rel=1e-12
-    )
-
-
 # ---------------------------------------------------------------------------
 # emergent Maxwell rotation
 
@@ -228,6 +211,31 @@ def test_tilt_keeps_its_slope_at_small_k(kmag):
 
     assert slope(kmag) == pytest.approx(slope(1e-6), rel=1e-5)
     assert slope(1e-6) == pytest.approx(0.1392134, rel=1e-6)
+
+
+def test_plus_tilt_is_the_mirrored_minus_tilt():
+    # n(k, +) = n((k_x, -k_y, k_z), -) exactly, so the plus axis tends to the mirrored k
+    rng = np.random.default_rng(43)
+    k = rng.standard_normal((4000, 3)) * np.exp(rng.uniform(-23.0, 1.5, (4000, 1)))
+    mirror = np.array([1.0, -1.0, 1.0])
+    assert np.array_equal(tilt_angle(k, PLUS), tilt_angle(k * mirror, MINUS))
+    # the raw angle to k stays what it is: about 1.17 rad here on the plus branch
+    report = maxwell_emergence_report(single_point_profile(), K_REF, PLUS, 1)
+    assert report.tilt_angle == maxwell_emergence_report(single_point_profile(), K_REF * mirror, MINUS, 1).tilt_angle
+    assert report.tilt_angle < 0.1 < 1.0 < report.axis_angle_to_k
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_tilt_vanishes_on_the_coordinate_axes(sign):
+    magnitudes = np.array([1e-11, 1e-8, 1e-3, 0.05, 0.7, -0.4, 2.5, -5.0])
+    for axis in np.eye(3):
+        assert np.all(tilt_angle(magnitudes[:, None] * axis, sign) == 0.0)
+
+
+@pytest.mark.parametrize("kmag", [1e-3, 1e-6, 1e-8, 1e-10])
+def test_tilt_on_the_minus_diagonal_follows_the_leading_law(kmag):
+    diagonal = np.ones(3) / math.sqrt(3.0)
+    assert float(tilt_angle(kmag * diagonal, MINUS)) / kmag == pytest.approx(math.sqrt(2.0) / 9.0, rel=1e-4)
 
 
 def test_leading_tilt_law_from_the_series():

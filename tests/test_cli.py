@@ -68,6 +68,33 @@ def test_maxwell_convergence_content(tmp_path):
     assert abs(header["fitted_residual_slope"] - 1.0) <= 0.15
 
 
+def test_maxwell_convergence_stays_on_the_benchmark_reference(tmp_path):
+    # the benchmark's own tolerances, so that a wrong closed form fails here first
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "maxwell_convergence.csv"
+    out = tmp_path / "m.csv"
+    assert run(["maxwell-convergence", "--spacing-factor", 0.125, "--out", out]) == EXIT_OK
+    (header, columns, rows), (ref_header, ref_columns, ref_rows) = read_table(out), read_table(reference)
+    assert columns == ref_columns and len(rows) == len(ref_rows) and header["config"] == ref_header["config"]
+    got, want = np.array(rows, dtype=float), np.array(ref_rows, dtype=float)
+    assert got[0, 0] == 0.0 and got[0, 1] <= 1e-12
+    np.testing.assert_allclose(got[1:, 0], want[1:, 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[1:, 1], want[1:, 1], rtol=1e-6, atol=0.0)
+    np.testing.assert_allclose(got[:, 2:], want[:, 2:], rtol=0.0, atol=1e-9)
+    assert header["fitted_residual_slope"] == pytest.approx(ref_header["fitted_residual_slope"], rel=1e-6)
+
+
+def test_plus_branch_tilt_is_small_at_small_k(tmp_path):
+    # the plus axis tends to (k_x, -k_y, k_z): measured against k these rows read 1.568 max, 0.827 mean
+    out = tmp_path / "t.csv"
+    assert run(["tilt", "--sign", "plus", "--k-values", 0.05, "--directions", 256, "--out", out]) == EXIT_OK
+    _, _, rows = read_table(out)
+    assert 0.0 < float(rows[0][2]) < float(rows[0][1]) < 0.16 * 0.05
+    out = tmp_path / "m.csv"
+    assert run(["maxwell-convergence", "--sign", "plus", "--levels", 2, "--out", out]) == EXIT_OK
+    _, _, rows = read_table(out)
+    assert float(rows[0][2]) < 0.1 < 1.0 < float(rows[0][3])
+
+
 def test_tilt_at_small_k_stays_on_the_leading_law(tmp_path):
     # arccos of the cosine wrote 0 here, and 149 |k| at |k| = 1e-10
     out = tmp_path / "t.csv"
