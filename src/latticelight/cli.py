@@ -19,12 +19,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bilinear import (
-    make_uniform_profile,
-    maxwell_emergence_report,
-    single_point_profile,
-    tilt_angle,
-)
 from .dispersion import (
     DIAGONAL,
     group_velocity_analytic,
@@ -184,8 +178,10 @@ def _base_header(command: str, cfg: dict, seed: int) -> dict:
 
 def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
     kmax, points = cfg["kmax"], cfg["points"]
-    if points < 1 or kmax <= 0:
-        raise ConfigError("dispersion needs points >= 1 and kmax > 0")
+    if points < 1:
+        raise ConfigError(f"points must be >= 1, got {points}")
+    if kmax <= 0:
+        raise ConfigError(f"kmax must be > 0, got {kmax!r}")
     count = points if cfg["diagonal"] else points**3
     if count > MAX_WAVEVECTORS:
         raise ConfigError(
@@ -210,9 +206,14 @@ def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
+    from .bilinear import make_uniform_profile, maxwell_emergence_report, single_point_profile
     t, levels, base, factor = cfg["t"], cfg["levels"], cfg["base_radius"], cfg["spacing_factor"]
-    if levels < 2 or base <= 0 or not 0 < factor <= 1:
-        raise ConfigError("need levels >= 2, base_radius > 0, 0 < spacing_factor <= 1")
+    if levels < 2:
+        raise ConfigError(f"levels must be >= 2, got {levels}")
+    if base <= 0:
+        raise ConfigError(f"base_radius must be > 0, got {base!r}")
+    if not 0 < factor <= 1:
+        raise ConfigError(f"spacing_factor must be in (0, 1], got {factor!r}")
     if t < 1:  # at t = 0 every residual is 0 and the log-log slope is undefined
         raise ConfigError(f"t must be >= 1, got {t}")
     # checked before the radii list is built; on a smaller radius |q|^2 underflows and qbar can read 0
@@ -273,9 +274,10 @@ def cmd_flight(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
+    from .bilinear import tilt_angle  # local, as in cmd_maxwell_convergence: dispersion and flight never load it
     n_dirs = cfg["directions"]
     if n_dirs < 1:
-        raise ConfigError("directions must be >= 1")
+        raise ConfigError(f"directions must be >= 1, got {n_dirs}")
     if n_dirs > MAX_WAVEVECTORS:
         raise ConfigError(f"directions = {n_dirs} is over MAX_WAVEVECTORS = {MAX_WAVEVECTORS}")
     sign = SIGNS[cfg["sign"]]

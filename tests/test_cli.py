@@ -314,6 +314,14 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
         (["flight"], {"energies": [["GeV", 0], ["MeV", 1e6]]}, "energies must be > 0 eV, got 0.0 for 'GeV'"),
         (["flight", "--distance-m", "-1"], None, "distance_m must be positive"),
         (["flight", "--energies", "GeV=1e9,GeV=1e6"], None, "energies must have distinct labels"),
+        (["dispersion", "--points", "0"], None, "error: points must be >= 1, got 0"),
+        (["dispersion", "--kmax", "-1"], None, "error: kmax must be > 0, got -1.0"),
+        (["dispersion"], {"points": 0, "kmax": 0}, "error: points must be >= 1, got 0"),
+        (["maxwell-convergence", "--levels", "1"], None, "error: levels must be >= 2, got 1"),
+        (["maxwell-convergence", "--base-radius", "0"], None, "error: base_radius must be > 0, got 0.0"),
+        (["maxwell-convergence", "--spacing-factor", "0"], None, "error: spacing_factor must be in (0, 1], got 0.0"),
+        (["maxwell-convergence"], {"spacing_factor": 1.5}, "error: spacing_factor must be in (0, 1], got 1.5"),
+        (["tilt", "--directions", "0"], None, "error: directions must be >= 1, got 0"),
     ],
 )
 def test_range_messages_name_the_key(tmp_path, capsys, args, config, message):
@@ -394,7 +402,7 @@ def test_cli_import_leaves_scipy_unloaded():
     probe = (
         "import sys, latticelight.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m in ('latticelight.fock', 'latticelight.onebody')))"
+        "or m in ('latticelight.fock', 'latticelight.onebody', 'latticelight.bilinear')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
@@ -417,6 +425,22 @@ def test_fock_suite_run_leaves_scipy_unloaded(tmp_path):
     # the one-body engine: neither scipy nor the Jordan-Wigner oracle is loaded
     assert result.stdout.strip() == "0 []"
     assert json.loads(out.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("args", [["dispersion", "--points", "3"], ["flight"]])
+def test_dispersion_and_flight_runs_leave_bilinear_unloaded(tmp_path, args):
+    src = os.path.dirname(os.path.dirname(latticelight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys; from latticelight.cli import main; "
+        f"code = main({args + ['--out', str(tmp_path / 'out.csv')]!r}); "
+        "print(code, 'latticelight.bilinear' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert result.stdout.strip() == "0 False"
+    assert (tmp_path / "out.csv").exists()
 
 
 def test_fock_suite_builds_no_fock_table(tmp_path):

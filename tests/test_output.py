@@ -43,3 +43,37 @@ def test_mixed_rows_keep_per_value_formatting(tmp_path):
     write_table(out, {}, ["label", "flag", "count", "x"], [["a", True, 3, 0.1]])
     _, _, body = read_table(out)
     assert body == [["a", "true", "3", "0.10000000000000001"]]
+
+
+def grid_table():
+    """The 21^3 grid and seven columns of the dispersion artifact's shape: 64,827 floats, few distinct."""
+    axis = np.linspace(-1.0, 1.0, 21)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    norm = np.linalg.norm(grid, axis=1)
+    with np.errstate(invalid="ignore"):  # 0/0 at the origin
+        cosine = grid[:, 2] / norm
+    # -norm and the products hold -0.0 beside 0.0; cosine holds a NaN
+    return np.column_stack([grid, norm, -norm, grid[:, 0] * grid[:, 1], cosine])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        grid_table,
+        lambda: np.asfortranarray(grid_table()),
+        lambda: grid_table()[:, ::-1],
+        lambda: grid_table()[:0],
+        lambda: grid_table()[:1],
+        lambda: grid_table().astype(np.float32),
+        lambda: grid_table()[:3, :0],
+    ],
+    ids=["grid", "fortran", "reversed-columns", "no-rows", "one-row", "float32", "no-columns"],
+)
+def test_distinct_value_body_matches_per_value_formatting(tmp_path, make):
+    rows = make()
+    header = {"command": "test"}
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_table(fast, header, columns, rows)
+    write_table(slow, header, columns, [list(row) for row in rows])
+    assert fast.read_bytes() == slow.read_bytes()
