@@ -252,7 +252,7 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
 
     n, n_max, samples = cfg["momenta"], cfg["n_max"], cfg["conjecture_samples"]
     if not 1 <= n <= 3:
-        raise ConfigError("fock-suite supports 1..3 momenta (exhaustive checks)")
+        raise ConfigError(f"momenta must be in 1..3, got {n}")
     for key, value in (("n_max", n_max), ("conjecture_samples", samples)):
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")

@@ -179,7 +179,7 @@ def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL, 
     delta_seconds > 0 means photon 1 arrives later.
     """
     if distance_m <= 0.0:
-        raise ValueError("distance_m must be positive")
+        raise ValueError(f"distance_m must be positive, got {distance_m!r}")
     labels = [label for label, _ in energies]
     if len(set(labels)) != len(labels):
         raise ValueError("energies must have distinct labels")

@@ -7,15 +7,12 @@ polarization modes and composite bosons.  Here the same terms act on the
 then spin, then momentum), and the identities and bounds are verified by
 brute force.  Acceptance criteria 7 to 9 and the tests use it.
 
-Everything is exact and needs numpy alone.  A product of ladder operators
-has at most one entry per row over the basis states, so it is a signed map:
-row s reads column ``source[s]`` with sign +-1, or 0 where the product
-annihilates it.  The checks work on weighted sums of such maps: an operator
-product composes maps by gathers, one per term against a whole stack of
-terms; an operator identity is compared entry by entry after equal (row,
-column) entries are merged by one sort.  The builders that return matrices
-(gamma_ab, composite_boson, ...) turn the same maps into scipy CSR, and
-import scipy only when called.
+Every operator is a scipy CSR matrix over the basis states, and every
+identity is compared entry by entry on a CSR difference.  A product of ladder
+operators has at most one entry per row, so it is built as a signed map (row
+s reads column ``source[s]`` with sign +-1, or 0 where the product
+annihilates it) from the occupation and parity tables; a weighted sum of such
+products becomes one CSR matrix in one COO pass.
 """
 
 from __future__ import annotations
@@ -23,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .onebody import (  # noqa: F401  (the names tests and criteria import from here)
     FIELDS,
@@ -48,9 +46,6 @@ from .onebody import (  # noqa: F401  (the names tests and criteria import from 
     uniform_profile,
 )
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 MAX_MOMENTA = 3  # the dimension is at most 2**12
 
 
@@ -63,8 +58,7 @@ class SignedMap(NamedTuple):
 
     So (A v)[s] = sign[s] * v[source[s]].  For ladder products ``source`` is
     the basis with the ladders' bits flipped (a permutation) and ``sign`` is
-    +-1 where the product survives, 0 where it annihilates.  Both arrays may
-    carry leading axes, which stack maps.
+    +-1 where the product survives, 0 where it annihilates.
     """
 
     source: np.ndarray
@@ -106,36 +100,36 @@ class FockSpace(ModeTable):
             self._terms[key] = _product(self._ladder(*first), self._ladder(*second))
         return self._terms[key]
 
+    def _ladders(self, raising: bool) -> list:
+        """The a_p (a_p^dag if raising) as scipy CSR matrices, built from the occupation and parity tables."""
+        return [_csr(self, [(1.0, self._ladder(p, raising))]) for p in range(self.mode_count)]
+
     @cached_property
     def lowering(self) -> list:
         """The a_p as scipy CSR matrices."""
-        return [_csr(self, [(1.0, self._ladder(p, False))]) for p in range(self.mode_count)]
+        return self._ladders(False)
 
     @cached_property
     def raising(self) -> list:
         """The a_p^dag as scipy CSR matrices."""
-        return [_csr(self, [(1.0, self._ladder(p, True))]) for p in range(self.mode_count)]
+        return self._ladders(True)
 
     def verify_anticommutators(self):
         """Check {a_i, a_j} = 0 and {a_i, a_j^dag} = delta_ij I exactly.
 
-        Both orders of a product must read the same column in every row (the
-        basis state's own, for the identity), so the anticommutator is one
-        signed map whose signs must all equal 0 (or 1).
+        The ladders are rebuilt from the tables, not read from ``lowering``
+        and ``raising``, so a table corrupted after those are cached is still
+        caught.  Their entries are +-1, so every sum is exact.
         """
-        lowering = [self._ladder(p, False) for p in range(self.mode_count)]
-        raising = [self._ladder(p, True) for p in range(self.mode_count)]
+        lowering, raising = self._ladders(False), self._ladders(True)
+        identity = sparse.identity(self.dim, format="csr")
         for i, a_i in enumerate(lowering):
             for j in range(i, self.mode_count):
-                for partner, target, name in (
-                    (lowering[j], 0, f"{{a_{i}, a_{j}}} != 0"),
-                    (raising[j], int(i == j), f"{{a_{i}, a_{j}^dag}} != delta_{{{i}{j}}} I"),
-                ):
-                    ij, ji = _product(a_i, partner), _product(partner, a_i)
-                    columns = self._states if target else ji.source
-                    same_columns = np.array_equal(ij.source, columns) and np.array_equal(ji.source, columns)
-                    if not (same_columns and np.all(ij.sign + ji.sign == target)):
-                        raise RuntimeError(name)
+                if (a_i @ lowering[j] + lowering[j] @ a_i).count_nonzero():
+                    raise RuntimeError(f"{{a_{i}, a_{j}}} != 0")
+                anti = a_i @ raising[j] + raising[j] @ a_i
+                if (anti - identity if i == j else anti).count_nonzero():
+                    raise RuntimeError(f"{{a_{i}, a_{j}^dag}} != delta_{{{i}{j}}} I")
 
     def annihilator(self, field: str, spin: str, momentum) -> sparse.csr_matrix:
         return self.lowering[self.position(field, spin, momentum)]
@@ -144,8 +138,6 @@ class FockSpace(ModeTable):
         return self.raising[self.position(field, spin, momentum)]
 
     def number_operator(self, field: str, spin: str, momentum) -> sparse.csr_matrix:
-        from scipy import sparse
-
         position = self.position(field, spin, momentum)
         return sparse.diags(self._occupied[position].astype(float), format="csr")
 
@@ -165,120 +157,12 @@ def build_fock(momenta) -> FockSpace:
 
 
 # ---------------------------------------------------------------------------
-# signed maps: products, adjoints, sums
+# pair operators
 
 
 def _product(a: SignedMap, b: SignedMap) -> SignedMap:
-    """A B: row s of A reads row a.source[s] of B, one gather.
-
-    Stacked maps compose every pair at once; the result's stack axes are
-    b's, then a's.
-    """
-    return SignedMap(b.source[..., a.source], a.sign * b.sign[..., a.source])
-
-
-def _adjoint(space: FockSpace, m: SignedMap) -> SignedMap:
-    """A^dag (signs are real): row source[s] reads column s, one scatter."""
-    source, sign = np.empty_like(m.source), np.empty_like(m.sign)
-    np.put_along_axis(source, m.source, np.broadcast_to(space._states, m.source.shape), axis=-1)
-    np.put_along_axis(sign, m.source, m.sign, axis=-1)
-    return SignedMap(source, sign)
-
-
-def _stacked(space: FockSpace, terms):
-    """Weights (n,) and the stacked (n, dim) maps of (w_j, A_j, B_j) ladder terms."""
-    maps = [space._term(first, second) for _, first, second in terms]
-    source = np.array([m.source for m in maps], dtype=np.int32).reshape(len(maps), space.dim)
-    sign = np.array([m.sign for m in maps], dtype=np.int8).reshape(len(maps), space.dim)
-    return np.array([w for w, _, _ in terms], dtype=complex), SignedMap(source, sign)
-
-
-class _Operator(NamedTuple):
-    """sum_j weights[j] A_j over stacked signed maps A_j, their adjoints kept alongside."""
-
-    weights: np.ndarray
-    maps: SignedMap
-    adjoints: SignedMap
-
-    def dagger(self) -> "_Operator":
-        return _Operator(np.conj(self.weights), self.adjoints, self.maps)
-
-
-def _operator(space: FockSpace, terms) -> _Operator:
-    weights, maps = _stacked(space, terms)
-    return _Operator(weights, maps, _adjoint(space, maps))
-
-
-def _apply(weights, maps: SignedMap, v: np.ndarray) -> np.ndarray:
-    """sum_j w_j A_j v over stacked maps: one gather, contracted with each row of weights."""
-    # einsum rather than matmul keeps BLAS, and its buffers, out of it
-    return np.einsum("...i,ij->...j", weights, maps.sign * v[maps.source])
-
-
-def _entries(dim: int, labels, weights, rows, m: SignedMap, transpose: bool = False):
-    """Keys label*dim^2 + row*dim + column, and values, of the nonzero entries of stacked map rows.
-
-    ``labels`` and ``weights`` broadcast against m's stack axes; ``rows`` is
-    the basis row of each position along its last axis, and ``transpose``
-    swaps rows and columns.  The signs may be any coefficients (those of a
-    diagonal, say).
-    """
-    live = np.flatnonzero(m.sign)
-    stack, at = np.divmod(live, m.sign.shape[-1])
-    label, weight = (np.broadcast_to(x, m.sign.shape[:-1]).ravel()[stack] for x in (labels, weights))
-    row, column = rows[at], m.source.ravel()[live]
-    if transpose:
-        row, column = column, row
-    return (label.astype(np.int64) * dim + row) * dim + column, weight * m.sign.ravel()[live]
-
-
-def _commutator(dim: int, a: _Operator, b: _Operator, labels) -> list:
-    """Entries of [A, B], labelled per term of B.
-
-    For each term A_i, A_i B and B A_i = (A_i^dag B^dag)^dag are one gather
-    each over B's stack, on only the rows where A_i (or A_i^dag) survives.
-    """
-    entries = []
-    for w, map_i, adjoint_i in zip(a.weights, zip(*a.maps), zip(*a.adjoints)):
-        for (source, sign), right, weights, transpose in (
-            (map_i, b.maps, w * b.weights, False),
-            (adjoint_i, b.adjoints, -w * b.weights, True),
-        ):
-            rows = np.flatnonzero(sign)
-            product = _product(SignedMap(source[rows], sign[rows]), right)
-            entries.append(_entries(dim, labels, weights, rows, product, transpose))
-    return entries
-
-
-def _max_entry(entries: list) -> float:
-    """Largest |entry| of a sum of (keys, values) entries, equal keys summed.
-
-    One sort brings equal keys together; np.add.reduceat sums them.  The
-    list is emptied once its parts are joined, so they are freed before the
-    sort.
-    """
-    if not entries:
-        return 0.0
-    keys, values = (np.concatenate(part) for part in zip(*entries))
-    entries.clear()
-    if not keys.size:
-        return 0.0
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    values = values[order]
-    del order
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return float(np.max(np.abs(np.add.reduceat(values, starts))))
-
-
-def _diagonal(space: FockSpace, terms) -> np.ndarray:
-    """Diagonal of sum_j w_j A_j B_j: the rows whose map reads their own column."""
-    weights, maps = _stacked(space, terms)
-    return np.einsum("i,ij->j", weights, np.where(maps.source == space._states, maps.sign, 0))
-
-
-# ---------------------------------------------------------------------------
-# pair operators
+    """A B: row s of A reads row a.source[s] of B, one gather."""
+    return SignedMap(b.source[a.source], a.sign * b.sign[a.source])
 
 
 def _coo(space: FockSpace, weighted_maps):
@@ -294,8 +178,6 @@ def _coo(space: FockSpace, weighted_maps):
 
 
 def _csr(space: FockSpace, weighted_maps) -> sparse.csr_matrix:
-    from scipy import sparse
-
     rows, cols, values = _coo(space, weighted_maps)
     return sparse.csr_matrix((values, (rows, cols)), shape=(space.dim, space.dim))
 
@@ -347,10 +229,8 @@ def commutator_report(space: FockSpace, spec1, spec2) -> CommutatorReport:
     delta_{beta,beta'} H^-_phi); the overlap reduces to 1 for identical
     normalized profiles and to 0 for k != k'.
     """
-    from scipy import sparse
-
     g1 = gamma_for_profile(space, *spec1)
-    g2d = gamma_for_profile(space, *spec2).conj().T.tocsr()
+    g2d = _dagger(gamma_for_profile(space, *spec2))
     direct = (g1 @ g2d - g2d @ g1).tocsr()
 
     coefficient, terms = _assembly_terms(space, spec1, spec2)
@@ -402,7 +282,7 @@ def schwartz_exhaustive(space: FockSpace, profiles) -> SchwartzSweep:
                         for spin_dag in SPINS:
                             terms = _hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
                             g_in, g_dag = gammas[i_in, spin_in], gammas[i_dag, spin_dag]
-                            lhs = np.abs(_diagonal(space, terms))
+                            lhs = np.abs(_quadratic(space, terms).diagonal())
                             rhs = np.sqrt(g_in * g_dag)
                             worst = min(worst, float(np.min(rhs - lhs)))
                             cases += 1
@@ -433,7 +313,7 @@ def pair_condensate(space: FockSpace, c_matrix, n: int) -> np.ndarray:
     SaturationError when (c^dag)^N |0> vanishes identically (Pauli
     blocking); the vanishing is exact, not a tolerance call.
     """
-    cd = c_matrix.conj().T.tocsr()
+    cd = _dagger(c_matrix)
     v = space.vacuum()
     for _ in range(n):
         v = cd @ v
@@ -446,6 +326,10 @@ def _unit(v: np.ndarray, n: int) -> np.ndarray:
     if norm == 0.0:
         raise SaturationError(f"(c^dag)^{n} |0> = 0: more pairs than modes")
     return v / norm
+
+
+def _dagger(matrix) -> sparse.csr_matrix:
+    return matrix.conj().T.tocsr()
 
 
 def _max_abs(matrix) -> float:
@@ -477,13 +361,11 @@ def composite_boson_suite(space: FockSpace, pairs, weights, n_max: int, second_w
     """
     _disjoint_positions(space, pairs)  # refuses pairs that share a mode before anything is built
     weights = np.asarray(weights, dtype=complex)
-    c1 = _operator(space, _composite_terms(space, pairs, weights))
-    c1d = c1.dagger()
-    labels = np.zeros(len(c1.weights), dtype=np.int64)
+    c1 = composite_boson(space, pairs, weights)
+    c1d = _dagger(c1)
     g_psi, g_phi = _pair_number_diagonals(space, pairs, weights)
     # [c, c^dag] - (I - Gamma_psi - Gamma_phi)
-    target = _entries(space.dim, 0, 1.0, space._states, SignedMap(space._states, g_psi + g_phi - 1.0))
-    comm_dev = _max_entry(_commutator(space.dim, c1, c1d, labels) + [target])
+    comm_dev = _max_abs(c1 @ c1d - c1d @ c1 - sparse.diags(1.0 - g_psi - g_phi))
     p1 = purity(weights)
 
     # one chain (c^dag)^N |0> serves the sandwich and the saturation
@@ -491,7 +373,7 @@ def composite_boson_suite(space: FockSpace, pairs, weights, n_max: int, second_w
     states = []
     v = space.vacuum()
     for n in range(1, max(n_max, saturation_order) + 1):
-        v = _apply(c1d.weights, c1d.maps, v)
+        v = c1d @ v
         if n <= n_max:
             states.append(_unit(v, n))
     if float(np.linalg.norm(v)) != 0.0:
@@ -508,20 +390,15 @@ def composite_boson_suite(space: FockSpace, pairs, weights, n_max: int, second_w
     if second_weights is not None:
         w2 = np.asarray(second_weights, dtype=complex)
         p_max = max(p1, purity(w2))
-        c2 = _operator(space, _composite_terms(space, pairs, w2))
-        c2d = c2.dagger()
+        c2d = _dagger(composite_boson(space, pairs, w2))
+        commutator = c1 @ c2d - c2d @ c1
         for n, u in enumerate(states, start=1):
-            # <u|[c1, c2^dag]|u> = <c1^dag u|c2^dag u> - <c2 u|c1 u>
-            c1d_u, c2d_u, c1_u, c2_u = (_apply(c.weights, c.maps, u) for c in (c1d, c2d, c1, c2))
-            value = abs(np.vdot(c1d_u, c2d_u) - np.vdot(c2_u, c1_u))
+            value = abs(np.vdot(u, commutator @ u))
             cross_rows.append((n, float(value), 2.0 * n * p_max, value <= 2.0 * n * p_max + 1e-12))
         # [c1, c2^dag] = overlap*I - sum_i f1(i) conj(f2(i)) (n_psi_i + n_phi_i)
         coeffs = weights * np.conj(w2)
         terms = [(c, p) for pair, c in zip(pairs, coeffs) if c != 0.0 for p in _pair_positions(space, pair)]
-        diagonal = _number_diagonal(space, terms) - complex(np.sum(coeffs))
-        target = _entries(space.dim, 0, 1.0, space._states, SignedMap(space._states, diagonal))
-        labels = np.zeros(len(c2.weights), dtype=np.int64)
-        cross_dev = _max_entry(_commutator(space.dim, c1, c2d, labels) + [target])
+        cross_dev = _max_abs(commutator - sparse.diags(complex(np.sum(coeffs)) - _number_diagonal(space, terms)))
 
     return CompositeBosonReport(
         purity=p1,

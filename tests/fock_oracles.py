@@ -1,9 +1,9 @@
 """Test oracles in the Jordan-Wigner Fock space of ``latticelight.fock``.
 
 ``latticelight.onebody`` computes the fock-suite checks from mode
-bookkeeping; these evaluate the same quantities on basis states, with the
-signed maps of ``latticelight.fock``: the pair-commutator sweep, the
-polarization diagonals, the CSR hopping and polarization operators, and the
+bookkeeping; these evaluate the same quantities with the scipy CSR operators
+of ``latticelight.fock``: the pair-commutator sweep, the hopping and
+polarization operators, the polarization diagonals on basis states, and the
 composite-boson pair register.
 
 The composite-boson states (c^dag)^N |0>, c = sum_i f(i) b_i over disjoint
@@ -17,12 +17,11 @@ P-bit register (pair_stack).
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from latticelight import fock, onebody
-from latticelight.fock import SignedMap
 from latticelight.onebody import DEFAULT_FRAME
 
 
@@ -36,41 +35,16 @@ class PairSweep:
 
 
 def pair_commutator_sweep(space, specs) -> PairSweep:
-    """commutator_report and [gamma_1, gamma_2] = 0 over all ordered pairs of ``specs``.
-
-    The terms of every gamma, and their adjoints, are stacked once, labelled
-    by their gamma.  For one gamma_1 each product with all second gammas is
-    one gather per term of gamma_1; every entry of [g1, g2^dag] - (c I - H)
-    and of [g1, g2] is summed over equal (second label, row, column) and the
-    largest |entry| kept.
-    """
+    """commutator_report and [gamma_1, gamma_2] = 0 over all ordered pairs of ``specs``, one pair at a time."""
     specs = list(specs)
-    terms = [fock._gamma_terms(space, alpha, beta, *fock._profile_pairing(prof)) for alpha, beta, prof in specs]
-    labels = np.repeat(np.arange(len(specs)), [len(t) for t in terms])
-    gammas = fock._operator(space, [term for t in terms for term in t])
-    adjoints = gammas.dagger()
+    gammas = [fock.gamma_for_profile(space, *spec) for spec in specs]
     worst_assembly = worst_plain = 0.0
-    compared = 0
-    for spec1, terms1 in zip(specs, terms):
-        g1 = fock._operator(space, terms1)
-        # the assembly c I - H of every second label, negated
-        targets = [fock._assembly_terms(space, spec1, spec2) for spec2 in specs]
-        hopping = [(j, term) for j, (_, hop) in enumerate(targets) for term in hop]
-        hop_weights, hop_maps = fock._stacked(space, [term for _, term in hopping])
-        identities = [(j, c) for j, (c, _) in enumerate(targets) if c != 0.0]
-        coefficients = np.array([c for _, c in identities], dtype=complex)
-        diagonal = np.tile(space._states, (len(identities), 1))
-        identity = SignedMap(diagonal, np.ones(diagonal.shape, dtype=np.int8))
-        assembly = [
-            *fock._commutator(space.dim, g1, adjoints, labels),
-            fock._entries(space.dim, np.array([j for j, _ in hopping]), hop_weights, space._states, hop_maps),
-            fock._entries(space.dim, np.array([j for j, _ in identities]), -coefficients, space._states, identity),
-        ]
-        worst_assembly = max(worst_assembly, fock._max_entry(assembly))
-        worst_plain = max(worst_plain, fock._max_entry(fock._commutator(space.dim, g1, gammas, labels)))
-        compared += len(specs)
+    for spec1, g1 in zip(specs, gammas):
+        for spec2, g2 in zip(specs, gammas):
+            worst_assembly = max(worst_assembly, fock.commutator_report(space, spec1, spec2).max_abs_difference)
+            worst_plain = max(worst_plain, fock._max_abs(g1 @ g2 - g2 @ g1))
     return PairSweep(
-        label_pairs=compared,
+        label_pairs=len(specs) ** 2,
         max_assembly_deviation=worst_assembly,
         max_gamma_gamma=worst_plain,
     )
@@ -98,28 +72,10 @@ class PolarizationReport:
 
 
 def polarization_diagonals(space, profiles, frame, rows) -> np.ndarray:
-    """<s|[gamma_g, gamma_h^dag]|s> for every pair of polarization gammas g, h and basis state s in ``rows``.
-
-    Every gamma^i(k) is a row of coefficients over the distinct ladder terms
-    T_a; the diagonals of T_a T_b^dag - T_b^dag T_a on ``rows`` are
-    contracted with those coefficients for every pair at once.
-    """
-    gammas = [onebody._polarization_terms(space, prof, mat) for prof in profiles for mat in onebody.polarization_matrices(frame)]
-    column = {key: j for j, key in enumerate(dict.fromkeys((f, s) for t in gammas for _, f, s in t))}
-    coefficients = np.zeros((len(gammas), len(column)), dtype=complex)
-    for g, terms in enumerate(gammas):
-        for w, first, second in terms:
-            coefficients[g, column[first, second]] += w
-    ladders = fock._operator(space, [(1.0, *key) for key in column])
-
-    def diagonal(left, right):  # diagonal of L R on the rows; axes (R, L, row)
-        product = fock._product(SignedMap(left.source[:, rows], left.sign[:, rows]), right)
-        return np.where(product.source == space._states[rows], product.sign, 0)
-
-    # axes (a, b, row)
-    diagonals = diagonal(ladders.maps, ladders.adjoints).transpose(1, 0, 2) - diagonal(ladders.adjoints, ladders.maps)
-    partial = np.einsum("ga,abk->gbk", coefficients, diagonals)
-    return np.einsum("hb,gbk->ghk", np.conj(coefficients), partial)
+    """<s|[gamma_g, gamma_h^dag]|s> for every pair of polarization gammas g, h and basis state s in ``rows``."""
+    gammas = [polarization_gamma(space, prof, frame, i) for prof in profiles for i in range(4)]
+    adjoints = [fock._dagger(g) for g in gammas]
+    return np.array([[(g @ hd - hd @ g).diagonal()[rows] for hd in adjoints] for g in gammas])
 
 
 def polarization_boson_check(space, profiles, frame=DEFAULT_FRAME) -> PolarizationReport:
@@ -144,60 +100,45 @@ def polarization_boson_check(space, profiles, frame=DEFAULT_FRAME) -> Polarizati
     )
 
 
-class PairStack(NamedTuple):
-    """The pair operators b_i = psi_i phi_i as stacked signed maps on the 2^P pair register.
+def pair_stack(space, pairs) -> list:
+    """The b_i of P disjoint ``pairs`` as CSR matrices over the 2^P register states.
 
-    Register state s stands for prod_{i: bit i of s set} b_i^dag |0>; row i
-    of each map holds one pair.
-    """
-
-    lowering: SignedMap  # the b_i
-    raising: SignedMap  # the b_i^dag
-
-
-def pair_stack(space, pairs) -> PairStack:
-    """The b_i and b_i^dag of P disjoint ``pairs`` over the 2^P register states.
-
-    Row s of b_i^dag reads s with bit i flipped, with sign 1 where bit i of s
-    is set and 0 elsewhere; b_i is the same with the bit test reversed.  No
+    Register state s stands for prod_{i: bit i of s set} b_i^dag |0>, so b_i
+    takes each state with bit i set to the same state with bit i cleared.  No
     sign enters because the b_i commute (see the module docstring).  ``space``
     only resolves the pairs; pairs that share a mode raise ValueError.
     """
     count = len(fock._disjoint_positions(space, pairs))
-    states = np.arange(1 << count, dtype=np.int32)
-    bits = (1 << np.arange(count, dtype=np.int32))[:, None]
-    source = states ^ bits
-    occupied = (states & bits != 0).astype(np.int8)
-    return PairStack(SignedMap(source, 1 - occupied), SignedMap(source, occupied))
+    states = np.arange(1 << count)
+    stack = []
+    for i in range(count):
+        empty = states[(states >> i) & 1 == 0]
+        stack.append(sparse.csr_matrix((np.ones(len(empty)), (empty, empty | 1 << i)), shape=(len(states),) * 2))
+    return stack
 
 
-def cross_commutator_values(stack: PairStack, weights, second_weights, n_max: int) -> np.ndarray:
+def cross_commutator_values(stack, weights, second_weights, n_max: int) -> np.ndarray:
     """|<N|[c1, c2^dag]|N>| for N = 1..n_max, with |N> the normalized (c1^dag)^N |0>.
 
-    ``stack`` comes from pair_stack, so the states are vectors over the pair
-    register, whose state 0 is the vacuum.  On a state u,
-    c u = sum_i f(i) b_i u and c^dag u = sum_i conj(f(i)) b_i^dag u come from
-    one stacked gather per side, contracted with the weights, and
-    <u|[c1, c2^dag]|u> = <c1^dag u|c2^dag u> - <c2 u|c1 u>.  No operator
-    product is formed.  Raises SaturationError if n_max exceeds the
-    constructible N.
+    ``stack`` holds the b_i as CSR matrices whose basis state 0 is the vacuum:
+    pair_stack's register, or the Fock space itself.  c = sum_i f(i) b_i.
+    Raises SaturationError if n_max exceeds the constructible N.
     """
-    both = np.array([weights, second_weights], dtype=complex)
-    vacuum = np.zeros(stack.lowering.source.shape[-1], dtype=complex)
-    vacuum[0] = 1.0
-    v = fock._apply(np.conj(both[0]), stack.raising, vacuum)  # c1^dag |0>
+    c1, c2 = (sum(w * b for w, b in zip(f, stack)) for f in (weights, second_weights))
+    c1d, c2d = fock._dagger(c1), fock._dagger(c2)
+    commutator = c1 @ c2d - c2d @ c1
+    u = np.zeros(c1.shape[0], dtype=complex)
+    u[0] = 1.0
     values = np.empty(n_max)
     for n in range(1, n_max + 1):
-        u = fock._unit(v, n)
-        v, c2d_u = fock._apply(np.conj(both), stack.raising, u)  # v = c1^dag u
-        c1_u, c2_u = fock._apply(both, stack.lowering, u)
-        values[n - 1] = abs(np.vdot(v, c2d_u) - np.vdot(c2_u, c1_u))
+        u = fock._unit(c1d @ u, n)
+        values[n - 1] = abs(np.vdot(u, commutator @ u))
     return values
 
 
 def conjecture_worst_slack(stack, rng, samples, n_max):
     """min over random orthonormal (w1, w2) and N = 1, 2 of 2 N max(P1, P2) - |<N|[c1, c2^dag]|N>|, on the pair register."""
-    size = stack.lowering.source.shape[0]
+    size = len(stack)
     sample_n = np.arange(1, min(2, n_max) + 1)
     worst = np.inf
     for _ in range(samples):

@@ -322,6 +322,9 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
         (["maxwell-convergence", "--spacing-factor", "0"], None, "error: spacing_factor must be in (0, 1], got 0.0"),
         (["maxwell-convergence"], {"spacing_factor": 1.5}, "error: spacing_factor must be in (0, 1], got 1.5"),
         (["tilt", "--directions", "0"], None, "error: directions must be >= 1, got 0"),
+        (["fock-suite", "--momenta", "4"], None, "error: momenta must be in 1..3, got 4"),
+        (["fock-suite"], {"momenta": 0}, "error: momenta must be in 1..3, got 0"),
+        (["flight", "--distance-m", "-1"], None, "distance_m must be positive, got -1.0"),
     ],
 )
 def test_range_messages_name_the_key(tmp_path, capsys, args, config, message):

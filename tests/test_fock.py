@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-import fock_oracles
 from fock_oracles import (
     cross_commutator_values,
     h_operator,
@@ -592,33 +591,23 @@ def test_dropped_conjugate_on_w2_changes_cross_values(sized_space):
     assert np.max(np.abs(got - np.array(mutant))) >= 1e-6
 
 
-def reference_sweep_maxima(space, specs):
-    """Max over commutator_report and over the plain [g1, g2], one pair at a time."""
-    gammas = {spec: gamma_for_profile(space, *spec) for spec in specs}
-    worst_assembly = worst_plain = 0.0
-    for s1 in specs:
-        for s2 in specs:
-            worst_assembly = max(worst_assembly, commutator_report(space, s1, s2).max_abs_difference)
-            worst_plain = max(worst_plain, max_abs(gammas[s1] @ gammas[s2] - gammas[s2] @ gammas[s1]))
-    return worst_assembly, worst_plain
-
-
 def label_specs(space):
     return [(a, b, p) for a in SPINS for b in SPINS for p in available_profiles(space.momenta).values()]
 
 
 @pytest.mark.parametrize("labels", [None, 1, 5])
 def test_pair_sweep_matches_per_pair_reports(sized_space, labels):
-    # labels: how many of the leading labels are swept (None: all of them);
+    # the one-body engine batches every second label against one first label;
+    # labels: how many of the leading labels are swept (None: all of them),
     # 1 leaves a single pair, 5 cuts through a spin block at m >= 2
     space = sized_space
     specs = label_specs(space)[:labels]
+    batched = onebody.pair_commutators(space, specs)
     sweep = pair_commutator_sweep(space, specs)
-    worst_assembly, worst_plain = reference_sweep_maxima(space, specs)
-    assert sweep.label_pairs == len(specs) ** 2
-    assert sweep.max_assembly_deviation == pytest.approx(worst_assembly, abs=1e-15)
+    assert batched["label_pairs"] == sweep.label_pairs == len(specs) ** 2
+    assert batched["max_assembly_deviation"] == pytest.approx(sweep.max_assembly_deviation, abs=1e-15)
     assert sweep.max_assembly_deviation <= 1e-12
-    assert sweep.max_gamma_gamma == worst_plain == 0.0
+    assert batched["max_gamma_gamma"] == sweep.max_gamma_gamma == 0.0
 
 
 @pytest.mark.parametrize("labels", [None, 1])
@@ -632,17 +621,15 @@ def test_pair_sweep_catches_flipped_hopping_sign(monkeypatch, labels):
     # the assembly terms of both engines come from onebody
     monkeypatch.setattr(onebody, "_hopping_terms", flipped)
     specs = label_specs(space)[:labels]
-    specs.append(specs[0])  # a repeated label, whose entries coincide with the first's
+    specs.append(specs[0])  # a repeated label
     sweep = pair_commutator_sweep(space, specs)
     assert sweep.label_pairs == len(specs) ** 2
     assert sweep.max_assembly_deviation >= 1.0
     assert sweep.max_gamma_gamma == 0.0
-    # pair by pair, never summed over second labels: commutator_report sees the same flip
-    assert sweep.max_assembly_deviation == pytest.approx(reference_sweep_maxima(space, specs)[0], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# the signed-map checks against the CSR matrix route
+# the checks against operators assembled by another route
 
 
 @pytest.mark.parametrize("table", ["_parity", "_occupied"])
@@ -658,8 +645,13 @@ def test_verification_catches_one_corrupted_table_entry(m, table):
 
 
 def csr_commutator_diagonals(space, profiles, frame):
-    """diag [g, g2^dag] for every ordered pair of polarization gammas, as CSR products."""
-    gammas = [polarization_gamma(space, prof, frame, i) for prof in profiles for i in range(4)]
+    """diag [g, g2^dag] for every ordered pair of polarization gammas, each assembled from the gamma_{alpha,beta}."""
+    gammas = [
+        sum(mat[ia, ib] * gamma_for_profile(space, alpha, beta, prof)
+            for ia, alpha in enumerate(SPINS) for ib, beta in enumerate(SPINS))
+        for prof in profiles
+        for mat in onebody.polarization_matrices(frame)
+    ]
     return [
         [(g @ g2.conj().T - g2.conj().T @ g).diagonal() for g2 in gammas]
         for g in gammas
@@ -728,9 +720,7 @@ def test_composite_suite_catches_a_dropped_conjugate(sized_space, monkeypatch):
     space = sized_space
     pairs = default_pairs(space)
     w1, w2 = seeded_weight_pair(len(pairs), 3)
-    monkeypatch.setattr(
-        fock._Operator, "dagger", lambda self: fock._Operator(self.weights, self.adjoints, self.maps)
-    )
+    monkeypatch.setattr(fock, "_dagger", lambda matrix: matrix.T.tocsr())
     report = composite_boson_suite(space, pairs, w1, 1, second_weights=w2)
     assert report.commutator_identity_deviation >= 1e-3
     assert report.cross_identity_deviation >= 1e-3
@@ -749,10 +739,8 @@ def test_profile_rejects_non_finite_weights(bad):
 
 
 def full_space_pair_stack(space, pairs):
-    """The pair operators as stacked signed maps over the whole Fock space: the register's reference."""
-    positions = [fock._pair_positions(space, pair) for pair in pairs]
-    stack = fock._operator(space, [(1.0, (psi, False), (phi, False)) for psi, phi in positions])
-    return fock_oracles.PairStack(stack.maps, stack.adjoints)
+    """The pair operators b_i as CSR matrices over the whole Fock space: the register's reference."""
+    return [composite_boson(space, [pair], [1.0]) for pair in pairs]
 
 
 def crossed_pairs(space):
@@ -781,20 +769,14 @@ def register_embedding(space, pairs):
     return embedding
 
 
-def dense(m):
-    """The signed map as a dense matrix: row s holds sign[s] in column source[s]."""
-    out = np.zeros((len(m.source), len(m.source)))
-    out[np.arange(len(m.source)), m.source] = m.sign
-    return out
-
-
 def register_chain(stack, weights, n_max):
     """The normalized (c^dag)^N |0>, N = 1..n_max, over the register."""
-    v = np.zeros(stack.raising.source.shape[-1], dtype=complex)
+    cd = sum(np.conj(w) * b.T for w, b in zip(weights, stack))
+    v = np.zeros(stack[0].shape[0], dtype=complex)
     v[0] = 1.0
     states = []
     for n in range(1, n_max + 1):
-        v = fock._apply(np.conj(weights), stack.raising, v)
+        v = cd @ v
         states.append(fock._unit(v, n))
     return states
 
@@ -802,11 +784,10 @@ def register_chain(stack, weights, n_max):
 def intertwining_error(space, pairs, stack, embedding):
     """Largest |entry| of b E - E b_register over the b_i and the b_i^dag, E the register embedding."""
     worst = 0.0
-    for i, pair in enumerate(pairs):
+    for pair, register in zip(pairs, stack):
         b = composite_boson(space, [pair], [1.0])
-        lowering, raising = (fock.SignedMap(m.source[i], m.sign[i]) for m in stack)
-        for full, register in ((b, lowering), (b.conj().T.tocsr(), raising)):
-            worst = max(worst, float(np.max(np.abs(full @ embedding - embedding @ dense(register)))))
+        for full, small in ((b, register), (b.conj().T.tocsr(), register.T)):
+            worst = max(worst, float(np.max(np.abs(full @ embedding - embedding @ small.toarray()))))
     return worst
 
 
@@ -816,7 +797,7 @@ def test_register_chain_embeds_into_the_fock_chain(sized_space, seed, crossed):
     space = sized_space
     pairs = crossed_pairs(space) if crossed else default_pairs(space)
     stack = pair_stack(space, pairs)
-    assert stack.lowering.source.shape == stack.raising.source.shape == (len(pairs), 1 << len(pairs))
+    assert len(stack) == len(pairs) and all(b.shape == (1 << len(pairs),) * 2 for b in stack)
     embedding = register_embedding(space, pairs)
     assert intertwining_error(space, pairs, stack, embedding) == 0.0
     w1, _ = seeded_weight_pair(len(pairs), seed)
@@ -847,18 +828,18 @@ def test_a_mutated_register_is_caught(sized_space):
     space = sized_space
     pairs = default_pairs(space)
     stack = pair_stack(space, pairs)
-    (lower_source, lower_sign), (raise_source, raise_sign) = stack
+    size = 1 << len(pairs)
     w1, w2 = seeded_weight_pair(len(pairs), 3)
     want = cross_commutator_values(full_space_pair_stack(space, pairs), w1, w2, 1)
-    ones = np.ones_like(raise_sign)
-    signs = parity_below(raise_sign.shape[1], len(pairs))
+    states = np.arange(size)
+    signs = parity_below(size, len(pairs))
     mutants = {
-        "ignores occupancy": fock_oracles.PairStack(
-            fock.SignedMap(lower_source, ones), fock.SignedMap(raise_source, ones)
-        ),
-        "adds a sign": fock_oracles.PairStack(
-            fock.SignedMap(lower_source, lower_sign * signs), fock.SignedMap(raise_source, raise_sign * signs)
-        ),
+        # b_i flips bit i whether it is set or not
+        "ignores occupancy": [
+            sparse.csr_matrix((np.ones(size), (states, states ^ 1 << i)), shape=(size, size))
+            for i in range(len(pairs))
+        ],
+        "adds a sign": [sparse.diags(sign, dtype=float) @ b for sign, b in zip(signs, stack)],
     }
     embedding = register_embedding(space, pairs)
     for name, mutant in mutants.items():
@@ -886,7 +867,7 @@ def test_pairs_sharing_a_mode_are_refused_before_anything_is_built(monkeypatch, 
     def unbuilt(*args):
         raise AssertionError("an operator was built before the pairs were checked")
 
-    monkeypatch.setattr(fock, "_operator", unbuilt)
+    monkeypatch.setattr(fock, "composite_boson", unbuilt)
     monkeypatch.setattr(fock, "_pair_number_diagonals", unbuilt)
     weights = np.full(len(pairs), 1.0 / math.sqrt(len(pairs)))
     with pytest.raises(ValueError, match=message):

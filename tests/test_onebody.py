@@ -130,7 +130,7 @@ def one_particle_margin(space, profiles, scale):
     for field, branch in itertools.product(onebody.FIELDS, (+1, -1)):
         for prof_in, prof_dag, spin_in, spin_dag in itertools.product(profiles, profiles, onebody.SPINS, onebody.SPINS):
             terms = [(scale * w, a, b) for w, a, b in fock._hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)]
-            lhs = np.abs(fock._diagonal(space, terms))
+            lhs = np.abs(fock._quadratic(space, terms).diagonal())
             g_in = fock._gamma_diagonal(space, prof_in, field, spin_in, branch)
             g_dag = fock._gamma_diagonal(space, prof_dag, field, spin_dag, branch)
             worst = min(worst, float(np.min((np.sqrt(g_in * g_dag) - lhs)[one])))
