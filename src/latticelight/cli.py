@@ -27,7 +27,7 @@ from .dispersion import (
     time_of_flight_delta,
 )
 from .output import write_json, write_table
-from .walk import MINUS, PLUS, DegeneratePointError
+from .walk import MAX_STEPS, MINUS, PLUS, DegeneratePointError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -216,9 +216,11 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
         raise ConfigError(f"spacing_factor must be in (0, 1], got {factor!r}")
     if t < 1:  # at t = 0 every residual is 0 and the log-log slope is undefined
         raise ConfigError(f"t must be >= 1, got {t}")
-    # checked before the radii list is built; on a smaller radius |q|^2 underflows and qbar can read 0
-    if math.ldexp(base, 1 - levels) < math.sqrt(sys.float_info.min):
-        raise ConfigError(f"levels = {levels} halves base_radius below sqrt(smallest normal float)")
+    # checked before the radii list is built: a residual is about its qbar, and step_power rounds to
+    # 1e-15 (1 + t) up to MAX_STEPS (it refuses more), so the last radius stays ten times above that
+    floor = 1e-14 * (1 + min(t, MAX_STEPS))
+    if math.ldexp(base, 1 - levels) < floor:
+        raise ConfigError(f"levels = {levels} halves base_radius below the residual rounding floor {floor:.3g}")
     sign = SIGNS[cfg["sign"]]
     radii = [base * 0.5**i for i in range(levels)]
     try:

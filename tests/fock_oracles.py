@@ -35,13 +35,20 @@ class PairSweep:
 
 
 def pair_commutator_sweep(space, specs) -> PairSweep:
-    """commutator_report and [gamma_1, gamma_2] = 0 over all ordered pairs of ``specs``, one pair at a time."""
+    """commutator_report's comparison and [gamma_1, gamma_2] = 0 over all ordered pairs of ``specs``, one pair at a time.
+
+    Each gamma and its adjoint are built once, not once per pair as in commutator_report.
+    """
     specs = list(specs)
     gammas = [fock.gamma_for_profile(space, *spec) for spec in specs]
+    adjoints = [fock._dagger(g) for g in gammas]
+    identity = sparse.identity(space.dim, dtype=complex, format="csr")
     worst_assembly = worst_plain = 0.0
     for spec1, g1 in zip(specs, gammas):
-        for spec2, g2 in zip(specs, gammas):
-            worst_assembly = max(worst_assembly, fock.commutator_report(space, spec1, spec2).max_abs_difference)
+        for spec2, g2, g2d in zip(specs, gammas, adjoints):
+            coefficient, terms = fock._assembly_terms(space, spec1, spec2)
+            assembled = coefficient * identity - fock._quadratic(space, terms)
+            worst_assembly = max(worst_assembly, fock._max_abs(g1 @ g2d - g2d @ g1 - assembled))
             worst_plain = max(worst_plain, fock._max_abs(g1 @ g2 - g2 @ g1))
     return PairSweep(
         label_pairs=len(specs) ** 2,
@@ -153,10 +160,9 @@ def conjecture_worst_slack(stack, rng, samples, n_max):
     return worst
 
 
-def oracle_report(count, n_max, samples, seed):
-    """The "space", "checks" and "passed" of a fock-suite report, every check by brute force in the Fock space."""
-    momenta = onebody.lattice_momenta(count)
-    space = fock.build_fock(momenta)
+def oracle_report(space, n_max, samples, seed):
+    """The "space", "checks" and "passed" of a fock-suite report, every check by brute force in the Fock ``space``."""
+    momenta = list(space.momenta)
     profiles = list(fock.available_profiles(momenta).values())
     rng = np.random.default_rng(seed)
     specs = [(alpha, beta, prof) for alpha in fock.SPINS for beta in fock.SPINS for prof in profiles]

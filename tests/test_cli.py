@@ -353,10 +353,10 @@ def test_oversized_profile_grid_is_rejected_before_allocating(tmp_path, capsys, 
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("levels", [501, 1100, 10**6])
+@pytest.mark.parametrize("levels", [30, 45, 501, 1100, 10**6])
 def test_levels_past_the_radius_floor_are_rejected_before_allocating(tmp_path, capsys, levels):
-    # 4e-4 * 2^(1 - 501) is the first last-level radius below sqrt(2.2e-308), where |q|^2 underflows;
-    # past about 1,075 halvings the radius is 0 and the message used to blame spacing_factor
+    # at t = 100, 4e-4 * 2^(1 - 30) is the first last-level radius below the rounding floor 1e-14 (1 + t);
+    # --levels 45 would fit a slope of 0.898 to floored residuals, and past about 1,075 halvings the radius is 0
     out = tmp_path / "m.csv"
     tracemalloc.start()
     try:
@@ -369,6 +369,14 @@ def test_levels_past_the_radius_floor_are_rejected_before_allocating(tmp_path, c
     err = capsys.readouterr().err
     assert f"error: levels = {levels} " in err and "spacing_factor" not in err
     assert peak < 1_000_000
+
+
+def test_levels_at_the_radius_floor_fit_a_unit_slope(tmp_path):
+    out = tmp_path / "m.csv"
+    assert run(["maxwell-convergence", "--levels", 29, "--out", out]) == EXIT_OK
+    header, _, rows = read_table(out)
+    assert len(rows) == 30
+    assert abs(header["fitted_residual_slope"] - 1.0) <= 1e-4
 
 
 @pytest.mark.parametrize(

@@ -39,8 +39,8 @@ from latticelight.fock import (
 
 
 @pytest.fixture(scope="module")
-def two_momentum_space():
-    return build_fock([-1, 1])
+def two_momentum_space(fock_space):
+    return fock_space([-1, 1])
 
 
 @pytest.fixture(scope="module")
@@ -346,8 +346,8 @@ CLI_MOMENTA = {1: [0], 2: [-1, 1], 3: [-1, 0, 1]}
 
 
 @pytest.fixture(scope="module", params=sorted(CLI_MOMENTA))
-def sized_space(request):
-    return build_fock(CLI_MOMENTA[request.param])
+def sized_space(request, fock_space):
+    return fock_space(CLI_MOMENTA[request.param])
 
 
 def ladder(space, field, spin, momentum, raising):
@@ -604,15 +604,17 @@ def test_pair_sweep_matches_per_pair_reports(sized_space, labels):
     specs = label_specs(space)[:labels]
     batched = onebody.pair_commutators(space, specs)
     sweep = pair_commutator_sweep(space, specs)
+    reports = max(commutator_report(space, s1, s2).max_abs_difference for s1 in specs for s2 in specs)
     assert batched["label_pairs"] == sweep.label_pairs == len(specs) ** 2
+    assert sweep.max_assembly_deviation == pytest.approx(reports, abs=1e-15)
     assert batched["max_assembly_deviation"] == pytest.approx(sweep.max_assembly_deviation, abs=1e-15)
     assert sweep.max_assembly_deviation <= 1e-12
     assert batched["max_gamma_gamma"] == sweep.max_gamma_gamma == 0.0
 
 
 @pytest.mark.parametrize("labels", [None, 1])
-def test_pair_sweep_catches_flipped_hopping_sign(monkeypatch, labels):
-    space = build_fock([-1, 1])
+def test_pair_sweep_catches_flipped_hopping_sign(fock_space, monkeypatch, labels):
+    space = fock_space([-1, 1])
     hopping_terms = onebody._hopping_terms
 
     def flipped(*args):
@@ -856,9 +858,9 @@ def test_a_mutated_register_is_caught(sized_space):
         (((("R", 0), ("R", 0)), (("L", 0), ("L", 0)), (("R", 0), ("R", 0))), r"psi\(R, 0\)"),
     ],
 )
-def test_pairs_sharing_a_mode_are_refused_before_anything_is_built(monkeypatch, pairs, mode):
+def test_pairs_sharing_a_mode_are_refused_before_anything_is_built(fock_space, monkeypatch, pairs, mode):
     # on shared modes the suite used to report saturation order 3 where the truth is 2, as a physics failure
-    space = build_fock([0])
+    space = fock_space([0])
     first, second = (0, 2) if len(pairs) == 3 else (0, 1)
     message = rf"pairs {first} and {second} share the mode {mode}"
     with pytest.raises(ValueError, match=message):

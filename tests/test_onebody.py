@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,15 +17,15 @@ from fock_oracles import (
     polarization_boson_check,
 )
 from latticelight import fock, onebody
-from latticelight.fock import LatticeProfile, available_profiles, build_fock, default_pairs
+from latticelight.fock import LatticeProfile, available_profiles, default_pairs
 
 MOMENTA = {1: [0], 2: [-1, 1], 3: [-1, 0, 1]}
 ATOL = 1e-12
 
 
 @pytest.fixture(scope="module", params=sorted(MOMENTA))
-def space(request):
-    return build_fock(MOMENTA[request.param])
+def space(request, fock_space):
+    return fock_space(MOMENTA[request.param])
 
 
 def random_profiles(space, rng):
@@ -61,8 +63,9 @@ def leaves(value, path=""):
 
 @pytest.mark.parametrize("count", sorted(MOMENTA))
 @pytest.mark.parametrize("n_max,samples,seed", [(3, 50, 0), (2, 7, 11)])
-def test_report_matches_the_jordan_wigner_report(count, n_max, samples, seed):
-    got, want = (dict(leaves(f(count, n_max, samples, seed))) for f in (onebody.fock_suite, oracle_report))
+def test_report_matches_the_jordan_wigner_report(fock_space, count, n_max, samples, seed):
+    got = dict(leaves(onebody.fock_suite(count, n_max, samples, seed)))
+    want = dict(leaves(oracle_report(fock_space(onebody.lattice_momenta(count)), n_max, samples, seed)))
     assert got.keys() == want.keys()
     for key, value in want.items():
         if isinstance(value, (bool, str)) or value is None:
@@ -73,18 +76,35 @@ def test_report_matches_the_jordan_wigner_report(count, n_max, samples, seed):
     assert got["/checks/2/states"] == 2 ** (4 * count)
 
 
-def test_pair_commutators_match_the_sweep_on_random_profiles(space):
-    specs = specs_of(random_profiles(space, np.random.default_rng(1)))
+@pytest.fixture(scope="module")
+def random_sweep(fock_space):
+    """random_sweep(count): specs over random_profiles (seed 1) at ``count`` momenta and their Jordan-Wigner sweep.
+
+    Each count is swept once per module, with the honest term builders: call it before patching them.
+    """
+    sweeps = {}
+
+    def get(count):
+        if count not in sweeps:
+            space = fock_space(MOMENTA[count])
+            specs = specs_of(random_profiles(space, np.random.default_rng(1)))
+            sweeps[count] = specs, pair_commutator_sweep(space, specs)
+        return sweeps[count]
+
+    return get
+
+
+def test_pair_commutators_match_the_sweep_on_random_profiles(space, random_sweep):
+    specs, want = random_sweep(len(space.momenta))
     got = onebody.pair_commutators(space, specs)
-    want = pair_commutator_sweep(space, specs)
     assert got["label_pairs"] == want.label_pairs == len(specs) ** 2
     assert abs(got["max_assembly_deviation"] - want.max_assembly_deviation) <= ATOL
     assert got["max_gamma_gamma"] == 0.0 and want.max_gamma_gamma <= ATOL
     assert got["passed"]
 
 
-def test_a_flipped_hopping_sign_fails_both_engines(monkeypatch):
-    space = build_fock(MOMENTA[2])
+def test_a_flipped_hopping_sign_fails_both_engines(fock_space, monkeypatch):
+    space = fock_space(MOMENTA[2])
     specs = specs_of(available_profiles(space.momenta).values())
     hopping_terms = onebody._hopping_terms
     monkeypatch.setattr(
@@ -94,6 +114,52 @@ def test_a_flipped_hopping_sign_fails_both_engines(monkeypatch):
     assert not got["passed"]
     assert got["max_assembly_deviation"] >= 1.0
     assert pair_commutator_sweep(space, specs).max_assembly_deviation >= 1.0
+
+
+def test_a_block_deviation_without_the_conjugate_is_caught(fock_space, random_sweep, monkeypatch):
+    # A2^T A1 in place of A2^dag A1: on real profiles the two agree, so the profiles are complex
+    space = fock_space(MOMENTA[2])
+    specs, sweep = random_sweep(2)
+    assert sweep.max_assembly_deviation <= ATOL
+    block_deviation = onebody._block_deviation
+    monkeypatch.setattr(onebody, "_block_deviation", lambda a1, a2, *rest: block_deviation(a1, np.conj(a2), *rest))
+    got = onebody.pair_commutators(space, specs)
+    assert not got["passed"]
+    assert got["max_assembly_deviation"] >= 1.0
+
+
+def test_a_conjugated_overlap_is_caught_by_both_engines(fock_space, monkeypatch):
+    # c = conj(<f2|f1>) in the assembly c I - H: only the constant of [gamma_1, gamma_2^dag] sees it
+    space = fock_space(MOMENTA[2])
+    specs = [("R", "L", p) for p in random_profiles(space, np.random.default_rng(1))]
+    assembly_terms = onebody._assembly_terms
+
+    def conjugated(*args):
+        coefficient, terms = assembly_terms(*args)
+        return np.conj(coefficient), terms
+
+    monkeypatch.setattr(onebody, "_assembly_terms", conjugated)
+    monkeypatch.setattr(fock, "_assembly_terms", conjugated)
+    want = pair_commutator_sweep(space, specs).max_assembly_deviation
+    got = onebody.pair_commutators(space, specs)
+    assert not got["passed"]
+    assert got["max_assembly_deviation"] == pytest.approx(want, abs=ATOL) and want >= 0.1
+
+
+@pytest.mark.parametrize("count", [4, 5, 6])
+def test_a_flipped_hopping_sign_fails_past_the_oracle_cap(monkeypatch, count):
+    # beyond 3 momenta no Fock space exists to compare with; the block route must still hold and still catch the mutant
+    modes = onebody.ModeTable(onebody.lattice_momenta(count))
+    specs = specs_of(random_profiles(modes, np.random.default_rng(count)))
+    honest = onebody.pair_commutators(modes, specs)
+    assert honest["passed"] and honest["max_assembly_deviation"] <= 1e-14
+    hopping_terms = onebody._hopping_terms
+    monkeypatch.setattr(
+        onebody, "_hopping_terms", lambda *args: [(-w, a, b) for w, a, b in hopping_terms(*args)]
+    )
+    got = onebody.pair_commutators(modes, specs)
+    assert not got["passed"]
+    assert got["max_assembly_deviation"] >= 1.0
 
 
 def test_polarization_modes_match_the_basis_states(space):
@@ -110,8 +176,8 @@ def test_polarization_modes_match_the_basis_states(space):
     assert want.deviation_by_particles[2] > 0.1  # the occupation terms are exercised
 
 
-def test_a_polarization_form_without_the_conjugate_is_caught(monkeypatch):
-    space = build_fock(MOMENTA[2])
+def test_a_polarization_form_without_the_conjugate_is_caught(fock_space, monkeypatch):
+    space = fock_space(MOMENTA[2])
     profiles = list(available_profiles(space.momenta).values())
     want = polarization_boson_check(space, profiles)
     monkeypatch.setattr(
@@ -156,9 +222,9 @@ def test_schwartz_bound_matches_the_basis_states(space, monkeypatch, scale):
     assert abs(got["worst_margin"] - one_particle_margin(space, profiles, scale)) <= ATOL
 
 
-def test_a_schwartz_certificate_with_one_gamma_twice_is_caught(monkeypatch):
+def test_a_schwartz_certificate_with_one_gamma_twice_is_caught(fock_space, monkeypatch):
     # sqrt(g_in g_in) in place of sqrt(g_in g_dag): profiles that share a total tell the two apart
-    space = build_fock(MOMENTA[2])
+    space = fock_space(MOMENTA[2])
     profiles = random_profiles(space, np.random.default_rng(3))
     want = fock.schwartz_exhaustive(space, profiles)
     monkeypatch.setattr(onebody, "_schwartz_margins", lambda h, a, b: np.sqrt(a * a) - np.abs(h))
@@ -208,8 +274,8 @@ def test_conjecture_slack_matches_the_pair_register(space):
     assert abs(got["conjecture_worst_slack"] - want) <= ATOL
 
 
-def test_occupations_without_the_left_out_pair_are_caught(monkeypatch):
-    space = build_fock(MOMENTA[2])
+def test_occupations_without_the_left_out_pair_are_caught(fock_space, monkeypatch):
+    space = fock_space(MOMENTA[2])
     pairs, w1, w2 = composite_case(space, 4)
     want = fock.composite_boson_suite(space, pairs, w1, len(pairs), second_weights=w2)
 
@@ -242,6 +308,20 @@ def test_saturation_and_shared_modes_are_refused():
     pairs = default_pairs(space)
     with pytest.raises(onebody.SaturationError):
         onebody.pair_occupations(np.array([0.0, 1.0]), 2)
+    with pytest.raises(onebody.SaturationError, match="nonzero weight"):  # one row of a batch saturates at N = 3
+        onebody.pair_occupations(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), 3)
     shared = (pairs[0], (pairs[0][0], pairs[1][1]))
     with pytest.raises(ValueError, match="share the mode psi"):
         onebody.composite_bosons(space, shared, [0.6, 0.8], [0.8, -0.6], 1, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("lam,first", [([1e-200, 1e-200], 2), ([1.0 / 2000] * 2000, None)])
+def test_an_underflowing_e_n_is_not_called_saturation(lam, first):
+    # e_N(lam) below the smallest normal float with N <= the nonzero pairs: (c^dag)^N |0> is not 0 there
+    lam, tiny = np.array(lam), Fraction(sys.float_info.min)
+    if first is None:  # uniform lam = 1/P: e_N = C(P, N) / P^N exactly
+        first = next(n for n in itertools.count(1) if Fraction(math.comb(len(lam), n), len(lam) ** n) < tiny)
+    with pytest.raises(FloatingPointError, match=f"underflows below the smallest normal float from N = {first},"):
+        onebody.pair_occupations(lam, min(200, len(lam)))
+    below = onebody.pair_occupations(lam, first - 1)
+    np.testing.assert_allclose(below.sum(axis=-1), np.arange(1, first), rtol=1e-13)
