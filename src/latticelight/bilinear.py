@@ -233,10 +233,11 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
 
     Evolves the three vector kernels to time t, applies the inverse of the
     predicted rotation about n(k/2), and reports the profile-weighted RMS
-    deviation of the back-rotated transverse table from its t = 0 value
-    (zero, to rounding, for a single-point profile; O(qbar/|n|) otherwise).
-    Also reports the static tilt of tilt_angle and the raw angle between the
-    rotation axis and k.
+    deviation of the back-rotated transverse table from its t = 0 value:
+    zero, to rounding, for a single-point profile, else O(qbar/|n|) while t
+    qbar is small (at the CLI defaults the fitted slope reads 1.001, 1.050,
+    1.752, 1.998 at t = 10^3, 3000, 10^4, 10^6).  Also reports the static
+    tilt of tilt_angle and the raw angle between the rotation axis and k.
     """
     if t < 0:
         raise ValueError("t must be non-negative")

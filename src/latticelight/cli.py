@@ -18,14 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .dispersion import (
-    DIAGONAL,
-    group_velocity_analytic,
-    omega,
-    tilt_angle_estimate,
-    time_of_flight_delta,
-)
+from . import __version__  # dispersion, bilinear and onebody load in the handlers that use them
 from .output import write_json, write_table
 from .walk import MAX_STEPS, MINUS, PLUS, DegeneratePointError
 
@@ -177,6 +170,7 @@ def _base_header(command: str, cfg: dict, seed: int) -> dict:
 
 
 def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
+    from .dispersion import DIAGONAL, group_velocity_analytic, omega
     kmax, points = cfg["kmax"], cfg["points"]
     if points < 1:
         raise ConfigError(f"points must be >= 1, got {points}")
@@ -196,6 +190,7 @@ def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
     # |v_g| is NaN where the gradient is undefined: sin lam(k/2) < 1e-12
     speeds = [np.linalg.norm(group_velocity_analytic(grid, s), axis=-1) for s in (PLUS, MINUS)]
     rows = np.column_stack([grid, omega(grid, PLUS), omega(grid, MINUS), *speeds])
+    del grid, speeds  # the process peaks while the table is written: hold only the table
     write_table(
         out,
         _base_header("dispersion", cfg, seed),
@@ -250,8 +245,7 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
-    from .onebody import fock_suite  # here, so that the other subcommands never load it
-
+    from .onebody import fock_suite
     n, n_max, samples = cfg["momenta"], cfg["n_max"], cfg["conjecture_samples"]
     if not 1 <= n <= 3:
         raise ConfigError(f"momenta must be in 1..3, got {n}")
@@ -265,6 +259,7 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_flight(cfg: dict, out: str, seed: int) -> int:
+    from .dispersion import time_of_flight_delta
     rows = time_of_flight_delta(cfg["distance_m"], cfg["energies"], SIGNS[cfg["sign"]])
     write_table(
         out,
@@ -276,7 +271,8 @@ def cmd_flight(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
-    from .bilinear import tilt_angle  # local, as in cmd_maxwell_convergence: dispersion and flight never load it
+    from .dispersion import tilt_angle_estimate
+    from .bilinear import tilt_angle
     n_dirs = cfg["directions"]
     if n_dirs < 1:
         raise ConfigError(f"directions must be >= 1, got {n_dirs}")

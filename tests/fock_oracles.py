@@ -16,12 +16,14 @@ and it carries no Jordan-Wigner sign.  cross_commutator_values works on that
 P-bit register (pair_stack).
 """
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from latticelight import fock, onebody
+from latticelight.bilinear import polarization_frame
 from latticelight.onebody import DEFAULT_FRAME
 
 
@@ -55,6 +57,12 @@ def pair_commutator_sweep(space, specs) -> PairSweep:
         max_assembly_deviation=worst_assembly,
         max_gamma_gamma=worst_plain,
     )
+
+
+def frame_rows(n) -> np.ndarray:
+    """The rows (u1, u2, e) of bilinear.polarization_frame(n), the frame that onebody.polarization_matrices reads."""
+    frame = polarization_frame(np.asarray(n, dtype=float))
+    return np.array([frame.u1, frame.u2, frame.e])
 
 
 def h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in):
@@ -143,15 +151,23 @@ def cross_commutator_values(stack, weights, second_weights, n_max: int) -> np.nd
     return values
 
 
+def complex_normals(rng: random.Random, size: int) -> np.ndarray:
+    """``size`` complex draws from ``rng.gauss``, the real part of each entry drawn before its imaginary part."""
+    return np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(size)])
+
+
 def conjecture_worst_slack(stack, rng, samples, n_max):
-    """min over random orthonormal (w1, w2) and N = 1, 2 of 2 N max(P1, P2) - |<N|[c1, c2^dag]|N>|, on the pair register."""
+    """min over random orthonormal (w1, w2) and N = 1, 2 of 2 N max(P1, P2) - |<N|[c1, c2^dag]|N>|, on the pair register.
+
+    The weights come from the ``random.Random`` ``rng`` in onebody's order: w1, then w2, each by complex_normals.
+    """
     size = len(stack)
     sample_n = np.arange(1, min(2, n_max) + 1)
     worst = np.inf
     for _ in range(samples):
-        w1 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        w1 = complex_normals(rng, size)
         w1 /= np.linalg.norm(w1)
-        w2 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        w2 = complex_normals(rng, size)
         w2 -= w1 * np.sum(w2 * np.conj(w1))
         w2 /= np.linalg.norm(w2)
         bounds = 2.0 * sample_n * max(fock.purity(w1), fock.purity(w2))
@@ -164,7 +180,7 @@ def oracle_report(space, n_max, samples, seed):
     """The "space", "checks" and "passed" of a fock-suite report, every check by brute force in the Fock ``space``."""
     momenta = list(space.momenta)
     profiles = list(fock.available_profiles(momenta).values())
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     specs = [(alpha, beta, prof) for alpha in fock.SPINS for beta in fock.SPINS for prof in profiles]
     sweep = pair_commutator_sweep(space, specs)
     schwartz = fock.schwartz_exhaustive(space, profiles)
@@ -172,7 +188,7 @@ def oracle_report(space, n_max, samples, seed):
     pairs = fock.default_pairs(space)
     uniform = np.full(len(pairs), 1.0 / np.sqrt(len(pairs)))
     n_max = min(n_max, len(pairs))
-    second = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+    second = complex_normals(rng, len(pairs))
     second -= uniform * np.sum(second * np.conj(uniform))
     second /= np.linalg.norm(second)
     suite = fock.composite_boson_suite(space, pairs, uniform, n_max, second_weights=second)

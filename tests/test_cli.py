@@ -407,51 +407,76 @@ def test_oversized_wavevector_batches_are_rejected_before_allocating(tmp_path, c
     assert peak < 1_000_000
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def modules_loaded(code, packages):
+    """Run ``code`` in a fresh interpreter on this src; the sorted loaded modules in any of ``packages``."""
     src = os.path.dirname(os.path.dirname(latticelight.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
-        "import sys, latticelight.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m in ('latticelight.fock', 'latticelight.onebody', 'latticelight.bilinear')))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
-    )
-    assert result.stdout.strip() == "[]"
-
-
-def test_fock_suite_run_leaves_scipy_unloaded(tmp_path):
-    src = os.path.dirname(os.path.dirname(latticelight.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = tmp_path / "fock.json"
-    probe = (
-        "import sys; from latticelight.cli import main; "
-        f"code = main(['fock-suite', '--momenta', '3', '--conjecture-samples', '3', '--out', {str(out)!r}]); "
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'latticelight.fock'))"
+        f"import json, sys\n{code}\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in {packages!r}))))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    # the one-body engine: neither scipy nor the Jordan-Wigner oracle is loaded
-    assert result.stdout.strip() == "0 []"
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def cli_run(args):
+    """Probe code that runs the CLI on ``args`` in-process and asserts exit 0."""
+    return f"from latticelight.cli import main\nassert main({[str(a) for a in args]!r}) == 0"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    unused = ("scipy", "latticelight.fock", "latticelight.onebody", "latticelight.bilinear", "latticelight.dispersion")
+    assert modules_loaded("import latticelight.cli", unused) == []
+
+
+def test_fock_suite_run_leaves_scipy_unloaded(tmp_path):
+    out = tmp_path / "fock.json"
+    run_it = cli_run(["fock-suite", "--momenta", 3, "--conjecture-samples", 3, "--out", out])
+    # the one-body engine alone: no scipy or Jordan-Wigner oracle, and no numpy.random
+    # (about 5.5 MB of RSS), bilinear or dispersion
+    loaded = modules_loaded(run_it, ("scipy", "numpy.random", "latticelight"))
+    assert loaded == ["latticelight", "latticelight.cli", "latticelight.onebody", "latticelight.output", "latticelight.walk"]
     assert json.loads(out.read_text())["passed"] is True
 
 
 @pytest.mark.parametrize("args", [["dispersion", "--points", "3"], ["flight"]])
 def test_dispersion_and_flight_runs_leave_bilinear_unloaded(tmp_path, args):
-    src = os.path.dirname(os.path.dirname(latticelight.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = (
-        "import sys; from latticelight.cli import main; "
-        f"code = main({args + ['--out', str(tmp_path / 'out.csv')]!r}); "
-        "print(code, 'latticelight.bilinear' in sys.modules)"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
-    )
-    assert result.stdout.strip() == "0 False"
+    assert modules_loaded(cli_run(args + ["--out", tmp_path / "out.csv"]), ("latticelight.bilinear",)) == []
     assert (tmp_path / "out.csv").exists()
+
+
+def test_maxwell_run_leaves_dispersion_unloaded(tmp_path):
+    run_it = cli_run(["maxwell-convergence", "--levels", 2, "--out", tmp_path / "m.csv"])
+    assert modules_loaded(run_it, ("latticelight.dispersion",)) == []
+
+
+def test_tilt_run_still_loads_numpy_random(tmp_path):
+    # perfbench's check_tilt recomputes the directions from numpy's default_rng(seed) stream
+    run_it = cli_run(["tilt", "--directions", 4, "--out", tmp_path / "t.csv"])
+    assert "numpy.random" in modules_loaded(run_it, ("numpy.random",))
+
+
+def test_fock_suite_refuses_a_negative_seed(tmp_path, capsys):
+    # random.Random(-s) would repeat the draws of random.Random(s)
+    assert run(["fock-suite", "--momenta", 1, "--seed", -3, "--out", tmp_path / "f.json"]) == EXIT_CONFIG
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("momenta", [2, 3])
+def test_fock_suite_draws_follow_the_seed(tmp_path, momenta):
+    # one seed writes one report, byte for byte; another seed moves only the sampled conjecture slack
+    paths = {name: tmp_path / f"{name}.json" for name in ("a", "b", "other")}
+    for name, seed in (("a", 5), ("b", 5), ("other", 6)):
+        assert run(["fock-suite", "--momenta", momenta, "--seed", seed, "--out", paths[name]]) == EXIT_OK
+    assert paths["a"].read_bytes() == paths["b"].read_bytes()
+    first, other = (json.loads(paths[name].read_text()) for name in ("a", "other"))
+    slack = [report["checks"][4]["conjecture_worst_slack"] for report in (first, other)]
+    assert slack[0] != slack[1]
+    first["seed"], first["checks"][4]["conjecture_worst_slack"] = other["seed"], slack[1]
+    assert first == other
 
 
 def test_fock_suite_builds_no_fock_table(tmp_path):

@@ -8,6 +8,7 @@ from scipy import sparse
 
 from fock_oracles import (
     cross_commutator_values,
+    frame_rows,
     h_operator,
     pair_commutator_sweep,
     pair_stack,
@@ -250,19 +251,13 @@ def test_uniform_gamma_counts_occupancy(two_momentum_space, profiles):
 def test_polarization_vacuum_commutators(two_momentum_space, profiles):
     space = two_momentum_space
     vacuum = space.vacuum()
-    gammas = [polarization_gamma(space, profiles[0], _frame(), i) for i in range(4)]
+    gammas = [polarization_gamma(space, profiles[0], frame_rows([0.0, 0.0, 1.0]), i) for i in range(4)]
     for i, gi in enumerate(gammas):
         for j, gj in enumerate(gammas):
             gjd = gj.conj().T.tocsr()
             comm = gi @ gjd - gjd @ gi
             value = np.vdot(vacuum, comm @ vacuum)
             assert value == pytest.approx(1.0 if i == j else 0.0, abs=1e-13)
-
-
-def _frame():
-    from latticelight.bilinear import polarization_frame
-
-    return polarization_frame(np.array([0.0, 0.0, 1.0]))
 
 
 def test_polarization_report(two_momentum_space, profiles):
@@ -662,10 +657,8 @@ def csr_commutator_diagonals(space, profiles, frame):
 
 @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.3, -0.5, 0.8)])
 def test_polarization_diagonals_match_csr_products(sized_space, axis):
-    from latticelight.bilinear import polarization_frame
-
     space = sized_space
-    frame = polarization_frame(np.array(axis))
+    frame = frame_rows(axis)
     profiles = random_profiles(space, np.random.default_rng(16), unit=False)
     diagonals = np.array(csr_commutator_diagonals(space, profiles, frame))
     everything = np.arange(space.dim)

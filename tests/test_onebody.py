@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from fock_oracles import (
     conjecture_worst_slack,
     cross_commutator_values,
+    frame_rows,
     oracle_report,
     pair_commutator_sweep,
     pair_stack,
@@ -163,10 +165,8 @@ def test_a_flipped_hopping_sign_fails_past_the_oracle_cap(monkeypatch, count):
 
 
 def test_polarization_modes_match_the_basis_states(space):
-    from latticelight.bilinear import polarization_frame
-
     profiles = random_profiles(space, np.random.default_rng(2))
-    frame = polarization_frame(np.array([0.3, -0.5, 0.8]))
+    frame = frame_rows([0.3, -0.5, 0.8])
     got = onebody.polarization_modes(space, profiles, frame)
     want = polarization_boson_check(space, profiles, frame)
     assert sorted(got["deviation_by_particles"]) == ["0", "1", "2"]
@@ -243,7 +243,7 @@ def composite_case(space, seed):
 def test_composite_bosons_match_the_fock_suite(space, seed):
     pairs, w1, w2 = composite_case(space, seed)
     n_max = len(pairs)
-    got = onebody.composite_bosons(space, pairs, w1, w2, n_max, 5, np.random.default_rng(seed))
+    got = onebody.composite_bosons(space, pairs, w1, w2, n_max, 5, random.Random(seed))
     want = fock.composite_boson_suite(space, pairs, w1, n_max, second_weights=w2)
     assert abs(got["purity"] - want.purity) <= ATOL
     assert abs(got["commutator_identity_deviation"] - want.commutator_identity_deviation) <= ATOL
@@ -269,8 +269,8 @@ def test_cross_values_match_the_pair_register(space, seed):
 
 def test_conjecture_slack_matches_the_pair_register(space):
     pairs, w1, w2 = composite_case(space, 8)
-    got = onebody.composite_bosons(space, pairs, w1, w2, 2, 20, np.random.default_rng(9))
-    want = conjecture_worst_slack(pair_stack(space, pairs), np.random.default_rng(9), 20, 2)
+    got = onebody.composite_bosons(space, pairs, w1, w2, 2, 20, random.Random(9))
+    want = conjecture_worst_slack(pair_stack(space, pairs), random.Random(9), 20, 2)
     assert abs(got["conjecture_worst_slack"] - want) <= ATOL
 
 
@@ -287,8 +287,27 @@ def test_occupations_without_the_left_out_pair_are_caught(fock_space, monkeypatc
         return lam[..., None, :] * (e[..., :-1] / e[..., 1:])[..., :, None]
 
     monkeypatch.setattr(onebody, "pair_occupations", not_left_out)
-    got = onebody.composite_bosons(space, pairs, w1, w2, len(pairs), 1, np.random.default_rng(0))
+    got = onebody.composite_bosons(space, pairs, w1, w2, len(pairs), 1, random.Random(0))
     assert max(abs(row[1] - ref[1]) for row, ref in zip(got["sandwich"], want.sandwich_rows)) >= 1e-3
+
+
+@pytest.mark.parametrize("size", [2, 4, 6, 12])
+def test_unit_weights_are_unit_and_orthogonal(size):
+    # sizes 2, 4, 6 are the fock-suite's pair counts; a single projection leaves overlaps up to 6e-14 at size 2
+    rng = random.Random(size)
+    for _ in range(2000):
+        w1 = onebody._unit_weights(rng, size)
+        w2 = onebody._unit_weights(rng, size, w1)
+        assert abs(np.linalg.norm(w1) - 1.0) <= 1e-15 and abs(np.linalg.norm(w2) - 1.0) <= 1e-15
+        assert abs(np.vdot(w1, w2)) <= 1e-15
+
+
+def test_unit_weights_draw_real_then_imaginary_parts_from_one_stream():
+    rng, copy = random.Random(3), random.Random(3)
+    w = onebody._unit_weights(rng, 4)
+    raw = np.array([complex(copy.gauss(0.0, 1.0), copy.gauss(0.0, 1.0)) for _ in range(4)])
+    assert np.max(np.abs(w - raw / np.linalg.norm(raw))) <= 1e-15
+    assert rng.random() == copy.random()  # nothing drawn beyond the 2 * size normals
 
 
 def test_pair_occupations_match_subset_enumeration():
@@ -312,7 +331,7 @@ def test_saturation_and_shared_modes_are_refused():
         onebody.pair_occupations(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), 3)
     shared = (pairs[0], (pairs[0][0], pairs[1][1]))
     with pytest.raises(ValueError, match="share the mode psi"):
-        onebody.composite_bosons(space, shared, [0.6, 0.8], [0.8, -0.6], 1, 1, np.random.default_rng(0))
+        onebody.composite_bosons(space, shared, [0.6, 0.8], [0.8, -0.6], 1, 1, random.Random(0))
 
 
 @pytest.mark.parametrize("lam,first", [([1e-200, 1e-200], 2), ([1.0 / 2000] * 2000, None)])
