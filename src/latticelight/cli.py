@@ -40,6 +40,25 @@ class ConfigError(Exception):
     pass
 
 
+class Bounds:
+    """A key's range: low <= value (low < value if strict), and value <= high unless high is None."""
+
+    def __init__(self, low, high=None, strict=False):
+        self.low, self.high, self.strict = low, high, strict
+
+    def check(self, key: str, value):
+        """``value``, each entry of it if it is a list, inside the range; else a ConfigError in the one range form."""
+        for v in value if isinstance(value, list) else [value]:
+            if (v <= self.low if self.strict else v < self.low) or (self.high is not None and v > self.high):
+                raise ConfigError(f"{key} must be {self}, got {v!r}")
+        return value
+
+    def __str__(self) -> str:  # the range text of the error message and the README: >= 1, > 0, in 1..3, in (0, 1]
+        if self.high is None:
+            return f"{'>' if self.strict else '>='} {self.low}"
+        return f"in ({self.low}, {self.high}]" if self.strict else f"in {self.low}..{self.high}"
+
+
 def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be numeric, got {value!r}")
@@ -63,7 +82,7 @@ def _vector(key: str, value) -> list:
 
 
 def _numbers(key: str, value) -> list:
-    """A non-empty list of finite numbers >= 0; the flag's form is comma-separated text."""
+    """A non-empty list of finite numbers; the flag's form is comma-separated text."""
     if isinstance(value, str):
         try:
             value = [float(part) for part in value.split(",")]
@@ -71,11 +90,7 @@ def _numbers(key: str, value) -> list:
             raise ConfigError(f"cannot parse --{key.replace('_', '-')}: {exc}") from exc
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key} must be a non-empty list of numbers, got {value!r}")
-    numbers = [_number(key, v) for v in value]
-    for v in numbers:
-        if v < 0.0:
-            raise ConfigError(f"{key} must be >= 0, got {v!r}")
-    return numbers
+    return [_number(key, v) for v in value]
 
 
 def _bool(key: str, value) -> bool:
@@ -118,44 +133,49 @@ BOOL = (_bool, {"action": argparse.BooleanOptionalAction, "default": None})
 SIGN = (_sign, {"choices": tuple(SIGNS), "help": "walk chirality branch"})
 ENERGIES = (_energies, {"help": "comma-separated label=eV pairs, e.g. GeV=1e9,MeV=1e6"})
 
-# command -> (default output path, {key: (default, reader)}).  Ranges and
-# checks that span keys stay in the handlers.
+POSITIVE = Bounds(0, strict=True)
+
+# command -> (default output path, {key: (default, reader) or (default, reader, bounds)}).
+# _effective_config checks each value's bounds right after its reader, in key
+# order; checks that span keys or depend on the work stay in the handlers.
 SCHEMA = {
     "dispersion": (
         "dispersion.csv",
-        {"sign": ("minus", SIGN), "kmax": (1.0, NUMBER), "points": (5, INTEGER), "diagonal": (False, BOOL)},
+        {"sign": ("minus", SIGN), "points": (5, INTEGER, Bounds(1)), "kmax": (1.0, NUMBER, POSITIVE),
+         "diagonal": (False, BOOL)},
     ),
     "maxwell-convergence": (
         "maxwell_convergence.csv",
         {
             "sign": ("minus", SIGN),
             "k": ([0.4, 0.3, 0.2], VECTOR),
-            "t": (100, INTEGER),
-            "base_radius": (4e-4, NUMBER),
-            "levels": (5, INTEGER),
-            "spacing_factor": (0.5, NUMBER),
+            "t": (100, INTEGER, Bounds(1, MAX_STEPS)),  # at t = 0 every residual is 0: no log-log slope
+            "base_radius": (4e-4, NUMBER, POSITIVE),
+            "levels": (5, INTEGER, Bounds(2)),
+            "spacing_factor": (0.5, NUMBER, Bounds(0, 1, strict=True)),
         },
     ),
     "fock-suite": (
         "fock_suite.json",
         {
             "sign": ("minus", SIGN),
-            "momenta": (2, INTEGER),
-            "n_max": (3, INTEGER),
-            "conjecture_samples": (50, INTEGER),
+            "momenta": (2, INTEGER, Bounds(1, 3)),
+            "n_max": (3, INTEGER, Bounds(1)),
+            "conjecture_samples": (50, INTEGER, Bounds(1)),
         },
     ),
     "flight": (
         "flight.csv",
         {
             "sign": ("minus", SIGN),
-            "distance_m": (3.0857e25, NUMBER),
+            "distance_m": (3.0857e25, NUMBER, POSITIVE),
             "energies": ([["GeV", 1e9], ["MeV", 1e6]], ENERGIES),
         },
     ),
     "tilt": (
         "tilt.csv",
-        {"sign": ("minus", SIGN), "k_values": ([0.05, 0.1], NUMBERS), "directions": (128, INTEGER)},
+        {"sign": ("minus", SIGN), "k_values": ([0.05, 0.1], NUMBERS, Bounds(0)),
+         "directions": (128, INTEGER, Bounds(1, MAX_WAVEVECTORS))},
     ),
 }
 
@@ -172,10 +192,6 @@ def _base_header(command: str, cfg: dict, seed: int) -> dict:
 def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
     from .dispersion import DIAGONAL, group_velocity_analytic, omega
     kmax, points = cfg["kmax"], cfg["points"]
-    if points < 1:
-        raise ConfigError(f"points must be >= 1, got {points}")
-    if kmax <= 0:
-        raise ConfigError(f"kmax must be > 0, got {kmax!r}")
     count = points if cfg["diagonal"] else points**3
     if count > MAX_WAVEVECTORS:
         raise ConfigError(
@@ -203,17 +219,9 @@ def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
 def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
     from .bilinear import make_uniform_profile, maxwell_emergence_report, single_point_profile
     t, levels, base, factor = cfg["t"], cfg["levels"], cfg["base_radius"], cfg["spacing_factor"]
-    if levels < 2:
-        raise ConfigError(f"levels must be >= 2, got {levels}")
-    if base <= 0:
-        raise ConfigError(f"base_radius must be > 0, got {base!r}")
-    if not 0 < factor <= 1:
-        raise ConfigError(f"spacing_factor must be in (0, 1], got {factor!r}")
-    if t < 1:  # at t = 0 every residual is 0 and the log-log slope is undefined
-        raise ConfigError(f"t must be >= 1, got {t}")
     # checked before the radii list is built: a residual is about its qbar, and step_power rounds to
-    # 1e-15 (1 + t) up to MAX_STEPS (it refuses more), so the last radius stays ten times above that
-    floor = 1e-14 * (1 + min(t, MAX_STEPS))
+    # 1e-15 (1 + t) for t up to MAX_STEPS, so the last radius stays ten times above that
+    floor = 1e-14 * (1 + t)
     if math.ldexp(base, 1 - levels) < floor:
         raise ConfigError(f"levels = {levels} halves base_radius below the residual rounding floor {floor:.3g}")
     sign = SIGNS[cfg["sign"]]
@@ -246,14 +254,8 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
 
 def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
     from .onebody import fock_suite
-    n, n_max, samples = cfg["momenta"], cfg["n_max"], cfg["conjecture_samples"]
-    if not 1 <= n <= 3:
-        raise ConfigError(f"momenta must be in 1..3, got {n}")
-    for key, value in (("n_max", n_max), ("conjecture_samples", samples)):
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}")
     report = _base_header("fock-suite", cfg, seed)
-    report.update(fock_suite(n, n_max, samples, seed))
+    report.update(fock_suite(cfg["momenta"], cfg["n_max"], cfg["conjecture_samples"], seed))
     write_json(out, report)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
@@ -273,14 +275,9 @@ def cmd_flight(cfg: dict, out: str, seed: int) -> int:
 def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
     from .dispersion import tilt_angle_estimate
     from .bilinear import tilt_angle
-    n_dirs = cfg["directions"]
-    if n_dirs < 1:
-        raise ConfigError(f"directions must be >= 1, got {n_dirs}")
-    if n_dirs > MAX_WAVEVECTORS:
-        raise ConfigError(f"directions = {n_dirs} is over MAX_WAVEVECTORS = {MAX_WAVEVECTORS}")
     sign = SIGNS[cfg["sign"]]
     rng = np.random.default_rng(seed)
-    directions = rng.standard_normal((n_dirs, 3))
+    directions = rng.standard_normal((cfg["directions"], 3))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     rows = []
     for kmag in cfg["k_values"]:
@@ -315,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help=f"output path (default {out})")
         p.add_argument("--seed", type=int, help="random seed (default 0)")
-        for key, (_, (_, flag)) in keys.items():
+        for key, (_, (_, flag), *_) in keys.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
     return parser
 
@@ -336,16 +333,18 @@ def _load_config(path) -> dict:
 
 
 def _effective_config(command: str, args: argparse.Namespace) -> dict:
-    """Each key's flag, else its config-file value, else its default, through the key's reader."""
+    """Each key's flag, else its config-file value, else its default, through the key's reader and bounds."""
     keys = SCHEMA[command][1]
     from_file = _load_config(args.config)
     unknown = set(from_file) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     cfg = {}
-    for key, (default, (check, _)) in keys.items():
+    for key, (default, (check, _), *bounds) in keys.items():
         flag = getattr(args, key)
         cfg[key] = check(key, flag if flag is not None else from_file.get(key, default))
+        if bounds:
+            bounds[0].check(key, cfg[key])
     return cfg
 
 
@@ -353,7 +352,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args.command, args)
-        seed = args.seed if args.seed is not None else 0
+        seed = Bounds(0).check("seed", args.seed if args.seed is not None else 0)
         out = args.out if args.out is not None else SCHEMA[args.command][0]
         return COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:

@@ -25,13 +25,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .onebody import (  # noqa: F401  (the names tests and criteria import from here)
+from .onebody import (
     FIELDS,
     SPINS,
     LatticeProfile,
     ModeTable,
     SaturationError,
-    UnresolvedMomentumError,
     _assembly_terms,
     _composite_terms,
     _disjoint_positions,
@@ -40,10 +39,7 @@ from .onebody import (  # noqa: F401  (the names tests and criteria import from 
     _occupations,
     _pair_positions,
     _profile_pairing,
-    available_profiles,
-    default_pairs,
     purity,
-    uniform_profile,
 )
 
 MAX_MOMENTA = 3  # the dimension is at most 2**12

@@ -426,8 +426,11 @@ def composite_bosons(modes: ModeTable, pairs, weights, second_weights, n_max: in
     <= N P and |<N|[c1, c2^dag]|N>| <= 2 N max(P1, P2), N = 1..n_max, from the
     pair occupations; the Pauli saturation order; and the worst slack of the
     cross bound at N = 1, 2 over ``samples`` random orthonormal weight pairs
-    from the ``random.Random`` ``rng``.  Pairs that share a mode raise ValueError.
+    from the ``random.Random`` ``rng``.  Fewer than 2 pairs, or pairs that share
+    a mode, raise ValueError.
     """
+    if len(pairs) < 2:  # one pair leaves no unit weight orthogonal to the first draw
+        raise ValueError(f"composite_bosons needs at least 2 pairs, got {len(pairs)}")
     n, positions = modes.mode_count, _disjoint_positions(modes, pairs)
     f1, f2 = np.asarray(weights, dtype=complex), np.asarray(second_weights, dtype=complex)
     lam, p1 = np.abs(f1) ** 2, purity(f1)

@@ -179,13 +179,13 @@ def conjecture_worst_slack(stack, rng, samples, n_max):
 def oracle_report(space, n_max, samples, seed):
     """The "space", "checks" and "passed" of a fock-suite report, every check by brute force in the Fock ``space``."""
     momenta = list(space.momenta)
-    profiles = list(fock.available_profiles(momenta).values())
+    profiles = list(onebody.available_profiles(momenta).values())
     rng = random.Random(seed)
     specs = [(alpha, beta, prof) for alpha in fock.SPINS for beta in fock.SPINS for prof in profiles]
     sweep = pair_commutator_sweep(space, specs)
     schwartz = fock.schwartz_exhaustive(space, profiles)
     pol = polarization_boson_check(space, profiles)
-    pairs = fock.default_pairs(space)
+    pairs = onebody.default_pairs(space)
     uniform = np.full(len(pairs), 1.0 / np.sqrt(len(pairs)))
     n_max = min(n_max, len(pairs))
     second = complex_normals(rng, len(pairs))

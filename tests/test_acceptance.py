@@ -30,16 +30,15 @@ from latticelight.dispersion import (
     tilt_angle_estimate,
 )
 from latticelight.fock import (
-    available_profiles,
     build_fock,
     commutator_report,
     composite_boson,
     composite_boson_suite,
-    default_pairs,
     pair_condensate,
     purity,
     schwartz_exhaustive,
 )
+from latticelight.onebody import available_profiles, default_pairs
 from latticelight.walk import MINUS, PLUS, PAULI, SQRT3, bloch_data
 
 SIGMA_Y = PAULI[2]

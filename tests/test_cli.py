@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,17 @@ import pytest
 
 import latticelight
 from artifacts import read_table
-from latticelight.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, MAX_WAVEVECTORS, SCHEMA, main
+from latticelight.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    INTEGER,
+    MAX_WAVEVECTORS,
+    SCHEMA,
+    _build_parser,
+    _effective_config,
+    main,
+)
 
 
 def run(args):
@@ -154,10 +165,18 @@ def test_fock_suite_smallest_counts_write_valid_json(tmp_path):
 
 @pytest.mark.parametrize("t", [1000001, 100000000])
 def test_maxwell_step_count_beyond_documented_range_is_rejected(tmp_path, capsys, t):
+    # t used to reach walk.step_power only after every smearing profile was built
     out = tmp_path / "m.csv"
-    assert run(["maxwell-convergence", "--levels", 2, "--t", t, "--out", out]) == EXIT_CONFIG
+    tracemalloc.start()
+    try:
+        code = run(["maxwell-convergence", "--levels", 2, "--t", t, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
     assert not out.exists()
-    assert "t must satisfy |t| <= 1000000" in capsys.readouterr().err
+    assert f"error: t must be in 1..1000000, got {t}" in capsys.readouterr().err
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("t", [0, -1])
@@ -166,7 +185,7 @@ def test_maxwell_step_count_below_one_is_rejected(tmp_path, capsys, t):
     out = tmp_path / "m.csv"
     assert run(["maxwell-convergence", "--t", t, "--out", out]) == EXIT_CONFIG
     assert not out.exists()
-    assert f"error: t must be >= 1, got {t}" in capsys.readouterr().err
+    assert f"error: t must be in 1..1000000, got {t}" in capsys.readouterr().err
 
 
 def test_maxwell_step_count_at_documented_limit_runs(tmp_path):
@@ -312,7 +331,7 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
         (["tilt"], {"k_values": [-0.05]}, "error: k_values must be >= 0, got -0.05"),
         (["flight", "--energies", "GeV=1e9,MeV=-1e6"], None, "energies must be > 0 eV, got -1000000.0 for 'MeV'"),
         (["flight"], {"energies": [["GeV", 0], ["MeV", 1e6]]}, "energies must be > 0 eV, got 0.0 for 'GeV'"),
-        (["flight", "--distance-m", "-1"], None, "distance_m must be positive"),
+        (["flight", "--distance-m", "-1"], None, "distance_m must be > 0"),
         (["flight", "--energies", "GeV=1e9,GeV=1e6"], None, "energies must have distinct labels"),
         (["dispersion", "--points", "0"], None, "error: points must be >= 1, got 0"),
         (["dispersion", "--kmax", "-1"], None, "error: kmax must be > 0, got -1.0"),
@@ -321,10 +340,10 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
         (["maxwell-convergence", "--base-radius", "0"], None, "error: base_radius must be > 0, got 0.0"),
         (["maxwell-convergence", "--spacing-factor", "0"], None, "error: spacing_factor must be in (0, 1], got 0.0"),
         (["maxwell-convergence"], {"spacing_factor": 1.5}, "error: spacing_factor must be in (0, 1], got 1.5"),
-        (["tilt", "--directions", "0"], None, "error: directions must be >= 1, got 0"),
+        (["tilt", "--directions", "0"], None, "error: directions must be in 1..1048576, got 0"),
         (["fock-suite", "--momenta", "4"], None, "error: momenta must be in 1..3, got 4"),
         (["fock-suite"], {"momenta": 0}, "error: momenta must be in 1..3, got 0"),
-        (["flight", "--distance-m", "-1"], None, "distance_m must be positive, got -1.0"),
+        (["flight", "--distance-m", "-1"], None, "error: distance_m must be > 0, got -1.0"),
     ],
 )
 def test_range_messages_name_the_key(tmp_path, capsys, args, config, message):
@@ -403,7 +422,7 @@ def test_oversized_wavevector_batches_are_rejected_before_allocating(tmp_path, c
     assert code == EXIT_CONFIG
     assert not out.exists()
     err = capsys.readouterr().err
-    assert f"error: {key} = " in err and "MAX_WAVEVECTORS" in err
+    assert err.startswith(f"error: {key} ") and str(MAX_WAVEVECTORS) in err and f" {args[-1]}" in err
     assert peak < 1_000_000
 
 
@@ -456,6 +475,16 @@ def test_tilt_run_still_loads_numpy_random(tmp_path):
     # perfbench's check_tilt recomputes the directions from numpy's default_rng(seed) stream
     run_it = cli_run(["tilt", "--directions", 4, "--out", tmp_path / "t.csv"])
     assert "numpy.random" in modules_loaded(run_it, ("numpy.random",))
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMA))
+def test_negative_seed_is_refused(tmp_path, capsys, command):
+    # dispersion, maxwell-convergence and flight wrote "seed": -3 into the header, and tilt
+    # ended in numpy's "expected non-negative integer", which names no key
+    out = tmp_path / "out"
+    assert run([command, "--seed", -3, "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "error: seed must be >= 0, got -3" in capsys.readouterr().err
 
 
 def test_fock_suite_refuses_a_negative_seed(tmp_path, capsys):
@@ -599,21 +628,84 @@ def test_help_lists_exactly_the_schema_keys(capsys, command):
     assert flags == keys | {"--help", "--config", "--out", "--seed"}
 
 
+# (command, key, reader, bounds) of every key that SCHEMA gives a range
+RANGED = [
+    (command, key, reader, bounds)
+    for command, (_, keys) in SCHEMA.items()
+    for key, (_, reader, *declared) in keys.items()
+    for bounds in declared
+]
+
+
+def boundary_values(reader, bounds):
+    """(the values inside at each finite end, the values just outside them) that ``reader`` can return."""
+    low, high, strict = bounds.low, bounds.high, bounds.strict
+
+    def step(value, direction):
+        return value + direction if reader is INTEGER else math.nextafter(value, direction * math.inf)
+
+    inside, outside = [step(low, 1) if strict else low], [low if strict else step(low, -1)]
+    if high is not None:
+        inside.append(high)
+        outside.append(step(high, 1))
+    return inside, outside
+
+
+def checked(reader, value):
+    return value if reader is INTEGER else float(value)
+
+
+def flag_args(command, key, value):
+    return [command, f"--{key.replace('_', '-')}={value}"]  # one token, so that a negative value is no option
+
+
+@pytest.mark.parametrize("command,key,reader,bounds", RANGED, ids=[f"{c}-{k}" for c, k, _, _ in RANGED])
+def test_schema_bounds_accept_each_finite_end(command, key, reader, bounds):
+    # parsed only, so directions = 2^20 and t = 10^6 cost nothing
+    for value in boundary_values(reader, bounds)[0]:
+        cfg = _effective_config(command, _build_parser().parse_args(flag_args(command, key, value)))
+        assert cfg[key] == ([checked(reader, value)] if isinstance(cfg[key], list) else checked(reader, value))
+
+
+@pytest.mark.parametrize("command,key,reader,bounds", RANGED, ids=[f"{c}-{k}" for c, k, _, _ in RANGED])
+def test_schema_bounds_refuse_just_outside_each_finite_end(tmp_path, capsys, command, key, reader, bounds):
+    for value in boundary_values(reader, bounds)[1]:
+        out = tmp_path / "out"
+        assert run([*flag_args(command, key, value), "--out", out]) == EXIT_CONFIG
+        assert not out.exists()
+        assert f"error: {key} must be {bounds}, got {checked(reader, value)!r}\n" == capsys.readouterr().err
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 README_TABLE_HEADER = "| command | key | type (flag form) | default | range |"
 
 
-def test_readme_cli_table_matches_the_schema():
+def readme_cli_rows():
+    """(command, key, cells) for each row of the README's CLI table, its "all five" row once per command."""
     lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index(README_TABLE_HEADER) + 2  # past the header and its rule
-    documented = []
+    rows = []
     command = None
     for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         command = cells[0].strip("`") or command
-        for name in SCHEMA if command == "all five" else [command]:
-            documented.append(((name, cells[1].strip("`")), json.loads(cells[3].strip("`"))))
-    expected = {(name, key): default for name, (_, keys) in SCHEMA.items() for key, (default, _) in keys.items()}
+        rows += [(name, cells[1].strip("`"), cells) for name in (SCHEMA if command == "all five" else [command])]
+    return rows
+
+
+def test_readme_cli_table_matches_the_schema():
+    documented = [((name, key), json.loads(cells[3].strip("`"))) for name, key, cells in readme_cli_rows()]
+    expected = {(name, key): default for name, (_, keys) in SCHEMA.items() for key, (default, *_) in keys.items()}
     assert sorted(pair for pair, _ in documented) == sorted(expected)
     for pair, default in documented:
         assert default == expected[pair] and type(default) is type(expected[pair]), pair
+
+
+def test_readme_range_column_starts_with_the_schema_range():
+    # the cell of a ranged key opens with the text its error message uses; no other cell opens like a range
+    declared = {(command, key): f"`{bounds}`" for command, key, _, bounds in RANGED}
+    for command, key, cells in readme_cli_rows():
+        if (command, key) in declared:
+            assert cells[4].startswith(declared[command, key]), (command, key, cells[4])
+        else:
+            assert not cells[4].startswith(("`>", "`<", "`in ")), (command, key, cells[4])

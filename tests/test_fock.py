@@ -23,20 +23,17 @@ from latticelight.fock import (
     FockSizeError,
     LatticeProfile,
     SaturationError,
-    UnresolvedMomentumError,
-    available_profiles,
     build_fock,
     commutator_report,
     composite_boson,
     composite_boson_suite,
-    default_pairs,
     gamma_ab,
     gamma_for_profile,
     pair_condensate,
     purity,
     schwartz_exhaustive,
-    uniform_profile,
 )
+from latticelight.onebody import UnresolvedMomentumError, available_profiles, default_pairs, uniform_profile
 
 
 @pytest.fixture(scope="module")

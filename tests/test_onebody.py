@@ -19,7 +19,8 @@ from fock_oracles import (
     polarization_boson_check,
 )
 from latticelight import fock, onebody
-from latticelight.fock import LatticeProfile, available_profiles, default_pairs
+from latticelight.fock import LatticeProfile
+from latticelight.onebody import available_profiles, default_pairs
 
 MOMENTA = {1: [0], 2: [-1, 1], 3: [-1, 0, 1]}
 ATOL = 1e-12
@@ -332,6 +333,18 @@ def test_saturation_and_shared_modes_are_refused():
     shared = (pairs[0], (pairs[0][0], pairs[1][1]))
     with pytest.raises(ValueError, match="share the mode psi"):
         onebody.composite_bosons(space, shared, [0.6, 0.8], [0.8, -0.6], 1, 1, random.Random(0))
+
+
+def test_composite_bosons_refuse_a_single_pair():
+    # one pair left the second draw a normalised zero vector: NaN weights, NaN slack and passed false
+    space = onebody.ModeTable([0])
+    pairs = default_pairs(space)
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="at least 2 pairs, got 1"):
+        onebody.composite_bosons(space, pairs[:1], [1.0], [1.0], 1, 5, rng)
+    assert rng.random() == random.Random(0).random()  # refused before any draw
+    got = onebody.composite_bosons(space, pairs[:2], [0.6, 0.8], [0.8, -0.6], 2, 5, random.Random(0))
+    assert got["passed"] and math.isfinite(got["conjecture_worst_slack"])
 
 
 @pytest.mark.parametrize("lam,first", [([1e-200, 1e-200], 2), ([1.0 / 2000] * 2000, None)])
