@@ -5,35 +5,20 @@ closed form, tracks the smeared Fermion-pair bilinears whose transverse part
 obeys a (modified) Maxwell rotation, derives the dispersive-vacuum
 phenomenology in SI units, and provides an exact small-scale Fermionic
 Fock-space oracle for the composite-photon commutation algebra.
-"""
 
-from .walk import (
-    MINUS,
-    PLUS,
-    BlochData,
-    DegeneratePointError,
-    WeylStep,
-    approx_interp_unitary,
-    bloch_data,
-    canonical_wavevector,
-    interp_unitary,
-    step_power,
-    weyl_step,
-)
+The names below are shared by ``walk`` and the CLI; defined here, they load
+without numpy.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MINUS",
-    "PLUS",
-    "BlochData",
-    "DegeneratePointError",
-    "WeylStep",
-    "approx_interp_unitary",
-    "bloch_data",
-    "canonical_wavevector",
-    "interp_unitary",
-    "step_power",
-    "weyl_step",
-    "__version__",
-]
+#: the two chirality branches of the walk
+PLUS = +1
+MINUS = -1
+
+#: largest |t| walk.step_power accepts; beyond it t*lam mod 2*pi loses the documented accuracy
+MAX_STEPS = 10**6
+
+
+class DegeneratePointError(ValueError):
+    """The rotation axis is undefined: |n| vanishes away from the identity."""

@@ -16,11 +16,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__  # dispersion, bilinear and onebody load in the handlers that use them
+from . import MAX_STEPS, MINUS, PLUS, DegeneratePointError, __version__  # numpy and the engines load in the handlers
 from .output import write_json, write_table
-from .walk import MAX_STEPS, MINUS, PLUS, DegeneratePointError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -159,7 +156,7 @@ SCHEMA = {
         "fock_suite.json",
         {
             "sign": ("minus", SIGN),
-            "momenta": (2, INTEGER, Bounds(1, 3)),
+            "momenta": (2, INTEGER, Bounds(1, 16)),
             "n_max": (3, INTEGER, Bounds(1)),
             "conjecture_samples": (50, INTEGER, Bounds(1)),
         },
@@ -190,6 +187,7 @@ def _base_header(command: str, cfg: dict, seed: int) -> dict:
 
 
 def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
+    import numpy as np
     from .dispersion import DIAGONAL, group_velocity_analytic, omega
     kmax, points = cfg["kmax"], cfg["points"]
     count = points if cfg["diagonal"] else points**3
@@ -217,6 +215,7 @@ def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
+    import numpy as np
     from .bilinear import make_uniform_profile, maxwell_emergence_report, single_point_profile
     t, levels, base, factor = cfg["t"], cfg["levels"], cfg["base_radius"], cfg["spacing_factor"]
     # checked before the radii list is built: a residual is about its qbar, and step_power rounds to
@@ -273,8 +272,9 @@ def cmd_flight(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
-    from .dispersion import tilt_angle_estimate
     from .bilinear import tilt_angle
+    from .dispersion import tilt_angle_estimate
+    import numpy as np
     sign = SIGNS[cfg["sign"]]
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((cfg["directions"], 3))

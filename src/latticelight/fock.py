@@ -204,7 +204,7 @@ def gamma_for_profile(space: FockSpace, alpha: str, beta: str, profile: LatticeP
 
 def _gamma_diagonal(space: FockSpace, profile: LatticeProfile, field, spin, branch) -> np.ndarray:
     """Diagonal of Gamma^branch = sum_q |f(q)|^2 n_{field,spin}(k/2 + branch*q)."""
-    return _occupations(space, profile, field, spin, branch) @ space._occupied
+    return sum((g * space._occupied[i] for i, g in _occupations(space, profile, field, spin, branch).items()), np.zeros(space.dim))
 
 
 @dataclass(frozen=True)

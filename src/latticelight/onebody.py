@@ -11,14 +11,16 @@ ladder terms (w, (position, raising), (position, raising)); this module and
 the Jordan-Wigner oracle in ``fock`` read the same lists.  Momentum labels
 are integers, and k/2 +- q presumes an even total k.
 
-No check here needs the 2^(4M) Fock basis:
+No check here needs the 2^(4M) Fock basis, or more than the standard library:
 
 * A pair operator Q = sum_ij M_ij a_i a_j is pure annihilation, 1/2 sum_ij
   A_ij a_i a_j with the antisymmetric n x n block A = M - M^T.  So [Q1, Q2] = 0
   and [Q1, Q2^dag] = 1/2 tr(A2^dag A1) - sum_ij (A2^dag A1)_ij a_i^dag a_j
   (Blaizot & Ripka, Quantum Theory of Finite Systems, 1986; Combescot et al.,
   Phys. Rep. 463, 215 (2008)): an identity [Q1, Q2^dag] = c I - sum_ij H_ij
-  a_i^dag a_j compares A2^dag A1 with H and 1/2 tr(A2^dag A1) with c.
+  a_i^dag a_j compares A2^dag A1 with H and 1/2 tr(A2^dag A1) with c.  A block
+  is held as its nonzero rows {i: {j: A_ij}}: within one gamma each mode pairs
+  with one partner, or two in a polarization contraction.
 * On basis states, one-body operators are linear in the occupations n_i.
 * Over disjoint pairs b_i = psi_i phi_i, (c^dag)^N |0> with
   lambda_i = |f(i)|^2 occupies pair i with probability
@@ -33,12 +35,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
-
-import numpy as np
-
-from .walk import PAULI
 
 FIELDS = ("psi", "phi")
 SPINS = ("R", "L")
@@ -104,16 +104,17 @@ class LatticeProfile:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"profile not normalized: sum|f|^2 = {norm!r}")
         object.__setattr__(self, "weights", items)
+        object.__setattr__(self, "_by_q", dict(items))  # weight(q) without a rebuild per call
 
     @property
     def half(self) -> int:
         return self.total // 2
 
     def weight(self, q: int) -> complex:
-        return dict(self.weights).get(q, 0.0)
+        return self._by_q.get(q, 0.0)
 
     def overlap(self, other: "LatticeProfile") -> complex:
-        return sum(w * np.conj(other.weight(q)) for q, w in self.weights)
+        return sum(w * other.weight(q).conjugate() for q, w in self.weights)
 
 
 def uniform_profile(total: int, qs) -> LatticeProfile:
@@ -140,7 +141,6 @@ def available_profiles(momenta) -> dict:
 
 
 def _gamma_terms(modes: ModeTable, alpha: str, beta: str, pairing, weights) -> list:
-    weights = np.asarray(weights, dtype=complex)
     if len(weights) != len(pairing):
         raise ValueError("pairing and weights must have equal length")
     return [
@@ -168,7 +168,7 @@ def _hopping_terms(modes: ModeTable, branch, field, spin_dag, spin_in, prof_dag,
     shift = (prof_dag.total - prof_in.total) // 2
     terms = []
     for q, w_in in prof_in.weights:
-        weight = w_in * np.conj(prof_dag.weight(q + branch * shift))
+        weight = w_in * prof_dag.weight(q + branch * shift).conjugate()
         if weight == 0.0:
             continue
         dag = modes.position(field, spin_dag, prof_dag.total - prof_in.half + branch * q)
@@ -201,26 +201,28 @@ def polarization_matrices(frame) -> list:
     """Spin contraction matrices for the four polarization modes of ``frame``, the rows (u1, u2, e) of an orthonormal triple.
 
     Index 0 is timelike (identity), 1 and 2 transverse (u1, u2), 3
-    longitudinal (the axis e).  Each matrix carries a 1/sqrt(2) so that the
-    resulting pair mode is unit-normalized on the vacuum.
+    longitudinal (the axis e): v . sigma = ((v_z, v_x - i v_y), (v_x + i v_y,
+    -v_z)), as 2 x 2 nested tuples.  Each matrix carries a 1/sqrt(2) so that
+    the resulting pair mode is unit-normalized on the vacuum.
     """
-    mats = [PAULI[0]] + [v[0] * PAULI[1] + v[1] * PAULI[2] + v[2] * PAULI[3] for v in frame]
-    return [m / math.sqrt(2.0) for m in mats]
+    mats = [((1.0, 0.0), (0.0, 1.0))]
+    mats += [((z, complex(x, -y)), (complex(x, y), -z)) for x, y, z in (map(float, v) for v in frame)]
+    return [tuple(tuple(entry / math.sqrt(2.0) for entry in row) for row in m) for m in mats]
 
 
 def _polarization_terms(modes: ModeTable, profile: LatticeProfile, mat) -> list:
     """gamma^i(k) = sum_{alpha,beta} M^i_{alpha,beta} gamma_{alpha,beta}(k)."""
     pairing, weights = _profile_pairing(profile)
     return [
-        (mat[ia, ib] * w, first, second)
+        (mat[ia][ib] * w, first, second)
         for ia, alpha in enumerate(SPINS)
         for ib, beta in enumerate(SPINS)
-        if mat[ia, ib] != 0.0
+        if mat[ia][ib] != 0.0
         for w, first, second in _gamma_terms(modes, alpha, beta, pairing, weights)
     ]
 
 
-DEFAULT_FRAME = np.eye(3)  # rows u1 = x, u2 = y, e = z
+DEFAULT_FRAME = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # rows u1 = x, u2 = y, e = z
 
 
 def default_pairs(modes: ModeTable) -> tuple:
@@ -234,7 +236,6 @@ def _pair_positions(modes: ModeTable, pair) -> tuple:
 
 
 def _composite_terms(modes: ModeTable, pairs, weights) -> list:
-    weights = np.asarray(weights, dtype=complex)
     if len(weights) != len(pairs):
         raise ValueError("pairs and weights must have equal length")
     resolved = [(_pair_positions(modes, pair), w) for pair, w in zip(pairs, weights) if w != 0.0]
@@ -258,48 +259,55 @@ def _disjoint_positions(modes: ModeTable, pairs) -> list:
 
 def purity(weights) -> float:
     """P = sum |f(i)|^4, the single-pair reduced-state purity."""
-    w = np.asarray(weights, dtype=complex)
-    return float(np.sum(np.abs(w) ** 4))
+    return float(sum(abs(w) ** 4 for w in weights))
 
 
 # ---------------------------------------------------------------------------
 # one-body closed forms
 
 
-def _matrix(n: int, terms) -> np.ndarray:
-    """M with sum_ij M_ij A_i B_j = sum_j w_j A_j B_j over (w_j, (i_j, _), (k_j, _)) ladder terms."""
-    m = np.zeros((n, n), dtype=complex)
+def _rows(terms) -> dict:
+    """The nonzero rows {i: {j: M_ij}} of M with sum_ij M_ij A_i B_j = sum_j w_j A_j B_j over (w_j, (i_j, _), (k_j, _)) ladder terms."""
+    rows: dict = {}
     for w, (i, _), (j, _) in terms:
-        m[i, j] += w
-    return m
+        row = rows.setdefault(i, {})
+        row[j] = row.get(j, 0.0) + w
+    return rows
 
 
-def _pairing(n: int, terms) -> np.ndarray:
-    """The antisymmetric A = M - M^T with sum_j w_j a_i a_k = 1/2 sum_ij A_ij a_i a_j, M of ``_matrix``."""
-    m = _matrix(n, terms)
-    return m - m.T
+def _pairing(terms) -> dict:
+    """The rows of the antisymmetric A = M - M^T with sum_j w_j a_i a_k = 1/2 sum_ij A_ij a_i a_j, M of ``_rows``."""
+    return _rows([term for w, a, b in terms for term in ((w, a, b), (-w, b, a))])
 
 
-def _block_deviation(a1, a2, coefficient, hopping) -> np.ndarray:
+def _block_deviation(a1, a2, coefficient, hopping) -> float:
     """max(|A2^dag A1 - H|, |1/2 tr(A2^dag A1) - c|): how far [Q1, Q2^dag] misses c I - sum_ij H_ij a_i^dag a_j.
 
-    Q1, Q2 are pure annihilation with pairing blocks ``a1``, ``a2``; all inputs broadcast over leading axes.
+    Q1, Q2 are pure annihilation with pairing rows ``a1``, ``a2``, and H is given by its rows.  (A2^dag A1)_ij =
+    sum_k conj(A2_ki) A1_kj runs over the rows k both blocks hold; it meets H on the union of their entries.
     """
-    product = np.conj(np.swapaxes(a2, -1, -2)) @ a1
-    constant = 0.5 * np.trace(product, axis1=-2, axis2=-1)
-    return np.maximum(np.abs(product - hopping).max(axis=(-2, -1)), np.abs(constant - coefficient))
+    product: dict = {}
+    for k in a1.keys() & a2.keys():
+        for i, x in a2[k].items():
+            row, x = product.setdefault(i, {}), x.conjugate()
+            for j, y in a1[k].items():
+                row[j] = row.get(j, 0.0) + x * y
+    worst = abs(0.5 * sum(row.get(i, 0.0) for i, row in product.items()) - coefficient)
+    for i in product.keys() | hopping.keys():
+        row, target = product.get(i, {}), hopping.get(i, {})
+        worst = max([worst, *(abs(row.get(j, 0.0) - target.get(j, 0.0)) for j in row.keys() | target.keys())])
+    return worst
 
 
 def pair_commutators(modes: ModeTable, specs) -> dict:
     """[gamma_1, gamma_2^dag] = c I - H over all ordered pairs of (alpha, beta, profile) specs."""
-    specs, n = list(specs), modes.mode_count
-    blocks = np.array([_pairing(n, _gamma_terms(modes, a, b, *_profile_pairing(p))) for a, b, p in specs])
+    specs = list(specs)
+    blocks = [_pairing(_gamma_terms(modes, a, b, *_profile_pairing(p))) for a, b, p in specs]
     assembly = 0.0
-    for spec, block in zip(specs, blocks):  # one first label against all second labels
-        targets = [_assembly_terms(modes, spec, second) for second in specs]
-        hopping = np.array([_matrix(n, terms) for _, terms in targets])
-        deviation = _block_deviation(block, blocks, np.array([c for c, _ in targets]), hopping)
-        assembly = max(assembly, float(deviation.max()))
+    for first, a1 in zip(specs, blocks):
+        for second, a2 in zip(specs, blocks):
+            coefficient, terms = _assembly_terms(modes, first, second)
+            assembly = max(assembly, _block_deviation(a1, a2, coefficient, _rows(terms)))
     return {
         "name": "pair_commutators",
         "passed": assembly <= TOL,
@@ -309,19 +317,20 @@ def pair_commutators(modes: ModeTable, specs) -> dict:
     }
 
 
-def _occupations(modes: ModeTable, profile: LatticeProfile, field, spin, branch) -> np.ndarray:
-    """g with Gamma^branch = sum_q |f(q)|^2 n_{field,spin}(k/2 + branch*q) = sum_i g_i n_i."""
+def _occupations(modes: ModeTable, profile: LatticeProfile, field, spin, branch) -> dict:
+    """{i: g_i} with Gamma^branch = sum_q |f(q)|^2 n_{field,spin}(k/2 + branch*q) = sum_i g_i n_i."""
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    g = np.zeros(modes.mode_count)
+    g: dict = {}
     for q, w in profile.weights:
-        g[modes.position(field, spin, profile.half + branch * q)] += abs(w) ** 2
+        i = modes.position(field, spin, profile.half + branch * q)
+        g[i] = g.get(i, 0.0) + abs(w) ** 2
     return g
 
 
-def _schwartz_margins(h, g_in, g_dag) -> np.ndarray:
-    """sqrt(g_in,i g_dag,i) - |h_i|: the margin of mode i's one-particle state."""
-    return np.sqrt(g_in * g_dag) - np.abs(h)
+def _schwartz_margins(h, g_in, g_dag) -> list:
+    """sqrt(g_in,i g_dag,i) - |h_i| on each mode i of H's diagonal {i: h_i}: the margins of their one-particle states."""
+    return [math.sqrt(g_in.get(i, 0.0) * g_dag.get(i, 0.0)) - abs(v) for i, v in h.items()]
 
 
 def schwartz_bound(modes: ModeTable, profiles) -> dict:
@@ -330,36 +339,51 @@ def schwartz_bound(modes: ModeTable, profiles) -> dict:
     On basis states <H> = sum_i h_i n_i over H's number terms and <Gamma> =
     sum_i g_i n_i.  |h_i| <= sqrt(g_in,i g_dag,i) on every mode gives the bound
     on every state by Cauchy-Schwarz (n_i^2 = n_i); a mode that breaks it is
-    broken by its one-particle state, whose margin is reported.  The vacuum's
-    margin is 0.
+    broken by its one-particle state, whose margin is reported.  Modes off H's
+    diagonal have margins >= 0, and the vacuum's margin is 0.
     """
-    profiles, n = list(profiles), modes.mode_count
+    profiles = list(profiles)
     worst, cases = 0.0, 0
     for field, branch in itertools.product(FIELDS, (+1, -1)):
         gammas = {(p, spin): _occupations(modes, p, field, spin, branch) for p in profiles for spin in SPINS}
         for p_in, p_dag, spin_in, spin_dag in itertools.product(profiles, profiles, SPINS, SPINS):
-            terms = _hopping_terms(modes, branch, field, spin_dag, spin_in, p_dag, p_in)
-            h = np.diagonal(_matrix(n, terms))
-            worst = min(worst, float(_schwartz_margins(h, gammas[p_in, spin_in], gammas[p_dag, spin_dag]).min()))
+            hopping = _rows(_hopping_terms(modes, branch, field, spin_dag, spin_in, p_dag, p_in))
+            h = {i: row[i] for i, row in hopping.items() if i in row}  # H's diagonal
+            worst = min([worst, *_schwartz_margins(h, gammas[p_in, spin_in], gammas[p_dag, spin_dag])])
             cases += 1
-    return {"name": "schwartz_bound", "passed": worst >= -1e-10, "cases": cases, "states": 1 << n, "worst_margin": worst}
+    return {"name": "schwartz_bound", "passed": worst >= -1e-10, "cases": cases, "states": 1 << modes.mode_count, "worst_margin": worst}
 
 
-def _polarization_forms(pairs: np.ndarray):
-    """<s|[gamma_g, gamma_h^dag]|s> = sum_{i<j} A_g,ij conj(A_h,ij) (1 - n_i - n_j) = constant_gh - sum_i slope_ghi n_i."""
-    products = pairs[:, None] * np.conj(pairs[None, :])
-    return 0.5 * products.sum(axis=(-2, -1)), products.sum(axis=-1)
+def _polarization_forms(a_g, a_h):
+    """<s|[gamma_g, gamma_h^dag]|s> = sum_{i<j} A_g,ij conj(A_h,ij) (1 - n_i - n_j) = constant_gh - sum_i slope_ghi n_i.
+
+    The slopes {i: slope_ghi} are read on the rows that both blocks hold; every other slope is 0.
+    """
+    slopes = {}
+    for i in a_g.keys() & a_h.keys():
+        row = a_h[i]
+        slopes[i] = sum(x * row[j].conjugate() for j, x in a_g[i].items() if j in row)
+    return 0.5 * sum(slopes.values()), slopes
 
 
 def polarization_modes(modes: ModeTable, profiles, frame=DEFAULT_FRAME) -> dict:
-    """Deviation of [gamma^i(k), gamma^j(k')^dag] from delta_ij delta_kk' on the basis states of 0, 1 and 2 particles."""
-    n = modes.mode_count
-    terms = [_polarization_terms(modes, p, mat) for p in profiles for mat in polarization_matrices(frame)]
-    constant, slope = _polarization_forms(np.array([_pairing(n, t) for t in terms]))
-    vacuum = constant - np.eye(len(terms))
-    one = vacuum[..., None] - slope
-    upper = np.triu_indices(n, 1)
-    by_particles = {str(i): float(np.abs(d).max()) for i, d in enumerate((vacuum, one, one[..., upper[0]] - slope[..., upper[1]]))}
+    """Deviation of [gamma^i(k), gamma^j(k')^dag] from delta_ij delta_kk' on the basis states of 0, 1 and 2 particles.
+
+    The extremes over 1 and 2 particles are taken over the nonzero slopes and
+    at most two zero slopes, which stand for every mode of slope 0.
+    """
+    blocks = [_pairing(_polarization_terms(modes, p, mat)) for p in profiles for mat in polarization_matrices(frame)]
+    worst = [0.0, 0.0, 0.0]
+    for g, a_g in enumerate(blocks):
+        for h, a_h in enumerate(blocks):
+            constant, slopes = _polarization_forms(a_g, a_h)
+            vacuum = constant - (1.0 if g == h else 0.0)
+            values = [s for s in slopes.values() if s != 0.0]
+            values += [0.0] * min(2, modes.mode_count - len(values))
+            one = [vacuum - s for s in values]
+            two = (abs(x - s) for i, x in enumerate(one) for s in values[i + 1 :])
+            worst = [max(worst[0], abs(vacuum)), max([worst[1], *map(abs, one)]), max([worst[2], *two])]
+    by_particles = {str(i): value for i, value in enumerate(worst)}
     return {
         "name": "polarization_modes",
         "passed": by_particles["0"] <= TOL,
@@ -368,54 +392,55 @@ def polarization_modes(modes: ModeTable, profiles, frame=DEFAULT_FRAME) -> dict:
     }
 
 
-def pair_occupations(lam, n_max: int) -> np.ndarray:
-    """<n_i>_N = lam_i e_{N-1}(lam without i) / e_N(lam) for N = 1..n_max, axes (..., N, i).
+def pair_occupations(lam, n_max: int) -> list:
+    """<n_i>_N = lam_i e_{N-1}(lam without i) / e_N(lam) for N = 1..n_max: row N - 1, column i.
 
     e(lam without i) is the product of the prefix polynomial prod_{j<i}
     (1 + lam_j x) and the suffix prod_{j>i}: sums of products of lam >= 0,
     so nothing cancels.  SaturationError past the count of nonzero lam;
     FloatingPointError where e_N(lam) underflows the normal floats before it.
     """
-    lam = np.asarray(lam, dtype=float)
-    count = lam.shape[-1]
-    prefix = np.zeros(lam.shape[:-1] + (count + 1, n_max + 1))
-    suffix = np.zeros_like(prefix)
-    prefix[..., 0, 0] = suffix[..., count, 0] = 1.0
-    for i, j in zip(range(count), reversed(range(count))):
-        prefix[..., i + 1, :] = prefix[..., i, :]
-        prefix[..., i + 1, 1:] += lam[..., i, None] * prefix[..., i, :-1]
-        suffix[..., j, :] = suffix[..., j + 1, :]
-        suffix[..., j, 1:] += lam[..., j, None] * suffix[..., j + 1, :-1]
-    left_out = np.zeros(lam.shape + (n_max,))  # e_k(lam without i), k = 0..n_max-1
-    for a in range(n_max):
-        left_out[..., a:] += prefix[..., :count, a, None] * suffix[..., 1:, : n_max - a]
-    full = prefix[..., count, 1:]
-    underflow = (full < np.finfo(float).tiny) & (np.arange(1, n_max + 1) <= np.count_nonzero(lam, axis=-1)[..., None])
-    if np.any(underflow):  # subnormal e_N cost the ratios their digits
-        first = np.nonzero(underflow)[-1].min() + 1
-        raise FloatingPointError(f"e_N(lam) underflows below the smallest normal float from N = {first}, where (c^dag)^N |0> != 0")
-    if np.any(full == 0.0):
+    lam = [float(x) for x in lam]
+
+    def tables(values):  # the coefficients of prod_{j<i} (1 + values_j x) up to x^n_max, i = 0..len(values)
+        out = [[1.0] + [0.0] * n_max]
+        for x in values:
+            last = out[-1]
+            out.append(last[:1] + [last[a] + x * last[a - 1] for a in range(1, n_max + 1)])
+        return out
+
+    prefix = tables(lam)
+    full, nonzero = prefix[-1][1:], sum(x != 0.0 for x in lam)
+    underflow = [n for n, e in enumerate(full, start=1) if e < sys.float_info.min and n <= nonzero]
+    if underflow:  # subnormal e_N cost the ratios their digits
+        raise FloatingPointError(f"e_N(lam) underflows below the smallest normal float from N = {underflow[0]}, where (c^dag)^N |0> != 0")
+    if 0.0 in full:
         raise SaturationError(f"(c^dag)^N |0> = 0 for some N <= {n_max}: more pairs than modes of nonzero weight")
-    return lam[..., None, :] * np.swapaxes(left_out, -1, -2) / full[..., None]
+    suffix = tables(lam[::-1])[::-1]  # suffix[i]: prod_{j>=i}
+    rows = [[0.0] * len(lam) for _ in range(n_max)]
+    for i, x in enumerate(lam):
+        before, after = prefix[i], suffix[i + 1]
+        for k in range(n_max):  # e_k(lam without i) = sum_a e_a(prefix) e_{k-a}(suffix), a ascending
+            rows[k][i] = x * sum(map(mul, before[: k + 1], after[k::-1])) / full[k]
+    return rows
 
 
-def cross_values(weights, second_weights, n_max: int) -> np.ndarray:
-    """|<N|[c1, c2^dag]|N>| = |sum_i f1(i) conj(f2(i)) (1 - 2 <n_i>_N)| for N = 1..n_max, |N> the chain of c1.
-
-    Weights (..., P) give values (..., n_max).
-    """
-    f1, f2 = np.asarray(weights, dtype=complex), np.asarray(second_weights, dtype=complex)
-    occupations = pair_occupations(np.abs(f1) ** 2, n_max)
-    return np.abs(np.sum((f1 * np.conj(f2))[..., None, :] * (1.0 - 2.0 * occupations), axis=-1))
+def cross_values(weights, second_weights, n_max: int) -> list:
+    """|<N|[c1, c2^dag]|N>| = |sum_i f1(i) conj(f2(i)) (1 - 2 <n_i>_N)| for N = 1..n_max, |N> the chain of c1."""
+    products = [complex(x) * complex(y).conjugate() for x, y in zip(weights, second_weights)]
+    occupations = pair_occupations([abs(complex(x)) ** 2 for x in weights], n_max)
+    return [abs(sum(c * (1.0 - 2.0 * o) for c, o in zip(products, row))) for row in occupations]
 
 
-def _unit_weights(rng: random.Random, size: int, against=None) -> np.ndarray:
+def _unit_weights(rng: random.Random, size: int, against=None) -> list:
     """A random unit complex weight vector, its component along the unit ``against`` removed; entry by entry, real then imaginary part."""
-    w = np.array([rng.gauss(0.0, 1.0) + 1j * rng.gauss(0.0, 1.0) for _ in range(size)])
+    w = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(size)]
     if against is not None:
         for _ in range(2):  # one projection leaves overlaps up to 6e-14 at size 2, two leave 2.4e-16
-            w -= against * np.sum(w * np.conj(against))
-    return w / np.linalg.norm(w)
+            overlap = sum(x * y.conjugate() for x, y in zip(w, against))
+            w = [x - y * overlap for x, y in zip(w, against)]
+    norm = math.hypot(*(part for x in w for part in (x.real, x.imag)))
+    return [x / norm for x in w]
 
 
 def composite_bosons(modes: ModeTable, pairs, weights, second_weights, n_max: int, samples: int, rng) -> dict:
@@ -431,34 +456,33 @@ def composite_bosons(modes: ModeTable, pairs, weights, second_weights, n_max: in
     """
     if len(pairs) < 2:  # one pair leaves no unit weight orthogonal to the first draw
         raise ValueError(f"composite_bosons needs at least 2 pairs, got {len(pairs)}")
-    n, positions = modes.mode_count, _disjoint_positions(modes, pairs)
-    f1, f2 = np.asarray(weights, dtype=complex), np.asarray(second_weights, dtype=complex)
-    lam, p1 = np.abs(f1) ** 2, purity(f1)
-    c1, c2 = (_pairing(n, _composite_terms(modes, pairs, w)) for w in (f1, f2))
-    hopping = np.zeros((2, n, n), dtype=complex)  # Gamma_psi + Gamma_phi, and the cross identity's
-    for pair, own, cross in zip(positions, lam, f1 * np.conj(f2)):
-        hopping[:, pair, pair] = [[own, own], [cross, cross]]
-    deviation = _block_deviation(c1, np.array([c1, c2]), np.array([1.0, np.sum(f1 * np.conj(f2))]), hopping)
-    orders = np.arange(1, n_max + 1)
-    expect = pair_occupations(lam, n_max) @ lam
-    sandwich = [[N, float(e), p1, N * p1, bool(p1 - TOL <= e <= N * p1 + TOL)] for N, e in zip(orders.tolist(), expect)]
-    cross_holds = np.all(cross_values(f1, f2, n_max) <= 2.0 * orders * max(p1, purity(f2)) + TOL)
-    draws = []
+    positions = _disjoint_positions(modes, pairs)
+    f1, f2 = [complex(w) for w in weights], [complex(w) for w in second_weights]
+    lam, p1 = [abs(w) ** 2 for w in f1], purity(f1)
+    cross = [x * y.conjugate() for x, y in zip(f1, f2)]
+    c1, c2 = (_pairing(_composite_terms(modes, pairs, w)) for w in (f1, f2))
+    # Gamma_psi + Gamma_phi, and the cross identity's: diagonal on both modes of each pair
+    hopping = [{p: {p: v} for pair, v in zip(positions, values) for p in pair} for values in (lam, cross)]
+    deviation = [_block_deviation(c1, a2, c, h) for a2, c, h in zip((c1, c2), (1.0, sum(cross)), hopping)]
+    expect = [sum(map(mul, row, lam)) for row in pair_occupations(lam, n_max)]
+    sandwich = [[N, e, p1, N * p1, p1 - TOL <= e <= N * p1 + TOL] for N, e in enumerate(expect, start=1)]
+    p_max = max(p1, purity(f2))
+    cross_holds = all(v <= 2.0 * N * p_max + TOL for N, v in enumerate(cross_values(f1, f2, n_max), start=1))
+    worst_slack = math.inf
     for _ in range(samples):
         w1 = _unit_weights(rng, len(pairs))
-        draws.append((w1, _unit_weights(rng, len(pairs), w1)))
-    w1, w2 = np.array(draws).transpose(1, 0, 2)
-    p_max = np.maximum(*(np.sum(np.abs(w) ** 4, axis=-1) for w in (w1, w2)))
-    bounds = 2.0 * orders[:2] * p_max[:, None]
-    worst_slack = float(np.min(bounds - cross_values(w1, w2, bounds.shape[-1])))
-    passed = deviation.max() <= TOL and all(row[4] for row in sandwich) and cross_holds and worst_slack >= -TOL
+        w2 = _unit_weights(rng, len(pairs), w1)
+        p_max = max(purity(w1), purity(w2))
+        values = cross_values(w1, w2, min(2, n_max))
+        worst_slack = min([worst_slack, *(2.0 * N * p_max - v for N, v in enumerate(values, start=1))])
+    passed = max(deviation) <= TOL and all(row[4] for row in sandwich) and cross_holds and worst_slack >= -TOL
     return {
         "name": "composite_bosons",
         "passed": bool(passed),
         "purity": p1,
-        "commutator_identity_deviation": float(deviation[0]),
+        "commutator_identity_deviation": deviation[0],
         "sandwich": sandwich,
-        "saturation_order": int(np.sum(lam > 0.0)) + 1,
+        "saturation_order": sum(x > 0.0 for x in lam) + 1,
         "conjecture_samples": samples,
         "conjecture_worst_slack": worst_slack,
     }
@@ -482,7 +506,7 @@ def fock_suite(count: int, n_max: int, samples: int, seed: int) -> dict:
     profiles = list(available_profiles(momenta).values())
     rng = random.Random(seed)
     pairs = default_pairs(modes)
-    uniform = np.full(len(pairs), 1.0 / math.sqrt(len(pairs)))
+    uniform = [1.0 / math.sqrt(len(pairs))] * len(pairs)
     second = _unit_weights(rng, len(pairs), uniform)
     n = modes.mode_count
     checks = [

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 
 def format_value(value) -> str:
     if isinstance(value, bool):
@@ -37,7 +35,8 @@ def write_table(path: str, header: dict, columns, rows):
     lines = header_lines(header)
     lines.append(",".join(columns))
     blocks = ()
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f" and rows.shape[1] > 0:
+    if getattr(rows, "ndim", None) == 2 and rows.dtype.kind == "f" and rows.shape[1] > 0:  # a float ndarray
+        import numpy as np
         bits, inverse = np.unique(rows.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
         text = ("%24.17g," * len(bits)) % tuple(bits.view(np.float64).tolist())
         cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(bits), 25)

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MAX_STEPS, MINUS, PLUS, DegeneratePointError
+
 SQRT3 = math.sqrt(3.0)
 
 #: per-axis periodicity of every closed form (the trig arguments are k/sqrt3)
 AXIS_PERIOD = 2.0 * math.pi * SQRT3
-
-PLUS = +1
-MINUS = -1
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -38,13 +37,6 @@ PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 # below this |n_tilde| the rotation axis is numerically undefined
 _AXIS_TOL = 1e-14
-
-#: largest |t| step_power accepts; beyond it t*lam mod 2*pi loses the documented accuracy
-MAX_STEPS = 10**6
-
-
-class DegeneratePointError(ValueError):
-    """The rotation axis is undefined: |n| vanishes away from the identity."""
 
 
 def _check_sign(sign):

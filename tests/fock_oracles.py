@@ -4,7 +4,8 @@
 bookkeeping; these evaluate the same quantities with the scipy CSR operators
 of ``latticelight.fock``: the pair-commutator sweep, the hopping and
 polarization operators, the polarization diagonals on basis states, and the
-composite-boson pair register.
+composite-boson pair register.  Past the Fock space's 3 momenta, dense n x n
+pairing blocks in numpy are the reference for onebody's sparse rows.
 
 The composite-boson states (c^dag)^N |0>, c = sum_i f(i) b_i over disjoint
 pairs b_i = psi_i phi_i, lie in the span of the 2^P pair-occupation states
@@ -57,6 +58,56 @@ def pair_commutator_sweep(space, specs) -> PairSweep:
         max_assembly_deviation=worst_assembly,
         max_gamma_gamma=worst_plain,
     )
+
+
+def dense_matrix(n, terms) -> np.ndarray:
+    """M with sum_ij M_ij A_i B_j = sum_j w_j A_j B_j over (w_j, (i_j, _), (k_j, _)) ladder terms."""
+    m = np.zeros((n, n), dtype=complex)
+    for w, (i, _), (j, _) in terms:
+        m[i, j] += w
+    return m
+
+
+def dense_pairing(n, terms) -> np.ndarray:
+    """The antisymmetric A = M - M^T with sum_j w_j a_i a_k = 1/2 sum_ij A_ij a_i a_j, M of dense_matrix."""
+    m = dense_matrix(n, terms)
+    return m - m.T
+
+
+def dense_block_deviation(a1, a2, coefficient, hopping) -> float:
+    """max(|A2^dag A1 - H|, |1/2 tr(A2^dag A1) - c|) on dense blocks."""
+    product = np.conj(a2.T) @ a1
+    return max(float(np.abs(product - hopping).max()), abs(0.5 * np.trace(product) - coefficient))
+
+
+def dense_pair_commutators(modes, specs) -> float:
+    """The max_assembly_deviation of onebody.pair_commutators, from dense n x n blocks and hopping matrices."""
+    n = modes.mode_count
+    blocks = [dense_pairing(n, onebody._gamma_terms(modes, a, b, *onebody._profile_pairing(p))) for a, b, p in specs]
+    worst = 0.0
+    for first, a1 in zip(specs, blocks):
+        for second, a2 in zip(specs, blocks):
+            coefficient, terms = onebody._assembly_terms(modes, first, second)
+            worst = max(worst, dense_block_deviation(a1, a2, coefficient, dense_matrix(n, terms)))
+    return worst
+
+
+def dense_polarization_deviations(modes, profiles, frame) -> list:
+    """The 0-, 1- and 2-particle deviations of onebody.polarization_modes, with the slopes of every mode from dense blocks.
+
+    <s|[gamma_g, gamma_h^dag]|s> = constant_gh - sum_i slope_ghi n_i, with products A_g,ij conj(A_h,ij).
+    """
+    n, mats = modes.mode_count, onebody.polarization_matrices(frame)
+    blocks = np.array([dense_pairing(n, onebody._polarization_terms(modes, p, m)) for p in profiles for m in mats])
+    upper, worst = np.triu_indices(n, 1), [0.0, 0.0, 0.0]
+    for g, block in enumerate(blocks):  # one g against every h
+        products = block[None] * np.conj(blocks)
+        constant, slope = 0.5 * products.sum(axis=(-2, -1)), products.sum(axis=-1)
+        vacuum = constant - (np.arange(len(blocks)) == g)
+        one = vacuum[:, None] - slope
+        deviations = (vacuum, one, one[:, upper[0]] - slope[:, upper[1]])
+        worst = [max(w, float(np.abs(d).max())) for w, d in zip(worst, deviations)]
+    return worst
 
 
 def frame_rows(n) -> np.ndarray:

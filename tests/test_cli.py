@@ -132,7 +132,7 @@ def test_fock_suite_report(tmp_path):
 
 
 def test_fock_suite_size_guard(tmp_path):
-    assert run(["fock-suite", "--momenta", 9, "--out", tmp_path / "x.json"]) == EXIT_CONFIG
+    assert run(["fock-suite", "--momenta", 17, "--out", tmp_path / "x.json"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize(
@@ -341,8 +341,8 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
         (["maxwell-convergence", "--spacing-factor", "0"], None, "error: spacing_factor must be in (0, 1], got 0.0"),
         (["maxwell-convergence"], {"spacing_factor": 1.5}, "error: spacing_factor must be in (0, 1], got 1.5"),
         (["tilt", "--directions", "0"], None, "error: directions must be in 1..1048576, got 0"),
-        (["fock-suite", "--momenta", "4"], None, "error: momenta must be in 1..3, got 4"),
-        (["fock-suite"], {"momenta": 0}, "error: momenta must be in 1..3, got 0"),
+        pytest.param(["fock-suite", "--momenta", "17"], None, "error: momenta must be in 1..16, got 17", id="fock-suite-momenta-above"),
+        pytest.param(["fock-suite"], {"momenta": 0}, "error: momenta must be in 1..16, got 0", id="fock-suite-momenta-zero-config"),
         (["flight", "--distance-m", "-1"], None, "error: distance_m must be > 0, got -1.0"),
     ],
 )
@@ -454,10 +454,17 @@ def test_fock_suite_run_leaves_scipy_unloaded(tmp_path):
     out = tmp_path / "fock.json"
     run_it = cli_run(["fock-suite", "--momenta", 3, "--conjecture-samples", 3, "--out", out])
     # the one-body engine alone: no scipy or Jordan-Wigner oracle, and no numpy.random
-    # (about 5.5 MB of RSS), bilinear or dispersion
+    # (about 5.5 MB of RSS), walk, bilinear or dispersion
     loaded = modules_loaded(run_it, ("scipy", "numpy.random", "latticelight"))
-    assert loaded == ["latticelight", "latticelight.cli", "latticelight.onebody", "latticelight.output", "latticelight.walk"]
+    assert loaded == ["latticelight", "latticelight.cli", "latticelight.onebody", "latticelight.output"]
     assert json.loads(out.read_text())["passed"] is True
+
+
+def test_cli_import_and_a_fock_suite_run_leave_numpy_unloaded(tmp_path):
+    # numpy's import is about half of a fock-suite process at 3 momenta; the engine needs only the standard library
+    assert modules_loaded("import latticelight.cli", ("numpy",)) == []
+    run_it = cli_run(["fock-suite", "--momenta", 3, "--conjecture-samples", 3, "--out", tmp_path / "fock.json"])
+    assert modules_loaded(run_it, ("numpy",)) == []
 
 
 @pytest.mark.parametrize("args", [["dispersion", "--points", "3"], ["flight"]])

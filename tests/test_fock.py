@@ -641,7 +641,7 @@ def test_verification_catches_one_corrupted_table_entry(m, table):
 def csr_commutator_diagonals(space, profiles, frame):
     """diag [g, g2^dag] for every ordered pair of polarization gammas, each assembled from the gamma_{alpha,beta}."""
     gammas = [
-        sum(mat[ia, ib] * gamma_for_profile(space, alpha, beta, prof)
+        sum(mat[ia][ib] * gamma_for_profile(space, alpha, beta, prof)
             for ia, alpha in enumerate(SPINS) for ib, beta in enumerate(SPINS))
         for prof in profiles
         for mat in onebody.polarization_matrices(frame)

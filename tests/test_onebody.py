@@ -1,4 +1,4 @@
-"""The one-body fock-suite engine against the Jordan-Wigner oracle, at 1 to 3 momenta."""
+"""The one-body fock-suite engine against the Jordan-Wigner oracle at 1 to 3 momenta, and against dense numpy blocks past it."""
 
 import itertools
 import math
@@ -12,6 +12,8 @@ import pytest
 from fock_oracles import (
     conjecture_worst_slack,
     cross_commutator_values,
+    dense_pair_commutators,
+    dense_polarization_deviations,
     frame_rows,
     oracle_report,
     pair_commutator_sweep,
@@ -125,7 +127,11 @@ def test_a_block_deviation_without_the_conjugate_is_caught(fock_space, random_sw
     specs, sweep = random_sweep(2)
     assert sweep.max_assembly_deviation <= ATOL
     block_deviation = onebody._block_deviation
-    monkeypatch.setattr(onebody, "_block_deviation", lambda a1, a2, *rest: block_deviation(a1, np.conj(a2), *rest))
+
+    def transposed(a1, a2, *rest):  # the rows of A2 conjugated, so that the product reads A2^T A1
+        return block_deviation(a1, {k: {j: v.conjugate() for j, v in row.items()} for k, row in a2.items()}, *rest)
+
+    monkeypatch.setattr(onebody, "_block_deviation", transposed)
     got = onebody.pair_commutators(space, specs)
     assert not got["passed"]
     assert got["max_assembly_deviation"] >= 1.0
@@ -149,6 +155,24 @@ def test_a_conjugated_overlap_is_caught_by_both_engines(fock_space, monkeypatch)
     assert got["max_assembly_deviation"] == pytest.approx(want, abs=ATOL) and want >= 0.1
 
 
+def test_a_hopping_entry_off_the_block_rows_is_caught_by_both_engines(fock_space, monkeypatch):
+    # gammas of (R, R) labels touch no psi_L mode, so A2^dag A1 has no row there: H is read over the union of entries
+    space = fock_space(MOMENTA[2])
+    specs = [("R", "R", p) for p in available_profiles(space.momenta).values()]
+    stray = space.position("psi", "L", space.momenta[0])
+    assembly_terms = onebody._assembly_terms
+
+    def with_stray_entry(*args):
+        coefficient, terms = assembly_terms(*args)
+        return coefficient, terms + [(0.5, (stray, True), (stray, False))]
+
+    monkeypatch.setattr(onebody, "_assembly_terms", with_stray_entry)
+    monkeypatch.setattr(fock, "_assembly_terms", with_stray_entry)
+    got = onebody.pair_commutators(space, specs)
+    assert not got["passed"] and got["max_assembly_deviation"] == pytest.approx(0.5, abs=ATOL)
+    assert pair_commutator_sweep(space, specs).max_assembly_deviation == pytest.approx(0.5, abs=ATOL)
+
+
 @pytest.mark.parametrize("count", [4, 5, 6])
 def test_a_flipped_hopping_sign_fails_past_the_oracle_cap(monkeypatch, count):
     # beyond 3 momenta no Fock space exists to compare with; the block route must still hold and still catch the mutant
@@ -163,6 +187,21 @@ def test_a_flipped_hopping_sign_fails_past_the_oracle_cap(monkeypatch, count):
     got = onebody.pair_commutators(modes, specs)
     assert not got["passed"]
     assert got["max_assembly_deviation"] >= 1.0
+
+
+@pytest.mark.parametrize("count", [4, 5, 6])
+def test_sparse_rows_match_dense_blocks_past_the_oracle_cap(count):
+    # no Fock space exists beyond 3 momenta: the row route is held to dense n x n numpy blocks over every mode
+    modes = onebody.ModeTable(onebody.lattice_momenta(count))
+    profiles = random_profiles(modes, np.random.default_rng(10 + count))
+    specs = specs_of(profiles)
+    got = onebody.pair_commutators(modes, specs)["max_assembly_deviation"]
+    assert abs(got - dense_pair_commutators(modes, specs)) <= 1e-14
+    frame = frame_rows([0.3, -0.5, 0.8])
+    got = onebody.polarization_modes(modes, profiles, frame)["deviation_by_particles"]
+    want = dense_polarization_deviations(modes, profiles, frame)
+    assert max(abs(got[str(n)] - value) for n, value in enumerate(want)) <= 1e-14
+    assert want[2] > 0.1  # the occupation terms are exercised
 
 
 def test_polarization_modes_match_the_basis_states(space):
@@ -181,11 +220,12 @@ def test_a_polarization_form_without_the_conjugate_is_caught(fock_space, monkeyp
     space = fock_space(MOMENTA[2])
     profiles = list(available_profiles(space.momenta).values())
     want = polarization_boson_check(space, profiles)
-    monkeypatch.setattr(
-        onebody,
-        "_polarization_forms",
-        lambda pairs: (0.5 * (pairs[:, None] * pairs[None, :]).sum(axis=(-2, -1)), (pairs[:, None] * pairs[None, :]).sum(axis=-1)),
-    )
+
+    def unconjugated(a_g, a_h):  # A_g,ij A_h,ij in place of A_g,ij conj(A_h,ij)
+        slopes = {i: sum(x * a_h[i][j] for j, x in a_g[i].items() if j in a_h[i]) for i in a_g.keys() & a_h.keys()}
+        return 0.5 * sum(slopes.values()), slopes
+
+    monkeypatch.setattr(onebody, "_polarization_forms", unconjugated)
     got = onebody.polarization_modes(space, profiles)
     assert max(abs(got["deviation_by_particles"][str(n)] - v) for n, v in want.deviation_by_particles.items()) >= 0.1
 
@@ -228,7 +268,9 @@ def test_a_schwartz_certificate_with_one_gamma_twice_is_caught(fock_space, monke
     space = fock_space(MOMENTA[2])
     profiles = random_profiles(space, np.random.default_rng(3))
     want = fock.schwartz_exhaustive(space, profiles)
-    monkeypatch.setattr(onebody, "_schwartz_margins", lambda h, a, b: np.sqrt(a * a) - np.abs(h))
+    monkeypatch.setattr(
+        onebody, "_schwartz_margins", lambda h, a, b: [math.sqrt(a.get(i, 0.0) * a.get(i, 0.0)) - abs(v) for i, v in h.items()]
+    )
     got = onebody.schwartz_bound(space, profiles)
     assert want.holds and not got["passed"]
     assert abs(got["worst_margin"] - want.worst_margin) >= 1e-3
@@ -254,7 +296,7 @@ def test_composite_bosons_match_the_fock_suite(space, seed):
         assert row[0] == ref[0] and row[4] == ref[4]
         assert max(abs(a - b) for a, b in zip(row[1:4], ref[1:4])) <= ATOL
     values = onebody.cross_values(w1, w2, n_max)
-    assert np.max(np.abs(values - [r[1] for r in want.cross_rows])) <= ATOL
+    assert np.max(np.abs(np.array(values) - [r[1] for r in want.cross_rows])) <= ATOL
     assert got["passed"]
 
 
@@ -281,11 +323,10 @@ def test_occupations_without_the_left_out_pair_are_caught(fock_space, monkeypatc
     want = fock.composite_boson_suite(space, pairs, w1, len(pairs), second_weights=w2)
 
     def not_left_out(lam, n_max):  # lam_i e_{N-1}(lam) / e_N(lam): pair i counted in its own complement
-        e = np.zeros(lam.shape[:-1] + (n_max + 1,))
-        e[..., 0] = 1.0
-        for i in range(lam.shape[-1]):
-            e[..., 1:] = e[..., 1:] + lam[..., i, None] * e[..., :-1]
-        return lam[..., None, :] * (e[..., :-1] / e[..., 1:])[..., :, None]
+        e = [1.0] + [0.0] * n_max
+        for x in lam:
+            e = e[:1] + [e[a] + x * e[a - 1] for a in range(1, n_max + 1)]
+        return [[x * e[n - 1] / e[n] for x in lam] for n in range(1, n_max + 1)]
 
     monkeypatch.setattr(onebody, "pair_occupations", not_left_out)
     got = onebody.composite_bosons(space, pairs, w1, w2, len(pairs), 1, random.Random(0))
@@ -320,7 +361,7 @@ def test_pair_occupations_match_subset_enumeration():
         weights = np.array([math.prod(lam[list(s)]) for s in subsets])
         want = [sum(w for w, s in zip(weights, subsets) if i in s) / weights.sum() for i in range(len(lam))]
         np.testing.assert_allclose(got[n - 1], want, rtol=1e-13, atol=0.0)
-        assert got[n - 1].sum() == pytest.approx(n, rel=1e-14)
+        assert sum(got[n - 1]) == pytest.approx(n, rel=1e-14)
 
 
 def test_saturation_and_shared_modes_are_refused():
@@ -328,8 +369,10 @@ def test_saturation_and_shared_modes_are_refused():
     pairs = default_pairs(space)
     with pytest.raises(onebody.SaturationError):
         onebody.pair_occupations(np.array([0.0, 1.0]), 2)
-    with pytest.raises(onebody.SaturationError, match="nonzero weight"):  # one row of a batch saturates at N = 3
-        onebody.pair_occupations(np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), 3)
+    saturating, full = [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]  # one call per weight vector: the first saturates at N = 3
+    with pytest.raises(onebody.SaturationError, match="nonzero weight"):
+        onebody.pair_occupations(saturating, 3)
+    assert [sum(row) for row in onebody.pair_occupations(full, 3)] == pytest.approx([1.0, 2.0, 3.0], rel=1e-14)
     shared = (pairs[0], (pairs[0][0], pairs[1][1]))
     with pytest.raises(ValueError, match="share the mode psi"):
         onebody.composite_bosons(space, shared, [0.6, 0.8], [0.8, -0.6], 1, 1, random.Random(0))
@@ -356,4 +399,4 @@ def test_an_underflowing_e_n_is_not_called_saturation(lam, first):
     with pytest.raises(FloatingPointError, match=f"underflows below the smallest normal float from N = {first},"):
         onebody.pair_occupations(lam, min(200, len(lam)))
     below = onebody.pair_occupations(lam, first - 1)
-    np.testing.assert_allclose(below.sum(axis=-1), np.arange(1, first), rtol=1e-13)
+    np.testing.assert_allclose([sum(row) for row in below], np.arange(1, first), rtol=1e-13)
