@@ -58,11 +58,6 @@ class SmearingProfile:
         """Largest |q| carrying weight (the qbar of the profile)."""
         return float(np.max(np.linalg.norm(self.offsets, axis=1)))
 
-    def weight_fraction_outside(self, radius: float) -> float:
-        """Fraction of sum|f|^2 carried by grid points with |q| > radius."""
-        outside = np.linalg.norm(self.offsets, axis=1) > radius
-        return float(np.sum(np.abs(self.weights[outside]) ** 2))
-
 
 def single_point_profile() -> SmearingProfile:
     """The q = 0 delta profile (one grid point, unit weight)."""
@@ -187,13 +182,10 @@ def polarization_frame(n) -> PolarizationFrame:
 class MaxwellReport:
     """Result of undoing the predicted rotation on an evolved kernel."""
 
-    k: np.ndarray
-    t: int
     qbar: float
     residual_transverse: float
     tilt_angle: float
     axis_angle_to_k: float
-    predicted_rotation: np.ndarray
 
 
 def _weighted_rms(dev: np.ndarray) -> float:
@@ -253,13 +245,10 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
     residual = _weighted_rms(dev)
 
     return MaxwellReport(
-        k=k,
-        t=int(t),
         qbar=profile.support_radius,
         residual_transverse=residual,
         tilt_angle=float(tilt_angle(k, sign)),
         axis_angle_to_k=float(_axis_angle(b.n, k)),
-        predicted_rotation=rot,
     )
 
 
@@ -267,8 +256,6 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
 class GeneratorCheck:
     """Finite-difference vs generator comparison for the transverse kernel."""
 
-    k: np.ndarray
-    t: int
     qbar: float
     n_norm: float
     fd_forward_residual: float
@@ -308,8 +295,6 @@ def maxwell_generator_check(profile: SmearingProfile, k, sign, t: int) -> Genera
     fwd, cen, step = residuals(profile)
     floor, _, _ = residuals(single_point_profile())
     return GeneratorCheck(
-        k=k,
-        t=int(t),
         qbar=profile.support_radius,
         n_norm=b.lam,
         fd_forward_residual=fwd,

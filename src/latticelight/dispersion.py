@@ -62,27 +62,6 @@ def omega(k, sign):
     return 2.0 * bloch_data(np.asarray(k, dtype=float) / 2.0, sign).lam
 
 
-def group_velocity(k, sign) -> np.ndarray:
-    """Gradient of omega at one wavevector by Richardson-extrapolated central differences.
-
-    Undefined where n(k/2) = 0 (band crossing); raises DegeneratePointError
-    there instead of returning an arbitrary vector.  Kept as the
-    finite-difference oracle for group_velocity_analytic.
-    """
-    k = np.asarray(k, dtype=float)
-    if bloch_data(k / 2.0, sign).lam < _DEGENERATE_TOL:
-        raise DegeneratePointError(f"group velocity undefined at k={k} (n = 0)")
-
-    def central(h):
-        shifts = h * np.eye(3)
-        return (omega(k + shifts, sign) - omega(k - shifts, sign)) / (2.0 * h)
-
-    step = 1e-5
-    coarse = central(step)
-    fine = central(step / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-
-
 def group_velocity_analytic(k, sign) -> np.ndarray:
     """Chain-rule gradient of omega at ``k[..., 3]``: -grad d(k/2) / sin lam(k/2).
 
@@ -125,17 +104,6 @@ def speed_deviation(k, sign):
     g = -float(sign) * 0.5 * sin_2a[..., 0] * sin_2a[..., 1] * sin_2a[..., 2] / nt2
     # sqrt(1 + g) - 1 without cancellation
     return (g / (1.0 + np.sqrt(1.0 + g)))[()]
-
-
-def speed_of_light(k_magnitude: float, sign) -> float:
-    """|group velocity| along the positive diagonal, normalized so the small-k limit is 1.
-
-    The sqrt(3) lattice-to-physical factor is applied so the returned number
-    multiplies c directly.  Computed through the stable closed form of
-    speed_deviation; tests cross-check it against sqrt(3) |group_velocity|
-    where finite differences can resolve it.
-    """
-    return 1.0 + speed_deviation(k_magnitude * DIAGONAL, sign)
 
 
 def tilt_angle_estimate(k_magnitude: float) -> float:

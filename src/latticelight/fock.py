@@ -31,7 +31,6 @@ from .onebody import (
     LatticeProfile,
     ModeTable,
     SaturationError,
-    _assembly_terms,
     _composite_terms,
     _disjoint_positions,
     _gamma_terms,
@@ -147,11 +146,6 @@ class FockSpace(ModeTable):
         return self._occupied.sum(axis=0)
 
 
-def build_fock(momenta) -> FockSpace:
-    """Fock space over 4 * len(momenta) modes with build-time verification."""
-    return FockSpace(momenta)
-
-
 # ---------------------------------------------------------------------------
 # pair operators
 
@@ -205,40 +199,6 @@ def gamma_for_profile(space: FockSpace, alpha: str, beta: str, profile: LatticeP
 def _gamma_diagonal(space: FockSpace, profile: LatticeProfile, field, spin, branch) -> np.ndarray:
     """Diagonal of Gamma^branch = sum_q |f(q)|^2 n_{field,spin}(k/2 + branch*q)."""
     return sum((g * space._occupied[i] for i, g in _occupations(space, profile, field, spin, branch).items()), np.zeros(space.dim))
-
-
-@dataclass(frozen=True)
-class CommutatorReport:
-    """Direct [gamma, gamma'^dag] against its identity-minus-hopping assembly."""
-
-    direct: sparse.csr_matrix
-    identity_coefficient: complex
-    delta_part: sparse.csr_matrix
-    max_abs_difference: float
-
-
-def commutator_report(space: FockSpace, spec1, spec2) -> CommutatorReport:
-    """Compare [gamma_1(k), gamma_2(k')^dag] with its assembled decomposition.
-
-    Each spec is (alpha, beta, profile).  The assembly is
-    overlap * delta_spin * I - (delta_{alpha,alpha'} H^+_psi +
-    delta_{beta,beta'} H^-_phi); the overlap reduces to 1 for identical
-    normalized profiles and to 0 for k != k'.
-    """
-    g1 = gamma_for_profile(space, *spec1)
-    g2d = _dagger(gamma_for_profile(space, *spec2))
-    direct = (g1 @ g2d - g2d @ g1).tocsr()
-
-    coefficient, terms = _assembly_terms(space, spec1, spec2)
-    delta_part = _quadratic(space, terms)
-    assembled = (coefficient * sparse.identity(space.dim, dtype=complex, format="csr") - delta_part).tocsr()
-
-    return CommutatorReport(
-        direct=direct,
-        identity_coefficient=coefficient,
-        delta_part=delta_part,
-        max_abs_difference=_max_abs(direct - assembled),
-    )
 
 
 # ---------------------------------------------------------------------------

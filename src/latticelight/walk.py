@@ -65,15 +65,6 @@ class BlochData:
     grad_d: np.ndarray
 
 
-@dataclass(frozen=True)
-class WeylStep:
-    """One walk step: the 2x2 unitary together with its Bloch decomposition."""
-
-    matrix: np.ndarray
-    bloch: BlochData
-    sign: int
-
-
 def _components(v):
     """The three components of ``v[..., 3]``.
 
@@ -143,22 +134,6 @@ def bloch_data(k, sign) -> BlochData:
     return BlochData(d=d[()], n_tilde=n_tilde, lam=lam[()], n=n, grad_d=grad_d)
 
 
-def _su2(c, v) -> np.ndarray:
-    """c I - i v.sigma for scalars ``c[...]`` and 3-vectors ``v[..., 3]``, shape (..., 2, 2)."""
-    coeffs = np.concatenate([np.asarray(c, dtype=complex)[..., None], -1j * np.asarray(v)], axis=-1)
-    return np.einsum("...m,mij->...ij", coeffs, PAULI)
-
-
-def weyl_step(k, sign) -> WeylStep:
-    """One walk unitary A(k), assembled once as d I - i n_tilde.sigma.
-
-    That it equals the Pauli exponential exp(-i n.sigma) is checked in the
-    tests, not on every call.
-    """
-    b = bloch_data(k, sign)
-    return WeylStep(matrix=_su2(b.d, b.n_tilde), bloch=b, sign=int(sign))
-
-
 def _power_coefficients(k, sign, t: int):
     """Real (c[...], v[..., 3]) with A(k)^t = c I - i v.sigma: step_power's coefficients."""
     if abs(t) > MAX_STEPS:
@@ -182,40 +157,10 @@ def step_power(k, sign, t: int) -> np.ndarray:
     gives inverse steps.  Where |n_tilde| vanishes, A = d*I with d = +-1 and
     the power is d^t * I.
     """
-    return _su2(*_power_coefficients(k, sign, t))
-
-
-def interp_unitary(k, q, sign, t: int) -> np.ndarray:
-    """Interpolating unitary U(k, t; q) = A(k/2)^(-t) A(q)^t, exactly.
-
-    ``q`` is the full momentum of the second factor (not an offset from k/2).
-    At q = k/2 or t = 0 this is the identity.
-    """
-    k_half = np.asarray(k, dtype=float) / 2.0
-    return step_power(k_half, sign, -t) @ step_power(q, sign, t)
-
-
-def approx_interp_unitary(k, q_offset, sign, t: int) -> np.ndarray:
-    """First-order surrogate for U(k, t; k/2 + q_offset).
-
-    Returns exp(-i c t e.sigma) with e = n(k/2)/|n(k/2)| and c = e . J_n(k/2)
-    q_offset, where J_n is the Jacobian of the rotation vector.  Since
-    |n| = lam, e . J_n is exactly grad lam = -grad d / sin(lam), so c comes
-    from the closed forms.  Because c is linear in the offset, the k/2 - q
-    branch is obtained by negating ``q_offset``: the two branches carry
-    opposite rotation senses about the common axis.
-
-    Valid for offsets small against |n(k/2)|; that is the caller's
-    responsibility and not checked.  Raises DegeneratePointError when
-    |n(k/2)| is below tolerance (no axis to rotate about).
-    """
-    k_half = np.asarray(k, dtype=float) / 2.0
-    b = bloch_data(k_half, sign)
-    if b.lam < 1e-12:
-        raise DegeneratePointError(f"|n(k/2)| = {b.lam:.3e} too small at k={np.asarray(k)}")
-    e = b.n / b.lam
-    c = -float(b.grad_d @ np.asarray(q_offset, dtype=float)) / math.sin(b.lam)
-    return _su2(math.cos(c * t), math.sin(c * t) * e)
+    c, v = _power_coefficients(k, sign, t)
+    # c I - i v.sigma
+    coeffs = np.concatenate([np.asarray(c, dtype=complex)[..., None], -1j * v], axis=-1)
+    return np.einsum("...m,mij->...ij", coeffs, PAULI)
 
 
 def canonical_wavevector(k) -> np.ndarray:

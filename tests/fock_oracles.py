@@ -38,9 +38,13 @@ class PairSweep:
 
 
 def pair_commutator_sweep(space, specs) -> PairSweep:
-    """commutator_report's comparison and [gamma_1, gamma_2] = 0 over all ordered pairs of ``specs``, one pair at a time.
+    """[gamma_1, gamma_2^dag] against its assembly, and [gamma_1, gamma_2] = 0, over all ordered pairs of ``specs``.
 
-    Each gamma and its adjoint are built once, not once per pair as in commutator_report.
+    The assembly is overlap * delta_spin * I - (delta_{alpha,alpha'} H^+_psi +
+    delta_{beta,beta'} H^-_phi), from onebody's assembly terms; the overlap
+    reduces to 1 for identical normalized profiles and to 0 for k != k'.  Each
+    gamma and its adjoint are built once, as CSR, and every comparison is entry
+    by entry on a CSR difference.
     """
     specs = list(specs)
     gammas = [fock.gamma_for_profile(space, *spec) for spec in specs]
@@ -49,7 +53,7 @@ def pair_commutator_sweep(space, specs) -> PairSweep:
     worst_assembly = worst_plain = 0.0
     for spec1, g1 in zip(specs, gammas):
         for spec2, g2, g2d in zip(specs, gammas, adjoints):
-            coefficient, terms = fock._assembly_terms(space, spec1, spec2)
+            coefficient, terms = onebody._assembly_terms(space, spec1, spec2)
             assembled = coefficient * identity - fock._quadratic(space, terms)
             worst_assembly = max(worst_assembly, fock._max_abs(g1 @ g2d - g2d @ g1 - assembled))
             worst_plain = max(worst_plain, fock._max_abs(g1 @ g2 - g2 @ g1))

@@ -27,7 +27,7 @@ from latticelight.bilinear import (
     vector_tables,
 )
 from latticelight.cli import EXIT_OK, main
-from latticelight.dispersion import group_velocity, group_velocity_analytic, omega
+from latticelight.dispersion import group_velocity_analytic, omega
 from latticelight.walk import (
     AXIS_PERIOD,
     MINUS,
@@ -38,6 +38,7 @@ from latticelight.walk import (
     bloch_data,
     step_power,
 )
+from walk_oracles import group_velocity
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 BLOCH_ATOL = 1e-13

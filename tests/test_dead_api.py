@@ -1,10 +1,12 @@
-"""No dead API: each public function and class in src has a caller in src, or a reason here.
+"""No dead API: each public function, class, method and property in src has a caller in src, or a reason here.
 
 The package's ``__init__`` re-exports do not count as callers.  A name that
 only tests call stays only when an acceptance criterion calls it as written,
 when it is the reference that a test compares shipped code against, or when
-an open ROADMAP item decides its fate; TEST_ONLY says which.  A private
-function or class has no such escape: it is used in src, or it goes.
+an open ROADMAP item decides its fate; TEST_ONLY and TEST_ONLY_METHODS say
+which.  A private function or class has no such escape: it is used in src,
+or it goes.  Methods are matched by name: any attribute of that name read in
+src counts as a call.
 """
 
 import ast
@@ -15,27 +17,38 @@ import latticelight
 SRC = Path(latticelight.__file__).parent
 
 TEST_ONLY = {
-    "weyl_step": "the one-step reference that tests compare walk.step_power against",
-    "interp_unitary": "the exact interpolating unitary of the walk error-law tests",
-    "approx_interp_unitary": "the first-order surrogate of the walk error-law tests",
+    "step_power": "the 2x2 matrix powers: the reference that tests compare bilinear.vector_tables' coefficient route against",
     "maxwell_generator_check": "acceptance criterion 4",
-    "speed_of_light": "acceptance criterion 5b",
-    "group_velocity": "acceptance criterion 5c: the finite-difference oracle of group_velocity_analytic",
-    "build_fock": "acceptance criteria 7 to 9: the Jordan-Wigner Fock space that the onebody checks are compared against",
-    "commutator_report": "acceptance criterion 7: the per-pair CSR reference of the pair-commutator oracles",
+    "gamma_for_profile": "acceptance criterion 7: the CSR gamma operators of the pair-commutator sweep",
     "schwartz_exhaustive": "acceptance criterion 8: the basis-state sweep that onebody.schwartz_bound is compared against",
     "composite_boson_suite": "acceptance criterion 8: the Fock-space reference of onebody.composite_bosons",
     "pair_condensate": "acceptance criterion 8: the CSR (c^dag)^N |0> chain",
-    "saturation_estimate": "ROADMAP item 3 decides whether a saturation subcommand uses it or it goes",
+    "saturation_estimate": "ROADMAP item 6 decides whether a saturation subcommand uses it or it goes",
+}
+
+FOCK_TEST_API = "the Jordan-Wigner oracle's operators, which the tests build their references from"
+TEST_ONLY_METHODS = {
+    "FockSpace.annihilator": FOCK_TEST_API,
+    "FockSpace.creator": FOCK_TEST_API,
+    "FockSpace.number_operator": FOCK_TEST_API,
+    "FockSpace.particle_numbers": FOCK_TEST_API,
 }
 
 
 def definitions_and_references():
-    """([(module, name) of every module-level function or class], names src uses, names src imports); __init__ is no user."""
-    defined, used, imported = [], set(), set()
+    """([(module, name)] of module-level functions and classes, ["Class.method"] of public methods and properties,
+    names src uses, names src imports); __init__ is no user."""
+    defined, methods, used, imported = [], [], set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined += [(path.stem, node.name) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        methods += [
+            f"{node.name}.{item.name}"
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+        ]
         if path.name == "__init__.py":
             continue
         for node in ast.walk(tree):
@@ -45,18 +58,24 @@ def definitions_and_references():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 imported.add(node.name)
-    return defined, used, imported
+    return defined, methods, used, imported
 
 
 def test_every_public_name_has_a_src_caller_or_a_reason():
-    defined, used, imported = definitions_and_references()
+    defined, _, used, imported = definitions_and_references()
     public = {name: module for module, name in defined if not name.startswith("_")}
     uncalled = {f"{module}.{name}" for name, module in public.items() if name not in used | imported}
     # left only: call, delete or list it; right only: src calls or no longer defines it
     assert uncalled == {f"{public.get(name)}.{name}" for name in TEST_ONLY}
 
 
+def test_every_public_method_has_a_src_caller_or_a_reason():
+    _, methods, used, _ = definitions_and_references()
+    uncalled = {qualified for qualified in methods if qualified.split(".")[1] not in used}
+    assert uncalled == set(TEST_ONLY_METHODS)
+
+
 def test_every_private_name_has_a_src_caller():
     # an import is not a call: a private name that src only re-exports for the tests is dead
-    defined, used, _ = definitions_and_references()
+    defined, _, used, _ = definitions_and_references()
     assert {f"{module}.{name}" for module, name in defined if name.startswith("_") and name not in used} == set()

@@ -1,0 +1,52 @@
+"""The declared dependencies match what src imports: numpy at run time, scipy only for the Fock oracle."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import latticelight
+
+SRC = Path(latticelight.__file__).parent
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
+
+
+def requirement_names(requirements):
+    """Distribution names of PEP 508 requirement strings, without versions or extras."""
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+
+
+def third_party_imports():
+    """{module stem: top-level packages outside the standard library and latticelight that it imports}."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+        found[path.stem] = names - set(sys.stdlib_module_names) - {"latticelight"}
+    return found
+
+
+@pytest.fixture(scope="module")
+def project():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    return tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+
+
+def test_numpy_is_the_only_runtime_dependency(project):
+    assert requirement_names(project["dependencies"]) == {"numpy"}
+
+
+def test_scipy_is_a_test_extra(project):
+    assert "scipy" in requirement_names(project["optional-dependencies"]["test"])
+
+
+def test_src_imports_scipy_only_in_fock_and_nothing_else_outside_the_standard_library():
+    imports = third_party_imports()
+    assert {module for module, names in imports.items() if "scipy" in names} == {"fock"}
+    assert set().union(*imports.values()) == {"numpy", "scipy"}

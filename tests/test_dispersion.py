@@ -11,16 +11,15 @@ from latticelight.dispersion import (
     EnergyOutOfRangeError,
     UnitSystem,
     energy_to_wavevector,
-    group_velocity,
     group_velocity_analytic,
     omega,
     saturation_estimate,
     speed_deviation,
-    speed_of_light,
     tilt_angle_estimate,
     time_of_flight_delta,
 )
 from latticelight.walk import MINUS, PLUS, SQRT3, DegeneratePointError, bloch_data
+from walk_oracles import group_velocity
 
 
 def test_omega_trivial_and_hand_values():
@@ -72,14 +71,14 @@ def test_group_velocity_degenerate_point():
 
 
 def test_speed_of_light_relativistic_limit():
-    assert speed_of_light(1e-7, MINUS) == pytest.approx(1.0, abs=1e-6)
-    assert speed_of_light(1e-7, PLUS) == pytest.approx(1.0, abs=1e-6)
+    assert 1.0 + speed_deviation(1e-7 * DIAGONAL, MINUS) == pytest.approx(1.0, abs=1e-6)
+    assert 1.0 + speed_deviation(1e-7 * DIAGONAL, PLUS) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_speed_split_opposite_signs_and_equal_magnitude():
     k = 1e-2
-    dev_plus = speed_of_light(k, PLUS) - 1.0
-    dev_minus = speed_of_light(k, MINUS) - 1.0
+    dev_plus = speed_deviation(k * DIAGONAL, PLUS)
+    dev_minus = speed_deviation(k * DIAGONAL, MINUS)
     assert dev_plus < 0.0 < dev_minus
     assert abs(abs(dev_plus) - abs(dev_minus)) <= 0.1 * abs(dev_minus)
     # the closed forms give a diagonal split of magnitude k/9 at leading order
@@ -89,7 +88,7 @@ def test_speed_split_opposite_signs_and_equal_magnitude():
 def test_speed_matches_gradient_route():
     for kmag in (0.05, 0.5, 1.5):
         via_gradient = SQRT3 * np.linalg.norm(group_velocity(kmag * DIAGONAL, MINUS))
-        assert speed_of_light(kmag, MINUS) == pytest.approx(via_gradient, abs=1e-8)
+        assert 1.0 + speed_deviation(kmag * DIAGONAL, MINUS) == pytest.approx(via_gradient, abs=1e-8)
 
 
 def test_speed_deviation_stable_at_astrophysical_k():
@@ -207,7 +206,7 @@ def test_speed_deviation_degenerate_row_in_a_batch():
 
 def test_superluminal_branch_uniformly_bounded():
     mags = np.linspace(1e-3, math.pi * SQRT3, 400)
-    speeds = [speed_of_light(m, MINUS) for m in mags]
+    speeds = 1.0 + speed_deviation(mags[:, None] * DIAGONAL, MINUS)
     assert max(speeds) > 1.0  # superluminal branch exists
     assert max(speeds) < 2.0  # but uniformly bounded
 

@@ -21,10 +21,9 @@ from latticelight.fock import (
     FIELDS,
     SPINS,
     FockSizeError,
+    FockSpace,
     LatticeProfile,
     SaturationError,
-    build_fock,
-    commutator_report,
     composite_boson,
     composite_boson_suite,
     gamma_ab,
@@ -78,16 +77,16 @@ def pair_number_reference(space, pairs, weights):
 
 
 def test_single_momentum_space_size():
-    space = build_fock([0])
+    space = FockSpace([0])
     assert space.mode_count == 4
     assert space.dim == 16
 
 
 def test_size_cap():
     with pytest.raises(FockSizeError):
-        build_fock(range(6))
+        FockSpace(range(6))
     with pytest.raises(FockSizeError):
-        build_fock([])
+        FockSpace([])
 
 
 def test_anticommutator_spot_checks(two_momentum_space):
@@ -169,22 +168,23 @@ def test_gamma_gamma_commute_exactly(two_momentum_space, profiles):
 def test_commutator_assembly_all_labels(two_momentum_space, profiles):
     space = two_momentum_space
     specs = [(a, b, p) for a in ("R", "L") for b in ("R", "L") for p in profiles.values()]
-    for s1 in specs:
-        for s2 in specs:
-            report = commutator_report(space, s1, s2)
-            assert report.max_abs_difference <= 1e-12
+    sweep = pair_commutator_sweep(space, specs)
+    assert sweep.label_pairs == len(specs) ** 2
+    assert sweep.max_assembly_deviation <= 1e-12
 
 
 def test_same_label_commutator_vacuum_expectation(two_momentum_space, profiles):
     space = two_momentum_space
     spec = ("R", "L", profiles[0])
-    report = commutator_report(space, spec, spec)
+    g = gamma_for_profile(space, *spec)
+    gd = fock._dagger(g)
     vacuum = space.vacuum()
-    value = np.vdot(vacuum, report.direct @ vacuum)
+    value = np.vdot(vacuum, (g @ gd - gd @ g) @ vacuum)
     assert value == pytest.approx(1.0, abs=1e-13)
-    assert report.identity_coefficient == pytest.approx(1.0, abs=1e-13)
-    # the delta part is a pure occupancy operator: zero on the vacuum
-    assert np.linalg.norm(report.delta_part @ vacuum) <= 1e-14
+    coefficient, terms = onebody._assembly_terms(space, spec, spec)
+    assert coefficient == pytest.approx(1.0, abs=1e-13)
+    # the hopping part is a pure occupancy operator: zero on the vacuum
+    assert np.linalg.norm(fock._quadratic(space, terms) @ vacuum) <= 1e-14
 
 
 def test_profile_normalization_enforced():
@@ -596,9 +596,7 @@ def test_pair_sweep_matches_per_pair_reports(sized_space, labels):
     specs = label_specs(space)[:labels]
     batched = onebody.pair_commutators(space, specs)
     sweep = pair_commutator_sweep(space, specs)
-    reports = max(commutator_report(space, s1, s2).max_abs_difference for s1 in specs for s2 in specs)
     assert batched["label_pairs"] == sweep.label_pairs == len(specs) ** 2
-    assert sweep.max_assembly_deviation == pytest.approx(reports, abs=1e-15)
     assert batched["max_assembly_deviation"] == pytest.approx(sweep.max_assembly_deviation, abs=1e-15)
     assert sweep.max_assembly_deviation <= 1e-12
     assert batched["max_gamma_gamma"] == sweep.max_gamma_gamma == 0.0
@@ -630,7 +628,7 @@ def test_pair_sweep_catches_flipped_hopping_sign(fock_space, monkeypatch, labels
 @pytest.mark.parametrize("m", sorted(CLI_MOMENTA))
 def test_verification_catches_one_corrupted_table_entry(m, table):
     for pick in range(3):
-        space = build_fock(CLI_MOMENTA[m])  # verified intact
+        space = FockSpace(CLI_MOMENTA[m])  # verified intact
         position = (0, space.mode_count - 1, space.mode_count // 2)[pick]
         state = (0, space.dim - 1, space.dim // 3)[pick]
         getattr(space, table)[position, state] ^= True

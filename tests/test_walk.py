@@ -13,13 +13,11 @@ from latticelight.walk import (
     SQRT3,
     DegeneratePointError,
     PAULI,
-    approx_interp_unitary,
     bloch_data,
     canonical_wavevector,
-    interp_unitary,
     step_power,
-    weyl_step,
 )
+from walk_oracles import approx_interp_unitary, interp_unitary
 
 SIGMA_X, SIGMA_Y, SIGMA_Z = PAULI[1], PAULI[2], PAULI[3]
 HAND_K = np.array([math.pi * SQRT3 / 2.0, 0.0, 0.0])
@@ -27,6 +25,12 @@ HAND_K = np.array([math.pi * SQRT3 / 2.0, 0.0, 0.0])
 
 def pauli_dot(v):
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+
+
+def bloch_matrix(k, sign):
+    """The walk step A(k) = d I - i n_tilde.sigma at one wavevector, from its Bloch data."""
+    b = bloch_data(k, sign)
+    return b.d * np.eye(2) - 1j * pauli_dot(b.n_tilde)
 
 
 def random_wavevectors(n, seed=0, scale=None):
@@ -81,40 +85,38 @@ def test_bloch_degenerate_point_raises():
 
 
 def test_weyl_step_identity_and_hand_value():
-    assert np.allclose(weyl_step(np.zeros(3), PLUS).matrix, np.eye(2), atol=1e-15)
-    assert np.allclose(weyl_step(HAND_K, PLUS).matrix, -1j * SIGMA_X, atol=1e-14)
+    assert np.allclose(bloch_matrix(np.zeros(3), PLUS), np.eye(2), atol=1e-15)
+    assert np.allclose(bloch_matrix(HAND_K, PLUS), -1j * SIGMA_X, atol=1e-14)
 
 
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
 def test_weyl_step_unitary_and_both_constructions(sign):
     for k in random_wavevectors(200, seed=3):
-        step = weyl_step(k, sign)
-        a = step.matrix
+        a = bloch_matrix(k, sign)
         assert np.linalg.norm(a.conj().T @ a - np.eye(2), 2) <= 1e-12
-        b = step.bloch
+        b = bloch_data(k, sign)
         via_exp = expm(-1j * pauli_dot(b.n))
         assert np.linalg.norm(a - via_exp, 2) <= 1e-11
 
 
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
 def test_weyl_step_matches_exponential_form(sign):
-    # the Bloch form d I - i n_tilde.sigma against cos(lam) I - i sin(lam) (n/lam).sigma,
-    # which weyl_step used to rebuild on every call; below lam ~ 1e-14 the latter is I
+    # the Bloch form d I - i n_tilde.sigma against cos(lam) I - i sin(lam) (n/lam).sigma;
+    # below lam ~ 1e-14 the latter is I
     ks = np.vstack([random_wavevectors(200, seed=12), 1e-16 * random_wavevectors(4, seed=13), HAND_K])
     for k in ks:
-        step = weyl_step(k, sign)
-        b = step.bloch
+        b = bloch_data(k, sign)
         if b.lam >= 1e-14:
             via_exp = math.cos(b.lam) * np.eye(2) - 1j * math.sin(b.lam) * pauli_dot(b.n / b.lam)
         else:
             via_exp = np.eye(2)
-        assert np.max(np.abs(step.matrix - via_exp)) <= 1e-11
+        assert np.max(np.abs(bloch_matrix(k, sign) - via_exp)) <= 1e-11
 
 
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
 def test_conjugate_step_identity(sign):
     for k in random_wavevectors(200, seed=4):
-        a = weyl_step(k, sign).matrix
+        a = bloch_matrix(k, sign)
         assert np.linalg.norm(a.conj() - SIGMA_Y @ a @ SIGMA_Y, 2) <= 1e-12
 
 
@@ -130,7 +132,7 @@ def test_small_k_limit_minus_branch_quadratic():
         for u in dirs:
             k = mag * u
             target = expm(-1j * pauli_dot(k / SQRT3))
-            worst = max(worst, np.linalg.norm(weyl_step(k, MINUS).matrix - target, 2))
+            worst = max(worst, np.linalg.norm(bloch_matrix(k, MINUS) - target, 2))
         return worst
 
     c_fit = worst_dev(1e-2) / 1e-4
@@ -145,17 +147,15 @@ def test_small_k_limit_plus_branch_is_y_mirror():
         k = 1e-3 * u / np.linalg.norm(u)
         mirrored = k * np.array([1.0, -1.0, 1.0])
         target = expm(-1j * pauli_dot(mirrored / SQRT3))
-        assert np.linalg.norm(weyl_step(k, PLUS).matrix - target, 2) <= 1e-5
+        assert np.linalg.norm(bloch_matrix(k, PLUS) - target, 2) <= 1e-5
         # A+(k) = A-(k with k_y reflected), exactly
-        assert np.allclose(
-            weyl_step(k, PLUS).matrix, weyl_step(mirrored, MINUS).matrix, atol=1e-15
-        )
+        assert np.allclose(bloch_matrix(k, PLUS), bloch_matrix(mirrored, MINUS), atol=1e-15)
 
 
 def test_step_power_trivial_and_hand_values():
     k = random_wavevectors(1, seed=7)[0]
     assert np.allclose(step_power(k, PLUS, 0), np.eye(2), atol=1e-15)
-    assert np.allclose(step_power(k, PLUS, 1), weyl_step(k, PLUS).matrix, atol=1e-13)
+    assert np.allclose(step_power(k, PLUS, 1), bloch_matrix(k, PLUS), atol=1e-13)
     assert np.allclose(step_power(HAND_K, PLUS, 2), -np.eye(2), atol=1e-13)
 
 
@@ -168,7 +168,7 @@ def test_step_power_at_degenerate_point():
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
 def test_step_power_matches_repeated_multiplication(sign):
     for i, k in enumerate(random_wavevectors(5, seed=8)):
-        a = weyl_step(k, sign).matrix
+        a = bloch_matrix(k, sign)
         prod = np.eye(2, dtype=complex)
         t = [10, 100, 1000, 37, 250][i]
         for _ in range(t):
@@ -247,8 +247,8 @@ def test_interp_unitary_against_repeated_multiplication():
         q = rng.uniform(-2, 2, 3)
         u = interp_unitary(k, q, MINUS, 5)
         assert np.linalg.norm(u.conj().T @ u - np.eye(2), 2) <= 1e-12
-        a_half = weyl_step(k / 2.0, MINUS).matrix
-        a_q = weyl_step(q, MINUS).matrix
+        a_half = step_power(k / 2.0, MINUS, 1)
+        a_q = step_power(q, MINUS, 1)
         direct = np.linalg.matrix_power(np.linalg.inv(a_half), 5) @ np.linalg.matrix_power(a_q, 5)
         assert np.linalg.norm(u - direct, 2) <= 1e-10
 
