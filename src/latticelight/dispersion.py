@@ -13,11 +13,10 @@ superluminal (though uniformly bounded) and the plus branch subluminal.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .walk import SQRT3, DegeneratePointError, bloch_data, canonical_wavevector
+from . import _AXIS_TOL, SQRT3, DegeneratePointError, _check_sign, _step_products  # numpy and walk load in the array routes
 
 #: CODATA Planck length (m) and Planck time (s); their ratio is c
 PLANCK_LENGTH = 1.616255e-35
@@ -59,15 +58,19 @@ PLANCK_UNITS = UnitSystem()
 
 def omega(k, sign):
     """Angular frequency omega(k) = 2 |n(k/2)| = 2 lam(k/2), walk units, at ``k[..., 3]``."""
+    import numpy as np
+    from .walk import bloch_data
     return 2.0 * bloch_data(np.asarray(k, dtype=float) / 2.0, sign).lam
 
 
-def group_velocity_analytic(k, sign) -> np.ndarray:
+def group_velocity_analytic(k, sign):
     """Chain-rule gradient of omega at ``k[..., 3]``: -grad d(k/2) / sin lam(k/2).
 
     The gradient is undefined where sin lam(k/2) < 1e-12 (n(k/2) = 0 or
     lam = pi); those wavevectors get NaN components.
     """
+    import numpy as np
+    from .walk import bloch_data
     b = bloch_data(np.asarray(k, dtype=float) / 2.0, sign)
     sin_lam = np.sin(b.lam)
     undefined = sin_lam < _DEGENERATE_TOL
@@ -75,7 +78,7 @@ def group_velocity_analytic(k, sign) -> np.ndarray:
     return np.where(undefined[..., None], np.nan, vg)
 
 
-DIAGONAL = np.array([1.0, 1.0, 1.0]) / SQRT3
+DIAGONAL = (1.0 / SQRT3,) * 3
 
 
 def speed_deviation(k, sign):
@@ -91,9 +94,25 @@ def speed_deviation(k, sign):
     resolves the deviation at astrophysical wavevectors (|k| ~ 1e-19) where
     it falls far below float precision of speed itself.  The leading
     behavior is -sign * k_x k_y k_z / (sqrt3 |k|^2): -sign * |k| / 9 along
-    the positive diagonal, 0 along the axes.  A single k gives a float;
-    raises DegeneratePointError if n(k/2) = 0 at any wavevector.
+    the positive diagonal, 0 along the axes.  One k as a tuple or list of 3
+    numbers gives a float computed with ``math``, bit for bit the value of the
+    numpy route that a batch takes; both raise DegeneratePointError where
+    n(k/2) = 0 or lam(k/2) = pi, and give NaN where rounding puts 1 + g < 0.
     """
+    if isinstance(k, (tuple, list)):
+        s = _check_sign(sign)
+        if len(k) != 3:
+            raise ValueError(f"a wavevector must have 3 components, got {k!r}")
+        a = [float(x) / 2.0 / SQRT3 for x in k]
+        d, (nx, ny, nz), _ = _step_products([math.cos(x) for x in a], [math.sin(x) for x in a], s)
+        nt2 = nx * nx + ny * ny + nz * nz
+        if nt2 == 0.0 or (d < 0.0 and math.sqrt(nt2) < _AXIS_TOL):  # bloch_data's lam = pi test, as |d| ~ 1 there
+            raise DegeneratePointError(f"speed undefined at k={list(k)} (n_tilde(k/2) = 0)")
+        sx, sy, sz = (math.sin(float(x) / SQRT3) for x in k)
+        g = -s * 0.5 * sx * sy * sz / nt2
+        return g / (1.0 + math.sqrt(1.0 + g)) if g >= -1.0 else math.nan
+    import numpy as np
+    from .walk import bloch_data
     k = np.asarray(k, dtype=float)
     nt2 = np.sum(bloch_data(k / 2.0, sign).n_tilde ** 2, axis=-1)
     degenerate = nt2 == 0.0
@@ -136,11 +155,11 @@ def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL, 
     """Arrival-time differences Delta t = D (1/v_1 - 1/v_2) for each pair of ``(label, eV)`` photons.
 
     Energies are converted to adimensional wavevectors (see
-    energy_to_wavevector), the group speed of all of them is evaluated along
-    ``direction`` in one speed_deviation call, and the distance is treated
-    as flat and static (no redshift integration).  Raises
-    EnergyOutOfRangeError when an implied wavevector leaves the canonical
-    periodic cell.
+    energy_to_wavevector) along ``direction``, a finite nonzero 3-vector,
+    each photon's group speed is one speed_deviation call on a tuple, and
+    the distance is treated as flat and static (no redshift integration).
+    Raises EnergyOutOfRangeError when a component of an implied wavevector
+    leaves the canonical periodic cell (-pi sqrt3, pi sqrt3].
 
     Returns a list of rows (label_1, label_2, energy_1_ev, energy_2_ev, k_1,
     k_2, delta_seconds) over all unordered pairs in input order;
@@ -151,17 +170,18 @@ def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL, 
     labels = [label for label, _ in energies]
     if len(set(labels)) != len(labels):
         raise ValueError("energies must have distinct labels")
+    x, y, z = direction if len(direction) == 3 else (math.nan,) * 3
+    norm = math.sqrt(x * x + y * y + z * z)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"direction must be a finite nonzero 3-vector, got {direction!r}")
     ks = [energy_to_wavevector(ev, units) for _, ev in energies]
-    direction = np.asarray(direction, dtype=float)
-    kvecs = np.multiply.outer(ks, direction / np.linalg.norm(direction))
-    outside = np.max(np.abs(kvecs - canonical_wavevector(kvecs)), axis=-1) > 1e-9
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise EnergyOutOfRangeError(
-            f"photon {labels[i]!r} at {energies[i][1]} eV implies k={ks[i]:.3e} outside the canonical cell"
-        )
-    deviations = speed_deviation(kvecs, sign).tolist()
-    photons = [(label, ev, k, dev) for (label, ev), k, dev in zip(energies, ks, deviations)]
+    unit = (x / norm, y / norm, z / norm)
+    kvecs = [tuple(k * u for u in unit) for k in ks]
+    half = math.pi * SQRT3
+    for (label, ev), k, kvec in zip(energies, ks, kvecs):
+        if not all(-half < c <= half for c in kvec):
+            raise EnergyOutOfRangeError(f"photon {label!r} at {ev} eV implies k={k:.3e} outside the canonical cell")
+    photons = [(label, ev, k, speed_deviation(kvec, sign)) for (label, ev), k, kvec in zip(energies, ks, kvecs)]
     # D (1/v1 - 1/v2) with v = c (1 + dev), kept stable for tiny devs
     return [
         (l1, l2, e1, e2, k1, k2, distance_m / units.c * (d2 - d1) / ((1.0 + d1) * (1.0 + d2)))

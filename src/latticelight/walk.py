@@ -22,28 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import MAX_STEPS, MINUS, PLUS, DegeneratePointError
-
-SQRT3 = math.sqrt(3.0)
-
-#: per-axis periodicity of every closed form (the trig arguments are k/sqrt3)
-AXIS_PERIOD = 2.0 * math.pi * SQRT3
+from . import _AXIS_TOL, MAX_STEPS, MINUS, PLUS, SQRT3, DegeneratePointError, _check_sign, _step_products
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: sigma^mu for mu = 0..3 (identity first)
 PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
-
-# below this |n_tilde| the rotation axis is numerically undefined
-_AXIS_TOL = 1e-14
-
-
-def _check_sign(sign):
-    if sign not in (PLUS, MINUS):
-        raise ValueError(f"chirality sign must be +1 or -1, got {sign!r}")
-    return float(sign)
-
 
 @dataclass(frozen=True)
 class BlochData:
@@ -84,7 +69,7 @@ def _vectors(x, y, z) -> np.ndarray:
 def _closed_forms(k, sign):
     """(d, n_tilde, |n_tilde|, lam, grad d) at every wavevector of ``k[..., 3]``.
 
-    The only place the trigonometric closed forms are written out; lam is
+    The trigonometric products come from ``_step_products``; lam is
     atan2(|n_tilde|, d), which agrees with arccos(d) but stays fully
     accurate near d = +-1.
     """
@@ -92,23 +77,10 @@ def _closed_forms(k, sign):
     a = np.asarray(k, dtype=float) / SQRT3
     if a.ndim == 0 or a.shape[-1] != 3:
         raise ValueError(f"wavevectors must have shape (..., 3), got {a.shape}")
-    cx, cy, cz = _components(np.cos(a))
-    sx, sy, sz = _components(np.sin(a))
-    d = cx * cy * cz + s * sx * sy * sz
-    nx = sx * cy * cz - s * cx * sy * sz
-    ny = -s * cx * sy * cz - sx * cy * sz
-    nz = cx * cy * sz - s * sx * sy * cz
-    grad_d = (
-        _vectors(
-            -sx * cy * cz + s * cx * sy * sz,
-            -cx * sy * cz + s * sx * cy * sz,
-            -cx * cy * sz + s * sx * sy * cz,
-        )
-        / SQRT3
-    )
+    d, (nx, ny, nz), grad = _step_products(_components(np.cos(a)), _components(np.sin(a)), s)
     nt_norm = np.sqrt(nx * nx + ny * ny + nz * nz)
     lam = np.arctan2(nt_norm, d)  # in [0, pi]; |n_tilde| = sin(lam)
-    return d, _vectors(nx, ny, nz), nt_norm, lam, grad_d
+    return d, _vectors(nx, ny, nz), nt_norm, lam, _vectors(*grad) / SQRT3
 
 
 def bloch_data(k, sign) -> BlochData:
@@ -161,15 +133,3 @@ def step_power(k, sign, t: int) -> np.ndarray:
     # c I - i v.sigma
     coeffs = np.concatenate([np.asarray(c, dtype=complex)[..., None], -1j * v], axis=-1)
     return np.einsum("...m,mij->...ij", coeffs, PAULI)
-
-
-def canonical_wavevector(k) -> np.ndarray:
-    """Map each component of k into the canonical periodic cell (-pi*sqrt3, pi*sqrt3].
-
-    Every closed form in this module is invariant under this map.  The cell
-    is the axis-aligned box of full per-axis period; it is a valid
-    periodicity domain, not the geometric first Brillouin zone.
-    """
-    k = np.asarray(k, dtype=float)
-    half = AXIS_PERIOD / 2.0
-    return half - np.mod(half - k, AXIS_PERIOD)

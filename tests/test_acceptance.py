@@ -186,8 +186,8 @@ def test_criterion_5b_diagonal_speed_split_quoted_magnitude():
     # the closed forms give 1/9 (measured below), so the magnitude clause
     # fails while the opposite-sign clause holds.
     k = 1e-2
-    dev_plus = speed_deviation(k * DIAGONAL, PLUS)
-    dev_minus = speed_deviation(k * DIAGONAL, MINUS)
+    dev_plus = speed_deviation(k * np.array(DIAGONAL), PLUS)
+    dev_minus = speed_deviation(k * np.array(DIAGONAL), MINUS)
     target = k / SQRT3
     opposite = dev_plus < 0.0 < dev_minus
     within = (

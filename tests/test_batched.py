@@ -29,7 +29,6 @@ from latticelight.bilinear import (
 from latticelight.cli import EXIT_OK, main
 from latticelight.dispersion import group_velocity_analytic, omega
 from latticelight.walk import (
-    AXIS_PERIOD,
     MINUS,
     PAULI,
     PLUS,
@@ -38,7 +37,7 @@ from latticelight.walk import (
     bloch_data,
     step_power,
 )
-from walk_oracles import group_velocity
+from walk_oracles import AXIS_PERIOD, group_velocity
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 BLOCH_ATOL = 1e-13

@@ -473,6 +473,26 @@ def test_dispersion_and_flight_runs_leave_bilinear_unloaded(tmp_path, args):
     assert (tmp_path / "out.csv").exists()
 
 
+def test_dispersion_import_and_a_flight_run_leave_numpy_unloaded(tmp_path):
+    # numpy's import was most of a flight process; two wavevectors need only math
+    assert modules_loaded("import latticelight.dispersion", ("numpy",)) == []
+    run_it = cli_run(["flight", "--out", tmp_path / "flight.csv"])
+    loaded = modules_loaded(run_it, ("numpy", "latticelight"))
+    assert loaded == ["latticelight", "latticelight.cli", "latticelight.dispersion", "latticelight.output"]
+
+
+def test_default_flight_row_holds_its_floats(tmp_path):
+    out = tmp_path / "flight.csv"
+    assert run(["flight", "--seed", 0, "--out", out]) == EXIT_OK
+    _, columns, rows = read_table(out)
+    assert columns == ["label_1", "label_2", "energy_1_ev", "energy_2_ev", "k_1", "k_2", "delta_seconds"]
+    assert rows == [
+        ["GeV", "MeV", "1000000000", "1000000", "1.4186788354820607e-19", "1.4186788354820608e-22",
+         "-0.0016208398926445906"]
+    ]
+    assert float(rows[0][6]) == -0.0016208398926445906
+
+
 def test_maxwell_run_leaves_dispersion_unloaded(tmp_path):
     run_it = cli_run(["maxwell-convergence", "--levels", 2, "--out", tmp_path / "m.csv"])
     assert modules_loaded(run_it, ("latticelight.dispersion",)) == []

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from latticelight import dispersion
 from latticelight.dispersion import (
-    DIAGONAL,
     PLANCK_UNITS,
     EnergyOutOfRangeError,
     UnitSystem,
@@ -20,6 +20,9 @@ from latticelight.dispersion import (
 )
 from latticelight.walk import MINUS, PLUS, SQRT3, DegeneratePointError, bloch_data
 from walk_oracles import group_velocity
+
+# an array, so that ``float * DIAGONAL`` scales it; the library's tuple is the flight route's direction
+DIAGONAL = np.array(dispersion.DIAGONAL)
 
 
 def test_omega_trivial_and_hand_values():
@@ -204,6 +207,93 @@ def test_speed_deviation_degenerate_row_in_a_batch():
         speed_deviation(ks, MINUS)
 
 
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_speed_deviation_tuple_route_equals_the_array_route_bitwise(sign):
+    rng = np.random.default_rng(37)
+    ks = np.concatenate([rng.uniform(-2.0, 2.0, (10_000, 3)), np.geomspace(1e-28, 1.0, 281)[:, None] * DIAGONAL])
+    singles = [speed_deviation(tuple(k), sign) for k in ks.tolist()]
+    assert all(type(dev) is float for dev in singles)
+    # int64 views compare bit patterns, so -0.0 and 0.0 stay apart
+    assert np.array_equal(np.array(singles).view(np.int64), speed_deviation(ks, sign).view(np.int64))
+    assert speed_deviation(list(ks[0]), sign) == singles[0]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_speed_deviation_routes_agree_at_the_special_points(sign):
+    half = math.pi * SQRT3
+    # the cell's corner (lam(k/2) = pi on the minus branch), the zero-speed point (h/2)(1, 1, 1)
+    # of the plus branch, where rounding puts 1 + g below 0, and points on the faces and axes
+    for k in [(half,) * 3, (half / 2.0,) * 3, (half, 0.0, 0.0), (half, half, 0.0), (-half, 0.3, 1.0), (0.0, 1e-19, 0.0)]:
+        try:
+            want = speed_deviation(np.array(k), sign)
+        except DegeneratePointError:
+            with pytest.raises(DegeneratePointError):
+                speed_deviation(k, sign)
+            continue
+        got = speed_deviation(k, sign)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("k", [(0.0, 0.0, 0.0), (2.0 * math.pi * SQRT3, 0.0, 0.0), (1e-200, 0.0, 1e-200)])
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_speed_deviation_tuple_route_refuses_degenerate_points(k, sign):
+    with pytest.raises(DegeneratePointError):
+        speed_deviation(np.array(k), sign)
+    with pytest.raises(DegeneratePointError):
+        speed_deviation(k, sign)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5, "plus", None])
+def test_speed_deviation_tuple_route_refuses_a_bad_sign(sign):
+    with pytest.raises(ValueError, match="chirality sign must be"):
+        speed_deviation((0.1, 0.2, 0.3), sign)
+    with pytest.raises(ValueError, match="chirality sign must be"):
+        speed_deviation(np.array([0.1, 0.2, 0.3]), sign)
+
+
+def test_speed_deviation_tuple_route_needs_three_components():
+    with pytest.raises(ValueError, match="3 components"):
+        speed_deviation((0.1, 0.2), MINUS)
+
+
+def edge_energy(u):
+    """The largest photon energy whose wavevector component k u stays <= pi sqrt3, and the next float above it."""
+    half = math.pi * SQRT3
+    ev = half / (u * energy_to_wavevector(1.0))
+    while energy_to_wavevector(ev) * u > half:
+        ev = math.nextafter(ev, 0.0)
+    while energy_to_wavevector(math.nextafter(ev, math.inf)) * u <= half:
+        ev = math.nextafter(ev, math.inf)
+    return ev, math.nextafter(ev, math.inf)
+
+
+@pytest.mark.parametrize(
+    "direction, u, sign", [((1.0, 0.0, 0.0), 1.0, MINUS), ((0, 2, 0), 1.0, PLUS), (dispersion.DIAGONAL, 1.0 / SQRT3, PLUS)]
+)
+def test_flight_photon_at_the_cell_edge(direction, u, sign):
+    inside, outside = edge_energy(u)
+    rows = time_of_flight_delta(1e25, [["lo", 1e6], ["edge", inside]], sign, direction=direction)
+    assert math.isfinite(rows[0][6])
+    with pytest.raises(EnergyOutOfRangeError, match="'edge'"):
+        time_of_flight_delta(1e25, [["lo", 1e6], ["edge", outside]], sign, direction=direction)
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [[0, 0, 0], [0.0, -0.0, 0.0], [math.nan, 1.0, 1.0], [1.0, math.inf, 0.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0], []],
+)
+def test_flight_refuses_a_direction_without_a_length(direction):
+    # a zero direction used to give a NaN delay with only numpy's RuntimeWarning
+    with pytest.raises(ValueError, match="direction must be a finite nonzero 3-vector"):
+        time_of_flight_delta(1e25, [["a", 1e9], ["b", 1e6]], MINUS, direction=direction)
+
+
+def test_flight_along_an_axis_has_no_delay():
+    rows = time_of_flight_delta(1e25, [["a", 1e9], ["b", 1e6]], MINUS, direction=np.array([0.0, 3.0, 0.0]))
+    assert rows[0][6] == 0.0
+
+
 def test_superluminal_branch_uniformly_bounded():
     mags = np.linspace(1e-3, math.pi * SQRT3, 400)
     speeds = 1.0 + speed_deviation(mags[:, None] * DIAGONAL, MINUS)
@@ -268,6 +358,12 @@ def test_flight_first_order_agreement():
 def test_flight_out_of_range_energy():
     with pytest.raises(EnergyOutOfRangeError, match="'planck'"):
         time_of_flight_delta(1e25, [["lo", 1e6], ["planck", 1e29]], MINUS)
+
+
+def test_flight_refuses_an_infinite_wavevector():
+    # 1e308 eV overflows k to inf; the old cell test let it through as a NaN delay
+    with pytest.raises(EnergyOutOfRangeError, match="'huge'"):
+        time_of_flight_delta(1e25, [["lo", 1e6], ["huge", 1e308]], MINUS)
 
 
 def test_flight_validation():

@@ -7,17 +7,15 @@ import pytest
 from scipy.linalg import expm
 
 from latticelight.walk import (
-    AXIS_PERIOD,
     MINUS,
     PLUS,
     SQRT3,
     DegeneratePointError,
     PAULI,
     bloch_data,
-    canonical_wavevector,
     step_power,
 )
-from walk_oracles import approx_interp_unitary, interp_unitary
+from walk_oracles import AXIS_PERIOD, approx_interp_unitary, canonical_wavevector, interp_unitary
 
 SIGMA_X, SIGMA_Y, SIGMA_Z = PAULI[1], PAULI[2], PAULI[3]
 HAND_K = np.array([math.pi * SQRT3 / 2.0, 0.0, 0.0])

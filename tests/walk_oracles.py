@@ -1,5 +1,5 @@
-"""Test oracles of the walk: the interpolating unitary, its first-order surrogate, and the
-finite-difference group velocity.
+"""Test oracles of the walk: the interpolating unitary, its first-order surrogate, the
+finite-difference group velocity, and the map into the canonical periodic cell.
 
 The library evaluates the closed forms; these build the references that the
 walk error-law tests and the gradient-route checks compare against, from
@@ -11,10 +11,13 @@ import math
 import numpy as np
 
 from latticelight.dispersion import omega
-from latticelight.walk import PAULI, DegeneratePointError, bloch_data, step_power
+from latticelight.walk import PAULI, SQRT3, DegeneratePointError, bloch_data, step_power
 
 # below this lam(k/2) the group velocity is undefined (n(k/2) = 0)
 DEGENERATE_TOL = 1e-12
+
+#: per-axis periodicity of every closed form (the trig arguments are k/sqrt3)
+AXIS_PERIOD = 2.0 * math.pi * SQRT3
 
 
 def interp_unitary(k, q, sign, t: int) -> np.ndarray:
@@ -65,3 +68,15 @@ def group_velocity(k, sign) -> np.ndarray:
 
     step = 1e-5
     return (4.0 * central(step / 2.0) - central(step)) / 3.0
+
+
+def canonical_wavevector(k) -> np.ndarray:
+    """Map each component of k into the canonical periodic cell (-pi*sqrt3, pi*sqrt3].
+
+    Every closed form of the walk is invariant under this map.  The cell
+    is the axis-aligned box of full per-axis period; it is a valid
+    periodicity domain, not the geometric first Brillouin zone.
+    """
+    k = np.asarray(k, dtype=float)
+    half = AXIS_PERIOD / 2.0
+    return half - np.mod(half - k, AXIS_PERIOD)
