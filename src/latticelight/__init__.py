@@ -37,6 +37,11 @@ def _check_sign(sign):
     return float(sign)
 
 
+def _axis_undefined(nt_norm, d):
+    """Where the rotation axis is undefined: |n_tilde| < _AXIS_TOL at lam = pi (d near -1); floats or arrays."""
+    return (nt_norm < _AXIS_TOL) & (d < 0.0)
+
+
 def _step_products(cos, sin, s):
     """(d, n_tilde, sqrt3 grad d) of one step from the cosines and sines of a = k/sqrt3 and the float sign ``s``.
 

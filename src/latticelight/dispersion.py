@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import _AXIS_TOL, SQRT3, DegeneratePointError, _check_sign, _step_products  # numpy and walk load in the array routes
+from . import SQRT3, DegeneratePointError, _axis_undefined, _check_sign, _step_products  # numpy and walk load inside the functions that use them
 
 #: CODATA Planck length (m) and Planck time (s); their ratio is c
 PLANCK_LENGTH = 1.616255e-35
@@ -29,7 +29,7 @@ _DEGENERATE_TOL = 1e-12
 
 
 class EnergyOutOfRangeError(ValueError):
-    """Photon energy implies a wavevector outside the canonical cell."""
+    """Photon energy implies a wavevector outside the canonical cell, or no positive group speed."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ DIAGONAL = (1.0 / SQRT3,) * 3
 
 
 def speed_deviation(k, sign):
-    """Normalized group speed minus 1 at wavevectors ``k[..., 3]``, in a cancellation-free closed form.
+    """Normalized group speed minus 1 at one wavevector or at each of ``k[..., 3]``, in a cancellation-free closed form.
 
     With a = k/(2 sqrt3) the squared normalized speed is exactly
 
@@ -94,35 +94,30 @@ def speed_deviation(k, sign):
     resolves the deviation at astrophysical wavevectors (|k| ~ 1e-19) where
     it falls far below float precision of speed itself.  The leading
     behavior is -sign * k_x k_y k_z / (sqrt3 |k|^2): -sign * |k| / 9 along
-    the positive diagonal, 0 along the axes.  One k as a tuple or list of 3
-    numbers gives a float computed with ``math``, bit for bit the value of the
-    numpy route that a batch takes; both raise DegeneratePointError where
-    n(k/2) = 0 or lam(k/2) = pi, and give NaN where rounding puts 1 + g < 0.
+    the positive diagonal, 0 along the axes.  A list or tuple of 3 numbers
+    gives a float, with ``math`` alone; an array or nested sequence
+    ``k[..., 3]`` gives an array shaped like ``k[..., 0]``, row by row.
+    Raises ValueError for a component that is not finite and
+    DegeneratePointError where n(k/2) = 0 or lam(k/2) = pi; gives NaN where
+    rounding puts 1 + g < 0, next to the plus branch's zero speed.
     """
-    if isinstance(k, (tuple, list)):
-        s = _check_sign(sign)
-        if len(k) != 3:
-            raise ValueError(f"a wavevector must have 3 components, got {k!r}")
-        a = [float(x) / 2.0 / SQRT3 for x in k]
-        d, (nx, ny, nz), _ = _step_products([math.cos(x) for x in a], [math.sin(x) for x in a], s)
-        nt2 = nx * nx + ny * ny + nz * nz
-        if nt2 == 0.0 or (d < 0.0 and math.sqrt(nt2) < _AXIS_TOL):  # bloch_data's lam = pi test, as |d| ~ 1 there
-            raise DegeneratePointError(f"speed undefined at k={list(k)} (n_tilde(k/2) = 0)")
-        sx, sy, sz = (math.sin(float(x) / SQRT3) for x in k)
-        g = -s * 0.5 * sx * sy * sz / nt2
-        return g / (1.0 + math.sqrt(1.0 + g)) if g >= -1.0 else math.nan
-    import numpy as np
-    from .walk import bloch_data
-    k = np.asarray(k, dtype=float)
-    nt2 = np.sum(bloch_data(k / 2.0, sign).n_tilde ** 2, axis=-1)
-    degenerate = nt2 == 0.0
-    if degenerate.any():
-        where = k.reshape(-1, 3)[np.ravel(degenerate)][0]
-        raise DegeneratePointError(f"speed undefined at k={where} (n = 0)")
-    sin_2a = np.sin(k / SQRT3)
-    g = -float(sign) * 0.5 * sin_2a[..., 0] * sin_2a[..., 1] * sin_2a[..., 2] / nt2
-    # sqrt(1 + g) - 1 without cancellation
-    return (g / (1.0 + np.sqrt(1.0 + g)))[()]
+    s = _check_sign(sign)
+    if not (isinstance(k, (tuple, list)) and len(k) == 3 and all(isinstance(x, (int, float)) for x in k)):
+        import numpy as np
+        k = np.asarray(k, dtype=float)
+        if k.ndim == 0 or k.shape[-1] != 3:
+            raise ValueError(f"wavevectors must have 3 components, got shape {k.shape}")
+        return np.array([speed_deviation(row, sign) for row in k.reshape(-1, 3).tolist()]).reshape(k.shape[:-1])[()]
+    if not all(map(math.isfinite, k)):
+        raise ValueError(f"a wavevector must be finite, got k={list(k)}")
+    a = [x / 2.0 / SQRT3 for x in k]
+    d, (nx, ny, nz), _ = _step_products([math.cos(x) for x in a], [math.sin(x) for x in a], s)
+    nt2 = nx * nx + ny * ny + nz * nz
+    if nt2 == 0.0 or _axis_undefined(math.sqrt(nt2), d):
+        raise DegeneratePointError(f"speed undefined at k={list(k)} (n(k/2) = 0)")
+    sx, sy, sz = (math.sin(x / SQRT3) for x in k)
+    g = -s * 0.5 * sx * sy * sz / nt2
+    return g / (1.0 + math.sqrt(1.0 + g)) if g >= -1.0 else math.nan  # sqrt(1 + g) - 1 without cancellation
 
 
 def tilt_angle_estimate(k_magnitude: float) -> float:
@@ -158,8 +153,8 @@ def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL, 
     energy_to_wavevector) along ``direction``, a finite nonzero 3-vector,
     each photon's group speed is one speed_deviation call on a tuple, and
     the distance is treated as flat and static (no redshift integration).
-    Raises EnergyOutOfRangeError when a component of an implied wavevector
-    leaves the canonical periodic cell (-pi sqrt3, pi sqrt3].
+    Raises EnergyOutOfRangeError for a photon whose wavevector leaves the
+    canonical cell (-pi sqrt3, pi sqrt3]^3 or whose group speed is not positive.
 
     Returns a list of rows (label_1, label_2, energy_1_ev, energy_2_ev, k_1,
     k_2, delta_seconds) over all unordered pairs in input order;
@@ -182,6 +177,9 @@ def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL, 
         if not all(-half < c <= half for c in kvec):
             raise EnergyOutOfRangeError(f"photon {label!r} at {ev} eV implies k={k:.3e} outside the canonical cell")
     photons = [(label, ev, k, speed_deviation(kvec, sign)) for (label, ev), k, kvec in zip(energies, ks, kvecs)]
+    for label, ev, _, dev in photons:
+        if not dev > -1.0:
+            raise EnergyOutOfRangeError(f"photon {label!r} at {ev} eV has no positive group speed (deviation {dev})")
     # D (1/v1 - 1/v2) with v = c (1 + dev), kept stable for tiny devs
     return [
         (l1, l2, e1, e2, k1, k2, distance_m / units.c * (d2 - d1) / ((1.0 + d1) * (1.0 + d2)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _AXIS_TOL, MAX_STEPS, MINUS, PLUS, SQRT3, DegeneratePointError, _check_sign, _step_products
+from . import _AXIS_TOL, MAX_STEPS, MINUS, PLUS, SQRT3, DegeneratePointError, _axis_undefined, _check_sign, _step_products
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -95,7 +95,7 @@ def bloch_data(k, sign) -> BlochData:
     """
     d, n_tilde, nt_norm, lam, grad_d = _closed_forms(k, sign)
     tiny = nt_norm < _AXIS_TOL
-    undefined = tiny & (lam >= math.pi / 2.0)
+    undefined = _axis_undefined(nt_norm, d)
     if undefined.any():
         where = np.asarray(k, dtype=float).reshape(-1, 3)[np.ravel(undefined)][0]
         raise DegeneratePointError(f"rotation axis undefined at k={where} (lam=pi, n_tilde=0)")

@@ -208,7 +208,7 @@ def test_speed_deviation_degenerate_row_in_a_batch():
 
 
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
-def test_speed_deviation_tuple_route_equals_the_array_route_bitwise(sign):
+def test_speed_deviation_on_tuples_and_nested_lists_equals_the_array_bitwise(sign):
     rng = np.random.default_rng(37)
     ks = np.concatenate([rng.uniform(-2.0, 2.0, (10_000, 3)), np.geomspace(1e-28, 1.0, 281)[:, None] * DIAGONAL])
     singles = [speed_deviation(tuple(k), sign) for k in ks.tolist()]
@@ -216,11 +216,12 @@ def test_speed_deviation_tuple_route_equals_the_array_route_bitwise(sign):
     # int64 views compare bit patterns, so -0.0 and 0.0 stay apart
     assert np.array_equal(np.array(singles).view(np.int64), speed_deviation(ks, sign).view(np.int64))
     assert speed_deviation(list(ks[0]), sign) == singles[0]
+    nested = ks[:12].reshape(2, 2, 3, 3).tolist()
+    assert speed_deviation(nested, sign).tolist() == np.reshape(singles[:12], (2, 2, 3)).tolist()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
-def test_speed_deviation_routes_agree_at_the_special_points(sign):
+def test_speed_deviation_tuple_and_array_agree_at_the_special_points(sign):
     half = math.pi * SQRT3
     # the cell's corner (lam(k/2) = pi on the minus branch), the zero-speed point (h/2)(1, 1, 1)
     # of the plus branch, where rounding puts 1 + g below 0, and points on the faces and axes
@@ -235,9 +236,17 @@ def test_speed_deviation_routes_agree_at_the_special_points(sign):
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+@pytest.mark.parametrize("k", [(math.inf, 0.1, 0.2), [0.1, -math.inf, 0.2], (0.1, 0.2, math.nan)])
+def test_speed_deviation_refuses_a_component_that_is_not_finite(k):
+    with pytest.raises(ValueError, match="must be finite"):
+        speed_deviation(k, PLUS)
+    with pytest.raises(ValueError, match="must be finite"):
+        speed_deviation(np.array([[0.1, 0.2, 0.3], k]), MINUS)
+
+
 @pytest.mark.parametrize("k", [(0.0, 0.0, 0.0), (2.0 * math.pi * SQRT3, 0.0, 0.0), (1e-200, 0.0, 1e-200)])
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
-def test_speed_deviation_tuple_route_refuses_degenerate_points(k, sign):
+def test_speed_deviation_refuses_degenerate_points(k, sign):
     with pytest.raises(DegeneratePointError):
         speed_deviation(np.array(k), sign)
     with pytest.raises(DegeneratePointError):
@@ -245,16 +254,17 @@ def test_speed_deviation_tuple_route_refuses_degenerate_points(k, sign):
 
 
 @pytest.mark.parametrize("sign", [0, 2, -2, 0.5, "plus", None])
-def test_speed_deviation_tuple_route_refuses_a_bad_sign(sign):
+def test_speed_deviation_refuses_a_bad_sign(sign):
     with pytest.raises(ValueError, match="chirality sign must be"):
         speed_deviation((0.1, 0.2, 0.3), sign)
     with pytest.raises(ValueError, match="chirality sign must be"):
         speed_deviation(np.array([0.1, 0.2, 0.3]), sign)
 
 
-def test_speed_deviation_tuple_route_needs_three_components():
+@pytest.mark.parametrize("k", [(0.1, 0.2), [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2]] * 3, 0.5])
+def test_speed_deviation_needs_three_components(k):
     with pytest.raises(ValueError, match="3 components"):
-        speed_deviation((0.1, 0.2), MINUS)
+        speed_deviation(k, MINUS)
 
 
 def edge_energy(u):
@@ -287,6 +297,13 @@ def test_flight_refuses_a_direction_without_a_length(direction):
     # a zero direction used to give a NaN delay with only numpy's RuntimeWarning
     with pytest.raises(ValueError, match="direction must be a finite nonzero 3-vector"):
         time_of_flight_delta(1e25, [["a", 1e9], ["b", 1e6]], MINUS, direction=direction)
+
+
+def test_flight_refuses_a_photon_at_the_zero_speed_point():
+    # |k| = 3 pi/2 along the diagonal: the plus branch's group speed vanishes and rounding makes its deviation NaN
+    assert math.isnan(speed_deviation(energy_to_wavevector(3.3216742665956816e28) * DIAGONAL, PLUS))
+    with pytest.raises(EnergyOutOfRangeError, match="'b' .* no positive group speed"):
+        time_of_flight_delta(1e25, [["a", 1e9], ["b", 3.3216742665956816e28]], PLUS)
 
 
 def test_flight_along_an_axis_has_no_delay():
