@@ -18,13 +18,15 @@ __version__ = "0.1.0"
 PLUS = +1
 MINUS = -1
 
-#: largest |t| walk.step_power accepts; beyond it t*lam mod 2*pi loses the documented accuracy
+#: largest |t| the step-power rule (bilinear._power) accepts; beyond it t*lam mod 2*pi loses the documented accuracy
 MAX_STEPS = 10**6
 
 SQRT3 = math.sqrt(3.0)
 
 # below this |n_tilde| the rotation axis is numerically undefined
 _AXIS_TOL = 1e-14
+# below this |n(k/2)| there is no polarization frame and no tilt
+_FRAME_TOL = 1e-12
 
 
 class DegeneratePointError(ValueError):
@@ -43,14 +45,40 @@ def _axis_undefined(nt_norm, d):
 
 
 def _step_products(cos, sin, s):
-    """(d, n_tilde, sqrt3 grad d) of one step from the cosines and sines of a = k/sqrt3 and the float sign ``s``.
+    """(d, n_tilde) of one step from the cosines and sines of a = k/sqrt3 and the float sign ``s``.
 
-    The only place the trigonometric products are written out.  Each of the
-    three components of ``cos`` and ``sin`` is a float or a numpy array alike.
+    With _step_gradient, the only place the trigonometric products are
+    written out.  Each of the three components of ``cos`` and ``sin`` is a
+    float or a numpy array alike.
     """
     cx, cy, cz = cos
     sx, sy, sz = sin
     d = cx * cy * cz + s * sx * sy * sz
-    n_tilde = (sx * cy * cz - s * cx * sy * sz, -s * cx * sy * cz - sx * cy * sz, cx * cy * sz - s * sx * sy * cz)
-    grad = (-sx * cy * cz + s * cx * sy * sz, -cx * sy * cz + s * sx * cy * sz, -cx * cy * sz + s * sx * sy * cz)
-    return d, n_tilde, grad
+    return d, (sx * cy * cz - s * cx * sy * sz, -s * cx * sy * cz - sx * cy * sz, cx * cy * sz - s * sx * sy * cz)
+
+
+def _step_gradient(cos, sin, s):
+    """sqrt3 grad d of one step, from the same cosines, sines and sign as _step_products."""
+    cx, cy, cz = cos
+    sx, sy, sz = sin
+    return (-sx * cy * cz + s * cx * sy * sz, -cx * sy * cz + s * sx * cy * sz, -cx * cy * sz + s * sx * sy * cz)
+
+
+def _cross(u, v):
+    """u x v of 3-vectors given by their three components, floats or numpy arrays alike."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _angle_parts(n, a):
+    """(|n x a|^2, n . a) of 3-vectors given by their components, floats or numpy arrays alike.
+
+    The angle between n and a is atan2(|n x a|, n . a), which keeps its
+    relative precision at small angles, where arccos of the cosine has an
+    absolute error of about sqrt(eps) = 1e-8.
+    """
+    c = _cross(n, a)
+    return _dot(c, c), _dot(n, a)

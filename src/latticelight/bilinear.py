@@ -12,56 +12,77 @@ profile, about the axis n(k/2); the transverse part of that rotation is the
 emergent Maxwell dynamics, and the residual after undoing the predicted
 rotation quantifies the internal-dynamics correction.
 
-All functions are pure; per-grid-point work is independent and reductions
-use a fixed summation order, so results are deterministic.
+Every per-grid-point quantity comes from one kernel, ``_kernel``, written
+with ``math`` on the closed forms of ``latticelight._step_products``; the
+residuals stream through it one grid point at a time.  The module runs on
+the standard library and never imports numpy; the batched tilt of many
+wavevectors is ``walk.tilt_angle``.  All functions are pure and every
+reduction runs in a fixed order, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-import numpy as np
-
-from .walk import DegeneratePointError, _power_coefficients, bloch_data
-
-_FRAME_TOL = 1e-12
+from . import (
+    _AXIS_TOL,
+    _FRAME_TOL,
+    MAX_STEPS,
+    SQRT3,
+    DegeneratePointError,
+    _angle_parts,
+    _axis_undefined,
+    _check_sign,
+    _cross,
+    _dot,
+    _step_products,
+)
 
 # largest enclosing cube (2m+1)^3, m = floor(radius / grid_spacing), that
-# make_uniform_profile will allocate: about 25 MB of float64 offsets
+# make_uniform_profile will enumerate: at m = 50 (spacing_factor 0.02) the ball
+# holds 523,305 points, about 42 MB as offset tuples, and a maxwell-convergence
+# run at that size, one level's profile at a time, peaks at 96 MB, while
+# SmearingProfile converts the offsets to floats and both copies are held
 MAX_PROFILE_CUBE = 2**20
 
 
-@dataclass(frozen=True)
-class SmearingProfile:
+class SmearingProfile(namedtuple("SmearingProfile", "offsets weights")):
     """Normalized weight function f(q) on a finite grid of momentum offsets.
 
-    ``offsets`` has shape (N, 3), ``weights`` shape (N,);  sum |f(q)|^2 = 1.
+    ``offsets`` is a tuple of N (q_x, q_y, q_z) triples and ``weights`` a
+    tuple of N complex numbers (any sequences of these are converted);
+    sum |f(q)|^2 = 1.  Immutable.
     """
 
-    offsets: np.ndarray
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        offsets = np.asarray(self.offsets, dtype=float)
-        weights = np.asarray(self.weights, dtype=complex)
-        if offsets.ndim != 2 or offsets.shape[1] != 3 or len(offsets) != len(weights):
+    def __new__(cls, offsets, weights):
+        try:
+            offsets = tuple([(float(x), float(y), float(z)) for x, y, z in offsets])
+            weights = tuple(map(complex, weights))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"profile needs numeric offsets (N,3) and weights (N,): {exc}") from None
+        if len(offsets) != len(weights):
             raise ValueError("profile needs offsets (N,3) and weights (N,)")
-        total = float(np.sum(np.abs(weights) ** 2))
+        total = math.fsum(abs(w) ** 2 for w in weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"profile not normalized: sum|f|^2 = {total!r}")
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, offsets, weights)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def support_radius(self) -> float:
         """Largest |q| carrying weight (the qbar of the profile)."""
-        return float(np.max(np.linalg.norm(self.offsets, axis=1)))
+        return math.sqrt(max(x * x + y * y + z * z for x, y, z in self.offsets))
 
 
 def single_point_profile() -> SmearingProfile:
     """The q = 0 delta profile (one grid point, unit weight)."""
-    return SmearingProfile(np.zeros((1, 3)), np.ones(1))
+    return SmearingProfile([(0.0, 0.0, 0.0)], [1.0])
 
 
 def make_uniform_profile(radius: float, grid_spacing: float) -> SmearingProfile:
@@ -80,48 +101,109 @@ def make_uniform_profile(radius: float, grid_spacing: float) -> SmearingProfile:
             f"radius / grid_spacing = {radius / grid_spacing:.6g} needs more than"
             f" MAX_PROFILE_CUBE = {MAX_PROFILE_CUBE} grid points"
         )
-    axis = np.arange(-m, m + 1, dtype=float)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    grid *= grid_spacing
-    offsets = grid[np.linalg.norm(grid, axis=1) <= radius * (1.0 + 1e-12)]
-    weights = np.full(len(offsets), 1.0 / math.sqrt(len(offsets)), dtype=complex)
-    return SmearingProfile(offsets, weights)
+    axis = [i * grid_spacing for i in range(-m, m + 1)]
+    squares = [x * x for x in axis]
+    bound = radius * (1.0 + 1e-12)
+
+    offsets = []
+    for x, xx in zip(axis, squares):
+        for y, yy in zip(axis, squares):
+            # the ball test sqrt((x^2 + y^2) + z^2) <= bound holds for the z indices m-l..m+l, since it
+            # only fails more as |z| grows: bisect for the largest l, -1 when no z passes
+            xy = xx + yy
+            l, high = -1, m
+            while l < high:
+                mid = (l + high + 1) // 2
+                if math.sqrt(xy + squares[m + mid]) <= bound:
+                    l = mid
+                else:
+                    high = mid - 1
+            offsets += [(x, y, z) for z in axis[m - l : m + l + 1]]
+    weight = complex(1.0 / math.sqrt(len(offsets)))
+    return SmearingProfile(offsets, (weight,) * len(offsets))
 
 
-def vector_tables(profile: SmearingProfile, k, sign, t: int) -> np.ndarray:
-    """Evolved tables of all three vector channels, shape (N, 3, 4).
+# ---------------------------------------------------------------------------
+# the per-grid-point kernel
 
-    Entry [q, a, nu] is the sigma-basis coefficient c_nu = tr(sigma_nu M) / 2
-    of M = (A(k/2-q)^t)^dag sigma^a (A(k/2+q)^t) f(q), with a = x, y, z the
-    inserted channel.  From the real step-power coefficients over the whole
-    grid, A(k/2-q)^t = a0 - i a.sigma and A(k/2+q)^t = b0 - i b.sigma, the
-    quaternion product (a0 + i a.sigma) sigma^a (b0 - i b.sigma) gives
-    c_0 = i (b0 a - a0 b + b x a)_a and c_nu = (a0 b0 - a.b) delta_{a,nu}
-    + a_a b_nu + b_a a_nu - eps_{a,nu,m} (b0 a + a0 b)_m for nu = 1..3.
+
+def _bloch(x, y, z, s):
+    """(d, n_tilde, |n_tilde|, lam) of one step at the wavevector (x, y, z), with math; s the float sign."""
+    a, b, c = x / SQRT3, y / SQRT3, z / SQRT3
+    d, n_tilde = _step_products((math.cos(a), math.cos(b), math.cos(c)), (math.sin(a), math.sin(b), math.sin(c)), s)
+    nx, ny, nz = n_tilde
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    return d, n_tilde, norm, math.atan2(norm, d)  # lam in [0, pi]; |n_tilde| = sin(lam)
+
+
+def _power(x, y, z, s, t: int):
+    """(c, v_x, v_y, v_z) with A(k)^t = c I - i v.sigma at the wavevector k = (x, y, z): the step-power rule.
+
+    A power is a rotation by t*lam about the fixed axis n_tilde/|n_tilde|, with
+    t*lam reduced mod 2*pi before the trig evaluation.  Every entry of the
+    power is within 1e-15 (1 + |t|) of the exact one (50-digit mpmath, in the
+    tests) for |t| up to MAX_STEPS = 10**6; a larger |t| raises ValueError.
+    Negative t gives inverse steps.  Where |n_tilde| < _AXIS_TOL, A = d I with
+    d = +-1 and the power is d^t I.
     """
-    k_half = np.asarray(k, dtype=float) / 2.0
-    a0, a = _power_coefficients(k_half - profile.offsets, sign, t)
-    b0, b = _power_coefficients(k_half + profile.offsets, sign, t)
-    out = np.empty((len(a0), 3, 4), dtype=complex)
-    out[:, :, 0] = 1j * (b0[:, None] * a - a0[:, None] * b + np.cross(b, a))
-    vec = a[:, :, None] * b[:, None, :]
-    vec += vec.swapaxes(1, 2)
-    vec[:, (0, 1, 2), (0, 1, 2)] += (a0 * b0 - np.sum(a * b, axis=1))[:, None]
-    w = b0[:, None] * a + a0[:, None] * b
-    vec[:, (1, 2, 0), (2, 0, 1)] -= w
-    vec[:, (2, 0, 1), (1, 2, 0)] += w
-    out[:, :, 1:] = vec
-    return out * profile.weights[:, None, None]
+    if abs(t) > MAX_STEPS:
+        raise ValueError(f"t must satisfy |t| <= {MAX_STEPS}, got {t}")
+    d, (nx, ny, nz), norm, lam = _bloch(x, y, z, s)
+    if norm < _AXIS_TOL:
+        return (1.0 if d > 0.0 else (-1.0) ** (t % 2)), 0.0, 0.0, 0.0
+    angle = math.fmod(t * lam, 2.0 * math.pi)
+    f = math.sin(angle) / norm
+    return math.cos(angle), f * nx, f * ny, f * nz
 
 
-def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
+def _kernel(profile: SmearingProfile, k, sign, t: int):
+    """Yield the evolved kernel of each grid point of the profile, in order, without f(q): a tuple of 12 reals.
+
+    Entry T[4a + nu], for channel a = x, y, z and nu = 0..3, is the
+    sigma-basis coefficient c_nu = tr(sigma_nu M) / 2 of
+    M = (A(k/2-q)^t)^dag sigma^a A(k/2+q)^t, with c_0 (which is imaginary)
+    given as c_0 / i.  With A(k/2-q)^t = a0 - i a.sigma and A(k/2+q)^t =
+    b0 - i b.sigma from _power, the quaternion product (a0 + i a.sigma)
+    sigma^a (b0 - i b.sigma) gives c_0 = i (b0 a - a0 b + b x a)_a and
+    c_nu = (a0 b0 - a.b) delta_{a,nu} + a_a b_nu + b_a a_nu
+    - eps_{a,nu,m} (b0 a + a0 b)_m for nu = 1..3.
+    """
+    s = _check_sign(sign)
+    hx, hy, hz = (float(c) / 2.0 for c in k)
+    for qx, qy, qz in profile.offsets:
+        yield _table(_power(hx - qx, hy - qy, hz - qz, s, t), _power(hx + qx, hy + qy, hz + qz, s, t))
+
+
+def _table(minus, plus):
+    """The 12 kernel coefficients of _kernel from the SU(2) coefficients of A(k/2-q)^t and A(k/2+q)^t."""
+    a0, ax, ay, az = minus
+    b0, bx, by, bz = plus
+    g = a0 * b0 - (ax * bx + ay * by + az * bz)
+    wx, wy, wz = b0 * ax + a0 * bx, b0 * ay + a0 * by, b0 * az + a0 * bz
+    sxy, sxz, syz = ax * by + bx * ay, ax * bz + bx * az, ay * bz + by * az
+    return (
+        b0 * ax - a0 * bx + (by * az - bz * ay), g + 2.0 * ax * bx, sxy - wz, sxz + wy,
+        b0 * ay - a0 * by + (bz * ax - bx * az), sxy + wz, g + 2.0 * ay * by, syz - wx,
+        b0 * az - a0 * bz + (bx * ay - by * ax), sxz - wy, syz + wx, g + 2.0 * az * bz,
     )
 
 
-def rotation_generator(v) -> np.ndarray:
-    """Real orthogonal rotation reassembling a conjugated Pauli vector.
+def _project(rows, table):
+    """The 4 coefficients of sum_a r_a T[a] for each 3-vector r of ``rows``, concatenated."""
+    x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3 = table
+    out = ()
+    for r0, r1, r2 in rows:
+        out += (r0 * x0 + r1 * y0 + r2 * z0, r0 * x1 + r1 * y1 + r2 * z1,
+                r0 * x2 + r1 * y2 + r2 * z2, r0 * x3 + r1 * y3 + r2 * z3)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# rotations, frames and angles
+
+
+def rotation_generator(v):
+    """Real orthogonal rotation reassembling a conjugated Pauli vector, as a tuple of 3 rows.
 
     Returns the 3x3 matrix R(v) with
 
@@ -130,16 +212,22 @@ def rotation_generator(v) -> np.ndarray:
     i.e. the Rodrigues rotation by angle |v| about v/|v| in the orientation
     fixed by that identity (R(v) = expm(-[v]_x)).  Identity at v = 0.
     """
-    v = np.asarray(v, dtype=float)
-    theta = float(np.linalg.norm(v))
+    x, y, z = map(float, v)
+    theta = math.sqrt(x * x + y * y + z * z)
     if theta < 1e-300:
-        return np.eye(3)
-    kmat = _cross_matrix(v / theta)
-    return np.eye(3) - math.sin(theta) * kmat + (1.0 - math.cos(theta)) * (kmat @ kmat)
+        return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    x, y, z = x / theta, y / theta, z / theta
+    s, c = math.sin(theta), 1.0 - math.cos(theta)
+    # I - sin(theta) [e]_x + (1 - cos(theta)) [e]_x^2, with [e]_x^2 = e e^T - I
+    return (
+        (1.0 + c * (x * x - 1.0), s * z + c * x * y, -s * y + c * x * z),
+        (-s * z + c * x * y, 1.0 + c * (y * y - 1.0), s * x + c * y * z),
+        (s * y + c * x * z, -s * x + c * y * z, 1.0 + c * (z * z - 1.0)),
+    )
 
 
-def predicted_rotation(n, t) -> np.ndarray:
-    """Rotation advancing the vector of sigma-channel kernels by t steps.
+def predicted_rotation(n, t):
+    """Rotation advancing the vector of sigma-channel kernels by t steps, as a tuple of 3 rows.
 
     The (F_x, F_y, F_z) channel vector evolves, exactly at q = 0, as
     F(t) = predicted_rotation(n, t) @ F(0) with n = n(k/2).  Equivalently a
@@ -147,16 +235,11 @@ def predicted_rotation(n, t) -> np.ndarray:
     circular mode (u1 + i u2)/sqrt(2) of a right-handed frame about n picks
     up the positive-frequency phase exp(-2i|n|t) under this matrix.
     """
-    return rotation_generator(-2.0 * float(t) * np.asarray(n, dtype=float))
+    return rotation_generator([-2.0 * float(t) * float(c) for c in n])
 
 
-@dataclass(frozen=True)
-class PolarizationFrame:
-    """Right-handed orthonormal triple (u1, u2, e) with e along the rotation axis."""
-
-    e: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
+PolarizationFrame = namedtuple("PolarizationFrame", "e u1 u2")
+PolarizationFrame.__doc__ = "Right-handed orthonormal triple (u1, u2, e) of 3-tuples with e along the rotation axis."
 
 
 def polarization_frame(n) -> PolarizationFrame:
@@ -166,58 +249,43 @@ def polarization_frame(n) -> PolarizationFrame:
     axis index), making the frame reproducible across runs.  Raises
     DegeneratePointError for |n| below tolerance.
     """
-    n = np.asarray(n, dtype=float)
-    norm = float(np.linalg.norm(n))
+    n = tuple(map(float, n))
+    norm = math.sqrt(_dot(n, n))
     if norm < _FRAME_TOL:
         raise DegeneratePointError(f"no transverse frame: |n| = {norm:.3e}")
-    e = n / norm
-    axis = np.argmin(np.abs(e))
-    u1 = np.cross(e, np.eye(3)[axis])
-    u1 /= np.linalg.norm(u1)
-    u2 = np.cross(e, u1)
-    return PolarizationFrame(e=e, u1=u1, u2=u2)
+    e = tuple(c / norm for c in n)
+    axis = min(range(3), key=lambda i: abs(e[i]))
+    u1 = _cross(e, [1.0 if i == axis else 0.0 for i in range(3)])
+    norm = math.sqrt(_dot(u1, u1))
+    u1 = tuple(c / norm for c in u1)
+    return PolarizationFrame(e=e, u1=u1, u2=_cross(e, u1))
 
 
-@dataclass(frozen=True)
-class MaxwellReport:
-    """Result of undoing the predicted rotation on an evolved kernel."""
+def _half_axis(k, sign):
+    """(lam, n) of n(k/2) at one wavevector, with math: walk.bloch_data(k / 2).lam and .n.
 
-    qbar: float
-    residual_transverse: float
-    tilt_angle: float
-    axis_angle_to_k: float
-
-
-def _weighted_rms(dev: np.ndarray) -> float:
-    # fixed reduction order: flatten C-order, accumulate with np.sum
-    return float(math.sqrt(np.sum(np.abs(dev) ** 2)))
-
-
-def _axis_angle(n, k):
-    """Angle in [0, pi] between the rotation axes ``n[..., 3]`` and wavevectors ``k[..., 3]``.
-
-    atan2(|n x k|, n . k) keeps its relative precision at small angles, where
-    arccos of the cosine has an absolute error of about sqrt(eps) = 1e-8.
+    Raises DegeneratePointError at lam = pi, where the axis is undefined.
     """
-    return np.arctan2(np.linalg.norm(np.cross(n, k), axis=-1), np.sum(n * k, axis=-1))
+    d, n_tilde, norm, lam = _bloch(*(float(c) / 2.0 for c in k), _check_sign(sign))
+    if _axis_undefined(norm, d):
+        raise DegeneratePointError(f"rotation axis undefined at k={list(k)} / 2 (lam=pi, n_tilde=0)")
+    # lam/sin(lam) = 1 + lam^2/6 + ...; below _AXIS_TOL the series collapses to n = n_tilde
+    scale = 1.0 + lam * lam / 6.0 if norm < _AXIS_TOL else lam / norm
+    return lam, tuple(scale * c for c in n_tilde)
 
 
-def tilt_angle(k, sign):
-    """Exact polarization tilt at wavevectors ``k[..., 3]``, in [0, pi/2].
+def _angle(n, a):
+    """Angle in [0, pi] between the 3-vectors n and a."""
+    across, along = _angle_parts(n, a)
+    return math.atan2(math.sqrt(across), along)
 
-    The angle between the rotation axis n(k/2) and the branch's small-k axis,
-    folded into [0, pi/2]: k on the minus branch, and (k_x, -k_y, k_z) on the
-    plus branch, since n(k, +) = n((k_x, -k_y, k_z), -).  It is the angle
-    between the polarization plane (normal to n) and the plane orthogonal to
-    that axis.  Raises DegeneratePointError when |n(k/2)| is below tolerance
-    at any wavevector (no axis, as in polarization_frame).
-    """
-    k = np.asarray(k, dtype=float)
-    n = bloch_data(k / 2.0, sign).n
-    if np.any(np.linalg.norm(n, axis=-1) < _FRAME_TOL):
-        raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} in the batch")
-    angle = _axis_angle(n, k * np.array([1.0, -float(sign), 1.0]))
-    return np.minimum(angle, math.pi - angle)
+
+# ---------------------------------------------------------------------------
+# the emergent Maxwell rotation
+
+
+MaxwellReport = namedtuple("MaxwellReport", "qbar residual_transverse tilt_angle axis_angle_to_k")
+MaxwellReport.__doc__ = "Result of undoing the predicted rotation on an evolved kernel."
 
 
 def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> MaxwellReport:
@@ -229,39 +297,36 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
     zero, to rounding, for a single-point profile, else O(qbar/|n|) while t
     qbar is small (at the CLI defaults the fitted slope reads 1.001, 1.050,
     1.752, 1.998 at t = 10^3, 3000, 10^4, 10^6).  Also reports the static
-    tilt of tilt_angle and the raw angle between the rotation axis and k.
+    tilt of walk.tilt_angle and the raw angle between the rotation axis and k.
+    The kernel streams one grid point at a time; no table is held.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    k = np.asarray(k, dtype=float)
-    b = bloch_data(k / 2.0, sign)
-    frame = polarization_frame(b.n)
-    rot = predicted_rotation(b.n, t)
+    k = tuple(map(float, k))
+    _, n = _half_axis(k, sign)
+    frame = polarization_frame(n)
+    rot = predicted_rotation(n, t)
+    # u . (rot^T F) = (rot u) . F, and the t = 0 table is delta_{a, nu-1}, whose projection on u is (0, u)
+    rows = [tuple(_dot(row, u) for row in rot) for u in (frame.u1, frame.u2)]
+    start = (0.0, *frame.u1, 0.0, *frame.u2)
+    total = 0.0
+    for w, table in zip(profile.weights, _kernel(profile, k, sign, t)):
+        total += abs(w) ** 2 * math.dist(_project(rows, table), start) ** 2
 
-    # u . (rot^T F) = (rot u) . F, and the t = 0 table is f(q) delta_{a, nu-1}
-    uv = np.stack([frame.u1, frame.u2])
-    dev = np.einsum("ia,qav->qiv", uv @ rot.T, vector_tables(profile, k, sign, t))
-    dev[:, :, 1:] -= profile.weights[:, None, None] * uv
-    residual = _weighted_rms(dev)
-
+    tilt = _angle(n, (k[0], k[1] * -float(sign), k[2]))
     return MaxwellReport(
         qbar=profile.support_radius,
-        residual_transverse=residual,
-        tilt_angle=float(tilt_angle(k, sign)),
-        axis_angle_to_k=float(_axis_angle(b.n, k)),
+        residual_transverse=math.sqrt(total),
+        tilt_angle=min(tilt, math.pi - tilt),
+        axis_angle_to_k=_angle(n, k),
     )
 
 
-@dataclass(frozen=True)
-class GeneratorCheck:
-    """Finite-difference vs generator comparison for the transverse kernel."""
-
-    qbar: float
-    n_norm: float
-    fd_forward_residual: float
-    fd_central_residual: float
-    rotation_step_residual: float
-    discretization_floor: float
+GeneratorCheck = namedtuple(
+    "GeneratorCheck",
+    "qbar n_norm fd_forward_residual fd_central_residual rotation_step_residual discretization_floor",
+)
+GeneratorCheck.__doc__ = "Finite-difference vs generator comparison for the transverse kernel."
 
 
 def maxwell_generator_check(profile: SmearingProfile, k, sign, t: int) -> GeneratorCheck:
@@ -276,29 +341,37 @@ def maxwell_generator_check(profile: SmearingProfile, k, sign, t: int) -> Genera
     * ``discretization_floor``: the forward residual of a single-point
       profile, i.e. the pure time-discretization error of the rotation.
     """
-    k = np.asarray(k, dtype=float)
-    b = bloch_data(k / 2.0, sign)
-    frame = polarization_frame(b.n)
-    # u . (M F) = (u M) . F: each term is a (2, 3) projection of one table
-    uv = np.stack([frame.u1, frame.u2])
-    gen = uv @ _cross_matrix(2.0 * b.n)
-    rot_step = uv @ predicted_rotation(b.n, 1)
+    k = tuple(map(float, k))
+    lam, n = _half_axis(k, sign)
+    frame = polarization_frame(n)
+    # u . (M F) = (u M) . F: each term is a projection of one table on the rows (u1, u2) M
+    uv = (frame.u1, frame.u2)
+    two_n = tuple(2.0 * c for c in n)
+    gen = [_cross(u, two_n) for u in uv]  # u [2n]_x = u x 2n
+    step = predicted_rotation(n, 1)
+    rot_step = [tuple(_dot(u, col) for col in zip(*step)) for u in uv]
 
     def residuals(prof):
-        prev, now, nxt = (vector_tables(prof, k, sign, s) for s in (t - 1, t, t + 1))
-        target = np.einsum("ia,qav->qiv", gen, now)
-        fwd = np.einsum("ia,qav->qiv", uv, nxt - now) - target
-        cen = np.einsum("ia,qav->qiv", uv, (nxt - prev) / 2.0) - target
-        step = np.einsum("ia,qav->qiv", uv, nxt) - np.einsum("ia,qav->qiv", rot_step, now)
-        return _weighted_rms(fwd), _weighted_rms(cen), _weighted_rms(step)
+        sums = [0.0, 0.0, 0.0]
+        for w, prev, now, nxt in zip(prof.weights, *(_kernel(prof, k, sign, s) for s in (t - 1, t, t + 1))):
+            before, at, after = (_project(uv, table) for table in (prev, now, nxt))
+            target = _project(gen, now)
+            devs = (
+                [a - b - c for a, b, c in zip(after, at, target)],
+                [(a - b) / 2.0 - c for a, b, c in zip(after, before, target)],
+                [a - b for a, b in zip(after, _project(rot_step, now))],
+            )
+            for i, dev in enumerate(devs):
+                sums[i] += abs(w) ** 2 * sum(x * x for x in dev)
+        return [math.sqrt(x) for x in sums]
 
-    fwd, cen, step = residuals(profile)
+    fwd, cen, rest = residuals(profile)
     floor, _, _ = residuals(single_point_profile())
     return GeneratorCheck(
         qbar=profile.support_radius,
-        n_norm=b.lam,
+        n_norm=lam,
         fd_forward_residual=fwd,
         fd_central_residual=cen,
-        rotation_step_residual=step,
+        rotation_step_residual=rest,
         discretization_floor=floor,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import SQRT3, DegeneratePointError, _axis_undefined, _check_sign, _step_products  # numpy and walk load inside the functions that use them
 
@@ -32,17 +32,16 @@ class EnergyOutOfRangeError(ValueError):
     """Photon energy implies a wavevector outside the canonical cell, or no positive group speed."""
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Planck-to-SI conversion constants.
+class UnitSystem(
+    namedtuple("UnitSystem", "planck_length planck_time lattice_spacing_factor", defaults=(PLANCK_LENGTH, PLANCK_TIME, SQRT3))
+):
+    """Planck-to-SI conversion constants (immutable).
 
     ``c`` is derived as planck_length / planck_time; the lattice link length
     is sqrt(3) * planck_length.
     """
 
-    planck_length: float = PLANCK_LENGTH
-    planck_time: float = PLANCK_TIME
-    lattice_spacing_factor: float = SQRT3
+    __slots__ = ()
 
     @property
     def c(self) -> float:
@@ -111,7 +110,7 @@ def speed_deviation(k, sign):
     if not all(map(math.isfinite, k)):
         raise ValueError(f"a wavevector must be finite, got k={list(k)}")
     a = [x / 2.0 / SQRT3 for x in k]
-    d, (nx, ny, nz), _ = _step_products([math.cos(x) for x in a], [math.sin(x) for x in a], s)
+    d, (nx, ny, nz) = _step_products([math.cos(x) for x in a], [math.sin(x) for x in a], s)
     nt2 = nx * nx + ny * ny + nz * nz
     if nt2 == 0.0 or _axis_undefined(math.sqrt(nt2), d):
         raise DegeneratePointError(f"speed undefined at k={list(k)} (n(k/2) = 0)")
@@ -123,8 +122,8 @@ def speed_deviation(k, sign):
 def tilt_angle_estimate(k_magnitude: float) -> float:
     """Leading-order estimate 2k of the polarization-plane tilt (radians).
 
-    The exact per-wavevector tilt is the ``tilt_angle`` of
-    bilinear.maxwell_emergence_report; this is the quoted one-parameter
+    The exact per-wavevector tilt is walk.tilt_angle, which
+    bilinear.maxwell_emergence_report also reports; this is the quoted one-parameter
     order estimate.
     """
     if k_magnitude < 0.0:

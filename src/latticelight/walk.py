@@ -17,18 +17,24 @@ arguments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _AXIS_TOL, MAX_STEPS, MINUS, PLUS, SQRT3, DegeneratePointError, _axis_undefined, _check_sign, _step_products
+from . import (
+    _AXIS_TOL,
+    _FRAME_TOL,
+    MINUS,
+    PLUS,
+    SQRT3,
+    DegeneratePointError,
+    _angle_parts,
+    _axis_undefined,
+    _check_sign,
+    _step_gradient,
+    _step_products,
+)
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-#: sigma^mu for mu = 0..3 (identity first)
-PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 @dataclass(frozen=True)
 class BlochData:
@@ -69,15 +75,17 @@ def _vectors(x, y, z) -> np.ndarray:
 def _closed_forms(k, sign):
     """(d, n_tilde, |n_tilde|, lam, grad d) at every wavevector of ``k[..., 3]``.
 
-    The trigonometric products come from ``_step_products``; lam is
-    atan2(|n_tilde|, d), which agrees with arccos(d) but stays fully
-    accurate near d = +-1.
+    The trigonometric products come from ``_step_products`` and
+    ``_step_gradient``; lam is atan2(|n_tilde|, d), which agrees with
+    arccos(d) but stays fully accurate near d = +-1.
     """
     s = _check_sign(sign)
     a = np.asarray(k, dtype=float) / SQRT3
     if a.ndim == 0 or a.shape[-1] != 3:
         raise ValueError(f"wavevectors must have shape (..., 3), got {a.shape}")
-    d, (nx, ny, nz), grad = _step_products(_components(np.cos(a)), _components(np.sin(a)), s)
+    cos, sin = _components(np.cos(a)), _components(np.sin(a))
+    (d, (nx, ny, nz)), grad = _step_products(cos, sin, s), _step_gradient(cos, sin, s)
+    del cos, sin
     nt_norm = np.sqrt(nx * nx + ny * ny + nz * nz)
     lam = np.arctan2(nt_norm, d)  # in [0, pi]; |n_tilde| = sin(lam)
     return d, _vectors(nx, ny, nz), nt_norm, lam, _vectors(*grad) / SQRT3
@@ -106,30 +114,20 @@ def bloch_data(k, sign) -> BlochData:
     return BlochData(d=d[()], n_tilde=n_tilde, lam=lam[()], n=n, grad_d=grad_d)
 
 
-def _power_coefficients(k, sign, t: int):
-    """Real (c[...], v[..., 3]) with A(k)^t = c I - i v.sigma: step_power's coefficients."""
-    if abs(t) > MAX_STEPS:
-        raise ValueError(f"t must satisfy |t| <= {MAX_STEPS}, got {t}")
-    d, n_tilde, nt_norm, lam, _ = _closed_forms(k, sign)
-    tiny = nt_norm < _AXIS_TOL
-    angle = np.fmod(t * lam, 2.0 * math.pi)
-    parity = np.where(d > 0.0, 1.0, (-1.0) ** (int(t) % 2))
-    c = np.where(tiny, parity, np.cos(angle))
-    axis = n_tilde / np.where(tiny, 1.0, nt_norm)[..., None]
-    return c, np.where(tiny, 0.0, np.sin(angle))[..., None] * axis
+def tilt_angle(k, sign):
+    """Exact polarization tilt at wavevectors ``k[..., 3]``, in [0, pi/2].
 
-
-def step_power(k, sign, t: int) -> np.ndarray:
-    """A(k)^t in closed form at wavevectors ``k[..., 3]``, shape (..., 2, 2).
-
-    Each power is a rotation by angle t*lam about the fixed axis, with t*lam
-    reduced mod 2*pi before the trig evaluation.  Every entry is within
-    1e-15 (1 + |t|) of the exact power (50-digit mpmath, in the tests) for
-    |t| up to MAX_STEPS = 10**6; a larger |t| raises ValueError.  Negative t
-    gives inverse steps.  Where |n_tilde| vanishes, A = d*I with d = +-1 and
-    the power is d^t * I.
+    The angle between the rotation axis n(k/2) and the branch's small-k axis,
+    folded into [0, pi/2]: k on the minus branch, and (k_x, -k_y, k_z) on the
+    plus branch, since n(k, +) = n((k_x, -k_y, k_z), -).  It is the angle
+    between the polarization plane (normal to n) and the plane orthogonal to
+    that axis.  Raises DegeneratePointError when |n(k/2)| is below tolerance
+    at any wavevector (no axis, as in bilinear.polarization_frame).
     """
-    c, v = _power_coefficients(k, sign, t)
-    # c I - i v.sigma
-    coeffs = np.concatenate([np.asarray(c, dtype=complex)[..., None], -1j * v], axis=-1)
-    return np.einsum("...m,mij->...ij", coeffs, PAULI)
+    k = np.asarray(k, dtype=float)
+    n = bloch_data(k / 2.0, sign).n
+    if np.any(np.linalg.norm(n, axis=-1) < _FRAME_TOL):
+        raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} in the batch")
+    across, along = _angle_parts(_components(n), _components(k * np.array([1.0, -float(sign), 1.0])))
+    angle = np.arctan2(np.sqrt(across), along)
+    return np.minimum(angle, np.pi - angle)

@@ -39,8 +39,8 @@ from latticelight.fock import (
     schwartz_exhaustive,
 )
 from latticelight.onebody import available_profiles, default_pairs
-from latticelight.walk import MINUS, PLUS, PAULI, SQRT3, bloch_data
-from walk_oracles import group_velocity
+from latticelight.walk import MINUS, PLUS, SQRT3, bloch_data
+from walk_oracles import PAULI, group_velocity
 
 SIGMA_Y = PAULI[2]
 K_SWEEP = np.array([0.4, 0.3, 0.2])

@@ -18,26 +18,25 @@ from hypothesis import strategies as st
 
 from artifacts import read_table
 from latticelight.bilinear import (
+    SmearingProfile,
+    _half_axis,
     make_uniform_profile,
     maxwell_emergence_report,
     polarization_frame,
     predicted_rotation,
     single_point_profile,
-    tilt_angle,
-    vector_tables,
 )
 from latticelight.cli import EXIT_OK, main
 from latticelight.dispersion import group_velocity_analytic, omega
 from latticelight.walk import (
     MINUS,
-    PAULI,
     PLUS,
     SQRT3,
     DegeneratePointError,
     bloch_data,
-    step_power,
+    tilt_angle,
 )
-from walk_oracles import AXIS_PERIOD, group_velocity
+from walk_oracles import AXIS_PERIOD, PAULI, group_velocity, step_power, vector_tables
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 BLOCH_ATOL = 1e-13
@@ -138,12 +137,17 @@ def matmul_vector_tables(profile, k, sign, t):
     a_minus = step_power(k_half - profile.offsets, sign, t)
     a_plus = step_power(k_half + profile.offsets, sign, t)
     products = np.conj(a_minus.swapaxes(-1, -2))[:, None] @ PAULI[1:] @ a_plus[:, None]
-    return pauli_coefficients(products) * profile.weights[:, None, None]
+    return pauli_coefficients(products) * np.asarray(profile.weights)[:, None, None]
 
 
 def matmul_emergence_residual(profile, k, sign, t):
-    """Back-rotate the evolved tables, subtract the evolved t = 0 tables, project on u1 and u2."""
-    n = bloch_data(np.asarray(k, dtype=float) / 2.0, sign).n
+    """Back-rotate the evolved tables, subtract the evolved t = 0 tables, project on u1 and u2.
+
+    n(k/2) is the library's own: at t = 10^6 the predicted rotation turns a change of n in its
+    last bit into a change of 1e-7 in the residual, so both routes rotate by the same n
+    (test_half_axis_matches_bloch_data holds it to walk.bloch_data).
+    """
+    n = _half_axis(k, sign)[1]
     frame = polarization_frame(n)
     back = np.einsum("ba,qbv->qav", predicted_rotation(n, t), matmul_vector_tables(profile, k, sign, t))
     dev = back - matmul_vector_tables(profile, k, sign, 0)
@@ -357,6 +361,37 @@ def test_emergence_residual_matches_matmul_route(sign, factor):
             want = matmul_emergence_residual(profile, k, sign, t)
             got = maxwell_emergence_report(profile, k, sign, t).residual_transverse
             assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+@pytest.mark.parametrize("t", [1, 100, 10**6])
+def test_emergence_residual_matches_matmul_route_off_the_uniform_ball(sign, t):
+    # complex weights of varying modulus, and a half ball that holds no pair (q, -q) but the origin
+    rng = np.random.default_rng(44)
+    radius = 2e-4
+    ball = make_uniform_profile(radius, radius / 2.0).offsets
+    offsets = [q for q in ball if q >= (0.0, 0.0, 0.0)]  # lexicographically
+    weights = rng.standard_normal(len(offsets)) + 1j * rng.standard_normal(len(offsets))
+    profile = SmearingProfile(offsets, weights / np.linalg.norm(weights))
+    for k in (np.array([0.4, 0.3, 0.2]), np.array([-0.7, 0.1, 0.35])):
+        want = matmul_emergence_residual(profile, k, sign, t)
+        assert maxwell_emergence_report(profile, k, sign, t).residual_transverse == pytest.approx(want, rel=1e-12)
+        assert np.max(np.abs(vector_tables(profile, k, sign, t) - matmul_vector_tables(profile, k, sign, t))) <= TABLE_ATOL
+
+
+@PROPERTY
+@given(k=generic, sign=signs)
+def test_half_axis_matches_bloch_data(k, sign):
+    # the report's math route to n(k/2) and the batched numpy one; np.arctan2 and math.atan2 may differ in the last bit
+    try:
+        b = bloch_data(np.array(k) / 2.0, sign)
+    except DegeneratePointError:
+        with pytest.raises(DegeneratePointError):
+            _half_axis(k, sign)
+        return
+    lam, n = _half_axis(k, sign)
+    assert abs(lam - b.lam) <= 4e-16 * max(1.0, b.lam)
+    assert np.max(np.abs(np.array(n) - b.n)) <= 1e-15
 
 
 def test_pauli_coefficients_batched():

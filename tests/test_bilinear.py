@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from latticelight.bilinear import (
     MAX_PROFILE_CUBE,
+    SmearingProfile,
     make_uniform_profile,
     maxwell_emergence_report,
     maxwell_generator_check,
@@ -15,18 +16,15 @@ from latticelight.bilinear import (
     predicted_rotation,
     rotation_generator,
     single_point_profile,
-    tilt_angle,
-    vector_tables,
 )
 from latticelight.walk import (
     MINUS,
-    PAULI,
     PLUS,
     DegeneratePointError,
     bloch_data,
-    step_power,
+    tilt_angle,
 )
-from walk_oracles import approx_interp_unitary
+from walk_oracles import PAULI, approx_interp_unitary, step_power, vector_tables
 
 K_REF = np.array([0.4, 0.3, 0.2])
 
@@ -57,7 +55,7 @@ def test_profile_normalization_and_concentration():
     assert abs(np.sum(np.abs(p.weights) ** 2) - 1.0) <= 1e-12
     radii = np.linalg.norm(p.offsets, axis=1)
     assert radii.max() == p.support_radius
-    assert 0.0 < np.sum(np.abs(p.weights[radii > 1.5]) ** 2) < 1.0
+    assert 0.0 < np.sum(np.abs(np.asarray(p.weights)[radii > 1.5]) ** 2) < 1.0
 
 
 @pytest.mark.parametrize("factor,count", [(0.5, 33), (0.125, 2109)])
@@ -72,6 +70,16 @@ def test_profile_input_validation():
         make_uniform_profile(radius=-1.0, grid_spacing=1.0)
     with pytest.raises(ValueError):
         make_uniform_profile(radius=1.0, grid_spacing=0.0)
+
+
+def test_profile_refuses_non_numeric_offsets():
+    for offsets in (["abc"], [None], [1.0]):
+        with pytest.raises(ValueError):
+            SmearingProfile(offsets, [1.0])
+    with pytest.raises(ValueError):
+        single_point_profile()._replace(offsets=["abc"])
+    offsets = SmearingProfile([(0, 0, 1)], [1]).offsets
+    assert offsets == ((0.0, 0.0, 1.0),) and all(type(c) is float for c in offsets[0])
 
 
 def test_profile_cube_cap():
@@ -121,7 +129,7 @@ def test_z_kernel_follows_rotation_oracle():
     t = 10
     z_kernel = vector_tables(single_point_profile(), k, MINUS, t)[0, 2]
     n = bloch_data(k / 2.0, MINUS).n
-    predicted = predicted_rotation(n, t).T @ np.array([0.0, 0.0, 1.0])
+    predicted = np.asarray(predicted_rotation(n, t)).T @ np.array([0.0, 0.0, 1.0])
     assert np.max(np.abs(z_kernel[1:] - predicted)) <= 1e-12
     assert abs(z_kernel[0]) <= 1e-13
 
@@ -142,7 +150,7 @@ def test_rotation_generator_matches_spin_conjugation():
     for _ in range(20):
         v = rng.standard_normal(3) * rng.uniform(0.1, 3.0)
         u = expm(-0.5j * pauli_dot(v))
-        rot = rotation_generator(v)
+        rot = np.asarray(rotation_generator(v))
         for a in range(3):
             lhs = u @ PAULI[a + 1] @ u.conj().T
             rhs = sum(rot[a, b] * PAULI[b + 1] for b in range(3))
@@ -318,7 +326,8 @@ def test_generator_step_residual_slope():
 def circular_modes(n):
     """(u1 +- i u2)/sqrt2 of polarization_frame(n)."""
     frame = polarization_frame(n)
-    return (frame.u1 + 1j * frame.u2) / math.sqrt(2.0), (frame.u1 - 1j * frame.u2) / math.sqrt(2.0)
+    u1, u2 = np.asarray(frame.u1), np.asarray(frame.u2)
+    return (u1 + 1j * u2) / math.sqrt(2.0), (u1 - 1j * u2) / math.sqrt(2.0)
 
 
 def test_eigenmodes_standard_circular_pair():

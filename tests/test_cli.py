@@ -195,6 +195,18 @@ def test_maxwell_step_count_at_documented_limit_runs(tmp_path):
     assert float(rows[0][1]) <= 1e-10  # the single-point residual stays exact
 
 
+def test_maxwell_notes_a_fit_outside_the_linear_regime(tmp_path, capsys):
+    # at t qbar >= 1 a t qbar^2 term takes over and the slope heads for 2 (1.752 here); the run still succeeds
+    out = tmp_path / "m.csv"
+    assert run(["maxwell-convergence", "--t", 10000, "--out", out]) == EXIT_OK
+    header, _, _ = read_table(out)
+    assert header["fitted_residual_slope"] > 1.5
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "t * qbar = 4 " in err
+    assert run(["maxwell-convergence", "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_flight_equal_energies_and_linearity(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"energies": [["a", 1e9], ["b", 1e9]]}))
@@ -469,12 +481,15 @@ def test_cli_import_and_a_fock_suite_run_leave_numpy_unloaded(tmp_path):
 
 @pytest.mark.parametrize("args", [["dispersion", "--points", "3"], ["flight"]])
 def test_dispersion_and_flight_runs_leave_bilinear_unloaded(tmp_path, args):
-    loaded = modules_loaded(cli_run(args + ["--out", tmp_path / "out.csv"]), ("latticelight", "numpy"))
+    probed = ("latticelight", "numpy", "dataclasses", "inspect")
+    loaded = modules_loaded(cli_run(args + ["--out", tmp_path / "out.csv"]), probed)
     assert "latticelight.bilinear" not in loaded
     assert (tmp_path / "out.csv").exists()
     if args == ["flight"]:
-        # numpy's import was most of a flight process; two wavevectors need only math
+        # numpy's import was most of a flight process; two wavevectors need only math, and the
+        # frozen UnitSystem no longer loads dataclasses and, through it, inspect
         assert loaded == ["latticelight", "latticelight.cli", "latticelight.dispersion", "latticelight.output"]
+        assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_dispersion_import_leaves_numpy_unloaded():
@@ -494,8 +509,9 @@ def test_default_flight_row_holds_its_floats(tmp_path):
 
 
 def test_maxwell_run_leaves_dispersion_unloaded(tmp_path):
+    # the residual streams through the standard-library kernel: numpy's import was most of the process
     run_it = cli_run(["maxwell-convergence", "--levels", 2, "--out", tmp_path / "m.csv"])
-    assert modules_loaded(run_it, ("latticelight.dispersion",)) == []
+    assert modules_loaded(run_it, ("latticelight.dispersion", "latticelight.walk", "numpy")) == []
 
 
 def test_tilt_run_still_loads_numpy_random(tmp_path):

@@ -17,7 +17,6 @@ import latticelight
 SRC = Path(latticelight.__file__).parent
 
 TEST_ONLY = {
-    "step_power": "the 2x2 matrix powers: the reference that tests compare bilinear.vector_tables' coefficient route against",
     "maxwell_generator_check": "acceptance criterion 4",
     "gamma_for_profile": "acceptance criterion 7: the CSR gamma operators of the pair-commutator sweep",
     "schwartz_exhaustive": "acceptance criterion 8: the basis-state sweep that onebody.schwartz_bound is compared against",

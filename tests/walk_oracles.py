@@ -1,23 +1,60 @@
-"""Test oracles of the walk: the interpolating unitary, its first-order surrogate, the
-finite-difference group velocity, and the map into the canonical periodic cell.
+"""Test oracles of the walk: the Pauli matrices, the 2x2 step powers, the kernel tables as
+one array, the interpolating unitary, its first-order surrogate, the finite-difference
+group velocity, and the map into the canonical periodic cell.
 
 The library evaluates the closed forms; these build the references that the
-walk error-law tests and the gradient-route checks compare against, from
-``walk.step_power``, ``walk.bloch_data`` and ``dispersion.omega``.
+walk error-law tests, the kernel-table checks and the gradient-route checks
+compare against, from the step-power rule ``bilinear._power``, the
+per-grid-point kernel ``bilinear._kernel``, ``walk.bloch_data`` and
+``dispersion.omega``.
 """
 
 import math
 
 import numpy as np
 
+from latticelight import _check_sign
+from latticelight.bilinear import _kernel, _power
 from latticelight.dispersion import omega
-from latticelight.walk import PAULI, SQRT3, DegeneratePointError, bloch_data, step_power
+from latticelight.walk import SQRT3, DegeneratePointError, bloch_data
+
+#: sigma^mu for mu = 0..3 (identity first)
+PAULI = np.array(
+    [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]]
+)
 
 # below this lam(k/2) the group velocity is undefined (n(k/2) = 0)
 DEGENERATE_TOL = 1e-12
 
 #: per-axis periodicity of every closed form (the trig arguments are k/sqrt3)
 AXIS_PERIOD = 2.0 * math.pi * SQRT3
+
+
+def step_power(k, sign, t: int) -> np.ndarray:
+    """A(k)^t at wavevectors ``k[..., 3]``, shape (..., 2, 2): c I - i v.sigma from the
+    library's step-power rule ``bilinear._power`` at each wavevector.
+
+    The rule reduces t*lam mod 2*pi and documents its accuracy, 1e-15 (1 + |t|)
+    per entry, up to |t| = MAX_STEPS; a larger |t| raises ValueError.
+    """
+    s = _check_sign(sign)
+    k = np.asarray(k, dtype=float)
+    rows = [_power(x, y, z, s, t) for x, y, z in k.reshape(-1, 3).tolist()]
+    coeffs = np.array(rows, dtype=complex).reshape(k.shape[:-1] + (4,)) * np.array([1.0, -1j, -1j, -1j])
+    return np.einsum("...m,mij->...ij", coeffs, PAULI)
+
+
+def vector_tables(profile, k, sign, t: int) -> np.ndarray:
+    """Evolved tables of all three vector channels, a complex array of shape (N, 3, 4).
+
+    Entry [q, a, nu] is the sigma-basis coefficient c_nu = tr(sigma_nu M) / 2
+    of M = (A(k/2-q)^t)^dag sigma^a (A(k/2+q)^t) f(q), with a = x, y, z the
+    inserted channel: the tables of the library's kernel ``bilinear._kernel``,
+    times f(q).
+    """
+    tables = np.array(list(_kernel(profile, k, sign, t)), dtype=complex).reshape(-1, 3, 4)
+    tables[:, :, 0] *= 1j
+    return tables * np.asarray(profile.weights)[:, None, None]
 
 
 def interp_unitary(k, q, sign, t: int) -> np.ndarray:
