@@ -57,6 +57,15 @@ def _step_products(cos, sin, s):
     return d, (sx * cy * cz - s * cx * sy * sz, -s * cx * sy * cz - sx * cy * sz, cx * cy * sz - s * sx * sy * cz)
 
 
+def _bloch(x, y, z, s):
+    """(d, n_tilde, |n_tilde|, lam) of one step at the wavevector (x, y, z), with math; s the float sign."""
+    a, b, c = x / SQRT3, y / SQRT3, z / SQRT3
+    d, n_tilde = _step_products((math.cos(a), math.cos(b), math.cos(c)), (math.sin(a), math.sin(b), math.sin(c)), s)
+    nx, ny, nz = n_tilde
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    return d, n_tilde, norm, math.atan2(norm, d)  # lam in [0, pi]; |n_tilde| = sin(lam)
+
+
 def _step_gradient(cos, sin, s):
     """sqrt3 grad d of one step, from the same cosines, sines and sign as _step_products."""
     cx, cy, cz = cos

@@ -13,7 +13,7 @@ emergent Maxwell dynamics, and the residual after undoing the predicted
 rotation quantifies the internal-dynamics correction.
 
 Every per-grid-point quantity comes from one kernel, ``_kernel``, written
-with ``math`` on the closed forms of ``latticelight._step_products``; the
+with ``math`` on the step of ``latticelight._bloch``; the
 residuals stream through it one grid point at a time.  The module runs on
 the standard library and never imports numpy; the batched tilt of many
 wavevectors is ``walk.tilt_angle``.  All functions are pure and every
@@ -24,26 +24,25 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain, filterfalse
 
 from . import (
     _AXIS_TOL,
     _FRAME_TOL,
     MAX_STEPS,
-    SQRT3,
     DegeneratePointError,
     _angle_parts,
     _axis_undefined,
+    _bloch,
     _check_sign,
     _cross,
     _dot,
-    _step_products,
 )
 
 # largest enclosing cube (2m+1)^3, m = floor(radius / grid_spacing), that
 # make_uniform_profile will enumerate: at m = 50 (spacing_factor 0.02) the ball
 # holds 523,305 points, about 42 MB as offset tuples, and a maxwell-convergence
-# run at that size, one level's profile at a time, peaks at 96 MB, while
-# SmearingProfile converts the offsets to floats and both copies are held
+# run at that size, one level's profile at a time, peaks at 61 MB
 MAX_PROFILE_CUBE = 2**20
 
 
@@ -51,8 +50,8 @@ class SmearingProfile(namedtuple("SmearingProfile", "offsets weights")):
     """Normalized weight function f(q) on a finite grid of momentum offsets.
 
     ``offsets`` is a tuple of N (q_x, q_y, q_z) triples and ``weights`` a
-    tuple of N complex numbers (any sequences of these are converted);
-    sum |f(q)|^2 = 1.  Immutable.
+    tuple of N complex numbers (any sequences of these are converted), all
+    finite, with sum |f(q)|^2 = 1.  Immutable.
     """
 
     __slots__ = ()
@@ -65,8 +64,11 @@ class SmearingProfile(namedtuple("SmearingProfile", "offsets weights")):
             raise ValueError(f"profile needs numeric offsets (N,3) and weights (N,): {exc}") from None
         if len(offsets) != len(weights):
             raise ValueError("profile needs offsets (N,3) and weights (N,)")
+        bad = next(filterfalse(math.isfinite, chain.from_iterable(offsets)), None)
+        if bad is not None:
+            raise ValueError(f"profile offsets must be finite, got {bad!r}")
         total = math.fsum(abs(w) ** 2 for w in weights)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # refuses a NaN or infinite weight too
             raise ValueError(f"profile not normalized: sum|f|^2 = {total!r}")
         return super().__new__(cls, offsets, weights)
 
@@ -93,47 +95,30 @@ def make_uniform_profile(radius: float, grid_spacing: float) -> SmearingProfile:
     always inside, so the support is never empty.  Raises ValueError, before
     allocating, when the enclosing (2m+1)^3 cube exceeds MAX_PROFILE_CUBE.
     """
-    if radius <= 0.0 or grid_spacing <= 0.0:
-        raise ValueError("radius and grid_spacing must be positive")
-    m = math.floor(min(radius / grid_spacing + 1e-12, MAX_PROFILE_CUBE))  # finite for an infinite ratio
+    if not (0.0 < radius < math.inf and 0.0 < grid_spacing < math.inf):
+        raise ValueError(f"radius and grid_spacing must be positive and finite, got {radius!r} and {grid_spacing!r}")
+    m = math.floor(min(radius / grid_spacing + 1e-12, MAX_PROFILE_CUBE))  # finite for a ratio that overflows
     if (2 * m + 1) ** 3 > MAX_PROFILE_CUBE:
         raise ValueError(
             f"radius / grid_spacing = {radius / grid_spacing:.6g} needs more than"
             f" MAX_PROFILE_CUBE = {MAX_PROFILE_CUBE} grid points"
         )
+    # the point (i, j, l) * grid_spacing is inside when i^2 + j^2 + l^2 <= R^2 with R = (radius / grid_spacing)
+    # (1 + 1e-12): integer indices alone decide, so the ball is scale-free; a row (i, j) holds the z indices -l..l
+    r2 = (radius / grid_spacing * (1.0 + 1e-12)) ** 2
     axis = [i * grid_spacing for i in range(-m, m + 1)]
-    squares = [x * x for x in axis]
-    bound = radius * (1.0 + 1e-12)
-
-    offsets = []
-    for x, xx in zip(axis, squares):
-        for y, yy in zip(axis, squares):
-            # the ball test sqrt((x^2 + y^2) + z^2) <= bound holds for the z indices m-l..m+l, since it
-            # only fails more as |z| grows: bisect for the largest l, -1 when no z passes
-            xy = xx + yy
-            l, high = -1, m
-            while l < high:
-                mid = (l + high + 1) // 2
-                if math.sqrt(xy + squares[m + mid]) <= bound:
-                    l = mid
-                else:
-                    high = mid - 1
-            offsets += [(x, y, z) for z in axis[m - l : m + l + 1]]
-    weight = complex(1.0 / math.sqrt(len(offsets)))
-    return SmearingProfile(offsets, (weight,) * len(offsets))
+    rows = [
+        (x, y, min(math.isqrt(math.floor(r2 - i * i - j * j)), m))
+        for i, x in enumerate(axis, -m) for j, y in enumerate(axis, -m) if i * i + j * j <= r2
+    ]
+    count = sum(2 * l + 1 for _, _, l in rows)
+    # a generator: SmearingProfile's float copy is the only list of offsets held
+    offsets = ((x, y, z) for x, y, l in rows for z in axis[m - l : m + l + 1])
+    return SmearingProfile(offsets, (complex(1.0 / math.sqrt(count)),) * count)
 
 
 # ---------------------------------------------------------------------------
 # the per-grid-point kernel
-
-
-def _bloch(x, y, z, s):
-    """(d, n_tilde, |n_tilde|, lam) of one step at the wavevector (x, y, z), with math; s the float sign."""
-    a, b, c = x / SQRT3, y / SQRT3, z / SQRT3
-    d, n_tilde = _step_products((math.cos(a), math.cos(b), math.cos(c)), (math.sin(a), math.sin(b), math.sin(c)), s)
-    nx, ny, nz = n_tilde
-    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    return d, n_tilde, norm, math.atan2(norm, d)  # lam in [0, pi]; |n_tilde| = sin(lam)
 
 
 def _power(x, y, z, s, t: int):

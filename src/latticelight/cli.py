@@ -138,8 +138,7 @@ POSITIVE = Bounds(0, strict=True)
 SCHEMA = {
     "dispersion": (
         "dispersion.csv",
-        {"sign": ("minus", SIGN), "points": (5, INTEGER, Bounds(1)), "kmax": (1.0, NUMBER, POSITIVE),
-         "diagonal": (False, BOOL)},
+        {"points": (5, INTEGER, Bounds(1)), "kmax": (1.0, NUMBER, POSITIVE), "diagonal": (False, BOOL)},
     ),
     "maxwell-convergence": (
         "maxwell_convergence.csv",

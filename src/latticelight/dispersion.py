@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from . import SQRT3, DegeneratePointError, _axis_undefined, _check_sign, _step_products  # numpy and walk load inside the functions that use them
+from . import SQRT3, DegeneratePointError, _axis_undefined, _bloch, _check_sign, _dot  # numpy and walk load inside the functions that use them
 
 #: CODATA Planck length (m) and Planck time (s); their ratio is c
 PLANCK_LENGTH = 1.616255e-35
@@ -109,13 +109,11 @@ def speed_deviation(k, sign):
         return np.array([speed_deviation(row, sign) for row in k.reshape(-1, 3).tolist()]).reshape(k.shape[:-1])[()]
     if not all(map(math.isfinite, k)):
         raise ValueError(f"a wavevector must be finite, got k={list(k)}")
-    a = [x / 2.0 / SQRT3 for x in k]
-    d, (nx, ny, nz) = _step_products([math.cos(x) for x in a], [math.sin(x) for x in a], s)
-    nt2 = nx * nx + ny * ny + nz * nz
-    if nt2 == 0.0 or _axis_undefined(math.sqrt(nt2), d):
+    d, n_tilde, norm, _ = _bloch(*(x / 2.0 for x in k), s)
+    if norm == 0.0 or _axis_undefined(norm, d):
         raise DegeneratePointError(f"speed undefined at k={list(k)} (n(k/2) = 0)")
     sx, sy, sz = (math.sin(x / SQRT3) for x in k)
-    g = -s * 0.5 * sx * sy * sz / nt2
+    g = -s * 0.5 * sx * sy * sz / _dot(n_tilde, n_tilde)
     return g / (1.0 + math.sqrt(1.0 + g)) if g >= -1.0 else math.nan  # sqrt(1 + g) - 1 without cancellation
 
 

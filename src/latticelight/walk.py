@@ -17,7 +17,7 @@ arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,24 +36,17 @@ from . import (
 )
 
 
-@dataclass(frozen=True)
-class BlochData:
-    """Bloch decomposition of walk steps: A = d I - i n_tilde.sigma = exp(-i n.sigma).
+BlochData = namedtuple("BlochData", "d n_tilde lam n grad_d")
+BlochData.__doc__ = """Bloch decomposition of walk steps: A = d I - i n_tilde.sigma = exp(-i n.sigma).
 
-    For wavevectors ``k[..., 3]`` the fields have shapes ``d[...]``,
-    ``n_tilde[..., 3]``, ``lam[...]``, ``n[..., 3]`` and ``grad_d[..., 3]``;
-    a single wavevector gives float scalars and 3-vectors.
+For wavevectors ``k[..., 3]`` the fields have shapes ``d[...]``,
+``n_tilde[..., 3]``, ``lam[...]``, ``n[..., 3]`` and ``grad_d[..., 3]``;
+a single wavevector gives float scalars and 3-vectors.
 
-    Invariants: d^2 + |n_tilde|^2 = 1, lam = arccos(d), |n| = lam, and
-    n = lam * n_tilde / sin(lam) away from the removable sin(lam) -> 0 limit.
-    ``grad_d`` is the gradient of d with respect to k.
-    """
-
-    d: float
-    n_tilde: np.ndarray
-    lam: float
-    n: np.ndarray
-    grad_d: np.ndarray
+Invariants: d^2 + |n_tilde|^2 = 1, lam = arccos(d), |n| = lam, and
+n = lam * n_tilde / sin(lam) away from the removable sin(lam) -> 0 limit.
+``grad_d`` is the gradient of d with respect to k.
+"""
 
 
 def _components(v):
@@ -72,12 +65,17 @@ def _vectors(x, y, z) -> np.ndarray:
     return out
 
 
-def _closed_forms(k, sign):
-    """(d, n_tilde, |n_tilde|, lam, grad d) at every wavevector of ``k[..., 3]``.
+def bloch_data(k, sign) -> BlochData:
+    """Evaluate d, n_tilde, lam, n and grad d at wavevectors ``k[..., 3]`` for one branch.
 
     The trigonometric products come from ``_step_products`` and
     ``_step_gradient``; lam is atan2(|n_tilde|, d), which agrees with
-    arccos(d) but stays fully accurate near d = +-1.
+    arccos(d) but stays fully accurate near d = +-1.  All quantities are
+    periodic in each component of k with period 2*pi*sqrt(3).  The lam -> 0
+    limit of n = lam*n_tilde/sin(lam) is removable and handled without
+    division blow-up; at an exact lam = pi degeneracy (n_tilde = 0 with
+    d = -1) the axis is genuinely undefined and a DegeneratePointError is
+    raised if any wavevector of the batch sits there.
     """
     s = _check_sign(sign)
     a = np.asarray(k, dtype=float) / SQRT3
@@ -88,20 +86,7 @@ def _closed_forms(k, sign):
     del cos, sin
     nt_norm = np.sqrt(nx * nx + ny * ny + nz * nz)
     lam = np.arctan2(nt_norm, d)  # in [0, pi]; |n_tilde| = sin(lam)
-    return d, _vectors(nx, ny, nz), nt_norm, lam, _vectors(*grad) / SQRT3
-
-
-def bloch_data(k, sign) -> BlochData:
-    """Evaluate d, n_tilde, lam, n and grad d at wavevectors ``k[..., 3]`` for one branch.
-
-    All quantities are periodic in each component of k with period
-    2*pi*sqrt(3).  The lam -> 0 limit of n = lam*n_tilde/sin(lam) is
-    removable and handled without division blow-up; at an exact lam = pi
-    degeneracy (n_tilde = 0 with d = -1) the axis is genuinely undefined and
-    a DegeneratePointError is raised if any wavevector of the batch sits
-    there.
-    """
-    d, n_tilde, nt_norm, lam, grad_d = _closed_forms(k, sign)
+    n_tilde, grad_d = _vectors(nx, ny, nz), _vectors(*grad) / SQRT3
     tiny = nt_norm < _AXIS_TOL
     undefined = _axis_undefined(nt_norm, d)
     if undefined.any():

@@ -65,11 +65,54 @@ def test_profile_point_count_is_scale_free(factor, count):
         assert len(make_uniform_profile(radius, radius * factor).weights) == count
 
 
+def ball_indices(radius, spacing):
+    """The integer grid indices of make_uniform_profile(radius, spacing), checked to be its offsets / spacing."""
+    offsets = make_uniform_profile(radius, spacing).offsets
+    indices = [tuple(round(c / spacing) for c in q) for q in offsets]
+    assert offsets == tuple(tuple(i * spacing for i in q) for q in indices)
+    return indices
+
+
+def test_profile_ball_is_scale_free_down_to_the_smallest_radii():
+    # the ball is decided on integer indices: squared float offsets underflow below radii of about 1e-154
+    assert ball_indices(1e-300, 5e-301) == ball_indices(1.0, 0.5)
+    assert len(ball_indices(1e-300, 5e-301)) == 33
+    for ratio in (2, 8, 16):
+        want = ball_indices(1.0, 1.0 / ratio)
+        for radius in (1e-300, 1e-200, 1e-154, 1e-100, 1e-13, 1e-6, 1e2):
+            assert ball_indices(radius, radius / ratio) == want, (ratio, radius)
+
+
 def test_profile_input_validation():
     with pytest.raises(ValueError):
         make_uniform_profile(radius=-1.0, grid_spacing=1.0)
     with pytest.raises(ValueError):
         make_uniform_profile(radius=1.0, grid_spacing=0.0)
+    for radius, spacing in [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, math.inf), (-math.inf, 0.1)]:
+        with pytest.raises(ValueError, match="positive and finite, got"):
+            make_uniform_profile(radius, spacing)
+
+
+@pytest.mark.parametrize(
+    "offsets,weights,message",
+    [
+        ([(0.0, 0.0, 0.0)], [math.nan], "sum|f|^2 = nan"),
+        ([(0.0, 0.0, 0.0)], [complex(math.inf, 0.0)], "sum|f|^2 = inf"),
+        ([(0.0, 0.0, 0.0)], [complex(0.0, math.nan)], "sum|f|^2 = nan"),
+        ([(0.0, math.inf, 0.0)], [1.0], "offsets must be finite, got inf"),
+        ([(0.0, 0.0, 0.0), (0.0, 0.0, -math.inf)], [0.6, 0.8], "offsets must be finite, got -inf"),
+        ([(math.nan, 0.0, 0.0)], [1.0], "offsets must be finite, got nan"),
+    ],
+)
+def test_profile_refuses_non_finite_values(offsets, weights, message):
+    # a NaN weight passes a normalization check written `abs(total - 1) > tol` and gives a NaN residual,
+    # and an infinite offset would fail only in the kernel's trigonometry
+    with pytest.raises(ValueError) as err:
+        SmearingProfile(offsets, weights)
+    assert message in str(err.value)
+    with pytest.raises(ValueError) as err:
+        single_point_profile()._replace(offsets=offsets, weights=weights)
+    assert message in str(err.value)
 
 
 def test_profile_refuses_non_numeric_offsets():

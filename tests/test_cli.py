@@ -275,8 +275,19 @@ def test_io_error_exit_code(tmp_path):
 
 def test_bad_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as err:
-        run(["dispersion", "--sign", "sideways"])
+        run(["tilt", "--sign", "sideways"])
     assert err.value.code == EXIT_CONFIG
+
+
+def test_dispersion_has_no_sign_key(tmp_path, capsys):
+    # dispersion writes both branches, so a sign would be read nowhere: the flag and the config key are unknown
+    with pytest.raises(SystemExit) as err:
+        run(["dispersion", "--sign", "minus"])
+    assert err.value.code == EXIT_CONFIG
+    (tmp_path / "config.json").write_text(json.dumps({"sign": "minus"}))
+    assert run(["dispersion", "--config", tmp_path / "config.json", "--out", tmp_path / "d.csv"]) == EXIT_CONFIG
+    assert "unknown config keys for dispersion: ['sign']" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -511,7 +522,14 @@ def test_default_flight_row_holds_its_floats(tmp_path):
 def test_maxwell_run_leaves_dispersion_unloaded(tmp_path):
     # the residual streams through the standard-library kernel: numpy's import was most of the process
     run_it = cli_run(["maxwell-convergence", "--levels", 2, "--out", tmp_path / "m.csv"])
-    assert modules_loaded(run_it, ("latticelight.dispersion", "latticelight.walk", "numpy")) == []
+    assert modules_loaded(run_it, ("latticelight.dispersion", "latticelight.walk", "numpy", "dataclasses")) == []
+
+
+@pytest.mark.parametrize("args", [["dispersion", "--points", 3], ["tilt", "--directions", 4]])
+def test_walk_runs_leave_dataclasses_unloaded(tmp_path, args):
+    # walk.BlochData is a named tuple: the batched closed forms load no dataclasses
+    loaded = modules_loaded(cli_run(args + ["--out", tmp_path / "out.csv"]), ("latticelight.walk", "dataclasses"))
+    assert loaded == ["latticelight.walk"]
 
 
 def test_tilt_run_still_loads_numpy_random(tmp_path):
@@ -604,7 +622,7 @@ def test_integral_float_counts_keep_running(tmp_path):
         ("dispersion", {"diagonal": "false", "points": 3}, [], "diagonal"),
         ("dispersion", {"diagonal": 1}, [], "diagonal"),
         ("dispersion", {"diagonal": None}, [], "diagonal"),
-        ("dispersion", {"sign": "sideways"}, [], "sign"),
+        ("dispersion", {"sign": "minus"}, [], "sign"),
         ("fock-suite", {"sign": 7}, [], "sign"),
         ("tilt", {"sign": ["minus"]}, [], "sign"),
         ("flight", None, ["--energies", "GeV=1e9=junk,MeV=1e6"], "energies"),
@@ -616,8 +634,8 @@ def test_integral_float_counts_keep_running(tmp_path):
 )
 def test_schema_rejects_values_that_used_to_run(tmp_path, capsys, command, config, flags, key):
     # each of these used to exit 0 (or, for a list as sign, end in a TypeError
-    # traceback): a string or null taken as a bool, an unchecked sign, a
-    # dropped "=junk", or a table with no rows
+    # traceback): a string or null taken as a bool, an unchecked sign, a sign
+    # that dispersion reads nowhere, a dropped "=junk", or a table with no rows
     args = [command, *flags, "--out", tmp_path / "out"]
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
@@ -629,7 +647,7 @@ def test_schema_rejects_values_that_used_to_run(tmp_path, capsys, command, confi
 
 
 DEFAULT_CONFIGS = {
-    "dispersion": {"kmax": 1.0, "points": 5, "diagonal": False, "sign": "minus"},
+    "dispersion": {"kmax": 1.0, "points": 5, "diagonal": False},
     "maxwell-convergence": {
         "k": [0.4, 0.3, 0.2],
         "t": 100,
@@ -724,7 +742,7 @@ README_TABLE_HEADER = "| command | key | type (flag form) | default | range |"
 
 
 def readme_cli_rows():
-    """(command, key, cells) for each row of the README's CLI table, its "all five" row once per command."""
+    """(command, key, cells) for each row of the README's CLI table; an empty command cell repeats the one above."""
     lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index(README_TABLE_HEADER) + 2  # past the header and its rule
     rows = []
@@ -732,7 +750,7 @@ def readme_cli_rows():
     for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         command = cells[0].strip("`") or command
-        rows += [(name, cells[1].strip("`"), cells) for name in (SCHEMA if command == "all five" else [command])]
+        rows.append((command, cells[1].strip("`"), cells))
     return rows
 
 

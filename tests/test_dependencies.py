@@ -18,8 +18,8 @@ def requirement_names(requirements):
     return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
 
 
-def third_party_imports():
-    """{module stem: top-level packages outside the standard library and latticelight that it imports}."""
+def imported_packages():
+    """{module stem: top-level packages other than latticelight that it imports, at its top or in a function}."""
     found = {}
     for path in sorted(SRC.glob("*.py")):
         names = set()
@@ -28,8 +28,13 @@ def third_party_imports():
                 names |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-        found[path.stem] = names - set(sys.stdlib_module_names) - {"latticelight"}
+        found[path.stem] = names - {"latticelight"}
     return found
+
+
+def third_party_imports():
+    """{module stem: top-level packages outside the standard library and latticelight that it imports}."""
+    return {module: names - set(sys.stdlib_module_names) for module, names in imported_packages().items()}
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +55,10 @@ def test_src_imports_scipy_only_in_fock_and_nothing_else_outside_the_standard_li
     imports = third_party_imports()
     assert {module for module, names in imports.items() if "scipy" in names} == {"fock"}
     assert set().union(*imports.values()) == {"numpy", "scipy"}
+
+
+def test_only_onebody_and_fock_import_dataclasses():
+    # walk, bilinear and dispersion hold their records in named tuples, so a dispersion, flight, tilt or
+    # maxwell-convergence process loads no dataclasses
+    imports = imported_packages()
+    assert {module for module, names in imports.items() if "dataclasses" in names} == {"onebody", "fock"}
