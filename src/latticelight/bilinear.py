@@ -67,7 +67,10 @@ class SmearingProfile(namedtuple("SmearingProfile", "offsets weights")):
         bad = next(filterfalse(math.isfinite, chain.from_iterable(offsets)), None)
         if bad is not None:
             raise ValueError(f"profile offsets must be finite, got {bad!r}")
-        total = math.fsum(abs(w) ** 2 for w in weights)
+        try:
+            total = math.fsum(abs(w) ** 2 for w in weights)
+        except OverflowError:  # a weight past about 1e154
+            total = math.inf
         if not abs(total - 1.0) <= 1e-12:  # refuses a NaN or infinite weight too
             raise ValueError(f"profile not normalized: sum|f|^2 = {total!r}")
         return super().__new__(cls, offsets, weights)
@@ -79,7 +82,10 @@ class SmearingProfile(namedtuple("SmearingProfile", "offsets weights")):
     @property
     def support_radius(self) -> float:
         """Largest |q| carrying weight (the qbar of the profile)."""
-        return math.sqrt(max(x * x + y * y + z * z for x, y, z in self.offsets))
+        r2 = max(x * x + y * y + z * z for x, y, z in self.offsets)
+        if 1e-290 < r2 < math.inf:
+            return math.sqrt(r2)
+        return max(math.hypot(x, y, z) for x, y, z in self.offsets)  # where the squares overflow or underflow
 
 
 def single_point_profile() -> SmearingProfile:

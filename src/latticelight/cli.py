@@ -26,11 +26,13 @@ EXIT_IO = 3
 
 SIGNS = {"plus": PLUS, "minus": MINUS}
 
-# Most wavevectors one batched evaluation may take: the dispersion grid
-# (points^3, or points along the diagonal) and the tilt directions.  Peak
-# traced memory is about 0.6 kB per dispersion wavevector and 0.25 kB per
-# tilt direction, so at the cap about 0.6 GB and 0.26 GB.
+# Most wavevectors one run may take: the dispersion grid (points^3, or points
+# along the diagonal), streamed one row at a time, and the tilt directions,
+# one batched evaluation at about 0.25 kB of traced memory each (0.26 GB at the cap).
 MAX_WAVEVECTORS = 2**20
+# Largest dispersion kmax: past about 9e307 the grid spacing 2 kmax / (points - 1)
+# overflows to inf, and the grid would hold inf and NaN.
+MAX_KMAX = 1e300
 
 
 class ConfigError(Exception):
@@ -186,30 +188,24 @@ def _base_header(command: str, cfg: dict, seed: int) -> dict:
 
 
 def cmd_dispersion(cfg: dict, out: str, seed: int) -> int:
-    import numpy as np
-    from .dispersion import DIAGONAL, group_velocity_analytic, omega
-    kmax, points = cfg["kmax"], cfg["points"]
+    from .dispersion import branches, grid
+    points = cfg["points"]
     count = points if cfg["diagonal"] else points**3
     if count > MAX_WAVEVECTORS:
-        raise ConfigError(
-            f"points = {points} asks for {count} wavevectors, over MAX_WAVEVECTORS = {MAX_WAVEVECTORS}"
-        )
-    if cfg["diagonal"]:
-        grid = np.linspace(0.0, kmax, points)[:, None] * DIAGONAL
-    else:
-        axis = np.linspace(-kmax, kmax, points)
-        # x outer, z inner: the row order of the artifact
-        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    # |v_g| is NaN where the gradient is undefined: sin lam(k/2) < 1e-12
-    speeds = [np.linalg.norm(group_velocity_analytic(grid, s), axis=-1) for s in (PLUS, MINUS)]
-    rows = np.column_stack([grid, omega(grid, PLUS), omega(grid, MINUS), *speeds])
-    del grid, speeds  # the process peaks while the table is written: hold only the table
-    write_table(
-        out,
-        _base_header("dispersion", cfg, seed),
-        ["kx", "ky", "kz", "omega_plus", "omega_minus", "vg_plus", "vg_minus"],
-        rows,
-    )
+        raise ConfigError(f"points = {points} asks for {count} wavevectors, over MAX_WAVEVECTORS = {MAX_WAVEVECTORS}")
+    if cfg["kmax"] > MAX_KMAX:
+        raise ConfigError(f"kmax must be <= {MAX_KMAX}, got {cfg['kmax']!r}")
+    nan_rows = 0
+
+    def rows():  # streamed: no table is held
+        nonlocal nan_rows
+        for row in map(branches, grid(cfg["kmax"], points, cfg["diagonal"])):
+            nan_rows += row[5] != row[5] or row[6] != row[6]
+            yield row
+
+    columns = ["kx", "ky", "kz", "omega_plus", "omega_minus", "vg_plus", "vg_minus"]
+    write_table(out, _base_header("dispersion", cfg, seed), columns, rows())
+    print(f"note: {nan_rows} of {count} rows have a NaN group speed, where sin lam(k/2) < 1e-12", file=sys.stderr)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from . import SQRT3, DegeneratePointError, _axis_undefined, _bloch, _check_sign, _dot  # numpy and walk load inside the functions that use them
+from . import SQRT3, DegeneratePointError, _axis_undefined, _bloch, _check_sign, _dot, _step_gradient, _step_products
 
 #: CODATA Planck length (m) and Planck time (s); their ratio is c
 PLANCK_LENGTH = 1.616255e-35
@@ -54,30 +54,82 @@ class UnitSystem(
 
 PLANCK_UNITS = UnitSystem()
 
+DIAGONAL = (1.0 / SQRT3,) * 3
+
+
+def _wave(point, s):
+    """(omega, v_g) of branch ``s`` at the wavevector of ``point``, ((x, cos, sin), (y, cos, sin), (z, cos, sin)) of
+    k/(2 sqrt3), with math: omega = 2 lam(k/2) and v_g = -grad d(k/2) / sin lam(k/2), NaN where sin lam(k/2) < 1e-12.
+
+    Raises DegeneratePointError where the rotation axis at k/2 is undefined (lam = pi).
+    """
+    (x, cx, sx), (y, cy, sy), (z, cz, sz) = point
+    cos, sin = (cx, cy, cz), (sx, sy, sz)
+    d, n_tilde = _step_products(cos, sin, s)
+    norm = math.hypot(*n_tilde)
+    if _axis_undefined(norm, d):
+        raise DegeneratePointError(f"rotation axis undefined at k/2 for k={[x, y, z]} (lam=pi, n_tilde=0)")
+    lam = math.atan2(norm, d)
+    sin_lam = math.sin(lam)
+    if sin_lam < _DEGENERATE_TOL:
+        return 2.0 * lam, (math.nan,) * 3
+    (gx, gy, gz), scale = _step_gradient(cos, sin, s), -1.0 / (SQRT3 * sin_lam)  # sqrt3 grad d, and its factor
+    return 2.0 * lam, (gx * scale, gy * scale, gz * scale)
+
+
+def _trig(values):
+    """(x, cos, sin) of x / (2 sqrt3) for each x of ``values``, streamed: a point of _wave from the components of k."""
+    for x in values:
+        a = x / 2.0 / SQRT3
+        yield x, math.cos(a), math.sin(a)
+
+
+def branches(point):
+    """The dispersion table row (kx, ky, kz, omega_plus, omega_minus, |v_g|_plus, |v_g|_minus) at a point of grid."""
+    (omega_plus, v_plus), (omega_minus, v_minus) = _wave(point, 1.0), _wave(point, -1.0)
+    return point[0][0], point[1][0], point[2][0], omega_plus, omega_minus, math.hypot(*v_plus), math.hypot(*v_minus)
+
+
+def grid(kmax, points, diagonal=False):
+    """The dispersion table's points of _wave, streamed: the cube axis^3, x outer and z inner, with cos and sin taken
+    once per axis value, or axis times DIAGONAL, one value per row.
+
+    The axis is np.linspace(-kmax, kmax, points), or from 0 on the diagonal, bit for bit: i * step + start, then
+    kmax, where numpy divides i by points - 1 first if the step underflows to 0 (a subnormal kmax).
+    """
+    start = 0.0 if diagonal else -kmax
+    div, delta = points - 1, kmax - start
+    step = delta / div if div else math.nan
+    head = (i * step + start if step else i / div * delta + start for i in range(div))
+    axis = itertools.chain(head, [kmax if div else start])
+    if diagonal:
+        return ((t, t, t) for t in _trig(v * DIAGONAL[0] for v in axis))
+    return itertools.product(list(_trig(axis)), repeat=3)
+
+
+def _each_row(f, k, vector=False):
+    """f at each row of ``k[..., 3]``, with numpy: an array shaped like k[..., 0], or like k where f gives 3-vectors."""
+    import numpy as np
+    k = np.asarray(k, dtype=float)
+    if k.ndim == 0 or k.shape[-1] != 3:
+        raise ValueError(f"wavevectors must have 3 components, got shape {k.shape}")
+    rows = k.reshape(-1, 3)
+    if not np.isfinite(rows).all():  # math.cos(inf) would raise an error that names no wavevector
+        raise ValueError(f"a wavevector must be finite, got k={rows[~np.isfinite(rows).all(axis=1)][0].tolist()}")
+    values = np.array([f(row) for row in rows.tolist()], dtype=float)
+    return values.reshape(k.shape if vector else k.shape[:-1])[()]
+
 
 def omega(k, sign):
-    """Angular frequency omega(k) = 2 |n(k/2)| = 2 lam(k/2), walk units, at ``k[..., 3]``."""
-    import numpy as np
-    from .walk import bloch_data
-    return 2.0 * bloch_data(np.asarray(k, dtype=float) / 2.0, sign).lam
+    """Angular frequency omega(k) = 2 |n(k/2)| = 2 lam(k/2), walk units, at ``k[..., 3]``, one _wave per row."""
+    s = _check_sign(sign)
+    return _each_row(lambda row: _wave(tuple(_trig(row)), s)[0], k)
 
 
 def group_velocity_analytic(k, sign):
-    """Chain-rule gradient of omega at ``k[..., 3]``: -grad d(k/2) / sin lam(k/2).
-
-    The gradient is undefined where sin lam(k/2) < 1e-12 (n(k/2) = 0 or
-    lam = pi); those wavevectors get NaN components.
-    """
-    import numpy as np
-    from .walk import bloch_data
-    b = bloch_data(np.asarray(k, dtype=float) / 2.0, sign)
-    sin_lam = np.sin(b.lam)
-    undefined = sin_lam < _DEGENERATE_TOL
-    vg = -b.grad_d / np.where(undefined, 1.0, sin_lam)[..., None]
-    return np.where(undefined[..., None], np.nan, vg)
-
-
-DIAGONAL = (1.0 / SQRT3,) * 3
+    """Chain-rule gradient of omega at ``k[..., 3]``, one _wave per row: NaN where sin lam(k/2) < 1e-12."""
+    s = _check_sign(sign)
+    return _each_row(lambda row: _wave(tuple(_trig(row)), s)[1], k, vector=True)
 
 
 def speed_deviation(k, sign):
@@ -102,11 +154,7 @@ def speed_deviation(k, sign):
     """
     s = _check_sign(sign)
     if not (isinstance(k, (tuple, list)) and len(k) == 3 and all(isinstance(x, (int, float)) for x in k)):
-        import numpy as np
-        k = np.asarray(k, dtype=float)
-        if k.ndim == 0 or k.shape[-1] != 3:
-            raise ValueError(f"wavevectors must have 3 components, got shape {k.shape}")
-        return np.array([speed_deviation(row, sign) for row in k.reshape(-1, 3).tolist()]).reshape(k.shape[:-1])[()]
+        return _each_row(lambda row: speed_deviation(row, sign), k)
     if not all(map(math.isfinite, k)):
         raise ValueError(f"a wavevector must be finite, got k={list(k)}")
     d, n_tilde, norm, _ = _bloch(*(x / 2.0 for x in k), s)

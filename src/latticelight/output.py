@@ -3,12 +3,18 @@
 Every file starts with the run configuration as '#'-prefixed JSON lines
 (sorted keys, no timestamps), then a CSV body of '.'-decimal floats at 17
 significant digits, so identical configurations yield byte-identical files.
-A float ndarray body is formatted once per distinct value, then streamed.
+Rows are streamed, and each distinct float is formatted once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
+
+# most float texts one write_table call keeps: a table of many distinct floats holds no more
+_TEXTS_HELD = 1 << 16
 
 
 def format_value(value) -> str:
@@ -21,34 +27,53 @@ def format_value(value) -> str:
     return format(float(value), ".17g")
 
 
-def header_lines(header: dict) -> list:
-    text = json.dumps(header, indent=2, sort_keys=True)
-    return ["# " + line for line in text.splitlines()]
+class _Texts(dict):
+    """Cell -> its text for one table.  Up to _TEXTS_HELD non-integral floats are kept, so a cell equal to a kept
+    key has the key's text; 0.0 == -0.0, True == 1.0 and nan != nan are formatted every time."""
+
+    def __missing__(self, value):
+        if value.__class__ is not float:
+            return format_value(value)
+        text = format(value, ".17g")
+        if len(self) < _TEXTS_HELD and value == value and not value.is_integer():
+            self[value] = text
+        return text
 
 
 def write_table(path: str, header: dict, columns, rows):
-    """Write a self-describing CSV artifact (JSON header + rows).
+    """Write a self-describing CSV artifact (JSON header + rows), one row at a time.
 
-    A float ndarray body formats each distinct float64 bit pattern once, padded to the 24
-    characters of the widest "%.17g", then gathers and writes 1,024 rows at a time.
+    ``rows`` may be a generator, so the table is never held.  A regular or new
+    ``path`` is written to a temporary file beside it, which replaces ``path``
+    once every row is written: if ``rows`` raises, ``path`` is left as it was.
+    Any other path (a device, a FIFO) is written directly and never removed.
     """
-    lines = header_lines(header)
-    lines.append(",".join(columns))
-    blocks = ()
-    if getattr(rows, "ndim", None) == 2 and rows.dtype.kind == "f" and rows.shape[1] > 0:  # a float ndarray
-        import numpy as np
-        bits, inverse = np.unique(rows.astype(np.float64, copy=False).view(np.int64), return_inverse=True)
-        text = ("%24.17g," * len(bits)) % tuple(bits.view(np.float64).tolist())
-        cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(bits), 25)
-        blocks = np.split(inverse.reshape(rows.shape), range(1024, len(rows), 1024))
+    text = _Texts().__getitem__
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        fd, partial = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), None
     else:
-        lines.extend(",".join(format_value(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for index in blocks:
-            block = np.take(cells, index, axis=0)  # (rows, columns, 25): a padded value, then ','
-            block[:, -1, -1] = ord("\n")  # each row's last ',' ends its line
-            fh.write(block[block != ord(" ")].tobytes().decode("ascii"))
+        head, tail = os.path.split(target)
+        partial = os.path.join(head, f".{tail}.{os.getpid()}.partial")
+        fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines("# " + line + "\n" for line in json.dumps(header, indent=2, sort_keys=True).splitlines())
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(",".join(map(text, row)) + "\n" for row in rows)
+        if partial is not None:
+            if mode is not None:
+                os.chmod(partial, stat.S_IMODE(mode))  # the replaced file keeps its permissions
+            os.replace(partial, target)
+    except BaseException:
+        if partial is not None:
+            with contextlib.suppress(OSError):  # the error that stopped the write is the one raised
+                os.remove(partial)
+        raise
 
 
 def write_json(path: str, payload: dict):

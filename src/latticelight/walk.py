@@ -49,22 +49,6 @@ n = lam * n_tilde / sin(lam) away from the removable sin(lam) -> 0 limit.
 """
 
 
-def _components(v):
-    """The three components of ``v[..., 3]``.
-
-    A single vector gives numpy scalars, not 0-d arrays, which keeps the
-    per-call cost of one wavevector near that of scalar code.
-    """
-    return v[..., 0][()], v[..., 1][()], v[..., 2][()]
-
-
-def _vectors(x, y, z) -> np.ndarray:
-    """3-vectors ``[..., 3]`` from their component arrays (cheaper than np.stack)."""
-    out = np.empty(np.shape(x) + (3,))
-    out[..., 0], out[..., 1], out[..., 2] = x, y, z
-    return out
-
-
 def bloch_data(k, sign) -> BlochData:
     """Evaluate d, n_tilde, lam, n and grad d at wavevectors ``k[..., 3]`` for one branch.
 
@@ -81,12 +65,12 @@ def bloch_data(k, sign) -> BlochData:
     a = np.asarray(k, dtype=float) / SQRT3
     if a.ndim == 0 or a.shape[-1] != 3:
         raise ValueError(f"wavevectors must have shape (..., 3), got {a.shape}")
-    cos, sin = _components(np.cos(a)), _components(np.sin(a))
+    cos, sin = np.moveaxis(np.cos(a), -1, 0), np.moveaxis(np.sin(a), -1, 0)  # three component arrays each
     (d, (nx, ny, nz)), grad = _step_products(cos, sin, s), _step_gradient(cos, sin, s)
     del cos, sin
     nt_norm = np.sqrt(nx * nx + ny * ny + nz * nz)
     lam = np.arctan2(nt_norm, d)  # in [0, pi]; |n_tilde| = sin(lam)
-    n_tilde, grad_d = _vectors(nx, ny, nz), _vectors(*grad) / SQRT3
+    n_tilde, grad_d = np.stack((nx, ny, nz), axis=-1), np.stack(grad, axis=-1) / SQRT3
     tiny = nt_norm < _AXIS_TOL
     undefined = _axis_undefined(nt_norm, d)
     if undefined.any():
@@ -113,6 +97,6 @@ def tilt_angle(k, sign):
     n = bloch_data(k / 2.0, sign).n
     if np.any(np.linalg.norm(n, axis=-1) < _FRAME_TOL):
         raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} in the batch")
-    across, along = _angle_parts(_components(n), _components(k * np.array([1.0, -float(sign), 1.0])))
+    across, along = _angle_parts(np.moveaxis(n, -1, 0), np.moveaxis(k * np.array([1.0, -float(sign), 1.0]), -1, 0))
     angle = np.arctan2(np.sqrt(across), along)
     return np.minimum(angle, np.pi - angle)

@@ -156,14 +156,18 @@ def matmul_emergence_residual(profile, k, sign, t):
 
 
 def reference_uniform_profile(radius, grid_spacing):
-    """Offsets of the lexicographic triple loop with the |q| <= radius + 1e-12 test."""
+    """Offsets of the lexicographic triple loop with the |q| <= radius (1 + 1e-12) test.
+
+    The slack is relative, as the library's ball is, so the reference holds at any radius whose squared
+    offsets stay normal floats (above about 1e-150).
+    """
     m = int(math.floor(radius / grid_spacing + 1e-12))
     points = []
     for i in range(-m, m + 1):
         for j in range(-m, m + 1):
             for l in range(-m, m + 1):
                 q = np.array([i, j, l], dtype=float) * grid_spacing
-                if np.linalg.norm(q) <= radius + 1e-12:
+                if np.linalg.norm(q) <= radius * (1.0 + 1e-12):
                     points.append(q)
     return np.array(points)
 
@@ -406,7 +410,7 @@ def test_pauli_coefficients_batched():
     "radius,spacing",
     [
         (r, r * f)
-        for r in (1e-4, 4e-4, 0.3, 1.0, 2.5, 7.0)
+        for r in (1e-150, 1e-100, 1e-40, 1e-13, 1e-4, 4e-4, 0.3, 1.0, 2.5, 7.0)
         for f in (1.0, 0.5, 0.2, 1.0 / 3.0)
     ],
 )

@@ -115,6 +115,22 @@ def test_profile_refuses_non_finite_values(offsets, weights, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("weight", [1e200, 1.5e154, complex(0.0, 1e200), complex(1e308, 1e308), -1e300])
+def test_profile_refuses_a_huge_weight_with_a_value_error(weight):
+    # abs(w) ** 2 raised OverflowError past about 1e154, and abs() of a complex past about 1.3e308 does too
+    with pytest.raises(ValueError, match=r"sum\|f\|\^2 = inf"):
+        SmearingProfile([(0.0, 0.0, 0.0)], [weight])
+
+
+@pytest.mark.parametrize("offset", [1e300, -1.3e154, 1.7976931348623157e308, 1e-160, -1e-200, 5e-324])
+def test_support_radius_where_the_squared_offsets_overflow_or_underflow(offset):
+    # x*x + y*y + z*z read inf for SmearingProfile([(1e300, 0, 0)], [1]) and 0.0 below about 1e-154
+    profile = SmearingProfile([(0.0, 0.0, 0.0), (0.0, offset, 0.0)], [0.6, 0.8])
+    assert profile.support_radius == abs(offset)
+    both = SmearingProfile([(offset, -offset, 0.0), (0.0, 0.0, offset / 2.0)], [0.6, 0.8])
+    assert both.support_radius == math.hypot(offset, offset)
+
+
 def test_profile_refuses_non_numeric_offsets():
     for offsets in (["abc"], [None], [1.0]):
         with pytest.raises(ValueError):

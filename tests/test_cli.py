@@ -54,9 +54,53 @@ def test_dispersion_diagonal_split(tmp_path):
         assert vg_minus > 1.0 / np.sqrt(3.0) > vg_plus  # opposite-sign split
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the first row, (-kmax, -kmax, -kmax) with kmax = 2 pi sqrt3, has lam(k/2) = pi
+        ["--points", 3, "--kmax", 2.0 * math.pi * math.sqrt(3.0)],
+        # the second row, (pi sqrt3, pi sqrt3, pi sqrt3), has lam(k/2) = pi on the minus branch
+        ["--diagonal", "--points", 3, "--kmax", 6.0 * math.pi],
+    ],
+)
+def test_dispersion_degenerate_grid_point_exits_two(tmp_path, capsys, args):
+    out = tmp_path / "d.csv"
+    assert run(["dispersion", *args, "--out", out]) == EXIT_CONFIG
+    assert "error: degenerate wavevector:" in capsys.readouterr().err
+    assert not out.exists()  # a row streamed before the degenerate one leaves no partial artifact
+
+
+def test_dispersion_degenerate_grid_point_leaves_an_existing_out_file_as_it_was(tmp_path):
+    out = tmp_path / "d.csv"
+    out.write_bytes(b"an earlier artifact\n")
+    assert run(["dispersion", "--points", 3, "--kmax", 2.0 * math.pi * math.sqrt(3.0), "--out", out]) == EXIT_CONFIG
+    assert out.read_bytes() == b"an earlier artifact\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]  # no temporary file is left beside it
+
+
+def test_dispersion_counts_nan_speeds_on_stderr(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run(["dispersion", "--points", 3, "--out", out]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err == "note: 1 of 27 rows have a NaN group speed, where sin lam(k/2) < 1e-12\n"
+    _, _, rows = read_table(out)
+    assert [row[:3] for row in rows if "nan" in row] == [["0", "0", "0"]]  # the origin, on both branches
+    assert run(["dispersion", "--diagonal", "--points", 4, "--kmax", 0.5, "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err.startswith("note: 1 of 4 rows ")
+
+
+def test_dispersion_refuses_a_kmax_whose_grid_overflows(tmp_path, capsys):
+    # np.linspace(-1e308, 1e308, 3) spans 2e308 = inf and wrote rows of inf and nan with exit 0
+    out = tmp_path / "d.csv"
+    assert run(["dispersion", "--points", 3, "--kmax", 1e308, "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: kmax must be <= 1e+300, got 1e+308\n"
+    assert not out.exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     pairs = [
         (["dispersion", "--points", 2, "--kmax", 0.3], "d"),
+        (["dispersion", "--diagonal", "--points", 9, "--kmax", 3.0], "dd"),
         (["maxwell-convergence", "--levels", 2, "--t", 5], "m"),
         (["flight"], "f"),
         (["tilt", "--directions", 8], "t"),
@@ -503,6 +547,13 @@ def test_dispersion_and_flight_runs_leave_bilinear_unloaded(tmp_path, args):
         assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
+@pytest.mark.parametrize("args", [["dispersion", "--points", 5], ["dispersion", "--diagonal", "--points", 9]])
+def test_dispersion_run_loads_neither_numpy_nor_walk(tmp_path, args):
+    # the table streams through dispersion's standard-library routine: numpy's import was most of the process
+    loaded = modules_loaded(cli_run(args + ["--out", tmp_path / "d.csv"]), ("latticelight", "numpy"))
+    assert loaded == ["latticelight", "latticelight.cli", "latticelight.dispersion", "latticelight.output"]
+
+
 def test_dispersion_import_leaves_numpy_unloaded():
     assert modules_loaded("import latticelight.dispersion", ("numpy",)) == []
 
@@ -527,9 +578,10 @@ def test_maxwell_run_leaves_dispersion_unloaded(tmp_path):
 
 @pytest.mark.parametrize("args", [["dispersion", "--points", 3], ["tilt", "--directions", 4]])
 def test_walk_runs_leave_dataclasses_unloaded(tmp_path, args):
-    # walk.BlochData is a named tuple: the batched closed forms load no dataclasses
+    # walk.BlochData is a named tuple: the batched closed forms load no dataclasses; dispersion streams its
+    # rows through the standard-library routine and loads no walk at all
     loaded = modules_loaded(cli_run(args + ["--out", tmp_path / "out.csv"]), ("latticelight.walk", "dataclasses"))
-    assert loaded == ["latticelight.walk"]
+    assert loaded == ([] if args[0] == "dispersion" else ["latticelight.walk"])
 
 
 def test_tilt_run_still_loads_numpy_random(tmp_path):

@@ -23,6 +23,8 @@ TEST_ONLY = {
     "composite_boson_suite": "acceptance criterion 8: the Fock-space reference of onebody.composite_bosons",
     "pair_condensate": "acceptance criterion 8: the CSR (c^dag)^N |0> chain",
     "saturation_estimate": "ROADMAP item 6 decides whether a saturation subcommand uses it or it goes",
+    "omega": "acceptance criterion 5a; the dispersion table streams the same _wave per row through branches",
+    "group_velocity_analytic": "acceptance criterion 5c: the analytic route held to the finite-difference oracle",
 }
 
 FOCK_TEST_API = "the Jordan-Wigner oracle's operators, which the tests build their references from"

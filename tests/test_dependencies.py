@@ -62,3 +62,37 @@ def test_only_onebody_and_fock_import_dataclasses():
     # maxwell-convergence process loads no dataclasses
     imports = imported_packages()
     assert {module for module, names in imports.items() if "dataclasses" in names} == {"onebody", "fock"}
+
+
+def numpy_importers():
+    """{module stem: sorted names of the functions that import numpy, "<module>" for an import at its top}."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [("<module>", node) for node in tree.body]
+        scopes += [
+            (function.name, node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+        ]
+        names = {
+            scope
+            for scope, node in scopes
+            if (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy")
+        }
+        if names:
+            found[path.stem] = sorted(names)
+    return found
+
+
+def test_numpy_stays_behind_the_tilt_handler_and_the_array_branches():
+    # walk's batched closed forms serve tilt; dispersion's table and flight stream through math, and the CLI
+    # imports numpy only to draw tilt's directions; output formats every table without numpy
+    assert numpy_importers() == {
+        "cli": ["cmd_tilt"],
+        "dispersion": ["_each_row"],
+        "fock": ["<module>"],
+        "walk": ["<module>"],
+    }

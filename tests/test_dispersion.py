@@ -1,6 +1,8 @@
 """Unit tests for the dispersion relation and phenomenology."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +246,14 @@ def test_speed_deviation_refuses_a_component_that_is_not_finite(k):
         speed_deviation(np.array([[0.1, 0.2, 0.3], k]), MINUS)
 
 
+@pytest.mark.parametrize("k", [(math.inf, 0.1, 0.2), [0.1, -math.inf, 0.2], (0.1, 0.2, math.nan)])
+def test_omega_and_group_velocity_refuse_a_component_that_is_not_finite(k):
+    # numpy's batch gave NaN for these; math.cos(inf) raises "math domain error", which names no wavevector
+    for f in (omega, group_velocity_analytic):
+        with pytest.raises(ValueError, match=re.escape(f"a wavevector must be finite, got k={list(k)}")):
+            f(np.array([[0.1, 0.2, 0.3], k]), MINUS)
+
+
 @pytest.mark.parametrize("k", [(0.0, 0.0, 0.0), (2.0 * math.pi * SQRT3, 0.0, 0.0), (1e-200, 0.0, 1e-200)])
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
 def test_speed_deviation_refuses_degenerate_points(k, sign):
@@ -402,3 +412,75 @@ def test_saturation_estimate():
     assert ratio0 == 0.0
     _, ratio2 = saturation_estimate(2.0 * avogadro, 1e-15)
     assert ratio2 == pytest.approx(2.0 * ratio, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the streamed dispersion table
+
+
+SUBNORMAL_KMAX = [5e-324, 1e-323, 2.5e-323, 1e-321, 1e-310, 2.2250738585072014e-308]
+
+
+@pytest.mark.parametrize("kmax", [1.0, 0.3, 1.0 / 3.0, math.pi, 7.0, 1e-13, 1e300, *SUBNORMAL_KMAX])
+def test_grid_axis_is_numpy_linspace_bit_for_bit(kmax):
+    # the subnormal kmax values reach numpy's branch for a step that underflows to 0
+    for points in range(1, 102):
+        cube_axis = [z for _, _, (z, _, _) in itertools.islice(dispersion.grid(kmax, points), points)]
+        assert np.array(cube_axis).tobytes() == np.linspace(-kmax, kmax, points).tobytes(), (kmax, points)
+        diagonal = [x for (x, _, _), _, _ in dispersion.grid(kmax, points, diagonal=True)]
+        want = np.linspace(0.0, kmax, points) * dispersion.DIAGONAL[0]
+        assert np.array(diagonal).tobytes() == want.tobytes(), (kmax, points)
+
+
+@pytest.mark.parametrize("kmax", [1.0, 0.7, 5e-324])
+@pytest.mark.parametrize("points", [1, 2, 3, 8, 21])
+def test_grid_is_the_numpy_grid_of_the_artifact(kmax, points):
+    axis = np.linspace(-kmax, kmax, points)
+    cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    diagonal = np.linspace(0.0, kmax, points)[:, None] * np.array(dispersion.DIAGONAL)
+    for want, is_diagonal in ((cube, False), (diagonal, True)):
+        triples = list(dispersion.grid(kmax, points, is_diagonal))
+        got = np.array([[x for x, _, _ in triple] for triple in triples])
+        assert got.tobytes() == want.tobytes()
+        # each cosine and sine is that of k/(2 sqrt3) at its own coordinate
+        for triple in triples[:50]:
+            for x, c, s in triple:
+                assert (c, s) == (math.cos(x / 2.0 / SQRT3), math.sin(x / 2.0 / SQRT3))
+
+
+def numpy_table(grid):
+    """omega and |v_g| of both branches from the batched walk.bloch_data at k/2: NaN where sin lam(k/2) < 1e-12."""
+    columns = []
+    for sign in (PLUS, MINUS):
+        b = bloch_data(grid / 2.0, sign)
+        sin_lam = np.sin(b.lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            speed = np.linalg.norm(b.grad_d, axis=-1) / sin_lam
+        columns.append((2.0 * b.lam, np.where(sin_lam < 1e-12, np.nan, speed)))
+    (om_plus, vg_plus), (om_minus, vg_minus) = columns
+    return np.column_stack([grid, om_plus, om_minus, vg_plus, vg_minus])
+
+
+@pytest.mark.parametrize("diagonal,points,kmax", [(False, 9, 2.0), (False, 7, 6.0), (True, 40, 10.0), (True, 5, 0.04)])
+def test_streamed_table_matches_the_batched_walk(diagonal, points, kmax):
+    # the tolerances of perfbench's check_dispersion: omega to 1e-12 absolute, |v_g| to 1e-9 relative
+    rows = np.array(list(map(dispersion.branches, dispersion.grid(kmax, points, diagonal))))
+    want = numpy_table(rows[:, :3])
+    assert np.all(np.abs(rows[:, 3:5] - want[:, 3:5]) <= 1e-12)
+    got_vg, want_vg = rows[:, 5:], want[:, 5:]
+    assert np.array_equal(np.isnan(got_vg), np.isnan(want_vg))
+    assert np.isnan(got_vg[0 if diagonal else len(rows) // 2]).all()  # the origin
+    finite = ~np.isnan(want_vg)
+    assert np.all(np.abs(got_vg[finite] - want_vg[finite]) <= 1e-15 + 1e-9 * np.abs(want_vg[finite]))
+
+
+def test_wave_is_the_row_of_omega_and_group_velocity():
+    rng = np.random.default_rng(34)
+    ks = rng.uniform(-4.0, 4.0, (40, 3))
+    for sign in (PLUS, MINUS):
+        om, vg = omega(ks, sign), group_velocity_analytic(ks, sign)
+        for k, o, v in zip(ks, om, vg):
+            row = dispersion.branches(tuple(dispersion._trig(k.tolist())))
+            assert row[:3] == tuple(k)
+            assert row[3 if sign == PLUS else 4] == o
+            assert row[5 if sign == PLUS else 6] == math.hypot(*v)

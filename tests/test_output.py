@@ -1,9 +1,14 @@
 """Tests of the artifact writer."""
 
+import math
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from artifacts import read_table
+from latticelight import output
 from latticelight.output import format_value, write_table
 
 
@@ -22,18 +27,25 @@ def awkward_floats():
     return values
 
 
+def assert_body_is_per_value_formatting(tmp_path, rows):
+    """write_table of the array ``rows``, of its Python floats and of a generator of them gives the body of
+    format_value applied to one value at a time."""
+    header = {"command": "test"}
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    want = "".join(",".join(format_value(float(v)) for v in row) + "\n" for row in rows)
+    for i, table in enumerate([rows, rows.tolist(), (tuple(row) for row in rows.tolist())]):
+        out = tmp_path / f"table{i}.csv"
+        write_table(out, header, columns, table)
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith(",".join(columns) + "\n" + want) and text.startswith("# {"), i
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_float_array_body_matches_per_value_formatting(tmp_path, dtype):
     with np.errstate(over="ignore"):  # float32 turns the largest values into inf
         rows = awkward_floats().astype(dtype).reshape(-1, 8)
-    header = {"command": "test"}
-    columns = [f"c{i}" for i in range(rows.shape[1])]
-    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-    write_table(fast, header, columns, rows)
-    # a list of lists takes the format_value route
-    write_table(slow, header, columns, [list(row) for row in rows])
-    assert fast.read_bytes() == slow.read_bytes()
-    _, _, body = read_table(fast)
+    assert_body_is_per_value_formatting(tmp_path, rows)
+    _, _, body = read_table(tmp_path / "table0.csv")
     assert body[0][:5] == [format_value(v) for v in rows[0][:5]]
     assert body[0][4] == "-0"
 
@@ -70,10 +82,79 @@ def grid_table():
     ids=["grid", "fortran", "reversed-columns", "no-rows", "one-row", "float32", "no-columns"],
 )
 def test_distinct_value_body_matches_per_value_formatting(tmp_path, make):
-    rows = make()
-    header = {"command": "test"}
-    columns = [f"c{i}" for i in range(rows.shape[1])]
-    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-    write_table(fast, header, columns, rows)
-    write_table(slow, header, columns, [list(row) for row in rows])
-    assert fast.read_bytes() == slow.read_bytes()
+    assert_body_is_per_value_formatting(tmp_path, make())
+
+
+def test_repeated_floats_beside_equal_values_of_other_text(tmp_path):
+    # a kept float's text is reused only for equal cells with the same text: 0.0 == -0.0, True == 1 == 1.0,
+    # 10**20 == 1e20 and nan != nan each keep their own
+    cells = [0.1, -0.0, 0.0, True, 1, 1.0, 1.5, 10**20, 1e20, math.nan, "0.1", False, 2.5e-320, math.inf, -math.inf]
+    rows = [cells, cells[::-1], [np.float64(0.1), np.float32(1.5), 0.1, 1.5, -0.0]]
+    out = tmp_path / "mixed.csv"
+    write_table(out, {}, ["c"] * len(cells), rows)
+    _, _, body = read_table(out)
+    assert body == [[format_value(v) for v in row] for row in rows]
+    assert body[0][:10] == ["0.10000000000000001", "-0", "0", "true", "1", "1", "1.5", "100000000000000000000",
+                            "1e+20", "nan"]
+
+
+def test_a_table_of_more_distinct_floats_than_are_kept(tmp_path, monkeypatch):
+    monkeypatch.setattr(output, "_TEXTS_HELD", 8)
+    rows = [[i / 7.0, -i / 7.0, i / 7.0] for i in range(1, 100)]
+    out = tmp_path / "many.csv"
+    write_table(out, {}, ["a", "b", "c"], rows)
+    _, _, body = read_table(out)
+    assert body == [[format_value(v) for v in row] for row in rows]
+
+
+def test_a_failing_row_stream_leaves_no_partial_artifact(tmp_path):
+    def rows():
+        yield [1.5, 2.5]
+        raise ValueError("row 2")
+
+    out = tmp_path / "partial.csv"
+    with pytest.raises(ValueError, match="row 2"):
+        write_table(out, {"command": "test"}, ["a", "b"], rows())
+    assert not out.exists()
+
+
+def test_a_failing_row_stream_leaves_an_existing_file_as_it_was(tmp_path):
+    def rows():
+        yield [1.5, 2.5]
+        raise ValueError("row 2")
+
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"an earlier artifact\n")
+    with pytest.raises(ValueError, match="row 2"):
+        write_table(out, {"command": "test"}, ["a", "b"], rows())
+    assert out.read_bytes() == b"an earlier artifact\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
+
+def test_a_replaced_file_keeps_its_permissions_and_a_symlink_stays_a_link(tmp_path):
+    out = tmp_path / "t.csv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    write_table(link, {}, ["a"], [[1.5]])
+    assert link.is_symlink() and stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_text() == "# {}\na\n1.5\n"
+
+
+def test_a_path_that_is_not_a_regular_file_is_written_directly_and_never_removed(tmp_path):
+    def rows():
+        yield [1.5]
+        raise ValueError("row 2")
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so that opening the FIFO to write does not block
+    try:
+        with pytest.raises(ValueError, match="row 2"):
+            write_table(fifo, {}, ["a"], rows())
+        assert os.read(reader, 1024) == b"# {}\na\n1.5\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
