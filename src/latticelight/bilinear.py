@@ -15,8 +15,9 @@ rotation quantifies the internal-dynamics correction.
 Every per-grid-point quantity comes from one kernel, ``_kernel``, written
 with ``math`` on the step of ``latticelight._bloch``; the
 residuals stream through it one grid point at a time.  The module runs on
-the standard library and never imports numpy; the batched tilt of many
-wavevectors is ``walk.tilt_angle``.  All functions are pure and every
+the standard library and never imports numpy; ``tilt_angle``, the exact
+tilt at one wavevector, serves the ``tilt`` subcommand and the emergence
+report alike.  All functions are pure and every
 reduction runs in a fixed order, so results are deterministic.
 """
 
@@ -257,18 +258,45 @@ def _half_axis(k, sign):
 
     Raises DegeneratePointError at lam = pi, where the axis is undefined.
     """
-    d, n_tilde, norm, lam = _bloch(*(float(c) / 2.0 for c in k), _check_sign(sign))
+    x, y, z = k
+    d, (nx, ny, nz), norm, lam = _bloch(float(x) / 2.0, float(y) / 2.0, float(z) / 2.0, _check_sign(sign))
     if _axis_undefined(norm, d):
         raise DegeneratePointError(f"rotation axis undefined at k={list(k)} / 2 (lam=pi, n_tilde=0)")
     # lam/sin(lam) = 1 + lam^2/6 + ...; below _AXIS_TOL the series collapses to n = n_tilde
     scale = 1.0 + lam * lam / 6.0 if norm < _AXIS_TOL else lam / norm
-    return lam, tuple(scale * c for c in n_tilde)
+    return lam, (scale * nx, scale * ny, scale * nz)
 
 
 def _angle(n, a):
-    """Angle in [0, pi] between the 3-vectors n and a."""
-    across, along = _angle_parts(n, a)
+    """Angle in [0, pi] between the 3-vectors n and a.
+
+    ``a`` is first scaled by the power of 2 that puts its largest component in
+    [0.5, 1): that changes no bit of the angle where |n x a|^2 is finite, and
+    keeps the square finite for any finite ``a`` (unscaled, it overflows from
+    |a| of about 1e154).
+    """
+    x, y, z = a
+    scale = -math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    across, along = _angle_parts(n, (math.ldexp(x, scale), math.ldexp(y, scale), math.ldexp(z, scale)))
     return math.atan2(math.sqrt(across), along)
+
+
+def tilt_angle(k, sign) -> float:
+    """Exact polarization tilt at one wavevector k, in [0, pi/2].
+
+    The angle between the rotation axis n(k/2) and the branch's small-k axis,
+    folded into [0, pi/2]: k on the minus branch, and (k_x, -k_y, k_z) on the
+    plus branch, since n(k, +) = n((k_x, -k_y, k_z), -).  It is the angle
+    between the polarization plane (normal to n) and the plane orthogonal to
+    that axis.  Raises DegeneratePointError where |n(k/2)| < _FRAME_TOL (no
+    axis, as in polarization_frame).
+    """
+    _, n = _half_axis(k, sign)
+    if math.sqrt(_dot(n, n)) < _FRAME_TOL:
+        raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} at k={list(k)}")
+    x, y, z = k
+    tilt = _angle(n, (x, y * -float(sign), z))
+    return min(tilt, math.pi - tilt)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +316,7 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
     zero, to rounding, for a single-point profile, else O(qbar/|n|) while t
     qbar is small (at the CLI defaults the fitted slope reads 1.001, 1.050,
     1.752, 1.998 at t = 10^3, 3000, 10^4, 10^6).  Also reports the static
-    tilt of walk.tilt_angle and the raw angle between the rotation axis and k.
+    tilt of tilt_angle and the raw angle between the rotation axis and k.
     The kernel streams one grid point at a time; no table is held.
     """
     if t < 0:
@@ -303,12 +331,10 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
     total = 0.0
     for w, table in zip(profile.weights, _kernel(profile, k, sign, t)):
         total += abs(w) ** 2 * math.dist(_project(rows, table), start) ** 2
-
-    tilt = _angle(n, (k[0], k[1] * -float(sign), k[2]))
     return MaxwellReport(
         qbar=profile.support_radius,
         residual_transverse=math.sqrt(total),
-        tilt_angle=min(tilt, math.pi - tilt),
+        tilt_angle=tilt_angle(k, sign),
         axis_angle_to_k=_angle(n, k),
     )
 

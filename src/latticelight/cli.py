@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from . import MAX_STEPS, MINUS, PLUS, DegeneratePointError, __version__  # numpy and the engines load in the handlers
+from . import MAX_STEPS, MINUS, PLUS, DegeneratePointError, __version__  # the engines load in the handlers
 from .output import write_json, write_table
 
 EXIT_OK = 0
@@ -28,10 +28,10 @@ SIGNS = {"plus": PLUS, "minus": MINUS}
 
 # Most wavevectors one run may take: the dispersion grid (points^3, or points
 # along the diagonal), streamed one row at a time, and the tilt directions,
-# one batched evaluation at about 0.25 kB of traced memory each (0.26 GB at the cap).
+# held as 3 doubles each and evaluated one at a time (about 60 MB at the cap).
 MAX_WAVEVECTORS = 2**20
-# Largest dispersion kmax: past about 9e307 the grid spacing 2 kmax / (points - 1)
-# overflows to inf, and the grid would hold inf and NaN.
+# Largest dispersion kmax and tilt k value: past about 9e307 the grid spacing
+# 2 kmax / (points - 1) and the tilt estimate 2k overflow to inf.
 MAX_KMAX = 1e300
 
 
@@ -276,17 +276,25 @@ def cmd_flight(cfg: dict, out: str, seed: int) -> int:
 
 
 def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
-    import numpy as np
+    from array import array
+
+    from .bilinear import tilt_angle
     from .dispersion import tilt_angle_estimate
-    from .walk import tilt_angle
+    from .normal import standard_normal
+    if max(cfg["k_values"]) > MAX_KMAX:
+        raise ConfigError(f"k_values must be <= {MAX_KMAX}, got {max(cfg['k_values'])!r}")
     sign = SIGNS[cfg["sign"]]
-    rng = np.random.default_rng(seed)
-    directions = rng.standard_normal((cfg["directions"], 3))
-    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    draws = standard_normal(seed, 3 * cfg["directions"])  # numpy's default_rng(seed).standard_normal((n, 3))
+
+    def directions():  # each row over its norm, summed in np.linalg.norm's order
+        for x, y, z in zip(*[iter(draws)] * 3):
+            norm = math.sqrt(x * x + y * y + z * z)
+            yield x / norm, y / norm, z / norm
+
     rows = []
     for kmag in cfg["k_values"]:
-        tilts = tilt_angle(kmag * directions, sign)
-        rows.append([kmag, tilts.max(), float(np.mean(tilts)), tilt_angle_estimate(kmag)])
+        tilts = array("d", (tilt_angle((kmag * x, kmag * y, kmag * z), sign) for x, y, z in directions()))
+        rows.append([kmag, max(tilts), math.fsum(tilts) / len(tilts), tilt_angle_estimate(kmag)])
     write_table(
         out,
         _base_header("tilt", cfg, seed),

@@ -168,7 +168,7 @@ def speed_deviation(k, sign):
 def tilt_angle_estimate(k_magnitude: float) -> float:
     """Leading-order estimate 2k of the polarization-plane tilt (radians).
 
-    The exact per-wavevector tilt is walk.tilt_angle, which
+    The exact per-wavevector tilt is bilinear.tilt_angle, which
     bilinear.maxwell_emergence_report also reports; this is the quoted one-parameter
     order estimate.
     """

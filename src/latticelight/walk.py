@@ -23,12 +23,10 @@ import numpy as np
 
 from . import (
     _AXIS_TOL,
-    _FRAME_TOL,
     MINUS,
     PLUS,
     SQRT3,
     DegeneratePointError,
-    _angle_parts,
     _axis_undefined,
     _check_sign,
     _step_gradient,
@@ -82,21 +80,3 @@ def bloch_data(k, sign) -> BlochData:
     n = scale[..., None] * n_tilde
     return BlochData(d=d[()], n_tilde=n_tilde, lam=lam[()], n=n, grad_d=grad_d)
 
-
-def tilt_angle(k, sign):
-    """Exact polarization tilt at wavevectors ``k[..., 3]``, in [0, pi/2].
-
-    The angle between the rotation axis n(k/2) and the branch's small-k axis,
-    folded into [0, pi/2]: k on the minus branch, and (k_x, -k_y, k_z) on the
-    plus branch, since n(k, +) = n((k_x, -k_y, k_z), -).  It is the angle
-    between the polarization plane (normal to n) and the plane orthogonal to
-    that axis.  Raises DegeneratePointError when |n(k/2)| is below tolerance
-    at any wavevector (no axis, as in bilinear.polarization_frame).
-    """
-    k = np.asarray(k, dtype=float)
-    n = bloch_data(k / 2.0, sign).n
-    if np.any(np.linalg.norm(n, axis=-1) < _FRAME_TOL):
-        raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} in the batch")
-    across, along = _angle_parts(np.moveaxis(n, -1, 0), np.moveaxis(k * np.array([1.0, -float(sign), 1.0]), -1, 0))
-    angle = np.arctan2(np.sqrt(across), along)
-    return np.minimum(angle, np.pi - angle)

@@ -25,6 +25,7 @@ from latticelight.bilinear import (
     polarization_frame,
     predicted_rotation,
     single_point_profile,
+    tilt_angle,
 )
 from latticelight.cli import EXIT_OK, main
 from latticelight.dispersion import group_velocity_analytic, omega
@@ -34,9 +35,9 @@ from latticelight.walk import (
     SQRT3,
     DegeneratePointError,
     bloch_data,
-    tilt_angle,
 )
 from walk_oracles import AXIS_PERIOD, PAULI, group_velocity, step_power, vector_tables
+from walk_oracles import tilt_angle as batched_tilt
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 BLOCH_ATOL = 1e-13
@@ -437,7 +438,42 @@ def test_tilt_matches_scalar_reference(k, sign):
         # a short axis, or an arccos near 1 that turns each rounding of the
         # cosine into ~1e-16/angle: neither route fixes the angle to 1e-12
         return
-    assert abs(float(tilt_angle(k, sign)) - want) <= 1e-12
+    assert abs(tilt_angle(k, sign) - want) <= 1e-12
+    assert abs(float(batched_tilt(k, sign)) - want) <= 1e-12
+
+
+# a direction times a magnitude from 1e-11, where |n(k/2)| nears the frame tolerance, to 1e250
+scaled = st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda u: max(map(abs, u)) > 1e-3),
+    st.floats(-11.0, 250.0),
+).map(lambda p: [c * 10.0 ** p[1] for c in p[0]])
+
+
+@PROPERTY
+@given(k=st.one_of(generic, scaled), sign=signs)
+def test_float_tilt_matches_the_batched_oracle(k, sign):
+    try:
+        want = float(batched_tilt(np.array(k), sign))
+    except DegeneratePointError:
+        with pytest.raises(DegeneratePointError):
+            tilt_angle(k, sign)
+        return
+    if np.linalg.norm(bloch_data(np.array(k) / 2.0, sign).n) < 1e-6 * min(1.0, max(map(abs, k))):
+        # an axis short against its O(1) trigonometric products (not the short axis of a small k, whose products
+        # are as small): a rounding of n_tilde turns the angle by up to 1e-16 / |n|
+        return
+    assert abs(tilt_angle(k, sign) - want) <= 1e-15
+
+
+@PROPERTY
+@given(k=st.one_of(generic, scaled))
+def test_plus_float_tilt_is_the_mirrored_minus_tilt(k):
+    x, y, z = k
+    try:
+        want = tilt_angle([x, -y, z], MINUS)
+    except DegeneratePointError:
+        return
+    assert tilt_angle(k, PLUS) == want
 
 
 def test_tilt_batch_matches_report():
@@ -446,18 +482,22 @@ def test_tilt_batch_matches_report():
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     profile = single_point_profile()
     for kmag in (0.05, 0.1, 1.3):
-        tilts = tilt_angle(kmag * dirs, MINUS)
+        tilts = batched_tilt(kmag * dirs, MINUS)
         assert tilts.shape == (200,)
         assert np.all((tilts >= 0.0) & (tilts <= math.pi / 2.0))
         for d, tilt in zip(dirs, tilts):
             report = maxwell_emergence_report(profile, kmag * d, MINUS, 0)
+            assert report.tilt_angle == tilt_angle(kmag * d, MINUS)
             assert abs(tilt - report.tilt_angle) <= 1e-12
             assert abs(tilt - reference_tilt(kmag * d, MINUS)) <= 1e-12
 
 
 def test_tilt_degenerate_axis_raises():
     with pytest.raises(DegeneratePointError):
-        tilt_angle(np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]]), MINUS)
-    with pytest.raises(DegeneratePointError):
-        tilt_angle(np.array([1e-13, 0.0, 0.0]), PLUS)
+        batched_tilt(np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]]), MINUS)
+    for k, sign in (([0.0, 0.0, 0.0], MINUS), ([1e-13, 0.0, 0.0], PLUS)):
+        with pytest.raises(DegeneratePointError):
+            batched_tilt(np.array(k), sign)
+        with pytest.raises(DegeneratePointError):
+            tilt_angle(k, sign)
 

@@ -16,17 +16,23 @@ from latticelight.bilinear import (
     predicted_rotation,
     rotation_generator,
     single_point_profile,
+    tilt_angle,
 )
 from latticelight.walk import (
     MINUS,
     PLUS,
     DegeneratePointError,
     bloch_data,
-    tilt_angle,
 )
 from walk_oracles import PAULI, approx_interp_unitary, step_power, vector_tables
 
 K_REF = np.array([0.4, 0.3, 0.2])
+
+
+def tilts(k, sign):
+    """bilinear.tilt_angle at each wavevector of ``k[..., 3]``."""
+    k = np.asarray(k, dtype=float)
+    return np.array([tilt_angle(row, sign) for row in k.reshape(-1, 3).tolist()]).reshape(k.shape[:-1])
 
 
 def pauli_dot(v):
@@ -274,7 +280,7 @@ TILT_DIRECTION = np.array([0.3, 0.5, 0.81]) / np.linalg.norm([0.3, 0.5, 0.81])
 def test_tilt_keeps_its_slope_at_small_k(kmag):
     # arccos of the cosine read 2.58 |k| at 1e-8 and 0 at 1e-10 here; the slope is 0.1392134
     def slope(k):
-        return float(tilt_angle(k * TILT_DIRECTION, MINUS)) / k
+        return tilt_angle(k * TILT_DIRECTION, MINUS) / k
 
     assert slope(kmag) == pytest.approx(slope(1e-6), rel=1e-5)
     assert slope(1e-6) == pytest.approx(0.1392134, rel=1e-6)
@@ -285,7 +291,7 @@ def test_plus_tilt_is_the_mirrored_minus_tilt():
     rng = np.random.default_rng(43)
     k = rng.standard_normal((4000, 3)) * np.exp(rng.uniform(-23.0, 1.5, (4000, 1)))
     mirror = np.array([1.0, -1.0, 1.0])
-    assert np.array_equal(tilt_angle(k, PLUS), tilt_angle(k * mirror, MINUS))
+    assert np.array_equal(tilts(k, PLUS), tilts(k * mirror, MINUS))
     # the raw angle to k stays what it is: about 1.17 rad here on the plus branch
     report = maxwell_emergence_report(single_point_profile(), K_REF, PLUS, 1)
     assert report.tilt_angle == maxwell_emergence_report(single_point_profile(), K_REF * mirror, MINUS, 1).tilt_angle
@@ -296,13 +302,13 @@ def test_plus_tilt_is_the_mirrored_minus_tilt():
 def test_tilt_vanishes_on_the_coordinate_axes(sign):
     magnitudes = np.array([1e-11, 1e-8, 1e-3, 0.05, 0.7, -0.4, 2.5, -5.0])
     for axis in np.eye(3):
-        assert np.all(tilt_angle(magnitudes[:, None] * axis, sign) == 0.0)
+        assert np.all(tilts(magnitudes[:, None] * axis, sign) == 0.0)
 
 
 @pytest.mark.parametrize("kmag", [1e-3, 1e-6, 1e-8, 1e-10])
 def test_tilt_on_the_minus_diagonal_follows_the_leading_law(kmag):
     diagonal = np.ones(3) / math.sqrt(3.0)
-    assert float(tilt_angle(kmag * diagonal, MINUS)) / kmag == pytest.approx(math.sqrt(2.0) / 9.0, rel=1e-4)
+    assert tilt_angle(kmag * diagonal, MINUS) / kmag == pytest.approx(math.sqrt(2.0) / 9.0, rel=1e-4)
 
 
 def test_leading_tilt_law_from_the_series():
@@ -343,7 +349,7 @@ def test_leading_tilt_law_from_the_series():
     w_num = np.stack([dirs[:, 1] * dirs[:, 2], -dirs[:, 0] * dirs[:, 2], dirs[:, 0] * dirs[:, 1]], axis=1)
     leading = np.linalg.norm(np.cross(w_num, dirs), axis=1) / (2 * math.sqrt(3))
     assert math.sqrt(2) / 9 * (1 - 1e-3) <= leading.max() <= math.sqrt(2) / 9 * (1 + 1e-12)
-    np.testing.assert_allclose(tilt_angle(1e-6 * dirs[:1000], MINUS) / 1e-6, leading[:1000], rtol=1e-4, atol=1e-9)
+    np.testing.assert_allclose(tilts(1e-6 * dirs[:1000], MINUS) / 1e-6, leading[:1000], rtol=1e-4, atol=1e-9)
 
 
 def test_report_requires_frame():

@@ -15,6 +15,7 @@ import pytest
 
 import latticelight
 from artifacts import read_table
+from latticelight import MINUS
 from latticelight.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -94,6 +95,34 @@ def test_dispersion_refuses_a_kmax_whose_grid_overflows(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run(["dispersion", "--points", 3, "--kmax", 1e308, "--out", out]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: kmax must be <= 1e+300, got 1e+308\n"
+    assert not out.exists()
+
+
+def test_tilt_at_a_huge_k_matches_the_batched_oracle_on_unit_directions(tmp_path):
+    # |n x k|^2 overflowed from about k = 1e154: both columns read pi/2, with numpy's overflow warnings
+    from walk_oracles import tilt_angle
+
+    out = tmp_path / "t.csv"
+    src = os.path.dirname(os.path.dirname(latticelight.__file__))
+    args = ["tilt", "--k-values", "1e200", "--directions", "64", "--seed", "3", "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "latticelight.cli", *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    _, _, rows = read_table(out)
+    dirs = np.random.default_rng(3).standard_normal((64, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    want = tilt_angle(1e200 * dirs, MINUS)
+    assert float(rows[0][1]) == pytest.approx(want.max(), abs=1e-15)
+    assert float(rows[0][2]) == pytest.approx(want.mean(), abs=1e-15)
+    assert float(rows[0][2]) < float(rows[0][1]) < math.pi / 2.0
+
+
+def test_tilt_refuses_a_k_value_whose_estimate_overflows(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run(["tilt", "--k-values", "0.05,1e301", "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: k_values must be <= 1e+300, got 1e+301\n"
     assert not out.exists()
 
 
@@ -578,16 +607,21 @@ def test_maxwell_run_leaves_dispersion_unloaded(tmp_path):
 
 @pytest.mark.parametrize("args", [["dispersion", "--points", 3], ["tilt", "--directions", 4]])
 def test_walk_runs_leave_dataclasses_unloaded(tmp_path, args):
-    # walk.BlochData is a named tuple: the batched closed forms load no dataclasses; dispersion streams its
-    # rows through the standard-library routine and loads no walk at all
+    # dispersion streams its rows and tilt evaluates one direction at a time, both through standard-library
+    # routines: neither loads walk, nor dataclasses
     loaded = modules_loaded(cli_run(args + ["--out", tmp_path / "out.csv"]), ("latticelight.walk", "dataclasses"))
-    assert loaded == ([] if args[0] == "dispersion" else ["latticelight.walk"])
+    assert loaded == []
 
 
-def test_tilt_run_still_loads_numpy_random(tmp_path):
-    # perfbench's check_tilt recomputes the directions from numpy's default_rng(seed) stream
+def test_tilt_run_loads_neither_numpy_nor_walk(tmp_path):
+    # latticelight.normal draws numpy's default_rng(seed) stream, which perfbench's check_tilt recomputes,
+    # and bilinear.tilt_angle takes each angle with math: numpy's import was most of the process
     run_it = cli_run(["tilt", "--directions", 4, "--out", tmp_path / "t.csv"])
-    assert "numpy.random" in modules_loaded(run_it, ("numpy.random",))
+    loaded = modules_loaded(run_it, ("latticelight", "numpy"))
+    assert loaded == [
+        "latticelight", "latticelight.bilinear", "latticelight.cli", "latticelight.dispersion", "latticelight.normal",
+        "latticelight.output",
+    ]
 
 
 @pytest.mark.parametrize("command", sorted(SCHEMA))

@@ -25,6 +25,7 @@ TEST_ONLY = {
     "saturation_estimate": "ROADMAP item 6 decides whether a saturation subcommand uses it or it goes",
     "omega": "acceptance criterion 5a; the dispersion table streams the same _wave per row through branches",
     "group_velocity_analytic": "acceptance criterion 5c: the analytic route held to the finite-difference oracle",
+    "bloch_data": "acceptance criteria 1, 2 and 5c: the batched closed forms the tests hold the float routines to",
 }
 
 FOCK_TEST_API = "the Jordan-Wigner oracle's operators, which the tests build their references from"

@@ -88,10 +88,9 @@ def numpy_importers():
 
 
 def test_numpy_stays_behind_the_tilt_handler_and_the_array_branches():
-    # walk's batched closed forms serve tilt; dispersion's table and flight stream through math, and the CLI
-    # imports numpy only to draw tilt's directions; output formats every table without numpy
+    # walk's batched closed forms serve the tests; dispersion's table, flight and tilt run through math,
+    # tilt's directions come from latticelight.normal, and output formats every table without numpy
     assert numpy_importers() == {
-        "cli": ["cmd_tilt"],
         "dispersion": ["_each_row"],
         "fock": ["<module>"],
         "walk": ["<module>"],

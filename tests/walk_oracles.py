@@ -1,6 +1,6 @@
 """Test oracles of the walk: the Pauli matrices, the 2x2 step powers, the kernel tables as
 one array, the interpolating unitary, its first-order surrogate, the finite-difference
-group velocity, and the map into the canonical periodic cell.
+group velocity, the batched polarization tilt, and the map into the canonical periodic cell.
 
 The library evaluates the closed forms; these build the references that the
 walk error-law tests, the kernel-table checks and the gradient-route checks
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from latticelight import _check_sign
+from latticelight import _FRAME_TOL, _angle_parts, _check_sign
 from latticelight.bilinear import _kernel, _power
 from latticelight.dispersion import omega
 from latticelight.walk import SQRT3, DegeneratePointError, bloch_data
@@ -105,6 +105,26 @@ def group_velocity(k, sign) -> np.ndarray:
 
     step = 1e-5
     return (4.0 * central(step / 2.0) - central(step)) / 3.0
+
+
+def tilt_angle(k, sign) -> np.ndarray:
+    """Exact polarization tilt at wavevectors ``k[..., 3]``, in [0, pi/2]: the batched oracle of bilinear.tilt_angle.
+
+    The angle between n(k/2) from ``bloch_data`` and the branch's small-k axis
+    (k, or (k_x, -k_y, k_z) on the plus branch), folded into [0, pi/2].  The
+    axis is divided by its largest component first, so the angle stays finite
+    up to the float maximum.  Raises DegeneratePointError when |n(k/2)| is
+    below _FRAME_TOL at any wavevector.
+    """
+    k = np.asarray(k, dtype=float)
+    n = bloch_data(k / 2.0, sign).n
+    if np.any(np.linalg.norm(n, axis=-1) < _FRAME_TOL):
+        raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} in the batch")
+    axis = k * np.array([1.0, -float(sign), 1.0])
+    axis = axis / np.max(np.abs(axis), axis=-1, keepdims=True)
+    across, along = _angle_parts(np.moveaxis(n, -1, 0), np.moveaxis(axis, -1, 0))
+    angle = np.arctan2(np.sqrt(across), along)
+    return np.minimum(angle, np.pi - angle)
 
 
 def canonical_wavevector(k) -> np.ndarray:
