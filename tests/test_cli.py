@@ -437,9 +437,17 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
         (["maxwell-convergence", "--spacing-factor", "0"], None, "error: spacing_factor must be in (0, 1], got 0.0"),
         (["maxwell-convergence"], {"spacing_factor": 1.5}, "error: spacing_factor must be in (0, 1], got 1.5"),
         (["tilt", "--directions", "0"], None, "error: directions must be in 1..1048576, got 0"),
-        pytest.param(["fock-suite", "--momenta", "17"], None, "error: momenta must be in 1..16, got 17", id="fock-suite-momenta-above"),
-        pytest.param(["fock-suite"], {"momenta": 0}, "error: momenta must be in 1..16, got 0", id="fock-suite-momenta-zero-config"),
+        (["fock-suite", "--momenta", "17"], None, "error: momenta must be in 1..16, got 17"),
+        (["fock-suite"], {"momenta": 0}, "error: momenta must be in 1..16, got 0"),
         (["flight", "--distance-m", "-1"], None, "error: distance_m must be > 0, got -1.0"),
+    ],
+    ids=[
+        "tilt-k-values-negative", "tilt-k-values-negative-config", "flight-energies-negative",
+        "flight-energies-zero-config", "flight-distance-m-negative", "flight-energies-duplicate-labels",
+        "dispersion-points-zero", "dispersion-kmax-negative", "dispersion-points-and-kmax-zero-config",
+        "maxwell-levels-one", "maxwell-base-radius-zero", "maxwell-spacing-factor-zero",
+        "maxwell-spacing-factor-above-one-config", "tilt-directions-zero", "fock-suite-momenta-above",
+        "fock-suite-momenta-zero-config", "flight-distance-m-negative-with-value",
     ],
 )
 def test_range_messages_name_the_key(tmp_path, capsys, args, config, message):
