@@ -107,33 +107,32 @@ def grid(kmax, points, diagonal=False):
     return itertools.product(list(_trig(axis)), repeat=3)
 
 
-def _each_row(f, k, vector=False):
-    """f at each row of ``k[..., 3]``, with numpy: an array shaped like k[..., 0], or like k where f gives 3-vectors."""
-    import numpy as np
-    k = np.asarray(k, dtype=float)
-    if k.ndim == 0 or k.shape[-1] != 3:
-        raise ValueError(f"wavevectors must have 3 components, got shape {k.shape}")
-    rows = k.reshape(-1, 3)
-    if not np.isfinite(rows).all():  # math.cos(inf) would raise an error that names no wavevector
-        raise ValueError(f"a wavevector must be finite, got k={rows[~np.isfinite(rows).all(axis=1)][0].tolist()}")
-    values = np.array([f(row) for row in rows.tolist()], dtype=float)
-    return values.reshape(k.shape if vector else k.shape[:-1])[()]
+def _wavevector(k):
+    """The components of one wavevector ``k``, any sequence of three real numbers, as floats: ValueError for any other
+    shape, or for a component that is not finite (math.cos(inf) would raise an error that names no wavevector)."""
+    try:
+        x, y, z = map(float, k)
+    except (TypeError, ValueError):
+        raise ValueError(f"a wavevector must have 3 components, got {k!r}") from None
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"a wavevector must be finite, got k={[x, y, z]}")
+    return x, y, z
 
 
 def omega(k, sign):
-    """Angular frequency omega(k) = 2 |n(k/2)| = 2 lam(k/2), walk units, at ``k[..., 3]``, one _wave per row."""
+    """Angular frequency omega(k) = 2 |n(k/2)| = 2 lam(k/2), walk units, at one wavevector ``k``."""
     s = _check_sign(sign)
-    return _each_row(lambda row: _wave(tuple(_trig(row)), s)[0], k)
+    return _wave(tuple(_trig(_wavevector(k))), s)[0]
 
 
 def group_velocity_analytic(k, sign):
-    """Chain-rule gradient of omega at ``k[..., 3]``, one _wave per row: NaN where sin lam(k/2) < 1e-12."""
+    """Chain-rule gradient of omega at one wavevector ``k``, a 3-tuple: NaN where sin lam(k/2) < 1e-12."""
     s = _check_sign(sign)
-    return _each_row(lambda row: _wave(tuple(_trig(row)), s)[1], k, vector=True)
+    return _wave(tuple(_trig(_wavevector(k))), s)[1]
 
 
 def speed_deviation(k, sign):
-    """Normalized group speed minus 1 at one wavevector or at each of ``k[..., 3]``, in a cancellation-free closed form.
+    """Normalized group speed minus 1 at one wavevector ``k``, in a cancellation-free closed form.
 
     With a = k/(2 sqrt3) the squared normalized speed is exactly
 
@@ -145,18 +144,13 @@ def speed_deviation(k, sign):
     resolves the deviation at astrophysical wavevectors (|k| ~ 1e-19) where
     it falls far below float precision of speed itself.  The leading
     behavior is -sign * k_x k_y k_z / (sqrt3 |k|^2): -sign * |k| / 9 along
-    the positive diagonal, 0 along the axes.  A list or tuple of 3 numbers
-    gives a float, with ``math`` alone; an array or nested sequence
-    ``k[..., 3]`` gives an array shaped like ``k[..., 0]``, row by row.
-    Raises ValueError for a component that is not finite and
-    DegeneratePointError where n(k/2) = 0 or lam(k/2) = pi; gives NaN where
-    rounding puts 1 + g < 0, next to the plus branch's zero speed.
+    the positive diagonal, 0 along the axes.  Raises ValueError for a
+    component that is not finite and DegeneratePointError where n(k/2) = 0
+    or lam(k/2) = pi; gives NaN where rounding puts 1 + g < 0, next to the
+    plus branch's zero speed.
     """
     s = _check_sign(sign)
-    if not (isinstance(k, (tuple, list)) and len(k) == 3 and all(isinstance(x, (int, float)) for x in k)):
-        return _each_row(lambda row: speed_deviation(row, sign), k)
-    if not all(map(math.isfinite, k)):
-        raise ValueError(f"a wavevector must be finite, got k={list(k)}")
+    k = _wavevector(k)
     d, n_tilde, norm, _ = _bloch(*(x / 2.0 for x in k), s)
     if norm == 0.0 or _axis_undefined(norm, d):
         raise DegeneratePointError(f"speed undefined at k={list(k)} (n(k/2) = 0)")

@@ -5,7 +5,9 @@ mode table and the ladder terms of the pair operators, hopping operators,
 polarization modes and composite bosons.  Here the same terms act on the
 2^(4M) basis states, with Jordan-Wigner signs fixed by the mode order (field,
 then spin, then momentum), and the identities and bounds are verified by
-brute force.  Acceptance criteria 7 to 9 and the tests use it.
+brute force.  This is a test reference: acceptance criteria 7 to 9 and the
+tests use it, no subcommand loads it, and its numpy and scipy come from the
+``test`` extra (``pip install '.[test]'``).
 
 Every operator is a scipy CSR matrix over the basis states, and every
 identity is compared entry by entry on a CSR difference.  A product of ladder

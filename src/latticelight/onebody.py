@@ -36,9 +36,8 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 FIELDS = ("psi", "phi")
 SPINS = ("R", "L")
@@ -54,10 +53,7 @@ class SaturationError(RuntimeError):
     """(c^dag)^N annihilates the vacuum: Pauli blocking reached."""
 
 
-class Mode(NamedTuple):
-    field: str
-    spin: str
-    momentum: int
+Mode = namedtuple("Mode", "field spin momentum")
 
 
 class ModeTable:
@@ -85,17 +81,16 @@ class ModeTable:
 # profiles on an integer momentum lattice
 
 
-@dataclass(frozen=True)
-class LatticeProfile:
-    """Discrete normalized profile f_k(q) for an even total pair momentum k."""
+class LatticeProfile(namedtuple("LatticeProfile", "total weights")):
+    """Discrete normalized profile f_k(q) for an even total pair momentum k: ``weights`` is ((q, weight), ...), held
+    sorted by integer q with finite complex weights, and sum |f(q)|^2 = 1.  Immutable."""
 
-    total: int
-    weights: tuple  # ((q, weight), ...) sorted by q
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.total % 2 != 0:
+    def __new__(cls, total, weights):
+        if total % 2 != 0:
             raise ValueError("total pair momentum must be even (k/2 integral)")
-        items = tuple(sorted((int(q), complex(w)) for q, w in self.weights))
+        items = tuple(sorted((int(q), complex(w)) for q, w in weights))
         if len({q for q, _ in items}) != len(items):
             raise ValueError("duplicate q in profile")
         if not all(math.isfinite(w.real) and math.isfinite(w.imag) for _, w in items):
@@ -103,15 +98,19 @@ class LatticeProfile:
         norm = sum(abs(w) ** 2 for _, w in items)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"profile not normalized: sum|f|^2 = {norm!r}")
-        object.__setattr__(self, "weights", items)
-        object.__setattr__(self, "_by_q", dict(items))  # weight(q) without a rebuild per call
+        return super().__new__(cls, total, items)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def half(self) -> int:
         return self.total // 2
 
     def weight(self, q: int) -> complex:
-        return self._by_q.get(q, 0.0)
+        """f_k(q), 0 off the profile: a scan of its (q, weight) pairs, at most 16 at the CLI's momentum cap."""
+        return next((w for p, w in self.weights if p == q), 0.0)
 
     def overlap(self, other: "LatticeProfile") -> complex:
         return sum(w * other.weight(q).conjugate() for q, w in self.weights)

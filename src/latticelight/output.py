@@ -1,4 +1,4 @@
-"""Deterministic run artifacts: CSV tables with a JSON header block.
+"""Deterministic run artifacts: CSV tables with a JSON header block, and JSON reports.
 
 Every file starts with the run configuration as '#'-prefixed JSON lines
 (sorted keys, no timestamps), then a CSV body of '.'-decimal floats at 17
@@ -40,15 +40,11 @@ class _Texts(dict):
         return text
 
 
-def write_table(path: str, header: dict, columns, rows):
-    """Write a self-describing CSV artifact (JSON header + rows), one row at a time.
-
-    ``rows`` may be a generator, so the table is never held.  A regular or new
-    ``path`` is written to a temporary file beside it, which replaces ``path``
-    once every row is written: if ``rows`` raises, ``path`` is left as it was.
-    Any other path (a device, a FIFO) is written directly and never removed.
-    """
-    text = _Texts().__getitem__
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file for the artifact at ``path``.  A regular or new ``path`` is written to a temporary file beside it,
+    which replaces ``path`` once the block completes: if the block raises, ``path`` is left as it was.  Any other path
+    (a device, a FIFO) is written directly and never removed."""
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
@@ -62,9 +58,7 @@ def write_table(path: str, header: dict, columns, rows):
         fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines("# " + line + "\n" for line in json.dumps(header, indent=2, sort_keys=True).splitlines())
-            fh.write(",".join(columns) + "\n")
-            fh.writelines(",".join(map(text, row)) + "\n" for row in rows)
+            yield fh
         if partial is not None:
             if mode is not None:
                 os.chmod(partial, stat.S_IMODE(mode))  # the replaced file keeps its permissions
@@ -76,8 +70,18 @@ def write_table(path: str, header: dict, columns, rows):
         raise
 
 
+def write_table(path: str, header: dict, columns, rows):
+    """Write a self-describing CSV artifact (JSON header + rows), one row at a time: ``rows`` may be a generator, so
+    the table is never held, and if it raises, ``path`` is left as it was."""
+    text = _Texts().__getitem__
+    with _replacing(path) as fh:
+        fh.writelines("# " + line + "\n" for line in json.dumps(header, indent=2, sort_keys=True).splitlines())
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(text, row)) + "\n" for row in rows)
+
+
 def write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write a JSON artifact with sorted keys; a payload that cannot be serialized leaves ``path`` as it was."""
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-

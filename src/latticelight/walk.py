@@ -12,7 +12,9 @@ reduces to the same generator with k_y reflected.
 
 Every evaluation takes wavevectors as ``k[..., 3]``, so a whole grid of
 k-points costs one call; everything here is a pure function of its
-arguments.
+arguments.  This is a test reference: acceptance criteria 1, 2 and 5c and the
+tests hold the float routines to it, no subcommand loads it, and its numpy
+comes from the ``test`` extra (``pip install '.[test]'``).
 """
 
 from __future__ import annotations

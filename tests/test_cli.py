@@ -94,7 +94,7 @@ def test_dispersion_refuses_a_kmax_whose_grid_overflows(tmp_path, capsys):
     # np.linspace(-1e308, 1e308, 3) spans 2e308 = inf and wrote rows of inf and nan with exit 0
     out = tmp_path / "d.csv"
     assert run(["dispersion", "--points", 3, "--kmax", 1e308, "--out", out]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: kmax must be <= 1e+300, got 1e+308\n"
+    assert capsys.readouterr().err == "error: kmax must be in (0, 1e+300], got 1e+308\n"
     assert not out.exists()
 
 
@@ -122,7 +122,7 @@ def test_tilt_at_a_huge_k_matches_the_batched_oracle_on_unit_directions(tmp_path
 def test_tilt_refuses_a_k_value_whose_estimate_overflows(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert run(["tilt", "--k-values", "0.05,1e301", "--out", out]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: k_values must be <= 1e+300, got 1e+301\n"
+    assert capsys.readouterr().err == "error: k_values must be in 0..1e+300, got 1e+301\n"
     assert not out.exists()
 
 
@@ -423,14 +423,14 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args,config,message",
     [
-        (["tilt", "--k-values", "0.05,-0.1"], None, "error: k_values must be >= 0, got -0.1"),
-        (["tilt"], {"k_values": [-0.05]}, "error: k_values must be >= 0, got -0.05"),
+        (["tilt", "--k-values", "0.05,-0.1"], None, "error: k_values must be in 0..1e+300, got -0.1"),
+        (["tilt"], {"k_values": [-0.05]}, "error: k_values must be in 0..1e+300, got -0.05"),
         (["flight", "--energies", "GeV=1e9,MeV=-1e6"], None, "energies must be > 0 eV, got -1000000.0 for 'MeV'"),
         (["flight"], {"energies": [["GeV", 0], ["MeV", 1e6]]}, "energies must be > 0 eV, got 0.0 for 'GeV'"),
         (["flight", "--distance-m", "-1"], None, "distance_m must be > 0"),
         (["flight", "--energies", "GeV=1e9,GeV=1e6"], None, "energies must have distinct labels"),
         (["dispersion", "--points", "0"], None, "error: points must be >= 1, got 0"),
-        (["dispersion", "--kmax", "-1"], None, "error: kmax must be > 0, got -1.0"),
+        (["dispersion", "--kmax", "-1"], None, "error: kmax must be in (0, 1e+300], got -1.0"),
         (["dispersion"], {"points": 0, "kmax": 0}, "error: points must be >= 1, got 0"),
         (["maxwell-convergence", "--levels", "1"], None, "error: levels must be >= 2, got 1"),
         (["maxwell-convergence", "--base-radius", "0"], None, "error: base_radius must be > 0, got 0.0"),
@@ -549,50 +549,30 @@ def cli_run(args):
     return f"from latticelight.cli import main\nassert main({[str(a) for a in args]!r}) == 0"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    unused = ("scipy", "latticelight.fock", "latticelight.onebody", "latticelight.bilinear", "latticelight.dispersion")
-    assert modules_loaded("import latticelight.cli", unused) == []
+# (probe, the latticelight modules it loads besides the package): python code, or the arguments of a CLI run.
+# Each subcommand imports only the modules it uses, and no probe loads numpy or scipy (their imports were most of
+# a process), nor dataclasses or, through it, inspect.
+LOADS = [
+    pytest.param("import latticelight.cli", ["cli", "output"], id="import-cli"),
+    pytest.param("import latticelight.dispersion", ["dispersion"], id="import-dispersion"),
+    pytest.param(["dispersion", "--points", 3], ["cli", "dispersion", "output"], id="dispersion"),
+    pytest.param(["dispersion", "--diagonal", "--points", 9], ["cli", "dispersion", "output"], id="dispersion-diagonal"),
+    pytest.param(["flight"], ["cli", "dispersion", "output"], id="flight"),
+    pytest.param(["maxwell-convergence", "--levels", 2], ["bilinear", "cli", "output"], id="maxwell-convergence"),
+    pytest.param(["tilt", "--directions", 4], ["bilinear", "cli", "dispersion", "normal", "output"], id="tilt"),
+    pytest.param(
+        ["fock-suite", "--momenta", 3, "--conjecture-samples", 3], ["cli", "onebody", "output"], id="fock-suite"
+    ),
+]
 
 
-def test_fock_suite_run_leaves_scipy_unloaded(tmp_path):
-    out = tmp_path / "fock.json"
-    run_it = cli_run(["fock-suite", "--momenta", 3, "--conjecture-samples", 3, "--out", out])
-    # the one-body engine alone: no scipy or Jordan-Wigner oracle, and no numpy.random
-    # (about 5.5 MB of RSS), walk, bilinear or dispersion
-    loaded = modules_loaded(run_it, ("scipy", "numpy.random", "latticelight"))
-    assert loaded == ["latticelight", "latticelight.cli", "latticelight.onebody", "latticelight.output"]
-    assert json.loads(out.read_text())["passed"] is True
-
-
-def test_cli_import_and_a_fock_suite_run_leave_numpy_unloaded(tmp_path):
-    # numpy's import is about half of a fock-suite process at 3 momenta; the engine needs only the standard library
-    assert modules_loaded("import latticelight.cli", ("numpy",)) == []
-    run_it = cli_run(["fock-suite", "--momenta", 3, "--conjecture-samples", 3, "--out", tmp_path / "fock.json"])
-    assert modules_loaded(run_it, ("numpy",)) == []
-
-
-@pytest.mark.parametrize("args", [["dispersion", "--points", "3"], ["flight"]])
-def test_dispersion_and_flight_runs_leave_bilinear_unloaded(tmp_path, args):
-    probed = ("latticelight", "numpy", "dataclasses", "inspect")
-    loaded = modules_loaded(cli_run(args + ["--out", tmp_path / "out.csv"]), probed)
-    assert "latticelight.bilinear" not in loaded
-    assert (tmp_path / "out.csv").exists()
-    if args == ["flight"]:
-        # numpy's import was most of a flight process; two wavevectors need only math, and the
-        # frozen UnitSystem no longer loads dataclasses and, through it, inspect
-        assert loaded == ["latticelight", "latticelight.cli", "latticelight.dispersion", "latticelight.output"]
-        assert "dataclasses" not in loaded and "inspect" not in loaded
-
-
-@pytest.mark.parametrize("args", [["dispersion", "--points", 5], ["dispersion", "--diagonal", "--points", 9]])
-def test_dispersion_run_loads_neither_numpy_nor_walk(tmp_path, args):
-    # the table streams through dispersion's standard-library routine: numpy's import was most of the process
-    loaded = modules_loaded(cli_run(args + ["--out", tmp_path / "d.csv"]), ("latticelight", "numpy"))
-    assert loaded == ["latticelight", "latticelight.cli", "latticelight.dispersion", "latticelight.output"]
-
-
-def test_dispersion_import_leaves_numpy_unloaded():
-    assert modules_loaded("import latticelight.dispersion", ("numpy",)) == []
+@pytest.mark.parametrize("probe,modules", LOADS)
+def test_what_each_probe_loads(tmp_path, probe, modules):
+    out = tmp_path / "out"
+    code = probe if isinstance(probe, str) else cli_run(probe + ["--out", out])  # a fock-suite run exits 0 if it passed
+    loaded = modules_loaded(code, ("latticelight", "numpy", "scipy", "dataclasses", "inspect"))
+    assert loaded == ["latticelight"] + [f"latticelight.{name}" for name in modules]
+    assert isinstance(probe, str) or out.exists()
 
 
 def test_default_flight_row_holds_its_floats(tmp_path):
@@ -605,31 +585,6 @@ def test_default_flight_row_holds_its_floats(tmp_path):
          "-0.0016208398926445906"]
     ]
     assert float(rows[0][6]) == -0.0016208398926445906
-
-
-def test_maxwell_run_leaves_dispersion_unloaded(tmp_path):
-    # the residual streams through the standard-library kernel: numpy's import was most of the process
-    run_it = cli_run(["maxwell-convergence", "--levels", 2, "--out", tmp_path / "m.csv"])
-    assert modules_loaded(run_it, ("latticelight.dispersion", "latticelight.walk", "numpy", "dataclasses")) == []
-
-
-@pytest.mark.parametrize("args", [["dispersion", "--points", 3], ["tilt", "--directions", 4]])
-def test_walk_runs_leave_dataclasses_unloaded(tmp_path, args):
-    # dispersion streams its rows and tilt evaluates one direction at a time, both through standard-library
-    # routines: neither loads walk, nor dataclasses
-    loaded = modules_loaded(cli_run(args + ["--out", tmp_path / "out.csv"]), ("latticelight.walk", "dataclasses"))
-    assert loaded == []
-
-
-def test_tilt_run_loads_neither_numpy_nor_walk(tmp_path):
-    # latticelight.normal draws numpy's default_rng(seed) stream, which perfbench's check_tilt recomputes,
-    # and bilinear.tilt_angle takes each angle with math: numpy's import was most of the process
-    run_it = cli_run(["tilt", "--directions", 4, "--out", tmp_path / "t.csv"])
-    loaded = modules_loaded(run_it, ("latticelight", "numpy"))
-    assert loaded == [
-        "latticelight", "latticelight.bilinear", "latticelight.cli", "latticelight.dispersion", "latticelight.normal",
-        "latticelight.output",
-    ]
 
 
 @pytest.mark.parametrize("command", sorted(SCHEMA))

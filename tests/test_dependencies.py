@@ -1,4 +1,5 @@
-"""The declared dependencies match what src imports: numpy at run time, scipy only for the Fock oracle."""
+"""The declared dependencies match what src imports: nothing at run time; numpy for the test references walk and
+fock, and scipy for fock, both as test extras."""
 
 import ast
 import re
@@ -43,8 +44,9 @@ def project():
     return tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
 
 
-def test_numpy_is_the_only_runtime_dependency(project):
-    assert requirement_names(project["dependencies"]) == {"numpy"}
+def test_there_is_no_runtime_dependency(project):
+    assert project["dependencies"] == []
+    assert "numpy" in requirement_names(project["optional-dependencies"]["test"])
 
 
 def test_scipy_is_a_test_extra(project):
@@ -58,10 +60,10 @@ def test_src_imports_scipy_only_in_fock_and_nothing_else_outside_the_standard_li
 
 
 def test_only_onebody_and_fock_import_dataclasses():
-    # walk, bilinear and dispersion hold their records in named tuples, so a dispersion, flight, tilt or
-    # maxwell-convergence process loads no dataclasses
+    # onebody held its records in dataclasses until it moved to named tuples, like every module but fock, so no
+    # CLI process loads dataclasses
     imports = imported_packages()
-    assert {module for module, names in imports.items() if "dataclasses" in names} == {"onebody", "fock"}
+    assert {module for module, names in imports.items() if "dataclasses" in names} == {"fock"}
 
 
 def numpy_importers():
@@ -87,11 +89,8 @@ def numpy_importers():
     return found
 
 
-def test_numpy_stays_behind_the_tilt_handler_and_the_array_branches():
-    # walk's batched closed forms serve the tests; dispersion's table, flight and tilt run through math,
-    # tilt's directions come from latticelight.normal, and output formats every table without numpy
-    assert numpy_importers() == {
-        "dispersion": ["_each_row"],
-        "fock": ["<module>"],
-        "walk": ["<module>"],
-    }
+def test_only_the_test_references_walk_and_fock_import_numpy():
+    # walk's batched closed forms and fock's Jordan-Wigner oracle serve the tests; every CLI path runs on the
+    # standard library, and dispersion takes one wavevector per call
+    assert numpy_importers() == {"fock": ["<module>"], "walk": ["<module>"]}
+    assert {module for module, names in third_party_imports().items() if names} == {"fock", "walk"}

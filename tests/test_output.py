@@ -9,7 +9,7 @@ import pytest
 
 from artifacts import read_table
 from latticelight import output
-from latticelight.output import format_value, write_table
+from latticelight.output import format_value, write_json, write_table
 
 
 def awkward_floats():
@@ -129,6 +129,17 @@ def test_a_failing_row_stream_leaves_an_existing_file_as_it_was(tmp_path):
         write_table(out, {"command": "test"}, ["a", "b"], rows())
     assert out.read_bytes() == b"an earlier artifact\n"
     assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
+
+def test_a_payload_that_cannot_be_serialized_leaves_an_existing_file_as_it_was(tmp_path):
+    out = tmp_path / "kept.json"
+    out.write_bytes(b"an earlier report\n")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(out, {"a": 1.5, "b": object()})
+    assert out.read_bytes() == b"an earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.json"]
+    write_json(out, {"b": [1.5, None], "a": "x"})
+    assert out.read_text() == '{\n  "a": "x",\n  "b": [\n    1.5,\n    null\n  ]\n}\n'
 
 
 def test_a_replaced_file_keeps_its_permissions_and_a_symlink_stays_a_link(tmp_path):

@@ -100,8 +100,7 @@ def group_velocity(k, sign) -> np.ndarray:
         raise DegeneratePointError(f"group velocity undefined at k={k} (n = 0)")
 
     def central(h):
-        shifts = h * np.eye(3)
-        return (omega(k + shifts, sign) - omega(k - shifts, sign)) / (2.0 * h)
+        return np.array([omega(k + h * e, sign) - omega(k - h * e, sign) for e in np.eye(3)]) / (2.0 * h)
 
     step = 1e-5
     return (4.0 * central(step / 2.0) - central(step)) / 3.0
