@@ -37,7 +37,7 @@ import math
 import random
 import sys
 from collections import namedtuple
-from operator import mul
+from operator import itemgetter, mul
 
 FIELDS = ("psi", "phi")
 SPINS = ("R", "L")
@@ -90,7 +90,7 @@ class LatticeProfile(namedtuple("LatticeProfile", "total weights")):
     def __new__(cls, total, weights):
         if total % 2 != 0:
             raise ValueError("total pair momentum must be even (k/2 integral)")
-        items = tuple(sorted((int(q), complex(w)) for q, w in weights))
+        items = tuple(sorted(((int(q), complex(w)) for q, w in weights), key=itemgetter(0)))  # weights do not order
         if len({q for q, _ in items}) != len(items):
             raise ValueError("duplicate q in profile")
         if not all(math.isfinite(w.real) and math.isfinite(w.imag) for _, w in items):

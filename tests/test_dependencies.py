@@ -60,8 +60,8 @@ def test_src_imports_scipy_only_in_fock_and_nothing_else_outside_the_standard_li
 
 
 def test_only_onebody_and_fock_import_dataclasses():
-    # onebody held its records in dataclasses until it moved to named tuples, like every module but fock, so no
-    # CLI process loads dataclasses
+    # every module but fock holds its records in named tuples, so no CLI process loads dataclasses (fock-suite's
+    # onebody included) or, through it, inspect
     imports = imported_packages()
     assert {module for module, names in imports.items() if "dataclasses" in names} == {"fock"}
 

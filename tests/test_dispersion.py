@@ -255,16 +255,13 @@ def test_speed_deviation_refuses_a_bad_sign(sign):
         speed_deviation(np.array([0.1, 0.2, 0.3]), sign)
 
 
-@pytest.mark.parametrize("k", [(0.1, 0.2), [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2]] * 3, 0.5])
+@pytest.mark.parametrize(
+    "k", [(0.1, 0.2), [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2]] * 3, 0.5, [[0.1, 0.2, 0.3]], np.zeros((2, 3)), np.zeros((3, 1)), None]
+)
 def test_speed_deviation_needs_three_components(k):
-    with pytest.raises(ValueError, match="3 components"):
-        speed_deviation(k, MINUS)
-
-
-@pytest.mark.parametrize("k", [(0.1, 0.2), [[0.1, 0.2, 0.3]], np.zeros((2, 3)), np.zeros((3, 1)), 0.5, None])
-def test_omega_and_group_velocity_take_one_wavevector(k):
-    for f in (omega, group_velocity_analytic):
-        with pytest.raises(ValueError, match="a wavevector must have 3 components"):
+    # one wavevector per call: omega and group_velocity_analytic share the check
+    for f in (speed_deviation, omega, group_velocity_analytic):
+        with pytest.raises(ValueError, match="3 components"):
             f(k, MINUS)
 
 

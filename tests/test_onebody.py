@@ -398,3 +398,15 @@ def test_an_underflowing_e_n_is_not_called_saturation(lam, first):
         onebody.pair_occupations(lam, min(200, len(lam)))
     below = onebody.pair_occupations(lam, first - 1)
     np.testing.assert_allclose([sum(row) for row in below], np.arange(1, first), rtol=1e-13)
+
+
+def test_lattice_profile_is_a_validated_named_tuple():
+    profile = LatticeProfile(total=2, weights=((1, 0.6), (-1, 0.8j)))
+    assert profile == (2, ((-1, 0.8j), (1, 0.6 + 0j)))  # sorted by q, with complex weights
+    assert (profile.half, profile.weight(1), profile.weight(-1), profile.weight(3)) == (1, 0.6, 0.8j, 0.0)
+    assert profile._replace(total=4) == (4, profile.weights)
+    # _replace runs the same checks as the constructor
+    for bad, message in [({"total": 3}, "even"), ({"weights": ((0, 0.5),)}, "normalized"),
+                         ({"weights": ((0, 0.6), (0, 0.8))}, "duplicate"), ({"weights": ((0, math.nan),)}, "finite")]:
+        with pytest.raises(ValueError, match=message):
+            profile._replace(**bad)

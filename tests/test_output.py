@@ -142,6 +142,20 @@ def test_a_payload_that_cannot_be_serialized_leaves_an_existing_file_as_it_was(t
     assert out.read_text() == '{\n  "a": "x",\n  "b": [\n    1.5,\n    null\n  ]\n}\n'
 
 
+def test_a_json_report_to_a_fifo_is_written_directly_and_never_removed(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so that opening the FIFO to write does not block
+    try:
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json(fifo, {"a": 1.5, "b": object()})
+        assert os.read(reader, 1024).startswith(b'{\n  "a": 1.5,')
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
 def test_a_replaced_file_keeps_its_permissions_and_a_symlink_stays_a_link(tmp_path):
     out = tmp_path / "t.csv"
     out.write_text("old\n")
