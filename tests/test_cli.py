@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import functools
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -552,6 +554,7 @@ def cli_run(args):
 # (probe, the latticelight modules it loads besides the package): python code, or the arguments of a CLI run.
 # Each subcommand imports only the modules it uses, and no probe loads numpy or scipy (their imports were most of
 # a process), nor dataclasses or, through it, inspect.
+FOCK_SUITE = ["fock-suite", "--momenta", 3, "--conjecture-samples", 3]
 LOADS = [
     pytest.param("import latticelight.cli", ["cli", "output"], id="import-cli"),
     pytest.param("import latticelight.dispersion", ["dispersion"], id="import-dispersion"),
@@ -560,19 +563,51 @@ LOADS = [
     pytest.param(["flight"], ["cli", "dispersion", "output"], id="flight"),
     pytest.param(["maxwell-convergence", "--levels", 2], ["bilinear", "cli", "output"], id="maxwell-convergence"),
     pytest.param(["tilt", "--directions", 4], ["bilinear", "cli", "dispersion", "normal", "output"], id="tilt"),
-    pytest.param(
-        ["fock-suite", "--momenta", 3, "--conjecture-samples", 3], ["cli", "onebody", "output"], id="fock-suite"
-    ),
+    pytest.param(FOCK_SUITE, ["cli", "onebody", "output"], id="fock-suite"),
 ]
 
 
+@functools.cache
+def loaded_by(probe):
+    """The sorted latticelight, numpy, scipy, dataclasses and inspect modules that ``probe`` loads, run once.
+
+    ``probe`` is python code, or a tuple of CLI arguments whose run must write its ``--out``.
+    """
+    packages = ("latticelight", "numpy", "scipy", "dataclasses", "inspect")
+    if isinstance(probe, str):
+        return tuple(modules_loaded(probe, packages))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        loaded = modules_loaded(cli_run([*probe, "--out", out]), packages)  # a fock-suite run exits 0 if it passed
+        assert os.path.exists(out)
+    return tuple(loaded)
+
+
+def loaded(probe):
+    return loaded_by(probe if isinstance(probe, str) else tuple(str(a) for a in probe))
+
+
 @pytest.mark.parametrize("probe,modules", LOADS)
-def test_what_each_probe_loads(tmp_path, probe, modules):
-    out = tmp_path / "out"
-    code = probe if isinstance(probe, str) else cli_run(probe + ["--out", out])  # a fock-suite run exits 0 if it passed
-    loaded = modules_loaded(code, ("latticelight", "numpy", "scipy", "dataclasses", "inspect"))
-    assert loaded == ["latticelight"] + [f"latticelight.{name}" for name in modules]
-    assert isinstance(probe, str) or out.exists()
+def test_what_each_probe_loads(probe, modules):
+    assert loaded(probe) == ("latticelight", *(f"latticelight.{name}" for name in modules))
+
+
+# Three tests of what the table asserts, kept under their names; they read the table's probes, run once each.
+def test_cli_import_and_a_fock_suite_run_leave_numpy_unloaded():
+    # numpy's import is about half of a fock-suite process at 3 momenta; the engine needs only the standard library
+    assert "numpy" not in loaded("import latticelight.cli") + loaded(FOCK_SUITE)
+
+
+@pytest.mark.parametrize("args", [["dispersion", "--points", 3]])
+def test_dispersion_and_flight_runs_leave_bilinear_unloaded(args):
+    assert "latticelight.bilinear" not in loaded(args)
+
+
+@pytest.mark.parametrize("args", [["dispersion", "--points", 3], ["tilt", "--directions", 4]])
+def test_walk_runs_leave_dataclasses_unloaded(args):
+    # dispersion streams its rows and tilt evaluates one direction at a time, both through standard-library
+    # routines: neither loads walk, nor dataclasses
+    assert not {"latticelight.walk", "dataclasses"} & set(loaded(args))
 
 
 def test_default_flight_row_holds_its_floats(tmp_path):
