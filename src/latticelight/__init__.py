@@ -6,8 +6,10 @@ obeys a (modified) Maxwell rotation, derives the dispersive-vacuum
 phenomenology in SI units, and provides an exact small-scale Fermionic
 Fock-space oracle for the composite-photon commutation algebra.
 
-The names below are shared by ``walk``, ``dispersion`` and the CLI; defined
-here, they load without numpy.
+The names below are shared by ``walk``, ``bilinear``, ``dispersion`` and the
+CLI: the branch signs, the closed forms of one step, the float 3-vector
+products and the one check of a wavevector's components.  Defined here, they
+load without numpy.
 """
 
 import math
@@ -74,20 +76,29 @@ def _step_gradient(cos, sin, s):
 
 
 def _cross(u, v):
-    """u x v of 3-vectors given by their three components, floats or numpy arrays alike."""
+    """u x v of 3-vectors of floats, given by their three components."""
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def _dot(u, v):
+    """u . v of 3-vectors of floats, given by their three components."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _angle_parts(n, a):
-    """(|n x a|^2, n . a) of 3-vectors given by their components, floats or numpy arrays alike.
+def _wavevector(k):
+    """The components of one wavevector ``k``, a sequence of three real numbers, as floats.
 
-    The angle between n and a is atan2(|n x a|, n . a), which keeps its
-    relative precision at small angles, where arccos of the cosine has an
-    absolute error of about sqrt(eps) = 1e-8.
+    ValueError for any other shape, for a set (its components have no order),
+    for a text component (float() would parse it), or for a component that is
+    not finite (math.cos(inf) would raise an error that names no wavevector).
     """
-    c = _cross(n, a)
-    return _dot(c, c), _dot(n, a)
+    try:
+        x, y, z = k
+        k[0]  # TypeError for a set
+        finite = math.isfinite(x) & math.isfinite(y) & math.isfinite(z)  # TypeError for text; & checks all three
+    except (TypeError, ValueError, LookupError):
+        raise ValueError(f"a wavevector must have 3 components, got {k!r}") from None
+    x, y, z = float(x), float(y), float(z)
+    if not finite:
+        raise ValueError(f"a wavevector must be finite, got k={[x, y, z]}")
+    return x, y, z

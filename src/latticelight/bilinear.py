@@ -32,12 +32,12 @@ from . import (
     _FRAME_TOL,
     MAX_STEPS,
     DegeneratePointError,
-    _angle_parts,
     _axis_undefined,
     _bloch,
     _check_sign,
     _cross,
     _dot,
+    _wavevector,
 )
 
 # largest enclosing cube (2m+1)^3, m = floor(radius / grid_spacing), that
@@ -254,12 +254,12 @@ def polarization_frame(n) -> PolarizationFrame:
 
 
 def _half_axis(k, sign):
-    """(lam, n) of n(k/2) at one wavevector, with math: walk.bloch_data(k / 2).lam and .n.
+    """(lam, n) of n(k/2) at one wavevector of floats, with math: walk.bloch_data(k / 2).lam and .n.
 
     Raises DegeneratePointError at lam = pi, where the axis is undefined.
     """
     x, y, z = k
-    d, (nx, ny, nz), norm, lam = _bloch(float(x) / 2.0, float(y) / 2.0, float(z) / 2.0, _check_sign(sign))
+    d, (nx, ny, nz), norm, lam = _bloch(x / 2.0, y / 2.0, z / 2.0, _check_sign(sign))
     if _axis_undefined(norm, d):
         raise DegeneratePointError(f"rotation axis undefined at k={list(k)} / 2 (lam=pi, n_tilde=0)")
     # lam/sin(lam) = 1 + lam^2/6 + ...; below _AXIS_TOL the series collapses to n = n_tilde
@@ -277,8 +277,11 @@ def _angle(n, a):
     """
     x, y, z = a
     scale = -math.frexp(max(abs(x), abs(y), abs(z)))[1]
-    across, along = _angle_parts(n, (math.ldexp(x, scale), math.ldexp(y, scale), math.ldexp(z, scale)))
-    return math.atan2(math.sqrt(across), along)
+    a = (math.ldexp(x, scale), math.ldexp(y, scale), math.ldexp(z, scale))
+    # atan2(|n x a|, n . a) keeps its relative precision at small angles, where arccos of the cosine has an
+    # absolute error of about sqrt(eps) = 1e-8
+    c = _cross(n, a)
+    return math.atan2(math.sqrt(_dot(c, c)), _dot(n, a))
 
 
 def tilt_angle(k, sign) -> float:
@@ -289,12 +292,12 @@ def tilt_angle(k, sign) -> float:
     plus branch, since n(k, +) = n((k_x, -k_y, k_z), -).  It is the angle
     between the polarization plane (normal to n) and the plane orthogonal to
     that axis.  Raises DegeneratePointError where |n(k/2)| < _FRAME_TOL (no
-    axis, as in polarization_frame).
+    axis, as in polarization_frame), and ValueError where k is not three finite numbers.
     """
+    x, y, z = k = _wavevector(k)
     _, n = _half_axis(k, sign)
     if math.sqrt(_dot(n, n)) < _FRAME_TOL:
         raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} at k={list(k)}")
-    x, y, z = k
     tilt = _angle(n, (x, y * -float(sign), z))
     return min(tilt, math.pi - tilt)
 
@@ -321,7 +324,7 @@ def maxwell_emergence_report(profile: SmearingProfile, k, sign, t: int) -> Maxwe
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    k = tuple(map(float, k))
+    k = _wavevector(k)
     _, n = _half_axis(k, sign)
     frame = polarization_frame(n)
     rot = predicted_rotation(n, t)
@@ -358,7 +361,7 @@ def maxwell_generator_check(profile: SmearingProfile, k, sign, t: int) -> Genera
     * ``discretization_floor``: the forward residual of a single-point
       profile, i.e. the pure time-discretization error of the rotation.
     """
-    k = tuple(map(float, k))
+    k = _wavevector(k)
     lam, n = _half_axis(k, sign)
     frame = polarization_frame(n)
     # u . (M F) = (u M) . F: each term is a projection of one table on the rows (u1, u2) M

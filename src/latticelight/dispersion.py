@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from . import SQRT3, DegeneratePointError, _axis_undefined, _bloch, _check_sign, _dot, _step_gradient, _step_products
+from . import SQRT3, DegeneratePointError, _axis_undefined, _bloch, _check_sign, _dot, _step_gradient, _step_products, _wavevector
 
 #: CODATA Planck length (m) and Planck time (s); their ratio is c
 PLANCK_LENGTH = 1.616255e-35
@@ -105,18 +105,6 @@ def grid(kmax, points, diagonal=False):
     if diagonal:
         return ((t, t, t) for t in _trig(v * DIAGONAL[0] for v in axis))
     return itertools.product(list(_trig(axis)), repeat=3)
-
-
-def _wavevector(k):
-    """The components of one wavevector ``k``, any sequence of three real numbers, as floats: ValueError for any other
-    shape, or for a component that is not finite (math.cos(inf) would raise an error that names no wavevector)."""
-    try:
-        x, y, z = map(float, k)
-    except (TypeError, ValueError):
-        raise ValueError(f"a wavevector must have 3 components, got {k!r}") from None
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"a wavevector must be finite, got k={[x, y, z]}")
-    return x, y, z
 
 
 def omega(k, sign):

@@ -19,10 +19,10 @@ products becomes one CSR matrix in one COO pass.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -50,16 +50,13 @@ class FockSizeError(ValueError):
     """Requested momentum set exceeds the supported space size."""
 
 
-class SignedMap(NamedTuple):
-    """An operator with at most one entry per row: row s holds sign[s] in column source[s].
+SignedMap = namedtuple("SignedMap", "source sign")
+SignedMap.__doc__ = """An operator with at most one entry per row: row s holds sign[s] in column source[s].
 
-    So (A v)[s] = sign[s] * v[source[s]].  For ladder products ``source`` is
-    the basis with the ladders' bits flipped (a permutation) and ``sign`` is
-    +-1 where the product survives, 0 where it annihilates.
-    """
-
-    source: np.ndarray
-    sign: np.ndarray
+So (A v)[s] = sign[s] * v[source[s]].  For ladder products ``source`` is
+the basis with the ladders' bits flipped (a permutation) and ``sign`` is
++-1 where the product survives, 0 where it annihilates; both are numpy arrays.
+"""
 
 
 class FockSpace(ModeTable):
@@ -200,21 +197,15 @@ def gamma_for_profile(space: FockSpace, alpha: str, beta: str, profile: LatticeP
 
 def _gamma_diagonal(space: FockSpace, profile: LatticeProfile, field, spin, branch) -> np.ndarray:
     """Diagonal of Gamma^branch = sum_q |f(q)|^2 n_{field,spin}(k/2 + branch*q)."""
-    return sum((g * space._occupied[i] for i, g in _occupations(space, profile, field, spin, branch).items()), np.zeros(space.dim))
+    return _number_diagonal(space, [(g, i) for i, g in _occupations(space, profile, field, spin, branch).items()])
 
 
 # ---------------------------------------------------------------------------
 # Schwartz bound
 
 
-@dataclass(frozen=True)
-class SchwartzSweep:
-    """Exhaustive basis-state sweep of the hopping-operator bound."""
-
-    cases: int
-    states: int
-    worst_margin: float  # min over everything of rhs - lhs
-    holds: bool
+SchwartzSweep = namedtuple("SchwartzSweep", "cases states worst_margin holds")
+SchwartzSweep.__doc__ = "Exhaustive basis-state sweep of the hopping-operator bound; worst_margin is the min over everything of rhs - lhs."
 
 
 def schwartz_exhaustive(space: FockSpace, profiles) -> SchwartzSweep:
@@ -227,23 +218,14 @@ def schwartz_exhaustive(space: FockSpace, profiles) -> SchwartzSweep:
     profiles = list(profiles)
     worst = math.inf
     cases = 0
-    for field in FIELDS:
-        for branch in (+1, -1):
-            gammas = {
-                (i, spin): _gamma_diagonal(space, prof, field, spin, branch)
-                for i, prof in enumerate(profiles)
-                for spin in SPINS
-            }
-            for i_in, prof_in in enumerate(profiles):
-                for i_dag, prof_dag in enumerate(profiles):
-                    for spin_in in SPINS:
-                        for spin_dag in SPINS:
-                            terms = _hopping_terms(space, branch, field, spin_dag, spin_in, prof_dag, prof_in)
-                            g_in, g_dag = gammas[i_in, spin_in], gammas[i_dag, spin_dag]
-                            lhs = np.abs(_quadratic(space, terms).diagonal())
-                            rhs = np.sqrt(g_in * g_dag)
-                            worst = min(worst, float(np.min(rhs - lhs)))
-                            cases += 1
+    for field, branch in itertools.product(FIELDS, (+1, -1)):
+        gammas = {(p, spin): _gamma_diagonal(space, p, field, spin, branch) for p in profiles for spin in SPINS}
+        for p_in, p_dag, spin_in, spin_dag in itertools.product(profiles, profiles, SPINS, SPINS):
+            terms = _hopping_terms(space, branch, field, spin_dag, spin_in, p_dag, p_in)
+            lhs = np.abs(_quadratic(space, terms).diagonal())
+            rhs = np.sqrt(gammas[p_in, spin_in] * gammas[p_dag, spin_dag])
+            worst = min(worst, float(np.min(rhs - lhs)))
+            cases += 1
     return SchwartzSweep(cases=cases, states=space.dim, worst_margin=worst, holds=worst >= -1e-10)
 
 
@@ -296,14 +278,15 @@ def _max_abs(matrix) -> float:
     return float(np.max(np.abs(matrix.data))) if matrix.nnz else 0.0
 
 
-@dataclass(frozen=True)
-class CompositeBosonReport:
-    purity: float
-    commutator_identity_deviation: float
-    sandwich_rows: tuple  # (N, <Gamma_psi>, P, N*P, holds)
-    saturation_order: int
-    cross_rows: tuple  # (N, |<[c1, c2dag]>|, 2*N*Pmax, holds), empty without a second profile
-    cross_identity_deviation: float
+CompositeBosonReport = namedtuple(
+    "CompositeBosonReport",
+    "purity commutator_identity_deviation sandwich_rows saturation_order cross_rows cross_identity_deviation",
+)
+CompositeBosonReport.__doc__ = """The composite-boson relations in the Fock space.
+
+``sandwich_rows`` holds (N, <Gamma_psi>, P, N*P, holds) and ``cross_rows``
+(N, |<[c1, c2dag]>|, 2*N*Pmax, holds), empty without a second profile.
+"""
 
 
 def composite_boson_suite(space: FockSpace, pairs, weights, n_max: int, second_weights=None) -> CompositeBosonReport:

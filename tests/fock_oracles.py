@@ -18,7 +18,7 @@ P-bit register (pair_stack).
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from scipy import sparse
@@ -28,13 +28,13 @@ from latticelight.bilinear import polarization_frame
 from latticelight.onebody import DEFAULT_FRAME
 
 
-@dataclass(frozen=True)
-class PairSweep:
-    """Worst deviations over every ordered pair of gamma labels."""
+PairSweep = namedtuple("PairSweep", "label_pairs max_assembly_deviation max_gamma_gamma")
+PairSweep.__doc__ = """Worst deviations over every ordered pair of gamma labels.
 
-    label_pairs: int  # ordered pairs compared
-    max_assembly_deviation: float  # of [gamma_1, gamma_2^dag] from its assembly
-    max_gamma_gamma: float  # of [gamma_1, gamma_2] from 0
+``label_pairs`` counts the ordered pairs compared, ``max_assembly_deviation``
+is that of [gamma_1, gamma_2^dag] from its assembly, and ``max_gamma_gamma``
+that of [gamma_1, gamma_2] from 0.
+"""
 
 
 def pair_commutator_sweep(space, specs) -> PairSweep:
@@ -130,15 +130,10 @@ def polarization_gamma(space, profile, frame, index):
     return fock._quadratic(space, onebody._polarization_terms(space, profile, onebody.polarization_matrices(frame)[index]))
 
 
-@dataclass(frozen=True)
-class PolarizationReport:
-    """Deviation of [gamma^i(k), gamma^j(k')^dag] from delta_ij delta_kk'."""
-
-    cases: int
-    states_checked: int
-    deviation_by_particles: dict
-    max_deviation: float
-    vacuum_deviation: float
+PolarizationReport = namedtuple(
+    "PolarizationReport", "cases states_checked deviation_by_particles max_deviation vacuum_deviation"
+)
+PolarizationReport.__doc__ = "Deviation of [gamma^i(k), gamma^j(k')^dag] from delta_ij delta_kk'."
 
 
 def polarization_diagonals(space, profiles, frame, rows) -> np.ndarray:

@@ -359,6 +359,31 @@ def test_report_requires_frame():
         maxwell_emergence_report(single_point_profile(), K_REF, MINUS, -1)
 
 
+BILINEAR_AT_ONE_K = {
+    "tilt_angle": lambda k: tilt_angle(k, MINUS),
+    "maxwell_emergence_report": lambda k: maxwell_emergence_report(single_point_profile(), k, MINUS, 1),
+    "maxwell_generator_check": lambda k: maxwell_generator_check(single_point_profile(), k, MINUS, 1),
+}
+
+
+@pytest.mark.parametrize("route", BILINEAR_AT_ONE_K)
+@pytest.mark.parametrize(
+    "k,message",
+    [
+        ((math.nan, 0.1, 0.2), "a wavevector must be finite, got k=[nan, 0.1, 0.2]"),
+        ((math.inf, 0.1, 0.2), "a wavevector must be finite, got k=[inf, 0.1, 0.2]"),
+        (("0.1", "0.2", "0.3"), "a wavevector must have 3 components, got ('0.1', '0.2', '0.3')"),
+        ({0.1, 0.2, 0.3}, "a wavevector must have 3 components, got {"),
+    ],
+    ids=["nan", "inf", "text", "set"],
+)
+def test_bilinear_refuses_a_wavevector_as_dispersion_does(route, k, message):
+    # before the shared check: NaN results, "math domain error", a TypeError, or a set read in its hash order
+    with pytest.raises(ValueError) as refused:
+        BILINEAR_AT_ONE_K[route](k)
+    assert str(refused.value).startswith(message)
+
+
 def test_generator_check_components():
     check0 = maxwell_generator_check(single_point_profile(), K_REF, MINUS, 40)
     # a single-point kernel advances by exactly one rotation step

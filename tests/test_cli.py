@@ -429,7 +429,6 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
         (["tilt"], {"k_values": [-0.05]}, "error: k_values must be in 0..1e+300, got -0.05"),
         (["flight", "--energies", "GeV=1e9,MeV=-1e6"], None, "energies must be > 0 eV, got -1000000.0 for 'MeV'"),
         (["flight"], {"energies": [["GeV", 0], ["MeV", 1e6]]}, "energies must be > 0 eV, got 0.0 for 'GeV'"),
-        (["flight", "--distance-m", "-1"], None, "distance_m must be > 0"),
         (["flight", "--energies", "GeV=1e9,GeV=1e6"], None, "energies must have distinct labels"),
         (["dispersion", "--points", "0"], None, "error: points must be >= 1, got 0"),
         (["dispersion", "--kmax", "-1"], None, "error: kmax must be in (0, 1e+300], got -1.0"),
@@ -445,11 +444,11 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
     ],
     ids=[
         "tilt-k-values-negative", "tilt-k-values-negative-config", "flight-energies-negative",
-        "flight-energies-zero-config", "flight-distance-m-negative", "flight-energies-duplicate-labels",
+        "flight-energies-zero-config", "flight-energies-duplicate-labels",
         "dispersion-points-zero", "dispersion-kmax-negative", "dispersion-points-and-kmax-zero-config",
         "maxwell-levels-one", "maxwell-base-radius-zero", "maxwell-spacing-factor-zero",
         "maxwell-spacing-factor-above-one-config", "tilt-directions-zero", "fock-suite-momenta-above",
-        "fock-suite-momenta-zero-config", "flight-distance-m-negative-with-value",
+        "fock-suite-momenta-zero-config", "flight-distance-m-negative",
     ],
 )
 def test_range_messages_name_the_key(tmp_path, capsys, args, config, message):

@@ -12,6 +12,8 @@ src counts as a call.
 import ast
 from pathlib import Path
 
+import pytest
+
 import latticelight
 
 SRC = Path(latticelight.__file__).parent
@@ -22,7 +24,7 @@ TEST_ONLY = {
     "schwartz_exhaustive": "acceptance criterion 8: the basis-state sweep that onebody.schwartz_bound is compared against",
     "composite_boson_suite": "acceptance criterion 8: the Fock-space reference of onebody.composite_bosons",
     "pair_condensate": "acceptance criterion 8: the CSR (c^dag)^N |0> chain",
-    "saturation_estimate": "ROADMAP item 6 decides whether a saturation subcommand uses it or it goes",
+    "saturation_estimate": "ROADMAP item 9 decides whether a saturation subcommand uses it or it goes",
     "omega": "acceptance criterion 5a; the dispersion table streams the same _wave per row through branches",
     "group_velocity_analytic": "acceptance criterion 5c: the analytic route held to the finite-difference oracle",
     "bloch_data": "acceptance criteria 1, 2 and 5c: the batched closed forms the tests hold the float routines to",
@@ -37,13 +39,32 @@ TEST_ONLY_METHODS = {
 }
 
 
-def definitions_and_references():
-    """([(module, name)] of module-level functions and classes, ["Class.method"] of public methods and properties,
-    names src uses, names src imports); __init__ is no user."""
+def is_record(node):
+    """Whether a module-level statement is a named-tuple record, ``X = namedtuple(...)``."""
+    return (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "namedtuple"
+    )
+
+
+def scan(modules):
+    """([(module, name)] of module-level functions, classes and named-tuple records, ["Class.method"] of public
+    methods and properties, names used, names imported) over (module stem, source) pairs; __init__ is no user.
+
+    A name is used where it is read; the assignment of a record and the ``X.__doc__ = ...`` line that documents it
+    are no uses."""
     defined, methods, used, imported = [], [], set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [(path.stem, node.name) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    for stem, source in modules:
+        tree = ast.parse(source)
+        defined += [
+            (stem, node.targets[0].id if is_record(node) else node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) or is_record(node)
+        ]
         methods += [
             f"{node.name}.{item.name}"
             for node in tree.body
@@ -51,16 +72,46 @@ def definitions_and_references():
             for item in node.body
             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
         ]
-        if path.name == "__init__.py":
+        if stem == "__init__":
             continue
+        docstring_lines = {
+            target.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Attribute) and target.attr == "__doc__"
+        }
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node not in docstring_lines:
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 imported.add(node.name)
     return defined, methods, used, imported
+
+
+def definitions_and_references():
+    """scan() over the modules of src."""
+    return scan((path.stem, path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py")))
+
+
+RECORD = """from collections import namedtuple
+
+Record = namedtuple("Record", "a b")
+Record.__doc__ = "A record that no other line reads."
+"""
+
+
+@pytest.mark.parametrize(
+    "user, used",
+    [("def f():\n    return 1\n", False), ("def f():\n    return Record(1, 2)\n", True)],
+    ids=["unused", "read"],
+)
+def test_a_named_tuple_record_is_defined_and_used_only_where_read(user, used):
+    defined, _, names, _ = scan([("records", RECORD), ("user", user)])
+    assert ("records", "Record") in defined
+    assert ("Record" in names) == used
 
 
 def test_every_public_name_has_a_src_caller_or_a_reason():

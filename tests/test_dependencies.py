@@ -59,11 +59,10 @@ def test_src_imports_scipy_only_in_fock_and_nothing_else_outside_the_standard_li
     assert set().union(*imports.values()) == {"numpy", "scipy"}
 
 
-def test_only_onebody_and_fock_import_dataclasses():
-    # every module but fock holds its records in named tuples, so no CLI process loads dataclasses (fock-suite's
-    # onebody included) or, through it, inspect
+def test_no_src_module_imports_dataclasses_or_typing():
+    # every module holds its records in named tuples, so no process loads dataclasses or, through it, inspect
     imports = imported_packages()
-    assert {module for module, names in imports.items() if "dataclasses" in names} == {"fock"}
+    assert {module for module, names in imports.items() if names & {"dataclasses", "typing"}} == set()
 
 
 def numpy_importers():

@@ -256,10 +256,15 @@ def test_speed_deviation_refuses_a_bad_sign(sign):
 
 
 @pytest.mark.parametrize(
-    "k", [(0.1, 0.2), [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2]] * 3, 0.5, [[0.1, 0.2, 0.3]], np.zeros((2, 3)), np.zeros((3, 1)), None]
+    "k",
+    [
+        (0.1, 0.2), [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2]] * 3, 0.5, [[0.1, 0.2, 0.3]], np.zeros((2, 3)), np.zeros((3, 1)), None,
+        ("0.1", "0.2", "0.3"), {1.0, 2.0, 3.0}, (b"0.1", 0.2, 0.3),
+    ],
 )
 def test_speed_deviation_needs_three_components(k):
-    # one wavevector per call: omega and group_velocity_analytic share the check
+    # one wavevector per call: omega and group_velocity_analytic share the check, which refuses text that float()
+    # would parse and a set, whose components have no order
     for f in (speed_deviation, omega, group_velocity_analytic):
         with pytest.raises(ValueError, match="3 components"):
             f(k, MINUS)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from latticelight import _FRAME_TOL, _angle_parts, _check_sign
+from latticelight import _FRAME_TOL, _check_sign
 from latticelight.bilinear import _kernel, _power
 from latticelight.dispersion import omega
 from latticelight.walk import SQRT3, DegeneratePointError, bloch_data
@@ -121,8 +121,8 @@ def tilt_angle(k, sign) -> np.ndarray:
         raise DegeneratePointError(f"no rotation axis: |n(k/2)| < {_FRAME_TOL} in the batch")
     axis = k * np.array([1.0, -float(sign), 1.0])
     axis = axis / np.max(np.abs(axis), axis=-1, keepdims=True)
-    across, along = _angle_parts(np.moveaxis(n, -1, 0), np.moveaxis(axis, -1, 0))
-    angle = np.arctan2(np.sqrt(across), along)
+    across = np.cross(n, axis)
+    angle = np.arctan2(np.sqrt(np.sum(across * across, axis=-1)), np.sum(n * axis, axis=-1))
     return np.minimum(angle, np.pi - angle)
 
 
