@@ -448,7 +448,7 @@ def test_degenerate_wavevector_is_named(tmp_path, capsys):
         "dispersion-points-zero", "dispersion-kmax-negative", "dispersion-points-and-kmax-zero-config",
         "maxwell-levels-one", "maxwell-base-radius-zero", "maxwell-spacing-factor-zero",
         "maxwell-spacing-factor-above-one-config", "tilt-directions-zero", "fock-suite-momenta-above",
-        "fock-suite-momenta-zero-config", "flight-distance-m-negative",
+        "fock-suite-momenta-zero-config", "flight-distance-m-negative-with-value",
     ],
 )
 def test_range_messages_name_the_key(tmp_path, capsys, args, config, message):
