@@ -90,12 +90,14 @@ def _wavevector(k):
 
     ValueError for any other shape, for a set (its components have no order),
     for a text component (float() would parse it), or for a component that is
-    not finite (math.cos(inf) would raise an error that names no wavevector).
+    not finite as a float (math.cos(inf) would raise an error that names no wavevector).
     """
     try:
         x, y, z = k
         k[0]  # TypeError for a set
         finite = math.isfinite(x) & math.isfinite(y) & math.isfinite(z)  # TypeError for text; & checks all three
+    except OverflowError:  # an integer past the largest float, whose repr may be too long to print
+        raise ValueError("a wavevector must be finite, got a component past the largest float") from None
     except (TypeError, ValueError, LookupError):
         raise ValueError(f"a wavevector must have 3 components, got {k!r}") from None
     x, y, z = float(x), float(y), float(z)

@@ -194,6 +194,14 @@ def _project(rows, table):
 # rotations, frames and angles
 
 
+def _scaled(v):
+    """(v 2^s, s) for the 3-vector v and the power of 2 that puts its largest component in [0.5, 1): exact, and the
+    squares of the scaled components stay finite for any finite ``v`` (unscaled, they overflow from about 1e154)."""
+    x, y, z = v
+    scale = -math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    return (math.ldexp(x, scale), math.ldexp(y, scale), math.ldexp(z, scale)), scale
+
+
 def rotation_generator(v):
     """Real orthogonal rotation reassembling a conjugated Pauli vector, as a tuple of 3 rows.
 
@@ -203,9 +211,12 @@ def rotation_generator(v):
 
     i.e. the Rodrigues rotation by angle |v| about v/|v| in the orientation
     fixed by that identity (R(v) = expm(-[v]_x)).  Identity at v = 0.
+    Raises ValueError where |v|^2 is not finite: an angle past 1e154 has no digits left below 2 pi.
     """
     x, y, z = map(float, v)
     theta = math.sqrt(x * x + y * y + z * z)
+    if not theta < math.inf:  # NaN too
+        raise ValueError(f"no rotation of a vector without a finite |v|^2, got v={[x, y, z]}")
     if theta < 1e-300:
         return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     x, y, z = x / theta, y / theta, z / theta
@@ -225,13 +236,14 @@ def predicted_rotation(n, t):
     F(t) = predicted_rotation(n, t) @ F(0) with n = n(k/2).  Equivalently a
     single kernel's coefficient 3-vector evolves by the transpose.  The
     circular mode (u1 + i u2)/sqrt(2) of a right-handed frame about n picks
-    up the positive-frequency phase exp(-2i|n|t) under this matrix.
+    up the positive-frequency phase exp(-2i|n|t) under this matrix.  Raises
+    rotation_generator's ValueError, naming v = -2 t n, where |v|^2 is not finite.
     """
     return rotation_generator([-2.0 * float(t) * float(c) for c in n])
 
 
-PolarizationFrame = namedtuple("PolarizationFrame", "e u1 u2")
-PolarizationFrame.__doc__ = "Right-handed orthonormal triple (u1, u2, e) of 3-tuples with e along the rotation axis."
+PolarizationFrame = namedtuple("PolarizationFrame", "u1 u2 e")
+PolarizationFrame.__doc__ = "Right-handed orthonormal triple (u1, u2, e) of 3-tuples with e along the rotation axis: the rows that onebody.polarization_matrices reads."
 
 
 def polarization_frame(n) -> PolarizationFrame:
@@ -239,18 +251,22 @@ def polarization_frame(n) -> PolarizationFrame:
 
     ``a`` is the coordinate axis least aligned with e (ties broken by lowest
     axis index), making the frame reproducible across runs.  Raises
-    DegeneratePointError for |n| below tolerance.
+    DegeneratePointError for |n| below tolerance, and ValueError for a
+    component that is not finite.
     """
     n = tuple(map(float, n))
-    norm = math.sqrt(_dot(n, n))
-    if norm < _FRAME_TOL:
-        raise DegeneratePointError(f"no transverse frame: |n| = {norm:.3e}")
-    e = tuple(c / norm for c in n)
+    m, _ = _scaled(n)  # the frame of n, with |m|^2 finite for any finite n
+    norm = math.sqrt(_dot(m, m))
+    if not norm < math.inf:  # NaN too
+        raise ValueError(f"no transverse frame of a vector that is not finite, got n={list(n)}")
+    if math.sqrt(_dot(n, n)) < _FRAME_TOL:
+        raise DegeneratePointError(f"no transverse frame: |n| = {math.sqrt(_dot(n, n)):.3e}")
+    e = tuple(c / norm for c in m)
     axis = min(range(3), key=lambda i: abs(e[i]))
     u1 = _cross(e, [1.0 if i == axis else 0.0 for i in range(3)])
     norm = math.sqrt(_dot(u1, u1))
     u1 = tuple(c / norm for c in u1)
-    return PolarizationFrame(e=e, u1=u1, u2=_cross(e, u1))
+    return PolarizationFrame(u1=u1, u2=_cross(e, u1), e=e)
 
 
 def _half_axis(k, sign):
@@ -270,14 +286,10 @@ def _half_axis(k, sign):
 def _angle(n, a):
     """Angle in [0, pi] between the 3-vectors n and a.
 
-    ``a`` is first scaled by the power of 2 that puts its largest component in
-    [0.5, 1): that changes no bit of the angle where |n x a|^2 is finite, and
-    keeps the square finite for any finite ``a`` (unscaled, it overflows from
-    |a| of about 1e154).
+    ``a`` is first scaled by _scaled: that changes no bit of the angle where
+    |n x a|^2 is finite, and keeps the square finite for any finite ``a``.
     """
-    x, y, z = a
-    scale = -math.frexp(max(abs(x), abs(y), abs(z)))[1]
-    a = (math.ldexp(x, scale), math.ldexp(y, scale), math.ldexp(z, scale))
+    a, _ = _scaled(a)
     # atan2(|n x a|, n . a) keeps its relative precision at small angles, where arccos of the cosine has an
     # absolute error of about sqrt(eps) = 1e-8
     c = _cross(n, a)

@@ -242,15 +242,8 @@ def cmd_maxwell_convergence(cfg: dict, out: str, seed: int) -> int:
         )
     header = _base_header("maxwell-convergence", cfg, seed)
     header["fitted_residual_slope"] = slope
-    write_table(
-        out,
-        header,
-        ["qbar", "residual", "tilt_angle", "axis_angle_to_k"],
-        [
-            [r.qbar, r.residual_transverse, r.tilt_angle, r.axis_angle_to_k]
-            for r in reports
-        ],
-    )
+    # a MaxwellReport is the row: (qbar, residual_transverse, tilt_angle, axis_angle_to_k)
+    write_table(out, header, ["qbar", "residual", "tilt_angle", "axis_angle_to_k"], reports)
     return EXIT_OK
 
 
@@ -265,12 +258,8 @@ def cmd_fock_suite(cfg: dict, out: str, seed: int) -> int:
 def cmd_flight(cfg: dict, out: str, seed: int) -> int:
     from .dispersion import time_of_flight_delta
     rows = time_of_flight_delta(cfg["distance_m"], cfg["energies"], SIGNS[cfg["sign"]])
-    write_table(
-        out,
-        _base_header("flight", cfg, seed),
-        ["label_1", "label_2", "energy_1_ev", "energy_2_ev", "k_1", "k_2", "delta_seconds"],
-        rows,
-    )
+    columns = ["label_1", "label_2", "energy_1_ev", "energy_2_ev", "k_1", "k_2", "delta_seconds"]
+    write_table(out, _base_header("flight", cfg, seed), columns, rows)
     return EXIT_OK
 
 
@@ -292,12 +281,8 @@ def cmd_tilt(cfg: dict, out: str, seed: int) -> int:
     for kmag in cfg["k_values"]:
         tilts = array("d", (tilt_angle((kmag * x, kmag * y, kmag * z), sign) for x, y, z in directions()))
         rows.append([kmag, max(tilts), math.fsum(tilts) / len(tilts), tilt_angle_estimate(kmag)])
-    write_table(
-        out,
-        _base_header("tilt", cfg, seed),
-        ["k", "tilt_exact_max", "tilt_exact_mean", "estimate_2k"],
-        rows,
-    )
+    columns = ["k", "tilt_exact_max", "tilt_exact_mean", "estimate_2k"]
+    write_table(out, _base_header("tilt", cfg, seed), columns, rows)
     return EXIT_OK
 
 

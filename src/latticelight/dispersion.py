@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 
 from . import SQRT3, DegeneratePointError, _axis_undefined, _bloch, _check_sign, _dot, _step_gradient, _step_products, _wavevector
 
 #: CODATA Planck length (m) and Planck time (s); their ratio is c
 PLANCK_LENGTH = 1.616255e-35
 PLANCK_TIME = 5.391247e-44
+C = PLANCK_LENGTH / PLANCK_TIME
+#: one step is t_P and one lattice link is sqrt(3) l_P (m)
+LINK_LENGTH = SQRT3 * PLANCK_LENGTH
 
 HBAR = 1.054571817e-34  # J s
 EV = 1.602176634e-19  # J
@@ -31,28 +33,6 @@ _DEGENERATE_TOL = 1e-12
 class EnergyOutOfRangeError(ValueError):
     """Photon energy implies a wavevector outside the canonical cell, or no positive group speed."""
 
-
-class UnitSystem(
-    namedtuple("UnitSystem", "planck_length planck_time lattice_spacing_factor", defaults=(PLANCK_LENGTH, PLANCK_TIME, SQRT3))
-):
-    """Planck-to-SI conversion constants (immutable).
-
-    ``c`` is derived as planck_length / planck_time; the lattice link length
-    is sqrt(3) * planck_length.
-    """
-
-    __slots__ = ()
-
-    @property
-    def c(self) -> float:
-        return self.planck_length / self.planck_time
-
-    @property
-    def link_length(self) -> float:
-        return self.lattice_spacing_factor * self.planck_length
-
-
-PLANCK_UNITS = UnitSystem()
 
 DIAGONAL = (1.0 / SQRT3,) * 3
 
@@ -159,7 +139,7 @@ def tilt_angle_estimate(k_magnitude: float) -> float:
     return 2.0 * k_magnitude
 
 
-def energy_to_wavevector(energy_ev: float, units: UnitSystem = PLANCK_UNITS) -> float:
+def energy_to_wavevector(energy_ev: float) -> float:
     """Adimensional |k| of a photon of the given energy.
 
     Convention: physical momentum p = hbar * k_phys with k_phys =
@@ -169,11 +149,11 @@ def energy_to_wavevector(energy_ev: float, units: UnitSystem = PLANCK_UNITS) -> 
     """
     if energy_ev <= 0.0:
         raise ValueError("photon energy must be positive")
-    k_phys = energy_ev * EV / (HBAR * units.c)
-    return units.link_length * k_phys
+    k_phys = energy_ev * EV / (HBAR * C)
+    return LINK_LENGTH * k_phys
 
 
-def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL, units: UnitSystem = PLANCK_UNITS):
+def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL):
     """Arrival-time differences Delta t = D (1/v_1 - 1/v_2) for each pair of ``(label, eV)`` photons.
 
     Energies are converted to adimensional wavevectors (see
@@ -192,11 +172,14 @@ def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL, 
     labels = [label for label, _ in energies]
     if len(set(labels)) != len(labels):
         raise ValueError("energies must have distinct labels")
-    x, y, z = direction if len(direction) == 3 else (math.nan,) * 3
+    try:
+        x, y, z = _wavevector(direction)
+    except ValueError:  # not three finite numbers
+        x = y = z = math.nan
     norm = math.sqrt(x * x + y * y + z * z)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"direction must be a finite nonzero 3-vector, got {direction!r}")
-    ks = [energy_to_wavevector(ev, units) for _, ev in energies]
+    ks = [energy_to_wavevector(ev) for _, ev in energies]
     unit = (x / norm, y / norm, z / norm)
     kvecs = [tuple(k * u for u in unit) for k in ks]
     half = math.pi * SQRT3
@@ -209,12 +192,12 @@ def time_of_flight_delta(distance_m: float, energies, sign, direction=DIAGONAL, 
             raise EnergyOutOfRangeError(f"photon {label!r} at {ev} eV has no positive group speed (deviation {dev})")
     # D (1/v1 - 1/v2) with v = c (1 + dev), kept stable for tiny devs
     return [
-        (l1, l2, e1, e2, k1, k2, distance_m / units.c * (d2 - d1) / ((1.0 + d1) * (1.0 + d2)))
+        (l1, l2, e1, e2, k1, k2, distance_m / C * (d2 - d1) / ((1.0 + d1) * (1.0 + d2)))
         for (l1, e1, k1, d1), (l2, e2, k2, d2) in itertools.combinations(photons, 2)
     ]
 
 
-def saturation_estimate(photon_count: float, volume_cm3: float, units: UnitSystem = PLANCK_UNITS):
+def saturation_estimate(photon_count: float, volume_cm3: float):
     """Fermionic mode count of a volume and the photon occupancy ratio.
 
     Convention: one lattice cell of volume (sqrt(3) l_P)^3 carries
@@ -224,6 +207,6 @@ def saturation_estimate(photon_count: float, volume_cm3: float, units: UnitSyste
     if photon_count < 0.0 or volume_cm3 <= 0.0:
         raise ValueError("photon_count must be >= 0 and volume positive")
     volume_m3 = volume_cm3 * 1e-6
-    cell_volume = units.link_length**3
+    cell_volume = LINK_LENGTH**3
     modes = 4.0 * volume_m3 / cell_volume
     return modes, photon_count / modes

@@ -95,7 +95,10 @@ class LatticeProfile(namedtuple("LatticeProfile", "total weights")):
             raise ValueError("duplicate q in profile")
         if not all(math.isfinite(w.real) and math.isfinite(w.imag) for _, w in items):
             raise ValueError(f"profile weights must be finite, got {[w for _, w in items]!r}")
-        norm = sum(abs(w) ** 2 for _, w in items)
+        try:
+            norm = sum(abs(w) ** 2 for _, w in items)
+        except OverflowError:  # a weight past about 1e154
+            norm = math.inf
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"profile not normalized: sum|f|^2 = {norm!r}")
         return super().__new__(cls, total, items)
@@ -162,8 +165,6 @@ def _hopping_terms(modes: ModeTable, branch, field, spin_dag, spin_in, prof_dag,
     terms are skipped; a nonzero-weight term whose momentum is not in the
     table raises UnresolvedMomentumError.
     """
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
     shift = (prof_dag.total - prof_in.total) // 2
     terms = []
     for q, w_in in prof_in.weights:
@@ -197,7 +198,8 @@ def _assembly_terms(modes: ModeTable, spec1, spec2):
 
 
 def polarization_matrices(frame) -> list:
-    """Spin contraction matrices for the four polarization modes of ``frame``, the rows (u1, u2, e) of an orthonormal triple.
+    """Spin contraction matrices for the four polarization modes of ``frame``, the rows (u1, u2, e) of an orthonormal triple,
+    such as a bilinear.PolarizationFrame.
 
     Index 0 is timelike (identity), 1 and 2 transverse (u1, u2), 3
     longitudinal (the axis e): v . sigma = ((v_z, v_x - i v_y), (v_x + i v_y,
@@ -221,7 +223,7 @@ def _polarization_terms(modes: ModeTable, profile: LatticeProfile, mat) -> list:
     ]
 
 
-DEFAULT_FRAME = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # rows u1 = x, u2 = y, e = z
+DEFAULT_FRAME = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # rows u1 = x, u2 = y, e = z, as in a bilinear.PolarizationFrame
 
 
 def default_pairs(modes: ModeTable) -> tuple:
@@ -318,8 +320,6 @@ def pair_commutators(modes: ModeTable, specs) -> dict:
 
 def _occupations(modes: ModeTable, profile: LatticeProfile, field, spin, branch) -> dict:
     """{i: g_i} with Gamma^branch = sum_q |f(q)|^2 n_{field,spin}(k/2 + branch*q) = sum_i g_i n_i."""
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
     g: dict = {}
     for q, w in profile.weights:
         i = modes.position(field, spin, profile.half + branch * q)

@@ -24,7 +24,6 @@ import numpy as np
 from scipy import sparse
 
 from latticelight import fock, onebody
-from latticelight.bilinear import polarization_frame
 from latticelight.onebody import DEFAULT_FRAME
 
 
@@ -112,12 +111,6 @@ def dense_polarization_deviations(modes, profiles, frame) -> list:
         deviations = (vacuum, one, one[:, upper[0]] - slope[:, upper[1]])
         worst = [max(w, float(np.abs(d).max())) for w, d in zip(worst, deviations)]
     return worst
-
-
-def frame_rows(n) -> np.ndarray:
-    """The rows (u1, u2, e) of bilinear.polarization_frame(n), the frame that onebody.polarization_matrices reads."""
-    frame = polarization_frame(np.asarray(n, dtype=float))
-    return np.array([frame.u1, frame.u2, frame.e])
 
 
 def h_operator(space, branch, field, spin_dag, spin_in, prof_dag, prof_in):

@@ -1,6 +1,7 @@
 """Unit tests for the bilinear kernel evolution and the emergent rotation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,46 @@ def test_frame_orthonormal_right_handed():
         polarization_frame(np.zeros(3))
 
 
+NOT_FINITE = [(math.nan, 0.0, 1.0), (0.0, -math.inf, 1.0)]
+
+
+@pytest.mark.parametrize("n", NOT_FINITE)
+def test_polarization_frame_refuses_a_vector_that_is_not_finite(n):
+    # an all-NaN frame came back for a NaN component
+    with pytest.raises(ValueError, match=re.escape(f"got n={list(n)}")):
+        polarization_frame(n)
+
+
+@pytest.mark.parametrize("v", NOT_FINITE)
+def test_rotation_generator_refuses_a_vector_that_is_not_finite(v):
+    # an all-NaN matrix came back for a NaN component
+    with pytest.raises(ValueError, match=re.escape(f"got v={list(v)}")):
+        rotation_generator(v)
+
+
+@pytest.mark.parametrize("n", NOT_FINITE)
+def test_predicted_rotation_refuses_an_axis_that_is_not_finite(n):
+    # an all-NaN matrix came back for a NaN component
+    with pytest.raises(ValueError, match=r"no rotation of a vector without a finite \|v\|\^2"):
+        predicted_rotation(n, 3)
+
+
+@pytest.mark.parametrize("n", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8), (-1.0, 1.0, 1.0)])
+@pytest.mark.parametrize("exponent", [512, 700, 1023])
+def test_polarization_frame_of_a_huge_axis(n, exponent):
+    # |n|^2 overflowed to inf from |n| of about 1e154, and e = n / inf = 0 gave a ZeroDivisionError; a power of 2
+    # scales n exactly, so its frame keeps every bit
+    assert polarization_frame([math.ldexp(c, exponent) for c in n]) == polarization_frame(n)
+
+
+@pytest.mark.parametrize("v", [(1e200, 0.0, 0.0), (0.0, -1.5e154, 1.0), (1e308, 1e308, 1e308)])
+def test_rotation_generator_refuses_a_huge_vector(v):
+    # |v|^2 overflowed to inf, and math.sin(inf) raised "math domain error"; past 1e154 the angle has no digits
+    # left below 2 pi, so there is no rotation to return
+    with pytest.raises(ValueError, match=re.escape(f"got v={list(v)}")):
+        rotation_generator(v)
+
+
 # ---------------------------------------------------------------------------
 # emergent Maxwell rotation
 
@@ -374,11 +415,13 @@ BILINEAR_AT_ONE_K = {
         ((math.inf, 0.1, 0.2), "a wavevector must be finite, got k=[inf, 0.1, 0.2]"),
         (("0.1", "0.2", "0.3"), "a wavevector must have 3 components, got ('0.1', '0.2', '0.3')"),
         ({0.1, 0.2, 0.3}, "a wavevector must have 3 components, got {"),
+        ((10**400, 0, 0), "a wavevector must be finite, got a component past the largest float"),
     ],
-    ids=["nan", "inf", "text", "set"],
+    ids=["nan", "inf", "text", "set", "huge-int"],
 )
 def test_bilinear_refuses_a_wavevector_as_dispersion_does(route, k, message):
-    # before the shared check: NaN results, "math domain error", a TypeError, or a set read in its hash order
+    # before the shared check: NaN results, "math domain error", a TypeError, or a set read in its hash order; an
+    # integer past the largest float raised OverflowError from the check itself
     with pytest.raises(ValueError) as refused:
         BILINEAR_AT_ONE_K[route](k)
     assert str(refused.value).startswith(message)

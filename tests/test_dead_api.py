@@ -1,5 +1,8 @@
 """No dead API: each public function, class, method and property in src has a caller in src, or a reason here.
 
+The same holds for knobs: each defaulted parameter of a public function or
+class is set by a call in src, or KNOBS says why it stays.
+
 The package's ``__init__`` re-exports do not count as callers.  A name that
 only tests call stays only when an acceptance criterion calls it as written,
 when it is the reference that a test compares shipped code against, or when
@@ -36,6 +39,14 @@ TEST_ONLY_METHODS = {
     "FockSpace.creator": FOCK_TEST_API,
     "FockSpace.number_operator": FOCK_TEST_API,
     "FockSpace.particle_numbers": FOCK_TEST_API,
+}
+
+
+KNOBS = {
+    "time_of_flight_delta.direction": "the direction tests, and ROADMAP item 10's flight along other directions",
+    "polarization_modes.frame": "the frame-independence tests",
+    "composite_boson_suite.second_weights": "acceptance criterion 8",
+    "main.argv": "the tests drive the CLI in process",
 }
 
 
@@ -132,3 +143,91 @@ def test_every_private_name_has_a_src_caller():
     # an import is not a call: a private name that src only re-exports for the tests is dead
     defined, _, used, _ = definitions_and_references()
     assert {f"{module}.{name}" for module, name in defined if name.startswith("_") and name not in used} == set()
+
+
+def knobs(modules):
+    """{"name.parameter": position, or None if keyword-only} of the defaulted parameters of each public module-level
+    function, and of the __init__ or __new__ of each public class, over (module stem, source) pairs."""
+    found = {}
+    for _, source in modules:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                args, skip = node.args, 0
+            elif isinstance(node, ast.ClassDef):  # the constructor, whose self or cls no call passes
+                constructors = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name in ("__init__", "__new__")]
+                args, skip = (constructors[0].args if constructors else None), 1
+            else:
+                continue
+            if args is None or node.name.startswith("_"):
+                continue
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found.update({f"{node.name}.{a.arg}": i - skip for i, a in enumerate(positional[first:], first)})
+            found.update({f"{node.name}.{a.arg}": None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+    return found
+
+
+def scoped_calls(node, scope=""):
+    """(name of the innermost enclosing function, call) for each call under the AST ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from scoped_calls(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+
+def unset_knobs(modules):
+    """The knobs() that no call in the modules sets, by keyword or by position.
+
+    A call that only forwards the calling function's own knob, unchanged, sets
+    the parameter only where that knob is set."""
+    modules = list(modules)
+    params = knobs(modules)
+    sources = {knob: set() for knob in params}  # None: a call passes a value; else the knob the call forwards
+    for _, source in modules:
+        for scope, call in scoped_calls(ast.parse(source)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = {kw.arg: kw.value for kw in call.keywords}
+            starred = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)), len(call.args))
+            for knob, position in params.items():
+                function, parameter = knob.split(".")
+                if function != name:
+                    continue
+                value = call.args[position] if position is not None and position < starred else keywords.get(parameter)
+                if value is not None:
+                    forwarded = f"{scope}.{getattr(value, 'id', '')}"
+                    sources[knob].add(forwarded if forwarded in params else None)
+                elif None in keywords or (position is not None and starred < len(call.args)):
+                    sources[knob].add(None)  # **kwargs or *args may carry it
+    unset, changed = set(params), True
+    while changed:
+        now = {knob for knob in unset if sources[knob] - unset}
+        unset, changed = unset - now, bool(now)
+    return unset
+
+
+def test_every_parameter_default_is_overridden_or_has_a_reason():
+    # left only: set the parameter in src, drop its default, or list it; right only: src sets it or it is gone
+    assert unset_knobs((path.stem, path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))) == set(KNOBS)
+
+
+KNOB_MODULE = """def speed(distance, scale=1.0, units=None):
+    return distance * scale
+
+def flight(distance, units=None):
+    return speed(distance, 2.0, units)
+"""
+
+
+@pytest.mark.parametrize(
+    "caller, unset",
+    [
+        ("def run():\n    return flight(1.0)\n", {"speed.units", "flight.units"}),
+        ("def run():\n    return flight(1.0, units='SI')\n", set()),
+        ("def run():\n    return flight(1.0, 'SI')\n", set()),
+        ("def run(*rest):\n    return speed(1.0, *rest)\n", {"flight.units"}),
+        ("def run(**options):\n    return flight(1.0, **options)\n", set()),
+    ],
+    ids=["forwarded-unset", "keyword", "position", "starred", "double-starred"],
+)
+def test_a_parameter_default_is_set_only_by_a_call_that_passes_it(caller, unset):
+    assert unset_knobs([("knobs", KNOB_MODULE), ("caller", caller)]) == unset

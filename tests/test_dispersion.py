@@ -9,9 +9,10 @@ import pytest
 
 from latticelight import dispersion
 from latticelight.dispersion import (
-    PLANCK_UNITS,
+    LINK_LENGTH,
+    PLANCK_LENGTH,
+    C,
     EnergyOutOfRangeError,
-    UnitSystem,
     energy_to_wavevector,
     group_velocity_analytic,
     omega,
@@ -238,6 +239,14 @@ def test_omega_and_group_velocity_refuse_a_component_that_is_not_finite(k):
             f(np.array(k), MINUS)
 
 
+@pytest.mark.parametrize("k", [(10**400, 0, 0), [0.1, -(10**309), 0.2]])
+def test_one_wavevector_refuses_an_integer_past_the_largest_float(k):
+    # math.isfinite raised OverflowError: int too large to convert to float
+    for f in (omega, group_velocity_analytic, speed_deviation):
+        with pytest.raises(ValueError, match="a wavevector must be finite, got a component past the largest float"):
+            f(k, MINUS)
+
+
 @pytest.mark.parametrize("k", [(0.0, 0.0, 0.0), (2.0 * math.pi * SQRT3, 0.0, 0.0), (1e-200, 0.0, 1e-200)])
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
 def test_speed_deviation_refuses_degenerate_points(k, sign):
@@ -294,10 +303,14 @@ def test_flight_photon_at_the_cell_edge(direction, u, sign):
 
 @pytest.mark.parametrize(
     "direction",
-    [[0, 0, 0], [0.0, -0.0, 0.0], [math.nan, 1.0, 1.0], [1.0, math.inf, 0.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0], []],
+    [
+        [0, 0, 0], [0.0, -0.0, 0.0], [math.nan, 1.0, 1.0], [1.0, math.inf, 0.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [],
+        ("a", "b", "c"), [10**400, 0, 0],
+    ],
 )
 def test_flight_refuses_a_direction_without_a_length(direction):
-    # a zero direction used to give a NaN delay with only numpy's RuntimeWarning
+    # a zero direction used to give a NaN delay with only numpy's RuntimeWarning; text raised TypeError, and an
+    # integer past the largest float OverflowError
     with pytest.raises(ValueError, match="direction must be a finite nonzero 3-vector"):
         time_of_flight_delta(1e25, [["a", 1e9], ["b", 1e6]], MINUS, direction=direction)
 
@@ -346,9 +359,8 @@ def test_tilt_estimate_values():
 
 
 def test_unit_system_consistency():
-    u = UnitSystem()
-    assert u.c == pytest.approx(2.9979e8, rel=1e-3)
-    assert u.link_length == pytest.approx(SQRT3 * u.planck_length, rel=1e-15)
+    assert C == pytest.approx(2.9979e8, rel=1e-3)
+    assert LINK_LENGTH == pytest.approx(SQRT3 * PLANCK_LENGTH, rel=1e-15)
 
 
 def test_flight_equal_energies():
@@ -371,7 +383,7 @@ def test_flight_first_order_agreement():
     full = time_of_flight_delta(distance, [["GeV", 1e9], ["MeV", 1e6]], MINUS)[0][6]
     k1 = energy_to_wavevector(1e9)
     k2 = energy_to_wavevector(1e6)
-    first_order = distance / PLANCK_UNITS.c * (k2 - k1) / 9.0
+    first_order = distance / C * (k2 - k1) / 9.0
     assert abs(full - first_order) <= 0.01 * abs(first_order)
 
 
@@ -398,7 +410,7 @@ def test_flight_validation():
 def test_saturation_estimate():
     avogadro = 6.02214076e23
     modes, ratio = saturation_estimate(avogadro, 1e-15)
-    cell = (SQRT3 * PLANCK_UNITS.planck_length) ** 3
+    cell = (SQRT3 * PLANCK_LENGTH) ** 3
     assert modes == pytest.approx(4.0 * 1e-21 / cell, rel=1e-12)
     assert ratio < 1e-50  # far below any saturation scale
     modes0, ratio0 = saturation_estimate(0.0, 1e-15)

@@ -8,7 +8,6 @@ from scipy import sparse
 
 from fock_oracles import (
     cross_commutator_values,
-    frame_rows,
     h_operator,
     pair_commutator_sweep,
     pair_stack,
@@ -17,6 +16,7 @@ from fock_oracles import (
     polarization_gamma,
 )
 from latticelight import fock, onebody
+from latticelight.bilinear import polarization_frame
 from latticelight.fock import (
     FIELDS,
     SPINS,
@@ -248,7 +248,7 @@ def test_uniform_gamma_counts_occupancy(two_momentum_space, profiles):
 def test_polarization_vacuum_commutators(two_momentum_space, profiles):
     space = two_momentum_space
     vacuum = space.vacuum()
-    gammas = [polarization_gamma(space, profiles[0], frame_rows([0.0, 0.0, 1.0]), i) for i in range(4)]
+    gammas = [polarization_gamma(space, profiles[0], polarization_frame([0.0, 0.0, 1.0]), i) for i in range(4)]
     for i, gi in enumerate(gammas):
         for j, gj in enumerate(gammas):
             gjd = gj.conj().T.tocsr()
@@ -653,7 +653,7 @@ def csr_commutator_diagonals(space, profiles, frame):
 @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.3, -0.5, 0.8)])
 def test_polarization_diagonals_match_csr_products(sized_space, axis):
     space = sized_space
-    frame = frame_rows(axis)
+    frame = polarization_frame(axis)
     profiles = random_profiles(space, np.random.default_rng(16), unit=False)
     diagonals = np.array(csr_commutator_diagonals(space, profiles, frame))
     everything = np.arange(space.dim)

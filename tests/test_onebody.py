@@ -14,13 +14,13 @@ from fock_oracles import (
     cross_commutator_values,
     dense_pair_commutators,
     dense_polarization_deviations,
-    frame_rows,
     oracle_report,
     pair_commutator_sweep,
     pair_stack,
     polarization_boson_check,
 )
 from latticelight import fock, onebody
+from latticelight.bilinear import polarization_frame
 from latticelight.fock import LatticeProfile
 from latticelight.onebody import available_profiles, default_pairs
 
@@ -195,7 +195,7 @@ def test_sparse_rows_match_dense_blocks_past_the_oracle_cap(count):
     specs = specs_of(profiles)
     got = onebody.pair_commutators(modes, specs)["max_assembly_deviation"]
     assert abs(got - dense_pair_commutators(modes, specs)) <= 1e-14
-    frame = frame_rows([0.3, -0.5, 0.8])
+    frame = polarization_frame([0.3, -0.5, 0.8])
     got = onebody.polarization_modes(modes, profiles, frame)["deviation_by_particles"]
     want = dense_polarization_deviations(modes, profiles, frame)
     assert max(abs(got[str(n)] - value) for n, value in enumerate(want)) <= 1e-14
@@ -204,7 +204,7 @@ def test_sparse_rows_match_dense_blocks_past_the_oracle_cap(count):
 
 def test_polarization_modes_match_the_basis_states(space):
     profiles = random_profiles(space, np.random.default_rng(2))
-    frame = frame_rows([0.3, -0.5, 0.8])
+    frame = polarization_frame([0.3, -0.5, 0.8])
     got = onebody.polarization_modes(space, profiles, frame)
     want = polarization_boson_check(space, profiles, frame)
     assert sorted(got["deviation_by_particles"]) == ["0", "1", "2"]
@@ -410,3 +410,17 @@ def test_lattice_profile_is_a_validated_named_tuple():
                          ({"weights": ((0, 0.6), (0, 0.8))}, "duplicate"), ({"weights": ((0, math.nan),)}, "finite")]:
         with pytest.raises(ValueError, match=message):
             profile._replace(**bad)
+
+
+@pytest.mark.parametrize("weight", [1e200, 1.5e154, complex(0.0, 1e200), complex(1e308, 1e308)])
+def test_lattice_profile_refuses_a_huge_weight_with_a_value_error(weight):
+    # abs(w) ** 2 raised OverflowError past about 1e154, and abs() of a complex past about 1.3e308 does too
+    with pytest.raises(ValueError, match=r"sum\|f\|\^2 = inf"):
+        LatticeProfile(0, [(0, weight)])
+
+
+def test_a_polarization_frame_is_the_rows_that_onebody_reads():
+    frame = polarization_frame([0.3, -0.5, 0.8])
+    assert type(frame)._fields == ("u1", "u2", "e")
+    assert tuple(frame) == (frame.u1, frame.u2, frame.e)
+    assert onebody.polarization_matrices(frame) == onebody.polarization_matrices([frame.u1, frame.u2, frame.e])
